@@ -375,9 +375,12 @@ def _load_config(args) -> RunConfig:
         overrides["initial_mode"] = InitialMode(args.initial_mode)
     if overrides:
         if "dt" in overrides or "t_final" in overrides:
-            TimeGrid.from_step_and_horizon(
-                overrides.get("dt", config.dt), overrides.get("t_final", config.t_final)
-            )
+            try:
+                TimeGrid.from_step_and_horizon(
+                    overrides.get("dt", config.dt), overrides.get("t_final", config.t_final)
+                )
+            except ValueError as exc:
+                raise ConfigError(f"line 1: {exc}") from exc
         if "cells" in overrides and overrides["cells"] < 1:
             raise ConfigError("line 1: cells must be at least 1")
         config = replace(config, **overrides)

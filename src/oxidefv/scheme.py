@@ -4,8 +4,9 @@ Each step solves a nonlinear system in the unknowns (u_0, ..., u_{I+1},
 X0, X1, L): I interior balances with exponential-fitting two-point fluxes,
 the two boundary flux conditions, the two interface motion laws and the
 width closure.  Newton iteration with an analytic Jacobian and a
-bordered-banded linear solve does the work; a lambda-continuation solver
-starting from an explicitly solvable system serves as fallback.
+bordered-banded linear solve does the work; the fallback is a
+lambda-continuation that blends the same system's rows toward an explicitly
+solvable member and corrects with the same Newton iteration and solve.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ class StepResult:
     residual_inf: float
 
 
+def _frame_velocity(X0, X1, L, prev: State, mesh: Mesh, dt: float, R: float):
+    """(1 - R) d[X1] - xi_edge * d[L] - d[X0] per edge, d[f] = (f - f_prev)/dt."""
+    dX0 = (X0 - prev.X0) / dt
+    dX1 = (X1 - prev.X1) / dt
+    dL = (L - prev.L) / dt
+    return (1.0 - R) * dX1 - mesh.edges * dL - dX0
+
+
 def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.ndarray:
     """Edge velocities of the moving frame mapped onto [0, 1], one per edge:
     (1 - R) d[X1] - xi_edge * d[L] - d[X0], with d[f] = (f_next - f_prev)/dt.
@@ -90,10 +99,7 @@ def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.n
     """
     if dt <= 0.0:
         raise ValueError("velocities: dt must be positive")
-    dX0 = (nxt.X0 - prev.X0) / dt
-    dX1 = (nxt.X1 - prev.X1) / dt
-    dL = (nxt.L - prev.L) / dt
-    return (1.0 - R) * dX1 - mesh.edges * dL - dX0
+    return _frame_velocity(nxt.X0, nxt.X1, nxt.L, prev, mesh, dt, R)
 
 
 def sg_flux(u_left, u_right, v, L, h_edge):
@@ -115,16 +121,13 @@ def sg_flux(u_left, u_right, v, L, h_edge):
 
 
 # ---------------------------------------------------------------------------
-# Direct scheme: residual, Jacobian, Newton
+# The step system: residual, bordered-banded Jacobian, block solve
 # ---------------------------------------------------------------------------
 
 
 def _edge_fields(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
     """Velocities, Peclet arguments, Bernoulli weights and fluxes per edge."""
-    dX0 = (X0 - prev.X0) / dt
-    dX1 = (X1 - prev.X1) / dt
-    dL = (L - prev.L) / dt
-    v = (1.0 - params.R) * dX1 - mesh.edges * dL - dX0
+    v = _frame_velocity(X0, X1, L, prev, mesh, dt, params.R)
     w = (L * mesh.gaps) * v
     Bp = bernoulli(w)
     Bm = bernoulli(-w)
@@ -132,9 +135,8 @@ def _edge_fields(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: Model
     return v, w, Bp, Bm, F
 
 
-def _residual_raw(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
+def _residual_rows(u, X0, X1, L, F, prev: State, mesh: Mesh, dt: float, params: ModelParams):
     cells = mesh.num_cells
-    _, _, _, _, F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params)
     r = np.empty(cells + 5)
     r[:cells] = (
         mesh.cell_sizes * (L * u[1:-1] - prev.L * prev.u[1:-1]) / dt + F[1:] - F[:-1]
@@ -152,6 +154,11 @@ def _residual_raw(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: Mode
     return r
 
 
+def _residual_raw(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
+    F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params)[-1]
+    return _residual_rows(u, X0, X1, L, F, prev, mesh, dt, params)
+
+
 def residual(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
     """Stacked residual of the implicit step, length I+5: the I interior
     balances, the left and right flux conditions, the two interface motion
@@ -161,102 +168,47 @@ def residual(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParam
     return _residual_raw(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, params)
 
 
-def _flux_derivatives(u, v, w, Bp, Bm, F, L, mesh: Mesh, dt: float, params: ModelParams):
-    """Partial derivatives of each edge flux w.r.t. its neighbors and the
-    interface unknowns of the direct scheme."""
+def _assemble(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
+    """Residual r and Jacobian of the step system from one evaluation of
+    the edge fields.  The I+2 concentration rows are permuted (left flux
+    condition, interior balances, right flux condition): band is their
+    tridiagonal u-block in solve_banded's (1, 1) layout, border their
+    (X0, X1, L) columns.  The last three rows are _affine_rows."""
+    cells = mesh.num_cells
+    v, w, Bp, Bm, F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params)
+    r = _residual_rows(u, X0, X1, L, F, prev, mesh, dt, params)
+
+    # Partial derivatives of each edge flux w.r.t. its neighbors and the
+    # interface unknowns; Nw is dF/dw times L*h.
     denom = L * mesh.gaps
     dF_ul = Bm / denom
     dF_ur = -Bp / denom
-    # dF/dw times L*h; the chain rule factors below keep it compact.
     Nw = -bernoulli_prime(-w) * u[:-1] - bernoulli_prime(w) * u[1:]
     dF_X0 = -Nw / dt
     dF_X1 = Nw * (1.0 - params.R) / dt
     dF_L = Nw * (v / L - mesh.edges / dt) - F / L
-    return dF_ul, dF_ur, dF_X0, dF_X1, dF_L
-
-
-def _jacobian_raw(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    cells = mesh.num_cells
-    n = cells + 5
-    v, w, Bp, Bm, F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params)
-    dF_ul, dF_ur, dF_X0, dF_X1, dF_L = _flux_derivatives(
-        u, v, w, Bp, Bm, F, L, mesh, dt, params
-    )
-    h = mesh.cell_sizes
-    J = np.zeros((n, n))
-    cols = np.arange(1, cells + 1)
-    rows = cols - 1
-    J[rows, cols - 1] = -dF_ul[:-1]
-    J[rows, cols] = h * L / dt + dF_ul[1:] - dF_ur[:-1]
-    J[rows, cols + 1] = dF_ur[1:]
-    J[rows, cells + 2] = dF_X0[1:] - dF_X0[:-1]
-    J[rows, cells + 3] = dF_X1[1:] - dF_X1[:-1]
-    J[rows, cells + 4] = h * u[1:-1] / dt + dF_L[1:] - dF_L[:-1]
-
-    J[cells, 0] = dF_ul[0] + params.b
-    J[cells, 1] = dF_ur[0]
-    J[cells, cells + 2] = dF_X0[0]
-    J[cells, cells + 3] = dF_X1[0]
-    J[cells, cells + 4] = dF_L[0]
-
-    J[cells + 1, cells] = dF_ul[-1]
-    J[cells + 1, cells + 1] = dF_ur[-1]
-    J[cells + 1, cells + 2] = dF_X0[-1]
-    J[cells + 1, cells + 3] = dF_X1[-1]
-    J[cells + 1, cells + 4] = dF_L[-1]
-
-    J[cells + 2, 0] = params.beta0
-    J[cells + 2, cells + 2] = 1.0 / dt
-    J[cells + 2, cells + 3] = -(1.0 - params.R) / dt
-
-    J[cells + 3, cells + 1] = -params.beta1
-    J[cells + 3, cells + 3] = 1.0 / dt
-
-    J[cells + 4, cells + 2] = 1.0
-    J[cells + 4, cells + 3] = -1.0
-    J[cells + 4, cells + 4] = 1.0
-    return J
-
-
-def jacobian(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
-    """Analytic Jacobian of residual() w.r.t. (u_0..u_{I+1}, X0, X1, L),
-    a tridiagonal concentration core bordered by three dense rows/columns."""
-    if dt <= 0.0:
-        raise ValueError("jacobian: dt must be positive")
-    return _jacobian_raw(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, params)
-
-
-def _solve_newton_system(u, X0, X1, L, r, prev, mesh, dt, params):
-    """Newton increment via block elimination of the bordered banded system.
-
-    The rows are permuted (left flux condition, interior balances, right
-    flux condition) so the concentration block is tridiagonal; the three
-    interface unknowns are eliminated through a 3x3 Schur complement.
-    Falls back to a dense solve when the band factorization breaks down.
-    """
-    cells = mesh.num_cells
-    m = cells + 2
-    v, w, Bp, Bm, F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params)
-    dF_ul, dF_ur, dF_X0, dF_X1, dF_L = _flux_derivatives(
-        u, v, w, Bp, Bm, F, L, mesh, dt, params
-    )
     h = mesh.cell_sizes
 
-    ab = np.zeros((3, m))
-    ab[1, 0] = dF_ul[0] + params.b
-    ab[0, 1:] = dF_ur
-    ab[1, 1 : cells + 1] = h * L / dt + dF_ul[1:] - dF_ur[:-1]
-    ab[1, cells + 1] = dF_ur[-1]
-    ab[2, :cells] = -dF_ul[:cells]
-    ab[2, cells] = dF_ul[-1]
+    band = np.zeros((3, cells + 2))
+    band[1, 0] = dF_ul[0] + params.b
+    band[0, 1:] = dF_ur
+    band[1, 1 : cells + 1] = h * L / dt + dF_ul[1:] - dF_ur[:-1]
+    band[1, cells + 1] = dF_ur[-1]
+    band[2, :cells] = -dF_ul[:cells]
+    band[2, cells] = dF_ul[-1]
 
-    border = np.empty((m, 3))
+    border = np.empty((cells + 2, 3))
     border[0] = (dF_X0[0], dF_X1[0], dF_L[0])
     border[1 : cells + 1, 0] = dF_X0[1:] - dF_X0[:-1]
     border[1 : cells + 1, 1] = dF_X1[1:] - dF_X1[:-1]
     border[1 : cells + 1, 2] = h * u[1:-1] / dt + dF_L[1:] - dF_L[:-1]
     border[cells + 1] = (dF_X0[-1], dF_X1[-1], dF_L[-1])
+    return r, band, border
 
+
+def _affine_rows(dt: float, params: ModelParams):
+    """The motion laws and the closure: the X0 law's coefficient on u_0, the
+    X1 law's on u_{I+1}, and the 3x3 block of all three in (X0, X1, L)."""
     D = np.array(
         [
             [1.0 / dt, -(1.0 - params.R) / dt, 0.0],
@@ -264,33 +216,82 @@ def _solve_newton_system(u, X0, X1, L, r, prev, mesh, dt, params):
             [1.0, -1.0, 1.0],
         ]
     )
+    return params.beta0, -params.beta1, D
 
-    b_u = np.empty(m)
+
+def _bordered_solve(r, band, border, dt: float, params: ModelParams):
+    """Newton increment -J^{-1} r by block elimination: one band solve for
+    the concentration block and its border, then the 3x3 Schur complement
+    in (X0, X1, L).  Raises LinAlgError when the system is singular."""
+    cells = band.shape[1] - 2
+    b_u = np.empty(cells + 2)
     b_u[0] = -r[cells]
     b_u[1 : cells + 1] = -r[:cells]
     b_u[cells + 1] = -r[cells + 1]
     b_x = -r[cells + 2 :]
 
-    try:
-        sol = solve_banded((1, 1), ab, np.column_stack((b_u, border)))
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError("non-finite band solution")
-        y = sol[:, 0]
-        Y = sol[:, 1:]
-        # Border rows act only on u_0 (beta0) and u_{I+1} (-beta1).
-        Cy = np.array([params.beta0 * y[0], -params.beta1 * y[-1], 0.0])
-        CY = np.vstack(
-            (params.beta0 * Y[0], -params.beta1 * Y[-1], np.zeros(3))
-        )
-        z = np.linalg.solve(D - CY, b_x - Cy)
-        du = y - Y @ z
-        delta = np.concatenate((du, z))
-    except np.linalg.LinAlgError:
-        J = _jacobian_raw(u, X0, X1, L, prev, mesh, dt, params)
-        delta = np.linalg.solve(J, -r)
+    sol = solve_banded((1, 1), band, np.column_stack((b_u, border)))
+    if not np.all(np.isfinite(sol)):
+        raise np.linalg.LinAlgError("non-finite band solution")
+    y = sol[:, 0]
+    Y = sol[:, 1:]
+    c0, c1, D = _affine_rows(dt, params)
+    Cy = np.array([c0 * y[0], c1 * y[-1], 0.0])
+    CY = np.vstack((c0 * Y[0], c1 * Y[-1], np.zeros(3)))
+    z = np.linalg.solve(D - CY, b_x - Cy)
+    delta = np.concatenate((y - Y @ z, z))
     if not np.all(np.isfinite(delta)):
         raise np.linalg.LinAlgError("Newton increment is not finite")
     return delta
+
+
+def jacobian(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
+    """Analytic Jacobian of residual() w.r.t. (u_0..u_{I+1}, X0, X1, L),
+    a tridiagonal concentration core bordered by three dense rows/columns."""
+    if dt <= 0.0:
+        raise ValueError("jacobian: dt must be positive")
+    _, band, border = _assemble(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, params)
+    return _dense_jacobian(band, border, dt, params)
+
+
+def _dense_jacobian(band, border, dt: float, params: ModelParams) -> np.ndarray:
+    """The matrix _bordered_solve inverts, with its rows in residual order."""
+    m = band.shape[1]
+    J = np.zeros((m + 3, m + 3))
+    J[:m, :m] = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
+    J[:m, m:] = border
+    c0, c1, D = _affine_rows(dt, params)
+    J[m:, m:] = D
+    J[m, 0] = c0
+    J[m + 1, m - 1] = c1
+    # undo the row permutation: residual rows 0..I-1 are the interior balances
+    return J[np.r_[1 : m - 1, 0, m - 1 : m + 3]]
+
+
+def _blended_system(lam, u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
+    """(r, band, border) of the step system blended by lam toward its
+    explicitly solvable lambda = 0 member: frozen interior concentrations,
+    boundary traces at the kinetic ratios.  The motion laws and the closure
+    are not blended; lam = 1 is the scheme itself."""
+    r, band, border = _assemble(u, X0, X1, L, prev, mesh, dt, params)
+    if lam == 1.0:
+        return r, band, border
+    cells = mesh.num_cells
+    mass = prev.L * mesh.cell_sizes / dt
+    r[:cells] = lam * r[:cells] + (1.0 - lam) * mass * (u[1:-1] - prev.u[1:-1])
+    r[cells] = lam * r[cells] + (1.0 - lam) * (params.beta0 * u[0] - params.alpha0)
+    r[cells + 1] = lam * r[cells + 1] + (1.0 - lam) * (params.beta1 * u[-1] - params.alpha1)
+    band *= lam
+    border *= lam
+    band[1, 0] += (1.0 - lam) * params.beta0
+    band[1, 1 : cells + 1] += (1.0 - lam) * mass
+    band[1, cells + 1] += (1.0 - lam) * params.beta1
+    return r, band, border
+
+
+# ---------------------------------------------------------------------------
+# Damped Newton and the continuation fallback
+# ---------------------------------------------------------------------------
 
 
 def _damped_substep(u, L, du, dL, floor, enforce_positivity=True):
@@ -314,6 +315,59 @@ def _damped_substep(u, L, du, dL, floor, enforce_positivity=True):
     return t, width_blocked
 
 
+def _newton(point, lam, prev, mesh, dt, params, opts, floor, enforce_positivity=True):
+    """Damped Newton on the step system blended by lam, from point = (u, X0,
+    X1, L).  Returns the last iterate (None on breakdown), the status, the
+    iterations and the residual sup-norm of the last assembled system."""
+    u, X0, X1, L = point
+    cells = mesh.num_cells
+    for iters in range(1, opts.max_newton_iters + 1):
+        r, band, border = _blended_system(lam, u, X0, X1, L, prev, mesh, dt, params)
+        if not np.all(np.isfinite(r)):
+            return None, StepStatus.NO_CONVERGENCE, iters - 1, np.inf
+        try:
+            delta = _bordered_solve(r, band, border, dt, params)
+        except np.linalg.LinAlgError:
+            return None, StepStatus.NO_CONVERGENCE, iters - 1, float(np.abs(r).max())
+        du = delta[: cells + 2]
+        dX0, dX1, dL = delta[cells + 2 :]
+        t, width_blocked = _damped_substep(u, L, du, dL, floor, enforce_positivity)
+        if t is None:
+            status = StepStatus.WIDTH_COLLAPSED if width_blocked else StepStatus.NO_CONVERGENCE
+            return None, status, iters, float(np.abs(r).max())
+        u = u + t * du
+        X0 += t * dX0
+        X1 += t * dX1
+        L += t * dL
+        if t * float(np.abs(delta).max()) <= opts.newton_tol:
+            return (u, X0, X1, L), StepStatus.CONVERGED, iters, float(np.abs(r).max())
+    return (u, X0, X1, L), StepStatus.NO_CONVERGENCE, iters, float(np.abs(r).max())
+
+
+def _accept(point, status, iters, resid_inf, prev, mesh, dt, params, floor) -> StepResult:
+    """StepResult of _newton's outcome, its end point checked against the
+    scheme itself."""
+    if point is None:
+        return StepResult(None, status, iters, resid_inf)
+    u, X0, X1, L = point
+    resid_inf = float(np.abs(_residual_raw(u, X0, X1, L, prev, mesh, dt, params)).max())
+    if status is not StepStatus.CONVERGED:
+        return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
+    if resid_inf > _STALL_RESIDUAL:
+        status = (
+            StepStatus.WIDTH_COLLAPSED if L <= 10.0 * floor else StepStatus.NO_CONVERGENCE
+        )
+        return StepResult(None, status, iters, resid_inf)
+    if L <= floor:
+        return StepResult(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
+    # roundoff may leave a trace infinitesimally negative
+    u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
+    if np.any(u < 0.0):
+        return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
+    state = State(u=u, X0=X0, X1=X1, L=L)
+    return StepResult(state, StepStatus.CONVERGED, iters, resid_inf)
+
+
 def newton_step_solve(
     prev: State,
     mesh: Mesh,
@@ -329,171 +383,9 @@ def newton_step_solve(
     to a fraction of the distance to the constraint.
     """
     floor = opts.resolved_floor(params)
-    u = prev.u.copy()
-    X0, X1, L = prev.X0, prev.X1, prev.L
-    cells = mesh.num_cells
-    converged = False
-    iters = 0
-
-    for iters in range(1, opts.max_newton_iters + 1):
-        r = _residual_raw(u, X0, X1, L, prev, mesh, dt, params)
-        if not np.all(np.isfinite(r)):
-            return StepResult(None, StepStatus.NO_CONVERGENCE, iters - 1, np.inf)
-        try:
-            delta = _solve_newton_system(u, X0, X1, L, r, prev, mesh, dt, params)
-        except np.linalg.LinAlgError:
-            return StepResult(
-                None, StepStatus.NO_CONVERGENCE, iters - 1, float(np.abs(r).max())
-            )
-        du = delta[: cells + 2]
-        dX0, dX1, dL = delta[cells + 2 :]
-        t, width_blocked = _damped_substep(u, L, du, dL, floor)
-        if t is None:
-            status = StepStatus.WIDTH_COLLAPSED if width_blocked else StepStatus.NO_CONVERGENCE
-            return StepResult(None, status, iters, float(np.abs(r).max()))
-        u = u + t * du
-        X0 += t * dX0
-        X1 += t * dX1
-        L += t * dL
-        if t * float(np.abs(delta).max()) <= opts.newton_tol:
-            converged = True
-            break
-
-    r = _residual_raw(u, X0, X1, L, prev, mesh, dt, params)
-    resid_inf = float(np.abs(r).max())
-    if not converged:
-        return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
-    if resid_inf > _STALL_RESIDUAL:
-        status = (
-            StepStatus.WIDTH_COLLAPSED if L <= 10.0 * floor else StepStatus.NO_CONVERGENCE
-        )
-        return StepResult(None, status, iters, resid_inf)
-    if L <= floor:
-        return StepResult(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
-    state = State(u=u, X0=X0, X1=X1, L=L)
-    return StepResult(state, StepStatus.CONVERGED, iters, resid_inf)
-
-
-# ---------------------------------------------------------------------------
-# Continuation fallback
-# ---------------------------------------------------------------------------
-
-
-def _homotopy_edge_fields(u, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    """Edge quantities of the lambda-parameterized system, whose velocity is
-    written in terms of u_0 and X1 only (X0 is reconstructed afterwards)."""
-    xi = mesh.edges
-    dX1 = (X1 - prev.X1) / dt
-    v = -params.R * dX1 * xi + (1.0 - xi) * (params.beta0 * u[0] - params.alpha0)
-    w = (L * mesh.gaps) * v
-    Bp = bernoulli(w)
-    Bm = bernoulli(-w)
-    F = (Bm * u[:-1] - Bp * u[1:]) / (L * mesh.gaps)
-    return v, w, Bp, Bm, F
-
-
-def _homotopy_residual(u, X1, L, lam, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    cells = mesh.num_cells
-    _, _, _, _, F = _homotopy_edge_fields(u, X1, L, prev, mesh, dt, params)
-    h = mesh.cell_sizes
-    r = np.empty(cells + 4)
-    r[0] = lam * (F[0] - params.a + params.b * u[0]) + (1.0 - lam) * (
-        params.beta0 * u[0] - params.alpha0
-    )
-    r[1 : cells + 1] = (
-        (lam * (L - prev.L) * u[1:-1] + prev.L * (u[1:-1] - prev.u[1:-1])) * h / dt
-        + lam * (F[1:] - F[:-1])
-    )
-    r[cells + 1] = lam * F[-1] + (1.0 - lam) * (params.beta1 * u[-1] - params.alpha1)
-    r[cells + 2] = (
-        params.R * (X1 - prev.X1) / dt
-        - (L - prev.L) / dt
-        - params.alpha0
-        + params.beta0 * u[0]
-    )
-    r[cells + 3] = (X1 - prev.X1) / dt + params.alpha1 - params.beta1 * u[-1]
-    return r
-
-
-def _homotopy_jacobian(u, X1, L, lam, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    cells = mesh.num_cells
-    n = cells + 4
-    xi = mesh.edges
-    v, w, Bp, Bm, F = _homotopy_edge_fields(u, X1, L, prev, mesh, dt, params)
-    denom = L * mesh.gaps
-    dF_ul = Bm / denom
-    dF_ur = -Bp / denom
-    Nw = -bernoulli_prime(-w) * u[:-1] - bernoulli_prime(w) * u[1:]
-    dF_u0 = Nw * (1.0 - xi) * params.beta0  # through the velocity
-    dF_X1 = -Nw * params.R * xi / dt
-    dF_L = (Nw * v - F) / L
-    h = mesh.cell_sizes
-
-    J = np.zeros((n, n))
-    J[0, 0] = lam * (dF_ul[0] + dF_u0[0] + params.b) + (1.0 - lam) * params.beta0
-    J[0, 1] = lam * dF_ur[0]
-    J[0, cells + 2] = lam * dF_X1[0]
-    J[0, cells + 3] = lam * dF_L[0]
-
-    rows = np.arange(1, cells + 1)
-    J[rows[1:], rows[1:] - 1] = -lam * dF_ul[1:cells]
-    J[rows, rows] += (lam * (L - prev.L) + prev.L) * h / dt
-    J[rows, rows] += lam * (dF_ul[1:] - dF_ur[:-1])
-    # the i = 1 row's left-neighbor flux derivative acts on u_0
-    J[1, 0] += -lam * dF_ul[0]
-    J[rows, rows + 1] += lam * dF_ur[1:]
-    J[rows, 0] += lam * (dF_u0[1:] - dF_u0[:-1])
-    J[rows, cells + 2] += lam * (dF_X1[1:] - dF_X1[:-1])
-    J[rows, cells + 3] += lam * (u[1:-1] * h / dt + dF_L[1:] - dF_L[:-1])
-
-    J[cells + 1, cells] = lam * dF_ul[-1]
-    J[cells + 1, cells + 1] = lam * dF_ur[-1] + (1.0 - lam) * params.beta1
-    J[cells + 1, 0] += lam * dF_u0[-1]
-    J[cells + 1, cells + 2] = lam * dF_X1[-1]
-    J[cells + 1, cells + 3] = lam * dF_L[-1]
-
-    J[cells + 2, 0] = params.beta0
-    J[cells + 2, cells + 2] = params.R / dt
-    J[cells + 2, cells + 3] = -1.0 / dt
-
-    J[cells + 3, cells + 1] = -params.beta1
-    J[cells + 3, cells + 2] = 1.0 / dt
-    return J
-
-
-def _homotopy_correct(u, X1, L, lam, prev, mesh, dt, params, opts, floor):
-    """Newton-correct the lambda-system at fixed lambda (dense solve).
-
-    Returns ((u, X1, L) or None, width_blocked, iterations)."""
-    cells = mesh.num_cells
-    iters = 0
-    for iters in range(1, opts.max_newton_iters + 1):
-        r = _homotopy_residual(u, X1, L, lam, prev, mesh, dt, params)
-        if not np.all(np.isfinite(r)):
-            return None, False, iters
-        J = _homotopy_jacobian(u, X1, L, lam, prev, mesh, dt, params)
-        try:
-            delta = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            # a lambda grid point can make one boundary coefficient
-            # degenerate; the minimum-norm step keeps the path moving
-            delta = np.linalg.lstsq(J, -r, rcond=None)[0]
-        if not np.all(np.isfinite(delta)):
-            return None, False, iters
-        du = delta[: cells + 2]
-        dX1, dL = delta[cells + 2 :]
-        # The intermediate lambda systems are solver scaffolding: their
-        # solution branch may leave the positive cone, so only the width
-        # stays floored here; the final state is validated at lambda = 1.
-        t, width_blocked = _damped_substep(u, L, du, dL, floor, enforce_positivity=False)
-        if t is None:
-            return None, width_blocked, iters
-        u = u + t * du
-        X1 += t * dX1
-        L += t * dL
-        if t * float(np.abs(delta).max()) <= opts.newton_tol:
-            return (u, X1, L), False, iters
-    return None, False, iters
+    start = (prev.u, prev.X0, prev.X1, prev.L)
+    outcome = _newton(start, 1.0, prev, mesh, dt, params, opts, floor)
+    return _accept(*outcome, prev, mesh, dt, params, floor)
 
 
 def homotopy_solve(
@@ -507,57 +399,43 @@ def homotopy_solve(
     its explicitly solvable member at lambda = 0 (previous interior
     concentrations, boundary traces at the kinetic ratios, frozen
     interfaces) to the full scheme at lambda = 1, Newton-correcting at each
-    increment.  The schedule doubles on failure up to a fixed cap.  X0 is
-    reconstructed from X1 and L at the end."""
+    increment.  The schedule doubles on failure up to a fixed cap.  A failed
+    continuation reports the corrections spent over all schedules and the
+    last residual sup-norm seen."""
     floor = opts.resolved_floor(params)
-    cells = mesh.num_cells
     steps = opts.homotopy_steps
     schedule_cap = max(HOMOTOPY_MAX_STEPS, opts.homotopy_steps)
     width_collapse_seen = False
+    spent = 0
+    resid_inf = np.inf
 
     while steps <= schedule_cap:
         u = prev.u.copy()
         u[0] = params.alpha0 / params.beta0
         u[-1] = params.alpha1 / params.beta1
-        X1, L = prev.X1, prev.L
+        point = (u, prev.X0, prev.X1, prev.L)
         total_iters = 0
-        failed = False
         for k in range(1, steps + 1):
-            lam = k / steps
-            corrected, width_blocked, used = _homotopy_correct(
-                u, X1, L, lam, prev, mesh, dt, params, opts, floor
+            # The intermediate lambda systems are solver scaffolding: their
+            # solution branch may leave the positive cone, so only the width
+            # stays floored here; the final state is validated at lambda = 1.
+            point, status, used, resid_inf = _newton(
+                point, k / steps, prev, mesh, dt, params, opts, floor,
+                enforce_positivity=False,
             )
             total_iters += used
-            if corrected is None:
-                width_collapse_seen = width_collapse_seen or width_blocked
-                failed = True
+            if status is not StepStatus.CONVERGED:
+                width_collapse_seen |= status is StepStatus.WIDTH_COLLAPSED
                 break
-            u, X1, L = corrected
-        if not failed:
-            X0 = X1 - L
-            r = _residual_raw(u, X0, X1, L, prev, mesh, dt, params)
-            resid_inf = float(np.abs(r).max())
-            if resid_inf > _STALL_RESIDUAL:
-                status = (
-                    StepStatus.WIDTH_COLLAPSED
-                    if L <= 10.0 * floor
-                    else StepStatus.NO_CONVERGENCE
-                )
-                return StepResult(None, status, total_iters, resid_inf)
-            if L <= floor:
-                return StepResult(None, StepStatus.WIDTH_COLLAPSED, total_iters, resid_inf)
-            # roundoff may leave a trace infinitesimally negative
-            u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
-            if np.any(u < 0.0):
-                return StepResult(None, StepStatus.NO_CONVERGENCE, total_iters, resid_inf)
-            state = State(u=u, X0=X0, X1=X1, L=L)
-            return StepResult(state, StepStatus.CONVERGED, total_iters, resid_inf)
+        else:
+            return _accept(point, status, total_iters, resid_inf, prev, mesh, dt, params, floor)
+        spent += total_iters
         steps *= 2
 
     status = (
         StepStatus.WIDTH_COLLAPSED if width_collapse_seen else StepStatus.NO_CONVERGENCE
     )
-    return StepResult(None, status, 0, np.inf)
+    return StepResult(None, status, spent, resid_inf)
 
 
 # ---------------------------------------------------------------------------

@@ -196,3 +196,11 @@ class TestMain:
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent/x.json"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dt", "0.03"], ["--dt", "-1"], ["--t-final", "0"]],
+    )
+    def test_bad_time_grid_override_is_config_error(self, flags, capsys):
+        assert main(["tw", "--preset", "testcase1", *flags]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err

@@ -22,12 +22,13 @@ from oxidefv import (
     wave_profile_on_mesh,
 )
 from oxidefv.scheme import (
-    _homotopy_jacobian,
-    _homotopy_residual,
-    _jacobian_raw,
+    _assemble,
+    _blended_system,
+    _bordered_solve,
+    _dense_jacobian,
     _residual_raw,
 )
-from conftest import make_tc1
+from conftest import make_tc1, make_tc2
 
 
 def wave_state(params, mesh, shift=0.0):
@@ -182,19 +183,14 @@ class TestJacobian:
 class TestLinearSolve:
     def test_bordered_banded_matches_dense(self, tc1):
         # the block-elimination path must reproduce the dense solve
-        from oxidefv.scheme import _solve_newton_system
-
         rng = np.random.default_rng(25)
         mesh = uniform_mesh(12)
         dt = 0.02
         for _ in range(10):
             prev, cand = random_state_pair(rng, 12)
-            r = _residual_raw(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, tc1)
-            delta = _solve_newton_system(
-                cand.u, cand.X0, cand.X1, cand.L, r, prev, mesh, dt, tc1
-            )
-            J = _jacobian_raw(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, tc1)
-            dense = np.linalg.solve(J, -r)
+            r, band, border = _assemble(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, tc1)
+            delta = _bordered_solve(r, band, border, dt, tc1)
+            dense = np.linalg.solve(jacobian(prev, cand, mesh, dt, tc1), -r)
             scale = max(1.0, float(np.abs(dense).max()))
             assert np.abs(delta - dense).max() <= 1e-9 * scale
 
@@ -246,15 +242,16 @@ class TestHomotopy:
         u = s0.u.copy()
         u[0] = tc1.alpha0 / tc1.beta0
         u[-1] = tc1.alpha1 / tc1.beta1
-        r = _homotopy_residual(u, s0.X1, s0.L, 0.0, s0, mesh, 1e-2, tc1)
+        r = _blended_system(0.0, u, s0.X0, s0.X1, s0.L, s0, mesh, 1e-2, tc1)[0]
         assert np.all(r == 0.0)
 
     def test_lambda_one_matches_direct_scheme(self, tc1):
         mesh = uniform_mesh(25)
         s0 = discretize_initial(tc1, mesh)
         nxt = newton_step_solve(s0, mesh, 1e-2, tc1).state
-        r = _homotopy_residual(nxt.u, nxt.X1, nxt.L, 1.0, s0, mesh, 1e-2, tc1)
+        r = _blended_system(1.0, nxt.u, nxt.X0, nxt.X1, nxt.L, s0, mesh, 1e-2, tc1)[0]
         assert np.abs(r).max() <= 1e-9
+        assert np.array_equal(r, residual(s0, nxt, mesh, 1e-2, tc1))
 
     def test_jacobian_matches_finite_differences(self, tc1):
         rng = np.random.default_rng(24)
@@ -263,16 +260,17 @@ class TestHomotopy:
         s0 = discretize_initial(tc1, mesh)
         for lam in (0.0, 0.37, 1.0):
             u = rng.uniform(0.2, 2.0, 10)
-            X1, L = 1.1, 0.9
-            x = np.concatenate([u, [X1, L]])
-            J = _homotopy_jacobian(u, X1, L, lam, s0, mesh, dt, tc1)
+            X0, X1, L = 0.2, 1.1, 0.9
+            x = np.concatenate([u, [X0, X1, L]])
+            _, band, border = _blended_system(lam, u, X0, X1, L, s0, mesh, dt, tc1)
+            J = _dense_jacobian(band, border, dt, tc1)
             Jfd = np.zeros_like(J)
             for j in range(x.size):
                 step = 1e-7 * max(1.0, abs(x[j]))
                 xp = x.copy(); xp[j] += step
                 xm = x.copy(); xm[j] -= step
-                rp = _homotopy_residual(xp[:10], xp[10], xp[11], lam, s0, mesh, dt, tc1)
-                rm = _homotopy_residual(xm[:10], xm[10], xm[11], lam, s0, mesh, dt, tc1)
+                rp = _blended_system(lam, xp[:10], *xp[10:], s0, mesh, dt, tc1)[0]
+                rm = _blended_system(lam, xm[:10], *xm[10:], s0, mesh, dt, tc1)[0]
                 Jfd[:, j] = (rp - rm) / (2.0 * step)
             rel = np.abs(J - Jfd) / np.maximum(1.0, np.maximum(np.abs(J), np.abs(Jfd)))
             assert rel.max() <= 1e-5
@@ -291,6 +289,20 @@ class TestHomotopy:
                 abs(direct.state.L - cont.state.L),
             )
             assert gap <= 1e-9
+
+
+    def test_failed_continuation_reports_its_work(self):
+        # from the last state before testcase2 collapses, the continuation
+        # must not rescue the step, and must say how many corrections it spent
+        params = make_tc2()
+        mesh = uniform_mesh(100)
+        traj = run(params, mesh, TimeGrid.from_step_and_horizon(1e-2, 3.5))
+        assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED
+        result = homotopy_solve(traj.final_state, mesh, 1e-2, params)
+        assert result.status is not StepStatus.CONVERGED
+        assert result.state is None
+        assert result.iterations > 0
+        assert np.isfinite(result.residual_inf)
 
 
 class TestRun:
