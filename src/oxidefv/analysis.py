@@ -16,10 +16,11 @@ from .core import (
     State,
     TimeGrid,
     Trajectory,
+    step_blocks,
     uniform_mesh,
 )
 from .formatting import format_float
-from .scheme import SolverOptions, run, velocities
+from .scheme import SolverOptions, _frame_velocity, run
 from .waves import RegimeKind, TravellingWave, classify
 
 _EDGE_MATCH_TOL = 1e-12
@@ -251,41 +252,49 @@ def verify_trajectory(
     horizon_ok = None
     if forward_wave:
         m, M = linf_bounds(params)
-        u_lo = min(float(s.u.min()) for s in traj.states)
-        u_hi = max(float(s.u.max()) for s in traj.states)
-        worst = max(m - u_lo, u_hi - M, 0.0)
-        max_principle = CheckResult(u_lo >= m - bracket_tol and u_hi <= M + bracket_tol, worst)
-
         L_hat = regime.wave.L_hat
-        worst_width = 0.0
-        ok_width = True
-        for a, b in zip(traj.states[:-1], traj.states[1:]):
-            lower = min(m / M * a.L, L_hat)
-            worst_width = max(worst_width, lower - b.L)
-            ok_width = ok_width and (b.L > lower - bracket_tol)
-        width_bound = CheckResult(ok_width, worst_width)
-
         dt = traj.time_grid.dt
-        dX1 = np.array([(b.X1 - a.X1) / dt for a, b in zip(traj.states[:-1], traj.states[1:])])
-        dL = np.array([(b.L - a.L) / dt for a, b in zip(traj.states[:-1], traj.states[1:])])
         x1_lo = -params.alpha1 + params.beta1 * m
         x1_hi = -params.alpha1 + params.beta1 * M
-        worst_x1 = max(
-            float(np.max(x1_lo - dX1, initial=0.0)), float(np.max(dX1 - x1_hi, initial=0.0))
-        )
-        interface_rate = CheckResult(worst_x1 <= bracket_tol, worst_x1)
-
         dL_lo, dL_hi = width_rate_bounds(params, m, M)
-        worst_dl = max(
-            float(np.max(dL_lo - dL, initial=0.0)), float(np.max(dL - dL_hi, initial=0.0))
-        )
-        width_rate = CheckResult(worst_dl <= bracket_tol, worst_dl)
-
         v_flat, v_sharp = velocity_bounds(params, m, M)
-        worst_v = 0.0
-        for a, b in zip(traj.states[:-1], traj.states[1:]):
-            v = velocities(a, b, mesh, dt, params.R)
-            worst_v = max(worst_v, float(np.max(v_flat - v, initial=0.0)), float(np.max(v - v_sharp, initial=0.0)))
+        u_lo = np.inf
+        u_hi = -np.inf
+        ok_width = True
+        worst_width = worst_x1 = worst_dl = worst_v = 0.0
+        for _, U, X0, X1, L in step_blocks(traj.states):
+            u_lo = min(u_lo, float(U.min()))
+            u_hi = max(u_hi, float(U.max()))
+
+            lower = np.minimum(m / M * L[:-1], L_hat)
+            worst_width = max(worst_width, float(np.max(lower - L[1:], initial=0.0)))
+            ok_width = ok_width and np.all(L[1:] > lower - bracket_tol)
+
+            dX1 = np.diff(X1) / dt
+            dL = np.diff(L) / dt
+            worst_x1 = max(
+                worst_x1,
+                float(np.max(x1_lo - dX1, initial=0.0)),
+                float(np.max(dX1 - x1_hi, initial=0.0)),
+            )
+            worst_dl = max(
+                worst_dl,
+                float(np.max(dL_lo - dL, initial=0.0)),
+                float(np.max(dL - dL_hi, initial=0.0)),
+            )
+
+            v = _frame_velocity(
+                X0[1:, None], X1[1:, None], L[1:, None], X0[:-1, None], X1[:-1, None], L[:-1, None],
+                mesh, dt, params.R,
+            )
+            # Rounding is monotone, so the largest v_flat - v and v - v_sharp
+            # are those at the extremes of v.
+            worst_v = max(worst_v, v_flat - float(v.min()), float(v.max()) - v_sharp)
+        worst = max(m - u_lo, u_hi - M, 0.0)
+        max_principle = CheckResult(u_lo >= m - bracket_tol and u_hi <= M + bracket_tol, worst)
+        width_bound = CheckResult(ok_width, worst_width)
+        interface_rate = CheckResult(worst_x1 <= bracket_tol, worst_x1)
+        width_rate = CheckResult(worst_dl <= bracket_tol, worst_dl)
         velocity_bracket = CheckResult(worst_v <= bracket_tol, worst_v)
 
         horizon = sufficient_horizon(params)

@@ -447,8 +447,6 @@ def _cmd_tw(args) -> int:
 
 def _cmd_energy(args) -> int:
     config = _load_config(args)
-    mesh = uniform_mesh(config.cells)
-    traj = _run_config(config)
     densities = builtin_densities()
     if args.phi is not None:
         byname = {d.name: d for d in densities}
@@ -460,6 +458,8 @@ def _cmd_energy(args) -> int:
             )
             return EXIT_CONFIG
         densities = (byname[args.phi],)
+    mesh = uniform_mesh(config.cells)
+    traj = _run_config(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     for density in densities:

@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .bernoulli import bernoulli
-from .core import Mesh, ModelParams, State, Trajectory
+from .core import Mesh, ModelParams, State, Trajectory, step_blocks
 from .formatting import format_float
-from .scheme import velocities
+from .scheme import _frame_velocity
 
 # Edge differences smaller than this fall back to the midpoint weight 1/2
 # in the mean-value construction.
@@ -98,29 +98,78 @@ def builtin_densities() -> tuple[ConvexDensity, ...]:
     return (_quadratic(), _quartic(), shifted_plus_squared(), _boltzmann())
 
 
+def _free_energy_rows(U, L, mesh: Mesh, density: ConvexDensity) -> np.ndarray:
+    """Free energy of each row of U with its width L.  One np.dot per row:
+    a matrix-vector product would sum in another order."""
+    P = density.phi(U[:, 1:-1])
+    return np.array([Lj * np.dot(mesh.cell_sizes, Pj) for Lj, Pj in zip(L, P)])
+
+
 def free_energy(state: State, mesh: Mesh, density: ConvexDensity) -> float:
     """L * sum_i h_i phi(u_i) over the interior cells (boundary traces
     excluded)."""
-    return float(state.L * np.dot(mesh.cell_sizes, density.phi(state.u[1:-1])))
+    return float(_free_energy_rows(state.u[None], (state.L,), mesh, density)[0])
 
 
 def mean_value_theta(u: np.ndarray, density: ConvexDensity) -> np.ndarray:
     """Edge weights theta in [0, 1] from the mean-value identity
     pi(u_{i+1}) - pi(u_i) = (theta u_i + (1-theta) u_{i+1}) (phi'(u_{i+1}) - phi'(u_i)),
-    with a 1/2 fallback on degenerate edges."""
+    with a 1/2 fallback on degenerate edges.  Rows of a (..., I+2) array
+    are treated independently."""
     u = np.asarray(u, dtype=float)
-    du = u[:-1] - u[1:]
-    dphip = np.asarray(density.phi_prime(u[1:]), dtype=float) - np.asarray(
-        density.phi_prime(u[:-1]), dtype=float
+    left = u[..., :-1]
+    right = u[..., 1:]
+    du = left - right
+    dphip = np.asarray(density.phi_prime(right), dtype=float) - np.asarray(
+        density.phi_prime(left), dtype=float
     )
-    dpi = np.asarray(density.pi(u[1:]), dtype=float) - np.asarray(
-        density.pi(u[:-1]), dtype=float
+    dpi = np.asarray(density.pi(right), dtype=float) - np.asarray(
+        density.pi(left), dtype=float
     )
     regular = (np.abs(dphip) > _THETA_EPS) & (np.abs(du) > _THETA_EPS)
     safe_dphip = np.where(regular, dphip, 1.0)
     safe_du = np.where(regular, du, 1.0)
-    theta = np.where(regular, (dpi / safe_dphip - u[1:]) / safe_du, 0.5)
+    theta = np.where(regular, (dpi / safe_dphip - right) / safe_du, 0.5)
     return np.clip(theta, 0.0, 1.0)
+
+
+def _dissipation_rows(
+    U, X0, X1, L, mesh: Mesh, dt: float, params: ModelParams, density: ConvexDensity
+):
+    """Bulk and boundary dissipation of the k steps between the k+1 stacked
+    states (rows of U, with their X0, X1 and L), as two length-k arrays.
+
+    The bulk part weights each edge's gradient-type product with the
+    Bernoulli combination B(w) theta + B(-w) (1 - theta); the boundary part
+    collects the three exchange reactions against their kinetic ratios.
+    """
+    u = U[1:]
+    Lc = L[1:, None]
+    # theta first: its temporaries are the most, so little else is alive then.
+    theta = mean_value_theta(u, density)
+    w = (Lc * mesh.gaps) * _frame_velocity(
+        X0[1:, None], X1[1:, None], Lc, X0[:-1, None], X1[:-1, None], L[:-1, None],
+        mesh, dt, params.R,
+    )
+    weight = bernoulli(w) * theta + bernoulli(-w) * (1.0 - theta)
+    dphip = np.asarray(density.phi_prime(u[:, 1:]), dtype=float) - np.asarray(
+        density.phi_prime(u[:, :-1]), dtype=float
+    )
+    d_bulk = np.sum(weight * dphip * (u[:, 1:] - u[:, :-1]) / (Lc * mesh.gaps), axis=1)
+
+    phip = density.phi_prime
+    pi = density.pi
+    r0 = params.alpha0 / params.beta0
+    rb = params.a / params.b
+    r1 = params.alpha1 / params.beta1
+    u0 = u[:, 0]
+    u1 = u[:, -1]
+    d_bound = (
+        (params.beta0 * u0 - params.alpha0) * (pi(u0) - pi(r0))
+        + (params.b * u0 - params.a) * (phip(u0) - phip(rb))
+        + params.R * (params.beta1 * u1 - params.alpha1) * (pi(u1) - pi(r1))
+    )
+    return d_bulk, d_bound
 
 
 def dissipation_split(
@@ -131,35 +180,18 @@ def dissipation_split(
     params: ModelParams,
     density: ConvexDensity,
 ) -> tuple[float, float]:
-    """Bulk and boundary dissipation of one accepted step, both nonnegative.
-
-    The bulk part weights each edge's gradient-type product with the
-    Bernoulli combination B(w) theta + B(-w) (1 - theta); the boundary part
-    collects the three exchange reactions against their kinetic ratios.
-    """
-    u = nxt.u
-    v = velocities(prev, nxt, mesh, dt, params.R)
-    w = (nxt.L * mesh.gaps) * v
-    theta = mean_value_theta(u, density)
-    weight = bernoulli(w) * theta + bernoulli(-w) * (1.0 - theta)
-    dphip = np.asarray(density.phi_prime(u[1:]), dtype=float) - np.asarray(
-        density.phi_prime(u[:-1]), dtype=float
+    """Bulk and boundary dissipation of one accepted step, both nonnegative
+    (see `_dissipation_rows`)."""
+    if dt <= 0.0:
+        raise ValueError("dissipation_split: dt must be positive")
+    d_bulk, d_bound = _dissipation_rows(
+        np.stack((prev.u, nxt.u)),
+        np.array([prev.X0, nxt.X0]),
+        np.array([prev.X1, nxt.X1]),
+        np.array([prev.L, nxt.L]),
+        mesh, dt, params, density,
     )
-    d_bulk = float(np.sum(weight * dphip * (u[1:] - u[:-1]) / (nxt.L * mesh.gaps)))
-
-    phip = density.phi_prime
-    pi = density.pi
-    r0 = params.alpha0 / params.beta0
-    rb = params.a / params.b
-    r1 = params.alpha1 / params.beta1
-    u0 = u[0]
-    u1 = u[-1]
-    d_bound = float(
-        (params.beta0 * u0 - params.alpha0) * (pi(u0) - pi(r0))
-        + (params.b * u0 - params.a) * (phip(u0) - phip(rb))
-        + params.R * (params.beta1 * u1 - params.alpha1) * (pi(u1) - pi(r1))
-    )
-    return d_bulk, d_bound
+    return float(d_bulk[0]), float(d_bound[0])
 
 
 @dataclass
@@ -185,6 +217,34 @@ class EnergyLedger:
 
     def times(self) -> np.ndarray:
         return np.asarray(self.steps, dtype=float) * self.dt
+
+
+def _exchange_increments(params: ModelParams, dt: float, u0, u1):
+    """Per-step increments of the three boundary-exchange sums from the new
+    boundary traces u0, u1 (scalars or arrays over steps)."""
+    return (
+        dt * (params.alpha0 - params.beta0 * u0),
+        dt * (params.a - params.b * u0),
+        dt * (params.alpha1 - params.beta1 * u1),
+    )
+
+
+def _exchange_correction(
+    density: ConvexDensity, params: ModelParams, left_rate, left_mass, right_rate
+):
+    """What the accumulated boundary-exchange sums contribute to the total
+    free energy, H_tot = H - correction.  The sums may be arrays."""
+    r0 = params.alpha0 / params.beta0
+    rb = params.a / params.b
+    r1 = params.alpha1 / params.beta1
+    # The exchange corrections remove what the environment feeds in, so the
+    # total decreases along the scheme; each accumulated sum enters with a
+    # minus sign against its pressure / potential weight.
+    return (
+        float(density.pi(r0)) * left_rate
+        + float(density.phi_prime(rb)) * left_mass
+        + params.R * float(density.pi(r1)) * right_rate
+    )
 
 
 def total_free_energy_increment(
@@ -214,19 +274,14 @@ def total_free_energy_increment(
 
     if prev is None:
         raise ValueError("recording step n >= 1 requires the previous state")
-    ledger.exchange_left_rate += ledger.dt * (p.alpha0 - p.beta0 * state.u[0])
-    ledger.exchange_left_mass += ledger.dt * (p.a - p.b * state.u[0])
-    ledger.exchange_right_rate += ledger.dt * (p.alpha1 - p.beta1 * state.u[-1])
-    r0 = p.alpha0 / p.beta0
-    rb = p.a / p.b
-    r1 = p.alpha1 / p.beta1
-    # The exchange corrections remove what the environment feeds in, so the
-    # total decreases along the scheme; each accumulated sum enters with a
-    # minus sign against its pressure / potential weight.
-    H_tot = H - (
-        float(density.pi(r0)) * ledger.exchange_left_rate
-        + float(density.phi_prime(rb)) * ledger.exchange_left_mass
-        + p.R * float(density.pi(r1)) * ledger.exchange_right_rate
+    d_left_rate, d_left_mass, d_right_rate = _exchange_increments(
+        p, ledger.dt, state.u[0], state.u[-1]
+    )
+    ledger.exchange_left_rate += d_left_rate
+    ledger.exchange_left_mass += d_left_mass
+    ledger.exchange_right_rate += d_right_rate
+    H_tot = H - _exchange_correction(
+        density, p, ledger.exchange_left_rate, ledger.exchange_left_mass, ledger.exchange_right_rate
     )
     d_bulk, d_bound = dissipation_split(prev, state, mesh, ledger.dt, p, density)
     ledger.steps.append(n)
@@ -243,13 +298,47 @@ def build_ledger(
     params: ModelParams,
     density: ConvexDensity,
 ) -> EnergyLedger:
-    """Replay a stored trajectory (stride 1) into a complete ledger."""
+    """Evaluate a stored trajectory (stride 1) into a complete ledger.
+
+    The steps are evaluated in blocks of consecutive states (`step_blocks`);
+    the result is bitwise equal to recording each step in turn with
+    `total_free_energy_increment`.
+    """
     if not traj.is_contiguous():
         raise ValueError("energy ledger requires a trajectory stored with stride 1")
-    ledger = EnergyLedger(density=density, params=params, dt=traj.time_grid.dt)
-    total_free_energy_increment(ledger, traj.states[0], mesh)
-    for prev, state in zip(traj.states[:-1], traj.states[1:]):
-        total_free_energy_increment(ledger, state, mesh, prev=prev)
+    dt = traj.time_grid.dt
+    n = len(traj.states) - 1
+    H = np.empty(n + 1)
+    H_tot = np.empty(n + 1)
+    d_bulk = np.empty(n)
+    d_bound = np.empty(n)
+    sums = np.zeros(3)
+    for start, U, X0, X1, L in step_blocks(traj.states):
+        stop = start + U.shape[0] - 1
+        # Row 0 repeats the previous block's last state and running sums;
+        # cumsum then adds in step order, as the per-step recording does.
+        H[start : stop + 1] = _free_energy_rows(U, L, mesh, density)
+        incs = _exchange_increments(params, dt, U[1:, 0], U[1:, -1])
+        running = np.cumsum(np.column_stack((sums, incs)), axis=1)
+        sums = running[:, -1]
+        H_tot[start : stop + 1] = H[start : stop + 1] - _exchange_correction(density, params, *running)
+        d_bulk[start:stop], d_bound[start:stop] = _dissipation_rows(
+            U, X0, X1, L, mesh, dt, params, density
+        )
+    H_tot[0] = H[0]
+
+    nan = float("nan")
+    ledger = EnergyLedger(
+        density=density,
+        params=params,
+        dt=dt,
+        steps=list(range(n + 1)),
+        H=H.tolist(),
+        H_tot=H_tot.tolist(),
+        D_bulk=[nan, *d_bulk.tolist()],
+        D_bound=[nan, *d_bound.tolist()],
+    )
+    ledger.exchange_left_rate, ledger.exchange_left_mass, ledger.exchange_right_rate = sums.tolist()
     return ledger
 
 

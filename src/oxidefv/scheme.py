@@ -82,11 +82,15 @@ class StepResult:
     residual_inf: float
 
 
-def _frame_velocity(X0, X1, L, prev: State, mesh: Mesh, dt: float, R: float):
-    """(1 - R) d[X1] - xi_edge * d[L] - d[X0] per edge, d[f] = (f - f_prev)/dt."""
-    dX0 = (X0 - prev.X0) / dt
-    dX1 = (X1 - prev.X1) / dt
-    dL = (L - prev.L) / dt
+def _frame_velocity(X0, X1, L, X0_prev, X1_prev, L_prev, mesh: Mesh, dt: float, R: float):
+    """(1 - R) d[X1] - xi_edge * d[L] - d[X0] per edge, d[f] = (f - f_prev)/dt.
+
+    Scalars give one row of edge velocities; column arrays of shape (k, 1)
+    give k rows, one per step.
+    """
+    dX0 = (X0 - X0_prev) / dt
+    dX1 = (X1 - X1_prev) / dt
+    dL = (L - L_prev) / dt
     return (1.0 - R) * dX1 - mesh.edges * dL - dX0
 
 
@@ -99,7 +103,7 @@ def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.n
     """
     if dt <= 0.0:
         raise ValueError("velocities: dt must be positive")
-    return _frame_velocity(nxt.X0, nxt.X1, nxt.L, prev, mesh, dt, R)
+    return _frame_velocity(nxt.X0, nxt.X1, nxt.L, prev.X0, prev.X1, prev.L, mesh, dt, R)
 
 
 def sg_flux(u_left, u_right, v, L, h_edge):
@@ -127,7 +131,7 @@ def sg_flux(u_left, u_right, v, L, h_edge):
 
 def _edge_fields(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
     """Velocities, Peclet arguments, Bernoulli weights and fluxes per edge."""
-    v = _frame_velocity(X0, X1, L, prev, mesh, dt, params.R)
+    v = _frame_velocity(X0, X1, L, prev.X0, prev.X1, prev.L, mesh, dt, params.R)
     w = (L * mesh.gaps) * v
     Bp = bernoulli(w)
     Bm = bernoulli(-w)

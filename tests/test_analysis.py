@@ -227,6 +227,61 @@ class TestVerification:
         assert report.max_principle is None
         assert report.mass_balance.passed
 
+    @pytest.mark.parametrize("spikes", [{30: 0.05, 77: 0.05}, {30: 0.05, 100: 20.0}])
+    def test_blocked_checks_match_per_step_reference(self, tc1, spikes):
+        # perturbed states violate every wave-regime bound at scattered
+        # steps, so each worst case is nonzero; 100 steps of 50 cells span
+        # several blocks of steps.  With narrowing spikes alone the largest
+        # velocity excess lies above the bracket; a final widening puts it
+        # below.
+        mesh = uniform_mesh(50)
+        dt = 1e-2
+        traj = run(tc1, mesh, TimeGrid.from_step(dt, 100))
+        rng = np.random.default_rng(41)
+        width_scale = rng.uniform(0.98, 1.02, len(traj.states))
+        for step, factor in spikes.items():
+            width_scale[step] = factor
+        states = tuple(
+            State(u=s.u * rng.uniform(0.5, 1.6, s.u.size), X0=s.X0,
+                  X1=s.X1 + rng.normal(0.0, 2e-2), L=s.L * scale)
+            for s, scale in zip(traj.states, width_scale)
+        )
+        noisy = Trajectory(states=states, time_grid=traj.time_grid,
+                           termination=traj.termination, step_indices=traj.step_indices,
+                           newton_iters=traj.newton_iters, residual_inf=traj.residual_inf)
+        report = verify_trajectory(noisy, mesh, tc1)
+
+        # the per-step definition of the same worst cases
+        m, M = linf_bounds(tc1)
+        L_hat = classify(tc1).wave.L_hat
+        pairs = list(zip(states[:-1], states[1:]))
+        u_lo = min(float(s.u.min()) for s in states)
+        u_hi = max(float(s.u.max()) for s in states)
+        worst_u = max(m - u_lo, u_hi - M, 0.0)
+        worst_width = max([0.0] + [min(m / M * a.L, L_hat) - b.L for a, b in pairs])
+        dX1 = np.array([(b.X1 - a.X1) / dt for a, b in pairs])
+        dL = np.array([(b.L - a.L) / dt for a, b in pairs])
+        x1_lo = -tc1.alpha1 + tc1.beta1 * m
+        x1_hi = -tc1.alpha1 + tc1.beta1 * M
+        worst_x1 = max(float(np.max(x1_lo - dX1, initial=0.0)),
+                       float(np.max(dX1 - x1_hi, initial=0.0)))
+        dL_lo, dL_hi = width_rate_bounds(tc1, m, M)
+        worst_dl = max(float(np.max(dL_lo - dL, initial=0.0)),
+                       float(np.max(dL - dL_hi, initial=0.0)))
+        v_flat, v_sharp = velocity_bounds(tc1, m, M)
+        worst_v = 0.0
+        for a, b in pairs:
+            v = velocities(a, b, mesh, dt, tc1.R)
+            worst_v = max(worst_v, float(np.max(v_flat - v)), float(np.max(v - v_sharp)))
+
+        expected = (worst_u, worst_width, worst_x1, worst_dl, worst_v)
+        assert all(w > 0.0 for w in expected)
+        got = (report.max_principle.worst, report.width_bound.worst,
+               report.interface_rate.worst, report.width_rate.worst,
+               report.velocity_bracket.worst)
+        assert got == expected
+        assert not report.velocity_bracket.passed
+
     def test_mass_balance_defects(self, tc1):
         mesh = uniform_mesh(40)
         traj = run(tc1, mesh, TimeGrid.from_step_and_horizon(1e-2, 0.5))

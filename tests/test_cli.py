@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from oxidefv import ExponentialProfile, TabulatedProfile
+from oxidefv import ExponentialProfile, TabulatedProfile, cli
 from oxidefv.cli import (
     ConfigError,
     EXIT_COLLAPSE,
@@ -172,6 +172,17 @@ class TestMain:
                      "--t-final", "0.05", "--phi", "septic",
                      "--out", str(tmp_path / "e2")])
         assert code == EXIT_CONFIG
+
+    def test_energy_unknown_density_rejected_before_running(self, tmp_path, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("the simulation ran before --phi was checked")
+
+        monkeypatch.setattr(cli, "_run_config", no_run)
+        out = tmp_path / "e3"
+        code = main(["energy", "--preset", "testcase1", "--phi", "septic", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "unknown energy density 'septic'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_converge_smoke(self, tmp_path, capsys):
         code = main(["converge", "--preset", "testcase1", "--levels", "0",

@@ -4,7 +4,9 @@ from scipy.integrate import quad
 
 from oxidefv import (
     ConvexDensity,
+    EnergyLedger,
     ExponentialProfile,
+    Mesh,
     ModelParams,
     State,
     TimeGrid,
@@ -16,12 +18,14 @@ from oxidefv import (
     free_energy,
     mean_value_theta,
     run,
+    total_free_energy_increment,
     uniform_mesh,
     wave_profile_on_mesh,
     write_ledger_csv,
 )
+from oxidefv.core import _BLOCK_ELEMS
 from oxidefv.energy import shifted_plus_squared
-from conftest import make_tc1
+from conftest import make_tc1, make_tc2
 
 
 def quadratic():
@@ -101,6 +105,16 @@ class TestMeanValueTheta:
         u = np.array([1.0, 1.0, 2.0, 2.0])
         theta = mean_value_theta(u, quadratic())
         assert theta[0] == 0.5 and theta[2] == 0.5
+
+    def test_rows_of_a_block_match_one_row_at_a_time(self):
+        rng = np.random.default_rng(34)
+        u = rng.uniform(0.1, 3.0, (7, 12))
+        u[2, 3:6] = 1.25  # degenerate edges
+        for density in builtin_densities():
+            theta = mean_value_theta(u, density)
+            assert theta.shape == (7, 11)
+            for row, expected in zip(theta, u):
+                assert np.array_equal(row, mean_value_theta(expected, density))
 
     def test_mean_value_identity(self):
         # pi jump equals the weighted mean times the phi' jump
@@ -246,3 +260,62 @@ class TestLedger:
         assert first[4] == "nan"
         row = lines[2].split(",")
         assert float(row[2]) == pytest.approx(ledger.H[1])
+
+
+def replay_ledger(traj, mesh, params, density):
+    """The per-step definition: record every step in turn."""
+    ledger = EnergyLedger(density=density, params=params, dt=traj.time_grid.dt)
+    total_free_energy_increment(ledger, traj.states[0], mesh)
+    for prev, state in zip(traj.states[:-1], traj.states[1:]):
+        total_free_energy_increment(ledger, state, mesh, prev=prev)
+    return ledger
+
+
+def assert_ledgers_identical(blocked, replayed):
+    assert blocked.steps == replayed.steps
+    assert blocked.H == replayed.H
+    assert blocked.H_tot == replayed.H_tot
+    # step 0 has no dissipation (nan); everything after must match exactly
+    assert np.isnan(blocked.D_bulk[0]) and np.isnan(blocked.D_bound[0])
+    assert blocked.D_bulk[1:] == replayed.D_bulk[1:]
+    assert blocked.D_bound[1:] == replayed.D_bound[1:]
+    assert blocked.exchange_left_rate == replayed.exchange_left_rate
+    assert blocked.exchange_left_mass == replayed.exchange_left_mass
+    assert blocked.exchange_right_rate == replayed.exchange_right_rate
+
+
+class TestBlockedLedger:
+    """build_ledger evaluates blocks of steps; it must equal the per-step
+    replay exactly."""
+
+    def check(self, traj, mesh, params):
+        for density in builtin_densities():
+            assert_ledgers_identical(
+                build_ledger(traj, mesh, params, density),
+                replay_ledger(traj, mesh, params, density),
+            )
+
+    def test_several_blocks_with_partial_last(self, tc1):
+        cells = 100
+        rows = max(1, _BLOCK_ELEMS // (cells + 2))
+        n_steps = 3 * rows + rows // 4
+        assert n_steps % rows != 0
+        mesh = uniform_mesh(cells)
+        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, n_steps))
+        assert traj.completed
+        self.check(traj, mesh, tc1)
+
+    def test_non_uniform_mesh(self, tc1):
+        rng = np.random.default_rng(35)
+        edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 39)), [1.0]))
+        mesh = Mesh.from_edges(edges)
+        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 30))
+        assert traj.completed
+        self.check(traj, mesh, tc1)
+
+    def test_collapsed_trajectory(self):
+        params = make_tc2()
+        mesh = uniform_mesh(30)
+        traj = run(params, mesh, TimeGrid.from_step_and_horizon(1e-2, 3.5))
+        assert not traj.completed
+        self.check(traj, mesh, params)
