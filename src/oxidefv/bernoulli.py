@@ -24,6 +24,59 @@ def _as_array(r, name: str) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+def _bernoulli_pair(r: np.ndarray, prime: bool = True):
+    """B(r) and, if prime, B'(r) (else None) of a finite float array of any
+    shape, unchecked: the public functions validate.
+
+    A branch is evaluated only when some entry needs it, over the whole
+    array, and merged by mask only when branches mix.  Its arguments are
+    clipped so that no entry raises a floating-point warning: the series
+    take r clipped at +-_LARGE_ARG, both middle branches share one expm1 of
+    r clipped at _LARGE_ARG, both tails one exp.
+    """
+    if r.size == 0:
+        return r.copy(), (r.copy() if prime else None)
+    a = np.abs(r)
+    low, top = a.min(), a.max()
+    b = db = None
+    if low < _SERIES_CUTOFF or (prime and low < _PRIME_SERIES_CUTOFF):
+        rs = r if top <= _LARGE_ARG else np.clip(r, -_LARGE_ARG, _LARGE_ARG)
+        r2 = rs * rs
+        if low < _SERIES_CUTOFF:
+            b = 1.0 - rs / 2.0 + r2 / 12.0 - r2 * r2 / 720.0
+        if prime and low < _PRIME_SERIES_CUTOFF:
+            db = -0.5 + rs / 6.0 - rs * r2 / 180.0 + rs * r2 * r2 / 5040.0
+    if top < _SERIES_CUTOFF:
+        return b, db
+
+    rm = np.minimum(r, _LARGE_ARG)
+    e1 = np.expm1(rm)
+    if b is None:
+        b = rm / e1
+    else:
+        np.divide(rm, e1, out=b, where=a >= _SERIES_CUTOFF)
+
+    if prime and top >= _PRIME_SERIES_CUTOFF:
+        mid = None
+        if db is not None or top > _PRIME_LARGE_ARG:
+            # e1 = 1 off B''s middle branch keeps e1 * e1 off 0 and overflow
+            mid = (a >= _PRIME_SERIES_CUTOFF) & (r <= _PRIME_LARGE_ARG)
+            e1 = np.where(mid, e1, 1.0)
+        mid_value = (e1 * (1.0 - rm) - rm) / (e1 * e1)
+        if db is None:
+            db = mid_value
+        else:
+            np.copyto(db, mid_value, where=mid)
+
+    if top > _PRIME_LARGE_ARG:
+        rl = np.maximum(r, _PRIME_LARGE_ARG)
+        el = np.exp(-rl)
+        np.copyto(b, rl * el, where=r > _LARGE_ARG)
+        if prime:
+            np.copyto(db, (1.0 - rl) * el, where=r > _PRIME_LARGE_ARG)
+    return b, db
+
+
 def bernoulli(r):
     """B(r) = r / (e^r - 1), continuously extended with B(0) = 1.
 
@@ -33,22 +86,7 @@ def bernoulli(r):
     overflows.  For very negative r the expm1 form returns the asymptote -r.
     """
     arr, scalar = _as_array(r, "bernoulli")
-    out = np.empty_like(arr)
-
-    small = np.abs(arr) < _SERIES_CUTOFF
-    large = arr > _LARGE_ARG
-    mid = ~(small | large)
-
-    rs = arr[small]
-    r2 = rs * rs
-    out[small] = 1.0 - rs / 2.0 + r2 / 12.0 - r2 * r2 / 720.0
-
-    rm = arr[mid]
-    out[mid] = rm / np.expm1(rm)
-
-    rl = arr[large]
-    out[large] = rl * np.exp(-rl)
-
+    out = _bernoulli_pair(arr, prime=False)[0]
     return float(out[0]) if scalar else out
 
 
@@ -60,21 +98,5 @@ def bernoulli_prime(r):
     squared denominator overflows.
     """
     arr, scalar = _as_array(r, "bernoulli_prime")
-    out = np.empty_like(arr)
-
-    small = np.abs(arr) < _PRIME_SERIES_CUTOFF
-    large = arr > _PRIME_LARGE_ARG
-    mid = ~(small | large)
-
-    rs = arr[small]
-    r2 = rs * rs
-    out[small] = -0.5 + rs / 6.0 - rs * r2 / 180.0 + rs * r2 * r2 / 5040.0
-
-    rm = arr[mid]
-    e1 = np.expm1(rm)
-    out[mid] = (e1 * (1.0 - rm) - rm) / (e1 * e1)
-
-    rl = arr[large]
-    out[large] = (1.0 - rl) * np.exp(-rl)
-
+    out = _bernoulli_pair(arr)[1]
     return float(out[0]) if scalar else out

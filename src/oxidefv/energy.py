@@ -69,10 +69,13 @@ def shifted_plus_squared(center: float = 1.0, blend: float = 0.5) -> ConvexDensi
 
     def phi(r):
         t = np.asarray(r, dtype=float) - center
+        # The cubic takes t clipped to [0, blend], which equals t on its
+        # branch: a negative base would send the power down a slow path.
+        cubic = np.minimum(np.maximum(t, 0.0), blend) ** 3 / (3.0 * blend)
         return np.where(
             t <= 0.0,
             0.0,
-            np.where(t >= blend, t * t - blend * t + blend * blend / 3.0, t**3 / (3.0 * blend)),
+            np.where(t >= blend, t * t - blend * t + blend * blend / 3.0, cubic),
         )
 
     def phi_prime(r):

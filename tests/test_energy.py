@@ -63,6 +63,25 @@ class TestConvexDensity:
             concave.validate_on(np.linspace(0.5, 2.0, 10))
 
 
+    def test_plus_squared_matches_unclipped_cubic(self):
+        # phi powers t clipped to [0, blend]; on the cubic branch that is t
+        # itself, so phi must equal the expression that powers t everywhere
+        center, blend = 1.0, 0.5
+        density = shifted_plus_squared(center, blend)
+        r = np.concatenate((
+            np.linspace(-1.0, 3.0, 4001),
+            [np.nextafter(x, d) for x in (center, center + blend) for d in (-np.inf, np.inf)],
+            [center, center + blend],
+        ))
+        t = r - center
+        unclipped = np.where(
+            t <= 0.0,
+            0.0,
+            np.where(t >= blend, t * t - blend * t + blend * blend / 3.0, t**3 / (3.0 * blend)),
+        )
+        assert density.phi(r).tobytes() == unclipped.tobytes()
+
+
 class TestFreeEnergy:
     def test_constant_state_quadratic(self):
         mesh = uniform_mesh(8)

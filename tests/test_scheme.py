@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from oxidefv import (
     ExponentialProfile,
+    bernoulli,
+    bernoulli_prime,
     ModelParams,
     SolverOptions,
     State,
@@ -21,12 +24,15 @@ from oxidefv import (
     velocities,
     wave_profile_on_mesh,
 )
+from oxidefv import scheme
 from oxidefv.scheme import (
+    _affine_rows,
     _assemble,
     _blended_system,
     _bordered_solve,
     _dense_jacobian,
     _residual_raw,
+    _residual_rows,
 )
 from conftest import make_tc1, make_tc2
 
@@ -193,6 +199,155 @@ class TestLinearSolve:
             dense = np.linalg.solve(jacobian(prev, cand, mesh, dt, tc1), -r)
             scale = max(1.0, float(np.abs(dense).max()))
             assert np.abs(delta - dense).max() <= 1e-9 * scale
+
+
+def reference_assemble(u, X0, X1, L, prev, mesh, dt, params):
+    """(r, band, border) from the public Bernoulli functions, one call per
+    weight and derivative, as _assemble must reproduce bit for bit."""
+    cells = mesh.num_cells
+    v = velocities(prev, State(u=u, X0=X0, X1=X1, L=L), mesh, dt, params.R)
+    w = (L * mesh.gaps) * v
+    Bp, Bm = bernoulli(w), bernoulli(-w)
+    F = (Bm * u[:-1] - Bp * u[1:]) / (L * mesh.gaps)
+    r = _residual_rows(u, X0, X1, L, F, prev, mesh, dt, params)
+    denom = L * mesh.gaps
+    dF_ul = Bm / denom
+    dF_ur = -Bp / denom
+    Nw = -bernoulli_prime(-w) * u[:-1] - bernoulli_prime(w) * u[1:]
+    dF_X0 = -Nw / dt
+    dF_X1 = Nw * (1.0 - params.R) / dt
+    dF_L = Nw * (v / L - mesh.edges / dt) - F / L
+    h = mesh.cell_sizes
+    band = np.zeros((3, cells + 2))
+    band[1, 0] = dF_ul[0] + params.b
+    band[0, 1:] = dF_ur
+    band[1, 1 : cells + 1] = h * L / dt + dF_ul[1:] - dF_ur[:-1]
+    band[1, cells + 1] = dF_ur[-1]
+    band[2, :cells] = -dF_ul[:cells]
+    band[2, cells] = dF_ul[-1]
+    border = np.empty((cells + 2, 3))
+    border[0] = (dF_X0[0], dF_X1[0], dF_L[0])
+    border[1 : cells + 1, 0] = dF_X0[1:] - dF_X0[:-1]
+    border[1 : cells + 1, 1] = dF_X1[1:] - dF_X1[:-1]
+    border[1 : cells + 1, 2] = h * u[1:-1] / dt + dF_L[1:] - dF_L[:-1]
+    border[cells + 1] = (dF_X0[-1], dF_X1[-1], dF_L[-1])
+    return r, band, border
+
+
+def reference_bordered_solve(r, band, border, dt, params):
+    """The block elimination through scipy's solve_banded and a 3x3
+    np.linalg.solve, as _bordered_solve must reproduce bit for bit."""
+    cells = band.shape[1] - 2
+    b_u = np.concatenate(([-r[cells]], -r[:cells], [-r[cells + 1]]))
+    sol = solve_banded((1, 1), band, np.column_stack((b_u, border)))
+    y, Y = sol[:, 0], sol[:, 1:]
+    c0, c1, D = _affine_rows(dt, params)
+    Cy = np.array([c0 * y[0], c1 * y[-1], 0.0])
+    CY = np.vstack((c0 * Y[0], c1 * Y[-1], np.zeros(3)))
+    z = np.linalg.solve(D - CY, -r[cells + 2 :] - Cy)
+    return np.concatenate((y - Y @ z, z))
+
+
+def first_newton_iterate(params, mesh, dt):
+    prev = discretize_initial(params, mesh)
+    r, band, border = _assemble(prev.u, prev.X0, prev.X1, prev.L, prev, mesh, dt, params)
+    d = _bordered_solve(r, band, border, dt, params)
+    m = mesh.num_cells + 2
+    cand = State(u=prev.u + d[:m], X0=prev.X0 + d[m], X1=prev.X1 + d[m + 1], L=prev.L + d[m + 2])
+    return prev, cand
+
+
+class TestLeanIteration:
+    """The Newton iteration evaluates its Bernoulli weights with one
+    unchecked kernel call and solves the band with LAPACK's dgtsv directly;
+    both must agree exactly with the public-function path."""
+
+    def assert_assembly_matches_reference(self, prev, cand, mesh, dt, params):
+        got = _assemble(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, params)
+        want = reference_assemble(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, params)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_assembly_at_zero_peclet(self, tc1):
+        # a step's first iterate: the frame is at rest, so w == 0 on every edge
+        mesh = uniform_mesh(100)
+        prev = discretize_initial(tc1, mesh)
+        self.assert_assembly_matches_reference(prev, prev, mesh, 1e-2, tc1)
+
+    def test_assembly_at_mid_newton_iterate(self, tc1):
+        mesh = uniform_mesh(100)
+        prev, cand = first_newton_iterate(tc1, mesh, 1e-2)
+        w = np.abs(cand.L * mesh.gaps * velocities(prev, cand, mesh, 1e-2, tc1.R))
+        # B' takes its series on some edges and its closed form on others
+        assert w.min() < 1e-2 <= w.max()
+        self.assert_assembly_matches_reference(prev, cand, mesh, 1e-2, tc1)
+
+    def test_assembly_at_random_states(self, tc1):
+        rng = np.random.default_rng(3)
+        mesh = uniform_mesh(12)
+        for _ in range(5):
+            prev, cand = random_state_pair(rng, 12)
+            self.assert_assembly_matches_reference(prev, cand, mesh, 0.02, tc1)
+
+    @pytest.mark.parametrize("cells", [1, 2, 100])
+    def test_bordered_solve_matches_reference(self, tc1, cells):
+        rng = np.random.default_rng(cells)
+        mesh = uniform_mesh(cells)
+        for _ in range(3):
+            prev, cand = random_state_pair(rng, cells)
+            r, band, border = _assemble(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, 0.02, tc1)
+            got = _bordered_solve(r, band, border, 0.02, tc1)
+            assert np.array_equal(got, reference_bordered_solve(r, band, border, 0.02, tc1))
+
+    def test_singular_band_raises(self, tc1):
+        rng = np.random.default_rng(5)
+        r = rng.normal(size=15)
+        border = rng.normal(size=(12, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            _bordered_solve(r, np.zeros((3, 12)), border, 0.02, tc1)
+
+    def test_non_finite_system_raises(self, tc1):
+        mesh = uniform_mesh(10)
+        prev = discretize_initial(tc1, mesh)
+        r, band, border = _assemble(prev.u, prev.X0, prev.X1, prev.L, prev, mesh, 0.02, tc1)
+        bad_band = band.copy()
+        bad_band[1, 1] = np.inf
+        bad_border = border.copy()
+        bad_border[1, 1] = np.nan
+        for args in ((bad_band, border), (band, bad_border)):
+            with pytest.raises(np.linalg.LinAlgError):
+                _bordered_solve(r, *args, 0.02, tc1)
+
+    def test_overflowing_step_fails_without_exception(self, tc1):
+        # h * L / dt overflows in the band: both solvers report a failed step
+        mesh = uniform_mesh(20)
+        prev = discretize_initial(tc1, mesh)
+        with np.errstate(all="ignore"):
+            newton = newton_step_solve(prev, mesh, 1e-320, tc1)
+            fallback = homotopy_solve(prev, mesh, 1e-320, tc1)
+        assert newton.status is StepStatus.NO_CONVERGENCE and newton.state is None
+        assert fallback.status is not StepStatus.CONVERGED and fallback.state is None
+
+    def test_one_kernel_call_per_edge_field_evaluation(self, tc1, monkeypatch):
+        calls = []
+        kernel = scheme._bernoulli_pair
+
+        def counted(r, prime=True):
+            calls.append(r.shape)
+            return kernel(r, prime)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Newton iteration called a public checked function")
+
+        monkeypatch.setattr(scheme, "_bernoulli_pair", counted)
+        for name in ("bernoulli", "bernoulli_prime", "solve_banded"):
+            monkeypatch.setattr(scheme, name, forbidden)
+        mesh = uniform_mesh(30)
+        prev = discretize_initial(tc1, mesh)
+        result = newton_step_solve(prev, mesh, 1e-2, tc1)
+        assert result.status is StepStatus.CONVERGED
+        # one assembly per iteration, then the residual check of the end point
+        assert calls == [(2 * 31,)] * (result.iterations + 1)
 
 
 class TestNewton:
