@@ -412,7 +412,11 @@ def _report_termination(traj: Trajectory) -> None:
         )
     elif kind is TerminationKind.WIDTH_COLLAPSED:
         t = traj.termination.step * traj.time_grid.dt
-        print(f"width collapsed at step {traj.termination.step} (t = {t:.6g})")
+        message = f"width collapsed at step {traj.termination.step} (t = {t:.6g})"
+        if traj.termination.bracket is not None:
+            lo, hi = traj.termination.bracket
+            message += f"; collapse time in [{format_float(lo)}, {format_float(hi)}]"
+        print(message)
     else:
         print(f"solver failed at step {traj.termination.step}", file=sys.stderr)
 

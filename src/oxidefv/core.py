@@ -180,6 +180,9 @@ class TimeGrid:
     def __post_init__(self):
         if self.dt <= 0.0 or not np.isfinite(self.dt):
             raise ValueError("TimeGrid.dt must be positive")
+        # The step matrix carries 1/dt; a dt this small overflows it.
+        if not np.isfinite(1.0 / float(self.dt)):
+            raise ValueError(f"TimeGrid.dt {float(self.dt)!r} is too small: 1/dt overflows")
         if self.n_steps < 1:
             raise ValueError("TimeGrid.n_steps must be at least 1")
         defect = abs(self.n_steps * self.dt - self.t_final)
@@ -289,10 +292,18 @@ class TerminationKind(Enum):
 
 @dataclass(frozen=True)
 class Termination:
-    """Why a run ended; step is the offending step index when not completed."""
+    """Why a run ended; step is the offending step index when not completed.
+
+    bracket is set when the width collapses at a step Newton cannot take:
+    (t_lo, t_hi) with t_hi - t_lo <= 1e-10 * dt, where a shorter step from
+    the last accepted state still converges at t_lo and fails at t_hi.  It
+    is None otherwise, including when an accepted state reached the width
+    floor.
+    """
 
     kind: TerminationKind
     step: int | None = None
+    bracket: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True, eq=False)

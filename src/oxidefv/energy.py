@@ -120,15 +120,17 @@ def mean_value_theta(u: np.ndarray, density: ConvexDensity) -> np.ndarray:
     with a 1/2 fallback on degenerate edges.  Rows of a (..., I+2) array
     are treated independently."""
     u = np.asarray(u, dtype=float)
+    P = np.asarray(density.phi_prime(u), dtype=float)
+    return _theta(u, P[..., 1:] - P[..., :-1], np.asarray(density.pi(u), dtype=float))
+
+
+def _theta(u, dphip, Pi):
+    """mean_value_theta of u from its phi' jumps dphip across the edges and
+    its pressures Pi = pi(u)."""
     left = u[..., :-1]
     right = u[..., 1:]
     du = left - right
-    dphip = np.asarray(density.phi_prime(right), dtype=float) - np.asarray(
-        density.phi_prime(left), dtype=float
-    )
-    dpi = np.asarray(density.pi(right), dtype=float) - np.asarray(
-        density.pi(left), dtype=float
-    )
+    dpi = Pi[..., 1:] - Pi[..., :-1]
     regular = (np.abs(dphip) > _THETA_EPS) & (np.abs(du) > _THETA_EPS)
     safe_dphip = np.where(regular, dphip, 1.0)
     safe_du = np.where(regular, du, 1.0)
@@ -148,16 +150,17 @@ def _dissipation_rows(
     """
     u = U[1:]
     Lc = L[1:, None]
-    # theta first: its temporaries are the most, so little else is alive then.
-    theta = mean_value_theta(u, density)
+    # phi' and pi are evaluated once over the block and shared by theta,
+    # the bulk and the boundary terms.
+    P = np.asarray(density.phi_prime(u), dtype=float)
+    Pi = np.asarray(density.pi(u), dtype=float)
+    dphip = P[:, 1:] - P[:, :-1]
+    theta = _theta(u, dphip, Pi)
     w = (Lc * mesh.gaps) * _frame_velocity(
         X0[1:, None], X1[1:, None], Lc, X0[:-1, None], X1[:-1, None], L[:-1, None],
         mesh, dt, params.R,
     )
     weight = bernoulli(w) * theta + bernoulli(-w) * (1.0 - theta)
-    dphip = np.asarray(density.phi_prime(u[:, 1:]), dtype=float) - np.asarray(
-        density.phi_prime(u[:, :-1]), dtype=float
-    )
     d_bulk = np.sum(weight * dphip * (u[:, 1:] - u[:, :-1]) / (Lc * mesh.gaps), axis=1)
 
     phip = density.phi_prime
@@ -168,9 +171,9 @@ def _dissipation_rows(
     u0 = u[:, 0]
     u1 = u[:, -1]
     d_bound = (
-        (params.beta0 * u0 - params.alpha0) * (pi(u0) - pi(r0))
-        + (params.b * u0 - params.a) * (phip(u0) - phip(rb))
-        + params.R * (params.beta1 * u1 - params.alpha1) * (pi(u1) - pi(r1))
+        (params.beta0 * u0 - params.alpha0) * (Pi[:, 0] - pi(r0))
+        + (params.b * u0 - params.a) * (P[:, 0] - phip(rb))
+        + params.R * (params.beta1 * u1 - params.alpha1) * (Pi[:, -1] - pi(r1))
     )
     return d_bulk, d_bound
 

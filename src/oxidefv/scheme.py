@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgesv, dgtsv
 
 # solve_banded and bernoulli_prime are uncalled here; the benchmark's tracer wraps them.
 from scipy.linalg import solve_banded  # noqa: F401
@@ -40,6 +41,8 @@ HOMOTOPY_MAX_STEPS = 1024
 # width floor during a collapse).
 _STALL_RESIDUAL = 1e-6
 _MAX_HALVINGS = 30
+# The collapse time is bracketed to this fraction of the time step.
+_COLLAPSE_BRACKET_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -220,24 +223,34 @@ def _assemble(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelPar
     return r, band, border
 
 
-def _affine_rows(dt: float, params: ModelParams):
-    """The motion laws and the closure: the X0 law's coefficient on u_0, the
-    X1 law's on u_{I+1}, and the 3x3 block of all three in (X0, X1, L)."""
+@lru_cache(maxsize=64)
+def _affine_block(dt: float, R: float) -> np.ndarray:
+    """Read-only 3x3 block of the motion laws and the closure in (X0, X1, L),
+    column-major as LAPACK takes it."""
     D = np.array(
         [
-            [1.0 / dt, -(1.0 - params.R) / dt, 0.0],
+            [1.0 / dt, -(1.0 - R) / dt, 0.0],
             [0.0, 1.0 / dt, 0.0],
             [1.0, -1.0, 1.0],
-        ]
+        ],
+        order="F",
     )
-    return params.beta0, -params.beta1, D
+    D.setflags(write=False)
+    return D
+
+
+def _affine_rows(dt: float, params: ModelParams):
+    """The motion laws and the closure: the X0 law's coefficient on u_0, the
+    X1 law's on u_{I+1}, and a writable copy of the 3x3 block of all three
+    in (X0, X1, L)."""
+    return params.beta0, -params.beta1, _affine_block(dt, params.R).copy(order="F")
 
 
 def _bordered_solve(r, band, border, dt: float, params: ModelParams):
     """Newton increment -J^{-1} r by block elimination: one tridiagonal
     LAPACK solve (dgtsv) for the concentration block and its border, then
-    the 3x3 Schur complement in (X0, X1, L).  Raises LinAlgError when the
-    system is singular or not finite."""
+    one LAPACK dgesv for the 3x3 Schur complement in (X0, X1, L).  Raises
+    LinAlgError when the system is singular or not finite."""
     cells = band.shape[1] - 2
     # Right-hand sides b_u and the border columns, column-major as dgtsv
     # takes them.
@@ -263,7 +276,9 @@ def _bordered_solve(r, band, border, dt: float, params: ModelParams):
     b_x = -r[cells + 2 :]
     b_x[0] -= c0 * y[0]
     b_x[1] -= c1 * y[-1]
-    z = np.linalg.solve(S, b_x)
+    *_, z, info = dgesv(S, b_x, overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular Schur complement")
     delta = np.concatenate((y - Y @ z, z))
     if not np.isfinite(delta).all():
         raise np.linalg.LinAlgError("Newton increment is not finite")
@@ -468,6 +483,24 @@ def homotopy_solve(
 # ---------------------------------------------------------------------------
 
 
+def _bracket_collapse(prev: State, mesh: Mesh, dt: float, params: ModelParams, opts: SolverOptions):
+    """Sub-steps (lo, hi) of a step of size dt that cannot be taken from
+    prev: Newton converges over lo (or lo = 0) and fails over hi, with
+    hi - lo <= _COLLAPSE_BRACKET_RTOL * dt.  Found by bisecting (0, dt].
+
+    Where the converged width lands near the floor, the outcome can
+    alternate between sub-steps closer than 1e-6 * dt, so (lo, hi) is a
+    change of outcome, not necessarily the first one."""
+    lo, hi = 0.0, dt
+    while hi - lo > _COLLAPSE_BRACKET_RTOL * dt:
+        mid = 0.5 * (lo + hi)
+        if newton_step_solve(prev, mesh, mid, params, opts).status is StepStatus.CONVERGED:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def run(
     params: ModelParams,
     mesh: Mesh,
@@ -477,9 +510,10 @@ def run(
     initial_state: State | None = None,
     stride: int = 1,
 ) -> Trajectory:
-    """Iterate the implicit step over the time grid, escalating failed
-    Newton solves to the continuation solver, and stopping early when the
-    width collapses to the floor.
+    """Iterate the implicit step over the time grid, escalating Newton
+    solves that fail to converge to the continuation solver, and stopping
+    early when the width collapses.  A collapse at a step that cannot be
+    taken is located by _bracket_collapse and reported in the termination.
 
     stride > 1 thins storage (step 0 and the last reached step are always
     kept); per-step diagnostics require the default stride of 1.
@@ -509,21 +543,26 @@ def run(
         newton_iters.append(iters)
         residuals.append(resid)
 
+    dt = time_grid.dt
     for n in range(1, time_grid.n_steps + 1):
-        result = newton_step_solve(prev, mesh, time_grid.dt, params, opts)
+        result = newton_step_solve(prev, mesh, dt, params, opts)
+        # A width collapse ends the run: the continuation has never rescued
+        # a step Newton reports as WIDTH_COLLAPSED, on the presets or on
+        # random dissolution-regime parameters, meshes and time steps.
+        if result.status is StepStatus.NO_CONVERGENCE:
+            result = homotopy_solve(prev, mesh, dt, params, opts)
         if result.status is not StepStatus.CONVERGED:
-            fallback = homotopy_solve(prev, mesh, time_grid.dt, params, opts)
-            if fallback.status is StepStatus.CONVERGED:
-                result = fallback
-            else:
-                collapse = StepStatus.WIDTH_COLLAPSED in (result.status, fallback.status)
+            if result.status is StepStatus.WIDTH_COLLAPSED:
+                lo, hi = _bracket_collapse(prev, mesh, dt, params, opts)
+                t_prev = (n - 1) * dt
                 termination = Termination(
-                    TerminationKind.WIDTH_COLLAPSED if collapse else TerminationKind.SOLVER_FAILED,
-                    step=n,
+                    TerminationKind.WIDTH_COLLAPSED, step=n, bracket=(t_prev + lo, t_prev + hi)
                 )
-                if stored_steps[-1] != n - 1 and last_result is not None:
-                    store(*last_result)
-                break
+            else:
+                termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
+            if stored_steps[-1] != n - 1 and last_result is not None:
+                store(*last_result)
+            break
         state = result.state
         if state.closure_defect() > 1e-6 * max(1.0, state.L):
             termination = Termination(TerminationKind.SOLVER_FAILED, step=n)

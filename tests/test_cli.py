@@ -1,16 +1,14 @@
 import json
+from dataclasses import replace
 
-
-import numpy as np
 import pytest
 
-from oxidefv import ExponentialProfile, TabulatedProfile, cli
+from oxidefv import ExponentialProfile, StepStatus, TabulatedProfile, cli, scheme
 from oxidefv.cli import (
     ConfigError,
     EXIT_COLLAPSE,
     EXIT_CONFIG,
     EXIT_OK,
-    EXIT_SOLVER,
     PRESETS,
     main,
     parse_config,
@@ -218,10 +216,49 @@ class TestMain:
         assert main(["tw", "--preset", "testcase1", *flags]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_overflowing_step_is_solver_failure(self, tmp_path, capsys):
-        # a valid but tiny dt overflows the step matrix: exit 3, no traceback
+    def test_overflowing_dt_is_config_error(self, tmp_path, capsys):
+        # 1/dt overflows: rejected with the time grid, before any step runs
+        # and without a floating-point warning
+        out = tmp_path / "tiny"
         argv = ["simulate", "--preset", "testcase1", "--cells", "20", "--dt", "1e-320",
-                "--t-final", "1e-318", "--out", str(tmp_path)]
-        with np.errstate(all="ignore"):
-            assert main(argv) == EXIT_SOLVER
-        assert "solver failed at step 1" in capsys.readouterr().err
+                "--t-final", "1e-318", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "1/dt overflows" in err
+        assert not out.exists()
+
+    def test_simulate_collapse_reports_bracket(self, tmp_path, capsys):
+        code = main(["simulate", "--preset", "testcase2", "--out", str(tmp_path / "c")])
+        assert code == EXIT_COLLAPSE
+        line = capsys.readouterr().out.strip()
+        head, _, tail = line.partition("; collapse time in [")
+        assert head == "width collapsed at step 149 (t = 1.49)"
+        lo, hi = (float(x) for x in tail.rstrip("]").split(", "))
+        assert 1.48 < lo < hi <= 1.49 and hi - lo <= 1e-12
+
+    def test_collapse_csvs_match_the_continuation_route(self, tmp_path, monkeypatch, capsys):
+        # the files written when a Newton collapse ends the run are those
+        # written when the continuation is tried on that step first
+        argv = ["simulate", "--preset", "testcase2", "--cells", "40"]
+        assert main(argv + ["--out", str(tmp_path / "event")]) == EXIT_COLLAPSE
+        solve, continuation = scheme.newton_step_solve, scheme.homotopy_solve
+        tried = []
+
+        def collapse_as_no_convergence(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            if result.status is StepStatus.WIDTH_COLLAPSED:
+                result = replace(result, status=StepStatus.NO_CONVERGENCE)
+            return result
+
+        def counted(*args, **kwargs):
+            tried.append(args)
+            return continuation(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "newton_step_solve", collapse_as_no_convergence)
+        monkeypatch.setattr(scheme, "homotopy_solve", counted)
+        main(argv + ["--out", str(tmp_path / "continued")])
+        assert len(tried) == 1
+        for name in ("steps.csv", "profile_final.csv"):
+            assert (tmp_path / "event" / name).read_bytes() == (
+                tmp_path / "continued" / name
+            ).read_bytes()

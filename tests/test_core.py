@@ -85,6 +85,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(dt=0.1, n_steps=10, t_final=2.0)
 
+    def test_overflowing_reciprocal_rejected(self):
+        # 1/dt enters the step matrix; no floating-point warning on the way
+        for dt in (1e-320, np.float64(1e-320), 5e-324):
+            with pytest.raises(ValueError, match="1/dt overflows"):
+                TimeGrid.from_step(dt, 100)
+        with pytest.raises(ValueError, match="1/dt overflows"):
+            TimeGrid.from_step_and_horizon(1e-320, 1e-318)
+        assert TimeGrid.from_step(1e-300, 100).dt == 1e-300
+
     def test_times(self):
         g = TimeGrid.from_step(0.5, 4)
         assert np.allclose(g.times, [0.0, 0.5, 1.0, 1.5, 2.0])

@@ -10,6 +10,7 @@ from oxidefv import (
     ModelParams,
     State,
     TimeGrid,
+    bernoulli,
     build_ledger,
     builtin_densities,
     classify,
@@ -23,8 +24,9 @@ from oxidefv import (
     wave_profile_on_mesh,
     write_ledger_csv,
 )
-from oxidefv.core import _BLOCK_ELEMS
-from oxidefv.energy import shifted_plus_squared
+from oxidefv.core import _BLOCK_ELEMS, step_blocks
+from oxidefv.energy import _THETA_EPS, _dissipation_rows, shifted_plus_squared
+from oxidefv.scheme import _frame_velocity
 from conftest import make_tc1, make_tc2
 
 
@@ -301,6 +303,68 @@ def assert_ledgers_identical(blocked, replayed):
     assert blocked.exchange_left_rate == replayed.exchange_left_rate
     assert blocked.exchange_left_mass == replayed.exchange_left_mass
     assert blocked.exchange_right_rate == replayed.exchange_right_rate
+
+
+def edgewise_dissipation_rows(U, X0, X1, L, mesh, dt, params, density):
+    """_dissipation_rows with phi' and pi evaluated separately on each
+    edge's left and right values and on the boundary traces."""
+    u = U[1:]
+    Lc = L[1:, None]
+    left, right = u[:, :-1], u[:, 1:]
+    du = left - right
+    dphip = density.phi_prime(right) - density.phi_prime(left)
+    dpi = density.pi(right) - density.pi(left)
+    regular = (np.abs(dphip) > _THETA_EPS) & (np.abs(du) > _THETA_EPS)
+    theta = np.where(regular, (dpi / np.where(regular, dphip, 1.0) - right)
+                     / np.where(regular, du, 1.0), 0.5)
+    theta = np.clip(theta, 0.0, 1.0)
+    w = (Lc * mesh.gaps) * _frame_velocity(
+        X0[1:, None], X1[1:, None], Lc, X0[:-1, None], X1[:-1, None], L[:-1, None],
+        mesh, dt, params.R,
+    )
+    weight = bernoulli(w) * theta + bernoulli(-w) * (1.0 - theta)
+    dphip = density.phi_prime(u[:, 1:]) - density.phi_prime(u[:, :-1])
+    d_bulk = np.sum(weight * dphip * (u[:, 1:] - u[:, :-1]) / (Lc * mesh.gaps), axis=1)
+    phip, pi = density.phi_prime, density.pi
+    u0, u1 = u[:, 0], u[:, -1]
+    d_bound = (
+        (params.beta0 * u0 - params.alpha0) * (pi(u0) - pi(params.alpha0 / params.beta0))
+        + (params.b * u0 - params.a) * (phip(u0) - phip(params.a / params.b))
+        + params.R * (params.beta1 * u1 - params.alpha1)
+        * (pi(u1) - pi(params.alpha1 / params.beta1))
+    )
+    return theta, d_bulk, d_bound
+
+
+class TestSharedDensityEvaluation:
+    """phi' and pi are evaluated once per block; the theta weights and the
+    dissipation rows stay exactly those of the edge-by-edge evaluation."""
+
+    def check(self, traj, mesh, params):
+        dt = traj.time_grid.dt
+        for density in builtin_densities():
+            for _, U, X0, X1, L in step_blocks(traj.states):
+                theta, d_bulk, d_bound = edgewise_dissipation_rows(
+                    U, X0, X1, L, mesh, dt, params, density
+                )
+                assert np.array_equal(mean_value_theta(U[1:], density), theta)
+                got_bulk, got_bound = _dissipation_rows(U, X0, X1, L, mesh, dt, params, density)
+                assert np.array_equal(got_bulk, d_bulk)
+                assert np.array_equal(got_bound, d_bound)
+
+    def test_wave_run_over_several_blocks(self, tc1):
+        mesh = uniform_mesh(100)
+        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 60))
+        self.check(traj, mesh, tc1)
+
+    def test_non_uniform_mesh_and_collapse(self):
+        rng = np.random.default_rng(37)
+        edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 29)), [1.0]))
+        mesh = Mesh.from_edges(edges)
+        params = make_tc2()
+        traj = run(params, mesh, TimeGrid.from_step_and_horizon(1e-2, 3.5))
+        assert not traj.completed
+        self.check(traj, mesh, params)
 
 
 class TestBlockedLedger:

@@ -1,9 +1,13 @@
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
 from oxidefv import (
     ExponentialProfile,
+    Mesh,
     bernoulli,
     bernoulli_prime,
     ModelParams,
@@ -34,7 +38,7 @@ from oxidefv.scheme import (
     _residual_raw,
     _residual_rows,
 )
-from conftest import make_tc1, make_tc2
+from conftest import make_tc1, make_tc2, make_tc3
 
 
 def wave_state(params, mesh, shift=0.0):
@@ -328,6 +332,53 @@ class TestLeanIteration:
         assert newton.status is StepStatus.NO_CONVERGENCE and newton.state is None
         assert fallback.status is not StepStatus.CONVERGED and fallback.state is None
 
+    def test_schur_step_matches_numpy_solve(self, tc1, monkeypatch):
+        # LAPACK dgesv on the 3x3 Schur complement reproduces np.linalg.solve
+        # bit for bit, on the systems of a Newton solve and on random ones
+        systems = []
+        dgesv = scheme.dgesv
+
+        def recorded(a, b, **kwargs):
+            systems.append((np.array(a), np.array(b)))
+            out = dgesv(a, b, **kwargs)
+            systems[-1] += (out[2].copy(),)
+            return out
+
+        monkeypatch.setattr(scheme, "dgesv", recorded)
+        mesh = uniform_mesh(30)
+        result = newton_step_solve(discretize_initial(make_tc2(), mesh), mesh, 1e-2, make_tc2())
+        assert result.status is StepStatus.CONVERGED
+        assert len(systems) == result.iterations
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            S = rng.normal(size=(3, 3)) + np.diag(rng.uniform(-50.0, 50.0, 3))
+            b = rng.normal(size=3)
+            systems.append((S, b, dgesv(S, b)[2]))
+        for S, b, z in systems:
+            assert np.array_equal(z, np.linalg.solve(S, b))
+
+    def test_singular_schur_complement_raises(self, tc1):
+        # with an identity band the border passes through unchanged, and this
+        # border cancels the X0 law's row of the 3x3 block exactly
+        cells, dt = 6, 0.02
+        band = np.zeros((3, cells + 2))
+        band[1] = 1.0
+        border = np.zeros((cells + 2, 3))
+        c0, _, D = _affine_rows(dt, tc1)
+        border[0] = D[0] / c0
+        r = np.ones(cells + 5)
+        with pytest.raises(np.linalg.LinAlgError):
+            _bordered_solve(r, band, border, dt, tc1)
+
+    def test_affine_block_is_cached_read_only(self, tc1):
+        _, _, D1 = _affine_rows(0.02, tc1)
+        D1[:] = 0.0  # a copy: the cached block is untouched
+        _, _, D2 = _affine_rows(0.02, tc1)
+        assert np.array_equal(
+            D2, [[50.0, -(1.0 - tc1.R) / 0.02, 0.0], [0.0, 50.0, 0.0], [1.0, -1.0, 1.0]]
+        )
+        assert not scheme._affine_block(0.02, tc1.R).flags.writeable
+
     def test_one_kernel_call_per_edge_field_evaluation(self, tc1, monkeypatch):
         calls = []
         kernel = scheme._bernoulli_pair
@@ -514,6 +565,154 @@ class TestRun:
         L = np.array([s.L for s in traj.states])
         assert L[-1] > 2.0
         assert np.all(np.diff(L[len(L) * 3 // 4:]) > 0.0)
+
+
+def dissolution_draw(rng):
+    """Random kinetics with a/b below both alpha0/beta0 and the mixed ratio
+    (no travelling wave: the layer dissolves), started from the presets'
+    exponential reference profile, on a uniform or random mesh with 10, 20
+    or 40 cells.  dt is L0 over the width's initial rate of change, divided
+    by 20, 50 or 100."""
+    alpha0, beta0, alpha1, beta1 = (rng.uniform(0.5, 5.0) for _ in range(4))
+    R = rng.uniform(1.2, 3.0)
+    r_mid = (alpha0 + R * alpha1) / (beta0 + R * beta1)
+    q = rng.uniform(0.2, 0.9) * min(alpha0 / beta0, r_mid)
+    b = rng.uniform(0.5, 2.0)
+    c = (alpha0 - beta0 * q) / R
+    params = ModelParams(a=q * b, b=b, alpha0=alpha0, beta0=beta0, alpha1=alpha1,
+                         beta1=beta1, R=R, L0=1.0, u_init=ExponentialProfile(q, -R * c, 0.0))
+    cells = rng.choice((10, 20, 40))
+    if rng.random() < 0.5:
+        mesh = uniform_mesh(cells)
+    else:
+        inner = sorted(rng.random() for _ in range(cells - 1))
+        mesh = Mesh.from_edges([0.0, *inner, 1.0])
+    # dL/dt = R dX1/dt - (alpha0 - beta0 u_0) at the initial traces
+    u_right = float(params.u_init(params.L0))
+    rate = abs(R * (beta1 * u_right - alpha1) - (alpha0 - beta0 * q))
+    dt = params.L0 / rate / rng.choice((20, 50, 100))
+    return params, mesh, dt
+
+
+class TestCollapseEvent:
+    """A step that Newton reports as a width collapse ends the run without
+    the continuation; the collapse time is bracketed by bisecting the step."""
+
+    def test_continuation_never_rescues_a_newton_collapse(self, monkeypatch):
+        brackets = []
+        bracket_collapse = scheme._bracket_collapse
+
+        def recorded(*args):
+            brackets.append(bracket_collapse(*args))
+            return brackets[-1]
+
+        monkeypatch.setattr(scheme, "_bracket_collapse", recorded)
+        rng = random.Random(2026)
+        for _ in range(15):
+            params, mesh, dt = dissolution_draw(rng)
+            traj = run(params, mesh, TimeGrid.from_step(dt, 5000))
+            term = traj.termination
+            assert term.kind is TerminationKind.WIDTH_COLLAPSED
+            n = term.step
+            prev = traj.final_state
+            assert traj.step_indices[-1] == n - 1
+            # the terminal step: Newton flags the collapse, and the
+            # continuation from the same state does not converge either
+            assert newton_step_solve(prev, mesh, dt, params).status is StepStatus.WIDTH_COLLAPSED
+            assert homotopy_solve(prev, mesh, dt, params).status is not StepStatus.CONVERGED
+            lo, hi = brackets[-1]
+            assert 0.0 < lo < hi <= dt and hi - lo <= 1e-10 * dt
+            assert newton_step_solve(prev, mesh, lo, params).status is StepStatus.CONVERGED
+            assert newton_step_solve(prev, mesh, hi, params).status is not StepStatus.CONVERGED
+            assert term.bracket == ((n - 1) * dt + lo, (n - 1) * dt + hi)
+        assert len(brackets) == 15
+
+    def test_no_continuation_after_newton_collapse(self, tc2, monkeypatch):
+        calls = []
+        continuation = scheme.homotopy_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return continuation(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "homotopy_solve", counted)
+        traj = run(tc2, uniform_mesh(100), TimeGrid.from_step_and_horizon(1e-2, 3.5))
+        assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED
+        assert calls == []
+
+    def test_continuation_still_follows_no_convergence(self, tc1, monkeypatch):
+        # a Newton solve that does not converge is handed to the continuation
+        calls = []
+        solve, continuation = scheme.newton_step_solve, scheme.homotopy_solve
+
+        def first_fails(prev, *args, **kwargs):
+            result = solve(prev, *args, **kwargs)
+            if prev.X0 == 0.0:
+                result = replace(result, state=None, status=StepStatus.NO_CONVERGENCE)
+            return result
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return continuation(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "newton_step_solve", first_fails)
+        monkeypatch.setattr(scheme, "homotopy_solve", counted)
+        traj = run(tc1, uniform_mesh(20), TimeGrid.from_step(1e-2, 3))
+        assert traj.completed and len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "make, cells, step, iters, final_L, bracket",
+        [
+            (make_tc2, 400, 149, 482, 0.0013437304235845258,
+             (1.4846909181238, 1.4846909181244)),
+            (make_tc3, 100, 35, 151, 0.0011203495503272626,
+             (0.3419469270227, 0.3419469270232)),
+        ],
+    )
+    def test_pinned_collapse(self, make, cells, step, iters, final_L, bracket):
+        params = make()
+        traj = run(params, uniform_mesh(cells), TimeGrid.from_step(1e-2, 1000))
+        term = traj.termination
+        assert term.kind is TerminationKind.WIDTH_COLLAPSED and term.step == step
+        assert sum(traj.newton_iters) == iters
+        assert traj.final_state.L == pytest.approx(final_L, rel=1e-12, abs=0.0)
+        lo, hi = term.bracket
+        assert lo == pytest.approx(bracket[0], rel=0.0, abs=1e-12)
+        assert hi == pytest.approx(bracket[1], rel=0.0, abs=1e-12)
+        assert (step - 1) * 1e-2 < lo < hi <= step * 1e-2
+        assert hi - lo <= 1e-12
+
+    @pytest.mark.parametrize("make", [make_tc2, make_tc3])
+    def test_stored_run_is_the_newton_sequence(self, make):
+        # the stored trajectory is exactly the accepted Newton steps up to
+        # the collapse, as it was when the continuation was tried as well
+        params = make()
+        mesh = uniform_mesh(100)
+        traj = run(params, mesh, TimeGrid.from_step(1e-2, 1000))
+        states, iters, resids = [discretize_initial(params, mesh)], [], []
+        while True:
+            result = newton_step_solve(states[-1], mesh, 1e-2, params)
+            if result.status is not StepStatus.CONVERGED:
+                break
+            states.append(result.state)
+            iters.append(result.iterations)
+            resids.append(result.residual_inf)
+        assert traj.termination.step == len(states)
+        assert len(traj.states) == len(states)
+        for got, want in zip(traj.states, states):
+            assert got.u.tobytes() == want.u.tobytes()
+            assert (got.X0, got.X1, got.L) == (want.X0, want.X1, want.L)
+        assert traj.newton_iters == tuple(iters)
+        assert traj.residual_inf == tuple(resids)
+
+    def test_floor_reached_by_an_accepted_state_has_no_bracket(self, tc2):
+        # a floor this high is crossed by an accepted step
+        traj = run(tc2, uniform_mesh(30), TimeGrid.from_step_and_horizon(1e-2, 3.5),
+                   SolverOptions(width_floor=0.05))
+        assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED
+        assert traj.termination.step == traj.step_indices[-1]
+        assert traj.final_state.L <= 2.0 * 0.05
+        assert traj.termination.bracket is None
 
 
 class TestSolverOptions:
