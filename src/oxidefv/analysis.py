@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _BLOCK_ELEMS,
     InitialMode,
     Mesh,
     ModelParams,
@@ -75,20 +76,19 @@ class DiscreteNorms:
 
 
 def trajectory_norms(traj: Trajectory, mesh: Mesh) -> DiscreteNorms:
-    vectors = np.stack([s.u for s in traj.states[1:]]) if len(traj.states) > 1 else np.empty((0, mesh.num_cells + 2))
     return DiscreteNorms(
-        h1=h1_norm(traj.final_state.u, mesh),
-        l2h1=l2h1_norm(vectors, mesh, traj.time_grid.dt),
-        l2=l2_norm(traj.final_state.u, mesh),
+        h1=h1_norm(traj.U[-1], mesh),
+        l2h1=l2h1_norm(traj.U[1:], mesh, traj.time_grid.dt),
+        l2=l2_norm(traj.U[-1], mesh),
     )
 
 
 def _interior_field(traj: Trajectory) -> np.ndarray:
     """Space-time field of interior cell values, one row per time slab
-    (slab n carries the step-n state)."""
+    (slab n carries the step-n state): a read-only view of traj.U."""
     if not (traj.completed and traj.is_contiguous()):
         raise ValueError("projection requires a completed trajectory stored with stride 1")
-    return np.stack([s.u[1:-1] for s in traj.states[1:]])
+    return traj.U[1:, 1:-1]
 
 
 def _space_blocks(fine_mesh: Mesh, coarse_mesh: Mesh) -> np.ndarray:
@@ -114,7 +114,12 @@ def project_reference(
     """Orthogonal projection of the fine space-time field onto the coarse
     piecewise-constant space: measure-weighted averages of the fine values
     over each coarse space-time cell.  Requires exact nesting in both
-    space and time."""
+    space and time.
+
+    The fine field is read in blocks of whole coarse time slabs of at most
+    about _BLOCK_ELEMS entries (one slab when a slab is larger), so the
+    temporaries do not grow with the length of the run; each coarse value
+    is summed in the same order as over the whole field."""
     fine_time = fine.time_grid
     if abs(fine_time.t_final - coarse_time.t_final) > 1e-12 * max(1.0, coarse_time.t_final):
         raise ValueError("time grids cover different horizons")
@@ -122,13 +127,18 @@ def project_reference(
         raise ValueError("time grids are not nested")
     m = fine_time.n_steps // coarse_time.n_steps
 
-    blocks = _space_blocks(fine_mesh, coarse_mesh)
+    starts = _space_blocks(fine_mesh, coarse_mesh)[:-1]
     field = _interior_field(fine)
-    weighted = field * fine_mesh.cell_sizes
-    sums = np.add.reduceat(weighted, blocks[:-1], axis=1)
-    space_avg = sums / coarse_mesh.cell_sizes
     n_c = coarse_time.n_steps
-    return space_avg.reshape(n_c, m, coarse_mesh.num_cells).mean(axis=1)
+    cells = coarse_mesh.num_cells
+    slabs = max(1, _BLOCK_ELEMS // (m * field.shape[1]))
+    proj = np.empty((n_c, cells))
+    for j in range(0, n_c, slabs):
+        k = min(slabs, n_c - j)
+        weighted = field[j * m : (j + k) * m] * fine_mesh.cell_sizes
+        space_avg = np.add.reduceat(weighted, starts, axis=1) / coarse_mesh.cell_sizes
+        proj[j : j + k] = space_avg.reshape(k, m, cells).mean(axis=1)
+    return proj
 
 
 def project_time_series(series, m: int) -> np.ndarray:
@@ -187,8 +197,10 @@ def mass_balance_defects(traj: Trajectory, mesh: Mesh, params: ModelParams) -> n
     if not traj.is_contiguous():
         raise ValueError("mass balance check requires stride-1 storage")
     dt = traj.time_grid.dt
-    masses = np.array([s.L * np.dot(mesh.cell_sizes, s.u[1:-1]) for s in traj.states])
-    inflow = np.array([dt * (params.a - params.b * s.u[0]) for s in traj.states[1:]])
+    # One np.dot per row: a matrix-vector product would sum in another order.
+    h = mesh.cell_sizes
+    masses = np.array([Lj * np.dot(h, uj) for Lj, uj in zip(traj.L, traj.U[:, 1:-1])])
+    inflow = dt * (params.a - params.b * traj.U[1:, 0])
     return np.diff(masses) - inflow
 
 
@@ -239,7 +251,7 @@ def verify_trajectory(
     bracket, width bound and rate/velocity brackets are proved only in the
     forward wave regime and are skipped otherwise.
     """
-    closure_worst = max(s.closure_defect() for s in traj.states)
+    closure_worst = float(np.max(np.abs(traj.L - (traj.X1 - traj.X0))))
     closure = CheckResult(closure_worst <= 1e-8 * max(1.0, params.L0), closure_worst)
 
     defects = mass_balance_defects(traj, mesh, params)
@@ -262,7 +274,7 @@ def verify_trajectory(
         u_hi = -np.inf
         ok_width = True
         worst_width = worst_x1 = worst_dl = worst_v = 0.0
-        for _, U, X0, X1, L in step_blocks(traj.states):
+        for _, U, X0, X1, L in step_blocks(traj):
             u_lo = min(u_lo, float(U.min()))
             u_hi = max(u_hi, float(U.max()))
 
@@ -341,9 +353,7 @@ class ConvergenceReport:
 
 
 def _interface_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    x0 = np.array([s.X0 for s in traj.states[1:]])
-    x1 = np.array([s.X1 for s in traj.states[1:]])
-    return x0, x1
+    return traj.X0[1:], traj.X1[1:]
 
 
 def convergence_study(
@@ -460,17 +470,25 @@ def write_step_diagnostics(
     defects = mass_balance_defects(traj, mesh, params)
     with open(path, "w", newline="") as f:
         f.write("t,X0,X1,L,u0,uI1,d,mass_balance_defect\n")
-        times = traj.times
-        for i, s in enumerate(traj.states):
+        columns = zip(
+            traj.times,
+            traj.X0,
+            traj.X1,
+            traj.L,
+            traj.U[:, 0],
+            traj.U[:, -1],
+            (float("nan"), *defects),
+            traj.states,
+        )
+        for t, x0, x1, L, u0, u1, defect, s in columns:
             d = wave_distance(s, mesh, wave) if wave is not None else float("nan")
-            defect = defects[i - 1] if i >= 1 else float("nan")
             fields = [
-                format_float(times[i]),
-                format_float(s.X0),
-                format_float(s.X1),
-                format_float(s.L),
-                format_float(s.u[0]),
-                format_float(s.u[-1]),
+                format_float(t),
+                format_float(x0),
+                format_float(x1),
+                format_float(L),
+                format_float(u0),
+                format_float(u1),
                 format_float(d),
                 format_float(defect),
             ]

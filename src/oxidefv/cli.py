@@ -327,20 +327,28 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
     wave = regime.wave if regime.kind is RegimeKind.UNIQUE_WAVE else None
     with open(path, "w", newline="") as f:
         f.write("n,t,X0,X1,L,u0,uI1,d,newton_iters,residual_inf\n")
-        times = traj.times
-        for i, s in enumerate(traj.states):
-            n = traj.step_indices[i]
+        columns = zip(
+            traj.step_indices,
+            traj.times,
+            traj.X0,
+            traj.X1,
+            traj.L,
+            traj.U[:, 0],
+            traj.U[:, -1],
+            (0, *traj.newton_iters),
+            (float("nan"), *traj.residual_inf),
+            traj.states,
+        )
+        for n, t, x0, x1, L, u0, u1, iters, resid, s in columns:
             d = wave_distance(s, mesh, wave) if wave is not None else float("nan")
-            iters = traj.newton_iters[i - 1] if i >= 1 else 0
-            resid = traj.residual_inf[i - 1] if i >= 1 else float("nan")
             fields = [
                 str(n),
-                format_float(times[i]),
-                format_float(s.X0),
-                format_float(s.X1),
-                format_float(s.L),
-                format_float(s.u[0]),
-                format_float(s.u[-1]),
+                format_float(t),
+                format_float(x0),
+                format_float(x1),
+                format_float(L),
+                format_float(u0),
+                format_float(u1),
                 format_float(d),
                 str(iters),
                 format_float(resid),
@@ -353,7 +361,10 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, with_horizon: bool = True) -> RunConfig:
+    """The config of --preset or --config with the flags applied.  With
+    with_horizon False, --t-final is left to the caller: converge takes its
+    own horizon and builds its own time grids."""
     if args.config is not None:
         text = Path(args.config).read_text()
         config = parse_config(text)
@@ -367,7 +378,7 @@ def _load_config(args) -> RunConfig:
         overrides["cells"] = args.cells
     if args.dt is not None:
         overrides["dt"] = args.dt
-    if getattr(args, "t_final", None) is not None:
+    if with_horizon and getattr(args, "t_final", None) is not None:
         overrides["t_final"] = args.t_final
     if args.out is not None:
         overrides["out"] = args.out
@@ -474,10 +485,16 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, with_horizon=False)
     levels = args.levels if args.levels is not None else 3
     ref_level = args.ref_level if args.ref_level is not None else levels + 1
     t_final = args.t_final if args.t_final is not None else 0.2
+    if levels < 0:
+        raise ConfigError(f"--levels must be at least 0, got {levels}")
+    if ref_level <= levels:
+        raise ConfigError(f"--ref-level must exceed --levels, got {ref_level} <= {levels}")
+    if not (np.isfinite(t_final) and t_final > 0.0):
+        raise ConfigError(f"--t-final must be positive and finite, got {t_final!r}")
     try:
         report = convergence_study(
             config.params,

@@ -9,6 +9,7 @@ concentrations on the reference mesh plus the interface positions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -238,6 +239,14 @@ class State:
         arr.setflags(write=False)
         object.__setattr__(self, "u", arr)
 
+    @classmethod
+    def _view(cls, u: np.ndarray, X0, X1, L) -> "State":
+        """A State over the read-only row u of a trajectory, which holds
+        only validated states: no copy and no checks."""
+        state = object.__new__(cls)
+        state.__dict__.update(u=u, X0=X0, X1=X1, L=L)
+        return state
+
     @property
     def num_cells(self) -> int:
         return self.u.size - 2
@@ -308,61 +317,130 @@ class Termination:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Stored time levels of one run.
+    """Stored time levels of one run, in columns.
 
-    step_indices maps stored states to time-step indices (0 .. N'); with the
-    default storage stride of 1 it is simply 0, 1, ..., N'.  newton_iters
-    and residual_inf are aligned with states[1:].
+    U has one row of concentrations (length I+2) per stored state; X0, X1
+    and L are the matching interface positions and widths.  All four are
+    read-only.  step_indices maps stored rows to time-step indices
+    (0 .. N'); with the default storage stride of 1 it is simply
+    0, 1, ..., N'.  newton_iters and residual_inf are aligned with rows
+    1.. of U.
+
+    `states` and `final_state` present the rows as `State` objects: views
+    over the rows, neither copied nor validated again (see StateRows).
     """
 
-    states: tuple[State, ...]
+    U: np.ndarray
+    X0: np.ndarray
+    X1: np.ndarray
+    L: np.ndarray
     time_grid: TimeGrid
     termination: Termination
     step_indices: tuple[int, ...]
     newton_iters: tuple[int, ...]
     residual_inf: tuple[float, ...]
 
+    def __post_init__(self):
+        if self.U.ndim != 2 or self.U.shape[0] < 1 or self.U.shape[1] < 3:
+            raise ValueError("Trajectory.U must have shape (n, I+2) with n >= 1 and I >= 1")
+        rows = self.U.shape[0]
+        for col in (self.X0, self.X1, self.L):
+            if col.shape != (rows,):
+                raise ValueError("Trajectory: X0, X1 and L need one entry per row of U")
+        if len(self.step_indices) != rows:
+            raise ValueError("Trajectory: step_indices needs one entry per row of U")
+        if len(self.newton_iters) != rows - 1 or len(self.residual_inf) != rows - 1:
+            raise ValueError("Trajectory: newton_iters and residual_inf cover rows 1.. of U")
+        for arr in (self.U, self.X0, self.X1, self.L):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_states(
+        cls,
+        states,
+        time_grid: TimeGrid,
+        termination: Termination,
+        step_indices,
+        newton_iters,
+        residual_inf,
+    ) -> "Trajectory":
+        """A trajectory holding copies of the given states' data."""
+        return cls(
+            U=np.stack([s.u for s in states]),
+            X0=np.array([s.X0 for s in states], dtype=float),
+            X1=np.array([s.X1 for s in states], dtype=float),
+            L=np.array([s.L for s in states], dtype=float),
+            time_grid=time_grid,
+            termination=termination,
+            step_indices=tuple(step_indices),
+            newton_iters=tuple(newton_iters),
+            residual_inf=tuple(residual_inf),
+        )
+
     @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self.step_indices, dtype=float) * self.time_grid.dt
+    def states(self) -> "StateRows":
+        return StateRows(self)
 
     @property
     def final_state(self) -> State:
         return self.states[-1]
 
     @property
+    def times(self) -> np.ndarray:
+        return np.asarray(self.step_indices, dtype=float) * self.time_grid.dt
+
+    @property
     def completed(self) -> bool:
         return self.termination.kind is TerminationKind.COMPLETED
 
     def is_contiguous(self) -> bool:
-        ids = self.step_indices
-        return all(b - a == 1 for a, b in zip(ids[:-1], ids[1:]))
+        return bool(np.all(np.diff(self.step_indices) == 1))
 
 
-# Trajectory diagnostics stack consecutive states into 2-D blocks of at most
-# about this many entries, so their memory does not grow with the run length.
-# Larger blocks spend less Python overhead per step, but their temporaries
-# add to the peak: at 4096 the ledger of a 2000-step run at I = 100 raised
-# the process's peak RSS by 0.1-0.3 MB over a per-step replay; at 2048 it
-# stayed level.
+class StateRows(Sequence):
+    """The rows of a trajectory as a read-only sequence of `State` views.
+    Each view is made when it is read and is not kept, so reading the
+    states of a long run adds no memory that outlives the reader."""
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return self._traj.U.shape[0]
+
+    def __getitem__(self, index):
+        t = self._traj
+        if isinstance(index, slice):
+            return tuple(map(State._view, t.U[index], t.X0[index], t.X1[index], t.L[index]))
+        return State._view(t.U[index], t.X0[index], t.X1[index], t.L[index])
+
+    def __iter__(self):
+        t = self._traj
+        return map(State._view, t.U, t.X0, t.X1, t.L)
+
+
+# Trajectory diagnostics read consecutive rows in 2-D blocks of at most
+# about this many entries, so their temporaries do not grow with the run
+# length (project_reference reads whole coarse time slabs, at least one per
+# block).  Larger blocks spend less Python overhead per step, but their
+# temporaries add to the peak: at 4096 the ledger of a 2000-step run at
+# I = 100 raised the process's peak RSS by 0.1-0.3 MB over a per-step
+# replay; at 2048 it stayed level.
 _BLOCK_ELEMS = 2048
 
 
-def step_blocks(states):
+def step_blocks(traj: Trajectory):
     """Consecutive steps of a stored trajectory in blocks, as
-    (start, U, X0, X1, L): U stacks states[start : start + k + 1] row-wise
-    (shape (k+1, I+2)), so the block covers the k steps that end in its rows
-    1..k; X0, X1 and L are the matching length-(k+1) arrays.  A block holds
-    at most about _BLOCK_ELEMS entries.  A single stored state is yielded
-    as one block with k = 0.
+    (start, U, X0, X1, L): U is the view of rows start .. start + k of
+    traj.U (shape (k+1, I+2)), so the block covers the k steps that end in
+    its rows 1..k; X0, X1 and L are the matching length-(k+1) views.  A
+    block holds at most about _BLOCK_ELEMS entries.  A single stored state
+    is yielded as one block with k = 0.
     """
-    rows = max(1, _BLOCK_ELEMS // states[0].u.size)
-    for start in range(0, max(len(states) - 1, 1), rows):
-        chunk = states[start : start + rows + 1]
-        yield (
-            start,
-            np.stack([s.u for s in chunk]),
-            np.array([s.X0 for s in chunk]),
-            np.array([s.X1 for s in chunk]),
-            np.array([s.L for s in chunk]),
-        )
+    U = traj.U
+    rows = max(1, _BLOCK_ELEMS // U.shape[1])
+    for start in range(0, max(U.shape[0] - 1, 1), rows):
+        stop = start + rows + 1
+        yield start, U[start:stop], traj.X0[start:stop], traj.X1[start:stop], traj.L[start:stop]

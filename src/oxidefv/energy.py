@@ -306,20 +306,20 @@ def build_ledger(
 ) -> EnergyLedger:
     """Evaluate a stored trajectory (stride 1) into a complete ledger.
 
-    The steps are evaluated in blocks of consecutive states (`step_blocks`);
+    The steps are evaluated in blocks of consecutive rows (`step_blocks`);
     the result is bitwise equal to recording each step in turn with
     `total_free_energy_increment`.
     """
     if not traj.is_contiguous():
         raise ValueError("energy ledger requires a trajectory stored with stride 1")
     dt = traj.time_grid.dt
-    n = len(traj.states) - 1
+    n = traj.U.shape[0] - 1
     H = np.empty(n + 1)
     H_tot = np.empty(n + 1)
     d_bulk = np.empty(n)
     d_bound = np.empty(n)
     sums = np.zeros(3)
-    for start, U, X0, X1, L in step_blocks(traj.states):
+    for start, U, X0, X1, L in step_blocks(traj):
         stop = start + U.shape[0] - 1
         # Row 0 repeats the previous block's last state and running sums;
         # cumsum then adds in step order, as the per-step recording does.

@@ -529,7 +529,15 @@ def run(
     if first.num_cells != mesh.num_cells:
         raise ValueError("run: initial state does not match the mesh")
 
-    states = [first]
+    # Rows are written as steps are stored: step 0, every stride-th step
+    # and at most one more, the last step reached.  Rows a collapse never
+    # reaches are never touched.
+    rows = min(time_grid.n_steps + 1, time_grid.n_steps // stride + 2)
+    U = np.empty((rows, first.u.size))
+    X0 = np.empty(rows)
+    X1 = np.empty(rows)
+    L = np.empty(rows)
+    U[0], X0[0], X1[0], L[0] = first.u, first.X0, first.X1, first.L
     stored_steps = [0]
     newton_iters: list[int] = []
     residuals: list[float] = []
@@ -538,7 +546,8 @@ def run(
     last_result: tuple[State, int, int, float] | None = None
 
     def store(state, n, iters, resid):
-        states.append(state)
+        row = len(stored_steps)
+        U[row], X0[row], X1[row], L[row] = state.u, state.X0, state.X1, state.L
         stored_steps.append(n)
         newton_iters.append(iters)
         residuals.append(resid)
@@ -577,8 +586,12 @@ def run(
             termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n)
             break
 
+    kept = len(stored_steps)
     return Trajectory(
-        states=tuple(states),
+        U=U[:kept],
+        X0=X0[:kept],
+        X1=X1[:kept],
+        L=L[:kept],
         time_grid=time_grid,
         termination=termination,
         step_indices=tuple(stored_steps),

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oxidefv import (
     ExponentialProfile,
     InitialMode,
+    Mesh,
     ModelParams,
     State,
     Termination,
     TerminationKind,
     TimeGrid,
     Trajectory,
+    build_ledger,
+    builtin_densities,
     classify,
     convergence_study,
     h1_norm,
@@ -31,6 +36,7 @@ from oxidefv import (
     write_convergence_csv,
     write_step_diagnostics,
 )
+from oxidefv import analysis
 from oxidefv.analysis import project_time_series
 from conftest import make_tc1
 
@@ -40,8 +46,8 @@ def synthetic_trajectory(mesh, fields, dt):
         State(u=np.concatenate([[f[0]], f, [f[-1]]]), X0=0.0, X1=1.0, L=1.0)
         for f in fields
     )
-    return Trajectory(
-        states=states,
+    return Trajectory.from_states(
+        states,
         time_grid=TimeGrid.from_step(dt, len(fields) - 1),
         termination=Termination(TerminationKind.COMPLETED),
         step_indices=tuple(range(len(fields))),
@@ -158,6 +164,120 @@ class TestProjection:
             project_time_series([1.0, 2.0, 3.0], 2)
 
 
+def full_stack_projection(fine, fine_mesh, coarse_mesh, coarse_time):
+    """project_reference over the whole stacked fine field at once."""
+    m = fine.time_grid.n_steps // coarse_time.n_steps
+    field = np.stack([s.u[1:-1] for s in fine.states[1:]])
+    weighted = field * fine_mesh.cell_sizes
+    sums = np.add.reduceat(weighted, analysis._space_blocks(fine_mesh, coarse_mesh)[:-1], axis=1)
+    space_avg = sums / coarse_mesh.cell_sizes
+    return space_avg.reshape(coarse_time.n_steps, m, coarse_mesh.num_cells).mean(axis=1)
+
+
+class TestBlockedProjection:
+    """project_reference reads whole coarse time slabs a block at a time;
+    the result is that of the full-field formula, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "budget",
+        # one slab per block; 3 slabs per block, so that the last of
+        # the 14 blocks holds 1 of the 40 slabs; all 40 in one block
+        [1, 3 * 4 * 96, 1 << 30],
+    )
+    def test_uniform_nested_pair(self, budget, monkeypatch):
+        fine_mesh, coarse_mesh = uniform_mesh(96), uniform_mesh(24)
+        coarse_time = TimeGrid.from_step(0.04, 40)
+        rng = np.random.default_rng(44)
+        fields = list(rng.uniform(0.1, 2.0, (4 * 40 + 1, 96)))
+        traj = synthetic_trajectory(fine_mesh, fields, 0.01)
+        monkeypatch.setattr(analysis, "_BLOCK_ELEMS", budget)
+        got = project_reference(traj, fine_mesh, coarse_mesh, coarse_time)
+        want = full_stack_projection(traj, fine_mesh, coarse_mesh, coarse_time)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_uniform_nested_pair_with_partial_last_block(self):
+        rng = np.random.default_rng(45)
+        edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 119)), [1.0]))
+        fine_mesh = Mesh.from_edges(edges)
+        kept = np.sort(rng.choice(np.arange(1, 120), 29, replace=False))
+        coarse_mesh = Mesh.from_edges(edges[np.r_[0, kept, 120]])
+        m = 8
+        slabs = analysis._BLOCK_ELEMS // (m * 120)
+        n_c = 2 * slabs + 1
+        assert slabs > 1
+        coarse_time = TimeGrid.from_step(m * 1e-3, n_c)
+        fields = list(rng.uniform(0.1, 2.0, (m * n_c + 1, 120)))
+        traj = synthetic_trajectory(fine_mesh, fields, 1e-3)
+        got = project_reference(traj, fine_mesh, coarse_mesh, coarse_time)
+        want = full_stack_projection(traj, fine_mesh, coarse_mesh, coarse_time)
+        assert got.tobytes() == want.tobytes()
+
+    def test_reference_study_levels(self, tc1):
+        # the meshes and grids of a refinement study, on a solved trajectory
+        fine_mesh = uniform_mesh(200)
+        fine = run(tc1, fine_mesh, TimeGrid.from_horizon(0.05, 160))
+        for cells, steps in ((25, 10), (50, 40), (100, 160)):
+            coarse_mesh, coarse_time = uniform_mesh(cells), TimeGrid.from_horizon(0.05, steps)
+            got = project_reference(fine, fine_mesh, coarse_mesh, coarse_time)
+            want = full_stack_projection(fine, fine_mesh, coarse_mesh, coarse_time)
+            assert got.tobytes() == want.tobytes()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy's buffers included) during
+    fn(), above what was live before; fn runs once untraced first."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestDiagnosticsMemory:
+    """Diagnostics read bounded slices of the stored columns: none of them
+    may stack the whole field again."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(46)
+        rows, cells = 641, 400
+        L = 1.0 + 0.01 * np.cumsum(rng.uniform(-1.0, 1.0, rows))
+        X0 = 0.25 * np.arange(rows) * 1e-2
+        traj = Trajectory(
+            U=rng.uniform(0.5, 1.5, (rows, cells + 2)),
+            X0=X0,
+            X1=X0 + L,
+            L=L,
+            time_grid=TimeGrid.from_step(1e-2, rows - 1),
+            termination=Termination(TerminationKind.COMPLETED),
+            step_indices=tuple(range(rows)),
+            newton_iters=(1,) * (rows - 1),
+            residual_inf=(0.0,) * (rows - 1),
+        )
+        return traj, uniform_mesh(cells), make_tc1()
+
+    def test_project_reference(self, case):
+        traj, mesh, _ = case
+        coarse = uniform_mesh(100)
+        grid = TimeGrid.from_step(16e-2, 40)
+        peak = traced_peak(lambda: project_reference(traj, mesh, coarse, grid))
+        assert peak < traj.U.nbytes / 4
+
+    def test_build_ledger(self, case):
+        traj, mesh, params = case
+        for density in builtin_densities():
+            peak = traced_peak(lambda: build_ledger(traj, mesh, params, density))
+            assert peak < traj.U.nbytes / 4
+
+    def test_verify_trajectory(self, case):
+        traj, mesh, params = case
+        peak = traced_peak(lambda: verify_trajectory(traj, mesh, params))
+        assert peak < traj.U.nbytes / 4
+
+
 class TestBounds:
     def test_reference_case_bracket(self):
         m, M = linf_bounds(make_tc1(offset=2.0))
@@ -246,9 +366,11 @@ class TestVerification:
                   X1=s.X1 + rng.normal(0.0, 2e-2), L=s.L * scale)
             for s, scale in zip(traj.states, width_scale)
         )
-        noisy = Trajectory(states=states, time_grid=traj.time_grid,
-                           termination=traj.termination, step_indices=traj.step_indices,
-                           newton_iters=traj.newton_iters, residual_inf=traj.residual_inf)
+        noisy = Trajectory.from_states(states, time_grid=traj.time_grid,
+                                       termination=traj.termination,
+                                       step_indices=traj.step_indices,
+                                       newton_iters=traj.newton_iters,
+                                       residual_inf=traj.residual_inf)
         report = verify_trajectory(noisy, mesh, tc1)
 
         # the per-step definition of the same worst cases

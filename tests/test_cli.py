@@ -192,6 +192,34 @@ class TestMain:
         assert table[0].startswith("k,h,dt,err_w")
         assert len(table) == 2
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--levels", "3", "--ref-level", "2"], "--ref-level must exceed --levels"),
+            (["--levels", "2", "--ref-level", "2"], "--ref-level must exceed --levels"),
+            (["--levels", "-1"], "--levels must be at least 0"),
+            (["--levels", "0", "--t-final", "nan"], "--t-final must be positive and finite"),
+            (["--levels", "0", "--t-final", "0"], "--t-final must be positive and finite"),
+        ],
+    )
+    def test_converge_bad_levels_or_horizon_is_config_error(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "cv"
+        assert main(["converge", "--preset", "testcase1", *flags, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    def test_converge_horizon_need_not_be_a_multiple_of_dt(self, tmp_path, capsys):
+        # converge builds its own grids, t_final / (10 4^k): the preset's
+        # dt = 0.01 does not divide 0.123 and plays no part
+        out = tmp_path / "cv"
+        code = main(["converge", "--preset", "testcase1", "--levels", "0", "--ref-level", "1",
+                     "--t-final", "0.123", "--out", str(out)])
+        assert code == EXIT_OK
+        table = (out / "convergence.csv").read_text().splitlines()
+        assert len(table) == 2
+        assert table[1].split(",")[2] == "0.0123"
+
     def test_initial_mode_override(self, tmp_path, capsys):
         out_avg = tmp_path / "avg"
         out_smp = tmp_path / "smp"

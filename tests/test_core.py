@@ -11,11 +11,14 @@ from oxidefv import (
     ModelParams,
     State,
     TabulatedProfile,
+    TerminationKind,
     TimeGrid,
+    Trajectory,
     discretize_initial,
+    run,
     uniform_mesh,
 )
-from conftest import make_tc1
+from conftest import make_tc1, make_tc2
 
 
 class TestMesh:
@@ -221,3 +224,60 @@ class TestState:
         s = State(u=np.ones(4), X0=0.0, X1=1.0, L=1.0)
         with pytest.raises(ValueError):
             s.u[0] = 2.0
+
+
+class TestTrajectoryStorage:
+    """A trajectory stores its states in read-only columns; `states` are
+    views over the rows."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return run(make_tc1(), uniform_mesh(12), TimeGrid.from_step(1e-2, 5))
+
+    def test_columns(self, traj):
+        assert traj.U.shape == (6, 14)
+        assert traj.X0.shape == traj.X1.shape == traj.L.shape == (6,)
+        for arr in (traj.U, traj.X0, traj.X1, traj.L):
+            assert not arr.flags.writeable
+
+    def test_states_are_views_over_rows(self, traj):
+        assert len(traj.states) == 6
+        assert [s.L for s in traj.states[1:3]] == list(traj.L[1:3])
+        for i, s in enumerate(traj.states):
+            assert np.shares_memory(s.u, traj.U)
+            assert not s.u.flags.writeable
+            assert s.u.tobytes() == traj.U[i].tobytes()
+            assert (s.X0, s.X1, s.L) == (traj.X0[i], traj.X1[i], traj.L[i])
+        with pytest.raises(ValueError):
+            traj.states[2].u[0] = 1.0
+        final = traj.final_state
+        assert np.shares_memory(final.u, traj.U[-1]) and final.L == traj.L[-1]
+
+    def test_from_states_round_trip(self, traj):
+        copy = Trajectory.from_states(
+            traj.states, traj.time_grid, traj.termination, traj.step_indices,
+            traj.newton_iters, traj.residual_inf,
+        )
+        for name in ("U", "X0", "X1", "L"):
+            assert getattr(copy, name).tobytes() == getattr(traj, name).tobytes()
+        assert not np.shares_memory(copy.U, traj.U)
+
+    def test_mismatched_columns_rejected(self, traj):
+        fields = dict(U=traj.U, X0=traj.X0, X1=traj.X1, L=traj.L, time_grid=traj.time_grid,
+                      termination=traj.termination, step_indices=traj.step_indices,
+                      newton_iters=traj.newton_iters, residual_inf=traj.residual_inf)
+        for name, value in (("L", traj.L[:-1]), ("step_indices", traj.step_indices[:-1]),
+                            ("newton_iters", traj.newton_iters + (1,)), ("U", traj.U[0])):
+            with pytest.raises(ValueError):
+                Trajectory(**{**fields, name: value})
+
+    def test_collapse_keeps_only_reached_rows(self):
+        traj = run(make_tc2(), uniform_mesh(20), TimeGrid.from_step_and_horizon(1e-2, 3.5))
+        assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED
+        assert traj.U.shape == (len(traj.step_indices), 22)
+        assert traj.step_indices == tuple(range(traj.U.shape[0]))
+
+    def test_strided_storage(self):
+        traj = run(make_tc1(), uniform_mesh(8), TimeGrid.from_step(1e-2, 20), stride=7)
+        assert traj.step_indices == (0, 7, 14, 20)
+        assert traj.U.shape == (4, 10) and len(traj.newton_iters) == 3

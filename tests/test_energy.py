@@ -196,10 +196,10 @@ class TestLedger:
         states = tuple(State(u=u, X0=0.0, X1=1.0, L=1.0) for _ in range(3))
         from oxidefv import Termination, TerminationKind, Trajectory
 
-        traj = Trajectory(states=states, time_grid=TimeGrid.from_step(0.1, 2),
-                          termination=Termination(TerminationKind.COMPLETED),
-                          step_indices=(0, 1, 2), newton_iters=(1, 1),
-                          residual_inf=(0.0, 0.0))
+        traj = Trajectory.from_states(states, time_grid=TimeGrid.from_step(0.1, 2),
+                                      termination=Termination(TerminationKind.COMPLETED),
+                                      step_indices=(0, 1, 2), newton_iters=(1, 1),
+                                      residual_inf=(0.0, 0.0))
         for density in builtin_densities():
             ledger = build_ledger(traj, mesh, params, density)
             assert ledger.exchange_left_rate == 0.0
@@ -343,7 +343,7 @@ class TestSharedDensityEvaluation:
     def check(self, traj, mesh, params):
         dt = traj.time_grid.dt
         for density in builtin_densities():
-            for _, U, X0, X1, L in step_blocks(traj.states):
+            for _, U, X0, X1, L in step_blocks(traj):
                 theta, d_bulk, d_bound = edgewise_dissipation_rows(
                     U, X0, X1, L, mesh, dt, params, density
                 )
