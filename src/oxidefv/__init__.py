@@ -66,7 +66,6 @@ from .analysis import (
     wave_distance,
     width_rate_bounds,
     write_convergence_csv,
-    write_step_diagnostics,
 )
 
 __version__ = "0.1.0"

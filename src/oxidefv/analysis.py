@@ -86,8 +86,8 @@ def trajectory_norms(traj: Trajectory, mesh: Mesh) -> DiscreteNorms:
 def _interior_field(traj: Trajectory) -> np.ndarray:
     """Space-time field of interior cell values, one row per time slab
     (slab n carries the step-n state): a read-only view of traj.U."""
-    if not (traj.completed and traj.is_contiguous()):
-        raise ValueError("projection requires a completed trajectory stored with stride 1")
+    if not traj.completed:
+        raise ValueError("projection requires a completed trajectory")
     return traj.U[1:, 1:-1]
 
 
@@ -194,8 +194,6 @@ def sufficient_horizon(params: ModelParams) -> float | None:
 def mass_balance_defects(traj: Trajectory, mesh: Mesh, params: ModelParams) -> np.ndarray:
     """Per accepted step: L^n sum h u^n - L^{n-1} sum h u^{n-1}
     - dt (a - b u_0^n); vanishes for exact scheme solutions by telescoping."""
-    if not traj.is_contiguous():
-        raise ValueError("mass balance check requires stride-1 storage")
     dt = traj.time_grid.dt
     # One np.dot per row: a matrix-vector product would sum in another order.
     h = mesh.cell_sizes
@@ -455,41 +453,3 @@ def write_convergence_csv(report: ConvergenceReport, path) -> None:
             ]
             f.write(",".join(fields) + "\n")
 
-
-def write_step_diagnostics(
-    traj: Trajectory,
-    mesh: Mesh,
-    params: ModelParams,
-    path,
-) -> None:
-    """Per-step diagnostics CSV: t, X0, X1, L, u0, uI1, d, mass_balance_defect.
-
-    The wave distance column is nan when the parameters admit no wave."""
-    regime = classify(params)
-    wave = regime.wave if regime.kind is RegimeKind.UNIQUE_WAVE else None
-    defects = mass_balance_defects(traj, mesh, params)
-    with open(path, "w", newline="") as f:
-        f.write("t,X0,X1,L,u0,uI1,d,mass_balance_defect\n")
-        columns = zip(
-            traj.times,
-            traj.X0,
-            traj.X1,
-            traj.L,
-            traj.U[:, 0],
-            traj.U[:, -1],
-            (float("nan"), *defects),
-            traj.states,
-        )
-        for t, x0, x1, L, u0, u1, defect, s in columns:
-            d = wave_distance(s, mesh, wave) if wave is not None else float("nan")
-            fields = [
-                format_float(t),
-                format_float(x0),
-                format_float(x1),
-                format_float(L),
-                format_float(u0),
-                format_float(u1),
-                format_float(d),
-                format_float(defect),
-            ]
-            f.write(",".join(fields) + "\n")

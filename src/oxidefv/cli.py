@@ -328,7 +328,6 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
     with open(path, "w", newline="") as f:
         f.write("n,t,X0,X1,L,u0,uI1,d,newton_iters,residual_inf\n")
         columns = zip(
-            traj.step_indices,
             traj.times,
             traj.X0,
             traj.X1,
@@ -339,7 +338,7 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
             (float("nan"), *traj.residual_inf),
             traj.states,
         )
-        for n, t, x0, x1, L, u0, u1, iters, resid, s in columns:
+        for n, (t, x0, x1, L, u0, u1, iters, resid, s) in enumerate(columns):
             d = wave_distance(s, mesh, wave) if wave is not None else float("nan")
             fields = [
                 str(n),
@@ -363,8 +362,8 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
 
 def _load_config(args, with_horizon: bool = True) -> RunConfig:
     """The config of --preset or --config with the flags applied.  With
-    with_horizon False, --t-final is left to the caller: converge takes its
-    own horizon and builds its own time grids."""
+    with_horizon False, --dt and --t-final are neither applied nor checked:
+    converge takes its own horizon and builds its own time grids."""
     if args.config is not None:
         text = Path(args.config).read_text()
         config = parse_config(text)
@@ -376,7 +375,7 @@ def _load_config(args, with_horizon: bool = True) -> RunConfig:
     overrides = {}
     if args.cells is not None:
         overrides["cells"] = args.cells
-    if args.dt is not None:
+    if with_horizon and args.dt is not None:
         overrides["dt"] = args.dt
     if with_horizon and getattr(args, "t_final", None) is not None:
         overrides["t_final"] = args.t_final
@@ -495,6 +494,13 @@ def _cmd_converge(args) -> int:
         raise ConfigError(f"--ref-level must exceed --levels, got {ref_level} <= {levels}")
     if not (np.isfinite(t_final) and t_final > 0.0):
         raise ConfigError(f"--t-final must be positive and finite, got {t_final!r}")
+    # The reference level has the study's smallest step, t_final / (10 * 4^ref_level).
+    try:
+        TimeGrid.from_horizon(t_final, 10 * 4**ref_level)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"--t-final {t_final!r} at --ref-level {ref_level} gives no usable time step: {exc}"
+        ) from exc
     try:
         report = convergence_study(
             config.params,

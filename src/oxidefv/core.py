@@ -319,12 +319,11 @@ class Termination:
 class Trajectory:
     """Stored time levels of one run, in columns.
 
-    U has one row of concentrations (length I+2) per stored state; X0, X1
+    U has one row of concentrations (length I+2) per time step reached:
+    row n is the state after step n (row 0 the initial state).  X0, X1
     and L are the matching interface positions and widths.  All four are
-    read-only.  step_indices maps stored rows to time-step indices
-    (0 .. N'); with the default storage stride of 1 it is simply
-    0, 1, ..., N'.  newton_iters and residual_inf are aligned with rows
-    1.. of U.
+    read-only.  newton_iters and residual_inf are aligned with rows 1.. of
+    U.
 
     `states` and `final_state` present the rows as `State` objects: views
     over the rows, neither copied nor validated again (see StateRows).
@@ -336,7 +335,6 @@ class Trajectory:
     L: np.ndarray
     time_grid: TimeGrid
     termination: Termination
-    step_indices: tuple[int, ...]
     newton_iters: tuple[int, ...]
     residual_inf: tuple[float, ...]
 
@@ -347,8 +345,6 @@ class Trajectory:
         for col in (self.X0, self.X1, self.L):
             if col.shape != (rows,):
                 raise ValueError("Trajectory: X0, X1 and L need one entry per row of U")
-        if len(self.step_indices) != rows:
-            raise ValueError("Trajectory: step_indices needs one entry per row of U")
         if len(self.newton_iters) != rows - 1 or len(self.residual_inf) != rows - 1:
             raise ValueError("Trajectory: newton_iters and residual_inf cover rows 1.. of U")
         for arr in (self.U, self.X0, self.X1, self.L):
@@ -360,7 +356,6 @@ class Trajectory:
         states,
         time_grid: TimeGrid,
         termination: Termination,
-        step_indices,
         newton_iters,
         residual_inf,
     ) -> "Trajectory":
@@ -372,7 +367,6 @@ class Trajectory:
             L=np.array([s.L for s in states], dtype=float),
             time_grid=time_grid,
             termination=termination,
-            step_indices=tuple(step_indices),
             newton_iters=tuple(newton_iters),
             residual_inf=tuple(residual_inf),
         )
@@ -387,14 +381,11 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray(self.step_indices, dtype=float) * self.time_grid.dt
+        return np.arange(self.U.shape[0]) * self.time_grid.dt
 
     @property
     def completed(self) -> bool:
         return self.termination.kind is TerminationKind.COMPLETED
-
-    def is_contiguous(self) -> bool:
-        return bool(np.all(np.diff(self.step_indices) == 1))
 
 
 class StateRows(Sequence):

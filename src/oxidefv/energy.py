@@ -304,14 +304,12 @@ def build_ledger(
     params: ModelParams,
     density: ConvexDensity,
 ) -> EnergyLedger:
-    """Evaluate a stored trajectory (stride 1) into a complete ledger.
+    """Evaluate a stored trajectory into a complete ledger.
 
     The steps are evaluated in blocks of consecutive rows (`step_blocks`);
     the result is bitwise equal to recording each step in turn with
     `total_free_energy_increment`.
     """
-    if not traj.is_contiguous():
-        raise ValueError("energy ledger requires a trajectory stored with stride 1")
     dt = traj.time_grid.dt
     n = traj.U.shape[0] - 1
     H = np.empty(n + 1)

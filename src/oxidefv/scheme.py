@@ -508,18 +508,12 @@ def run(
     opts: SolverOptions = SolverOptions(),
     initial_mode: InitialMode = InitialMode.CELL_AVERAGE,
     initial_state: State | None = None,
-    stride: int = 1,
 ) -> Trajectory:
     """Iterate the implicit step over the time grid, escalating Newton
     solves that fail to converge to the continuation solver, and stopping
     early when the width collapses.  A collapse at a step that cannot be
     taken is located by _bracket_collapse and reported in the termination.
-
-    stride > 1 thins storage (step 0 and the last reached step are always
-    kept); per-step diagnostics require the default stride of 1.
     """
-    if stride < 1:
-        raise ValueError("run: stride must be at least 1")
     floor = opts.resolved_floor(params)
     first = (
         initial_state
@@ -529,28 +523,18 @@ def run(
     if first.num_cells != mesh.num_cells:
         raise ValueError("run: initial state does not match the mesh")
 
-    # Rows are written as steps are stored: step 0, every stride-th step
-    # and at most one more, the last step reached.  Rows a collapse never
-    # reaches are never touched.
-    rows = min(time_grid.n_steps + 1, time_grid.n_steps // stride + 2)
+    # Row n holds the state after step n.  Rows a collapse never reaches
+    # are never touched.
+    rows = time_grid.n_steps + 1
     U = np.empty((rows, first.u.size))
     X0 = np.empty(rows)
     X1 = np.empty(rows)
     L = np.empty(rows)
     U[0], X0[0], X1[0], L[0] = first.u, first.X0, first.X1, first.L
-    stored_steps = [0]
     newton_iters: list[int] = []
     residuals: list[float] = []
     termination = Termination(TerminationKind.COMPLETED)
     prev = first
-    last_result: tuple[State, int, int, float] | None = None
-
-    def store(state, n, iters, resid):
-        row = len(stored_steps)
-        U[row], X0[row], X1[row], L[row] = state.u, state.X0, state.X1, state.L
-        stored_steps.append(n)
-        newton_iters.append(iters)
-        residuals.append(resid)
 
     dt = time_grid.dt
     for n in range(1, time_grid.n_steps + 1):
@@ -569,24 +553,20 @@ def run(
                 )
             else:
                 termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
-            if stored_steps[-1] != n - 1 and last_result is not None:
-                store(*last_result)
             break
         state = result.state
         if state.closure_defect() > 1e-6 * max(1.0, state.L):
             termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
             break
         prev = state
-        last_result = (state, n, result.iterations, result.residual_inf)
-        if n % stride == 0 or n == time_grid.n_steps:
-            store(*last_result)
+        U[n], X0[n], X1[n], L[n] = state.u, state.X0, state.X1, state.L
+        newton_iters.append(result.iterations)
+        residuals.append(result.residual_inf)
         if state.L <= 2.0 * floor:
-            if stored_steps[-1] != n:
-                store(*last_result)
             termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n)
             break
 
-    kept = len(stored_steps)
+    kept = len(newton_iters) + 1
     return Trajectory(
         U=U[:kept],
         X0=X0[:kept],
@@ -594,7 +574,6 @@ def run(
         L=L[:kept],
         time_grid=time_grid,
         termination=termination,
-        step_indices=tuple(stored_steps),
         newton_iters=tuple(newton_iters),
         residual_inf=tuple(residuals),
     )

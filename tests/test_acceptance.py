@@ -117,7 +117,7 @@ def test_criterion_01_travelling_wave_exactness():
     traj = run(params, mesh, TimeGrid.from_step(dt, 100), initial_state=state)
     assert traj.completed
     worst_u = worst_x0 = worst_x1 = 0.0
-    for n, s in zip(traj.step_indices[1:], traj.states[1:]):
+    for n, s in enumerate(traj.states[1:], start=1):
         worst_u = max(worst_u, float(np.abs(s.u - target).max()))
         worst_x0 = max(worst_x0, abs(s.X0 - wave.c_hat * n * dt))
         worst_x1 = max(worst_x1, abs(s.X1 - (wave.L_hat + wave.c_hat * n * dt)))

@@ -34,7 +34,6 @@ from oxidefv import (
     wave_profile_on_mesh,
     width_rate_bounds,
     write_convergence_csv,
-    write_step_diagnostics,
 )
 from oxidefv import analysis
 from oxidefv.analysis import project_time_series
@@ -50,7 +49,6 @@ def synthetic_trajectory(mesh, fields, dt):
         states,
         time_grid=TimeGrid.from_step(dt, len(fields) - 1),
         termination=Termination(TerminationKind.COMPLETED),
-        step_indices=tuple(range(len(fields))),
         newton_iters=tuple(1 for _ in fields[1:]),
         residual_inf=tuple(0.0 for _ in fields[1:]),
     )
@@ -253,7 +251,6 @@ class TestDiagnosticsMemory:
             L=L,
             time_grid=TimeGrid.from_step(1e-2, rows - 1),
             termination=Termination(TerminationKind.COMPLETED),
-            step_indices=tuple(range(rows)),
             newton_iters=(1,) * (rows - 1),
             residual_inf=(0.0,) * (rows - 1),
         )
@@ -368,7 +365,6 @@ class TestVerification:
         )
         noisy = Trajectory.from_states(states, time_grid=traj.time_grid,
                                        termination=traj.termination,
-                                       step_indices=traj.step_indices,
                                        newton_iters=traj.newton_iters,
                                        residual_inf=traj.residual_inf)
         report = verify_trajectory(noisy, mesh, tc1)
@@ -457,24 +453,3 @@ class TestConvergenceStudy:
         assert lines[0] == "k,h,dt,err_w,rate_w,err_x0,rate_x0,err_x1,rate_x1"
         assert len(lines) == 3
         assert lines[1].split(",")[4] == ""  # no rate on the coarsest level
-
-
-class TestStepDiagnostics:
-    def test_csv_contents(self, tc1, tmp_path):
-        mesh = uniform_mesh(20)
-        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 4))
-        path = tmp_path / "steps.csv"
-        write_step_diagnostics(traj, mesh, tc1, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,X0,X1,L,u0,uI1,d,mass_balance_defect"
-        assert len(lines) == 6
-        row0 = lines[1].split(",")
-        assert row0[7] == "nan"  # no defect defined at n = 0
-        assert float(lines[2].split(",")[6]) >= 0.0
-
-    def test_no_wave_distance_is_nan(self, tc2, tmp_path):
-        mesh = uniform_mesh(20)
-        traj = run(tc2, mesh, TimeGrid.from_step(1e-2, 3))
-        path = tmp_path / "steps2.csv"
-        write_step_diagnostics(traj, mesh, tc2, path)
-        assert path.read_text().splitlines()[1].split(",")[6] == "nan"

@@ -1,8 +1,10 @@
 """The benchmark traces layers by wrapping module attributes from outside
-(`perfbench/worker.py`) and reads attributes of the trajectories `run()`
-returns; a refactor that drops one of those names would break the
-benchmark without any test failing.  Check each name still exists."""
+(`perfbench/worker.py`), calls module attributes directly and reads
+attributes of the trajectories `run()` returns; a refactor that drops one
+of those names would break the benchmark without any test failing.  Check
+each name still exists."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -12,12 +14,35 @@ import pytest
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 _WRAP = re.compile(r'tracer\.wrap\(\s*(\w+)\s*,\s*"(\w+)"')
 _TRAJ_READ = re.compile(r"\btraj\.(\w+)")
+_MODULES = ("analysis", "cli", "core", "energy", "scheme")
 
 
 def wrapped_names():
     if not WORKER.is_file():
         return []
     return _WRAP.findall(WORKER.read_text())
+
+
+def module_reads():
+    """(module, name) for each `<module>.<name>` the worker's code reads,
+    directly or through an attribute (`case.scheme.run`).  The worker's
+    metric names ("scheme.newton") are strings, not reads, and are skipped."""
+    if not WORKER.is_file():
+        return []
+    reads = set()
+    for node in ast.walk(ast.parse(WORKER.read_text())):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name):
+            module = base.id
+        elif isinstance(base, ast.Attribute):
+            module = base.attr
+        else:
+            continue
+        if module in _MODULES:
+            reads.add((module, node.attr))
+    return sorted(reads)
 
 
 def trajectory_reads():
@@ -36,6 +61,19 @@ def test_worker_declares_wraps():
 def test_wrapped_name_exists(module, name):
     mod = importlib.import_module(f"oxidefv.{module}")
     assert hasattr(mod, name), f"oxidefv.{module}.{name} is traced by the benchmark but missing"
+
+
+def test_worker_reads_modules():
+    if not WORKER.is_file():
+        pytest.skip("perfbench/worker.py is absent")
+    assert {("cli", "_write_steps_csv"), ("core", "discretize_initial"),
+            ("scheme", "run")} <= set(module_reads())
+
+
+@pytest.mark.parametrize("module,name", module_reads())
+def test_module_read_exists(module, name):
+    mod = importlib.import_module(f"oxidefv.{module}")
+    assert hasattr(mod, name), f"oxidefv.{module}.{name} is called by the benchmark but missing"
 
 
 def test_worker_reads_trajectories():

@@ -3,7 +3,18 @@ from dataclasses import replace
 
 import pytest
 
-from oxidefv import ExponentialProfile, StepStatus, TabulatedProfile, cli, scheme
+from oxidefv import (
+    ExponentialProfile,
+    StepStatus,
+    TabulatedProfile,
+    TimeGrid,
+    classify,
+    cli,
+    run,
+    scheme,
+    uniform_mesh,
+    wave_distance,
+)
 from oxidefv.cli import (
     ConfigError,
     EXIT_COLLAPSE,
@@ -14,6 +25,7 @@ from oxidefv.cli import (
     parse_config,
     render_config,
 )
+from oxidefv.formatting import format_float
 
 
 class TestParseConfig:
@@ -151,12 +163,24 @@ class TestMain:
         profile = (out1 / "profile_final.csv").read_text().splitlines()
         assert profile[0] == "i,xi_center,x_physical,u"
         assert len(profile) == 19
+        # line n is step n; d is the wave distance of that step's state
+        params = parse_config(json.dumps({"preset": "testcase1"})).params
+        mesh = uniform_mesh(16)
+        traj = run(params, mesh, TimeGrid.from_step_and_horizon(1e-2, 0.1))
+        wave = classify(params).wave
+        for n, (line, state) in enumerate(zip(steps[1:], traj.states)):
+            fields = line.split(",")
+            assert fields[0] == str(n)
+            assert fields[7] == format_float(wave_distance(state, mesh, wave))
 
     def test_simulate_collapse_exit_code(self, tmp_path, capsys):
         code = main(["simulate", "--preset", "testcase2", "--out", str(tmp_path / "c")])
         assert code == EXIT_COLLAPSE
         assert "width collapsed" in capsys.readouterr().out
-        assert (tmp_path / "c" / "steps.csv").exists()
+        steps = (tmp_path / "c" / "steps.csv").read_text().splitlines()[1:]
+        assert len(steps) == 149
+        # testcase2 admits no travelling wave
+        assert all(line.split(",")[7] == "nan" for line in steps)
 
     def test_energy_writes_ledger(self, tmp_path, capsys):
         code = main(["energy", "--preset", "testcase1", "--cells", "16",
@@ -200,6 +224,8 @@ class TestMain:
             (["--levels", "-1"], "--levels must be at least 0"),
             (["--levels", "0", "--t-final", "nan"], "--t-final must be positive and finite"),
             (["--levels", "0", "--t-final", "0"], "--t-final must be positive and finite"),
+            (["--levels", "0", "--ref-level", "1", "--t-final", "1e-310"], "1/dt overflows"),
+            (["--levels", "0", "--ref-level", "600"], "gives no usable time step"),
         ],
     )
     def test_converge_bad_levels_or_horizon_is_config_error(self, flags, message, tmp_path, capsys):
@@ -219,6 +245,14 @@ class TestMain:
         table = (out / "convergence.csv").read_text().splitlines()
         assert len(table) == 2
         assert table[1].split(",")[2] == "0.0123"
+
+    def test_converge_ignores_dt(self, tmp_path, capsys):
+        # --dt = 0.3 does not divide the preset's horizon 20; converge uses no dt
+        out = tmp_path / "cv"
+        code = main(["converge", "--preset", "testcase1", "--levels", "0", "--ref-level", "1",
+                     "--dt", "0.3", "--out", str(out)])
+        assert code == EXIT_OK
+        assert len((out / "convergence.csv").read_text().splitlines()) == 2
 
     def test_initial_mode_override(self, tmp_path, capsys):
         out_avg = tmp_path / "avg"

@@ -255,8 +255,8 @@ class TestTrajectoryStorage:
 
     def test_from_states_round_trip(self, traj):
         copy = Trajectory.from_states(
-            traj.states, traj.time_grid, traj.termination, traj.step_indices,
-            traj.newton_iters, traj.residual_inf,
+            traj.states, traj.time_grid, traj.termination, traj.newton_iters,
+            traj.residual_inf,
         )
         for name in ("U", "X0", "X1", "L"):
             assert getattr(copy, name).tobytes() == getattr(traj, name).tobytes()
@@ -264,20 +264,20 @@ class TestTrajectoryStorage:
 
     def test_mismatched_columns_rejected(self, traj):
         fields = dict(U=traj.U, X0=traj.X0, X1=traj.X1, L=traj.L, time_grid=traj.time_grid,
-                      termination=traj.termination, step_indices=traj.step_indices,
-                      newton_iters=traj.newton_iters, residual_inf=traj.residual_inf)
-        for name, value in (("L", traj.L[:-1]), ("step_indices", traj.step_indices[:-1]),
-                            ("newton_iters", traj.newton_iters + (1,)), ("U", traj.U[0])):
+                      termination=traj.termination, newton_iters=traj.newton_iters,
+                      residual_inf=traj.residual_inf)
+        for name, value in (("L", traj.L[:-1]), ("newton_iters", traj.newton_iters + (1,)),
+                            ("U", traj.U[0])):
             with pytest.raises(ValueError):
                 Trajectory(**{**fields, name: value})
 
-    def test_collapse_keeps_only_reached_rows(self):
-        traj = run(make_tc2(), uniform_mesh(20), TimeGrid.from_step_and_horizon(1e-2, 3.5))
-        assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED
-        assert traj.U.shape == (len(traj.step_indices), 22)
-        assert traj.step_indices == tuple(range(traj.U.shape[0]))
-
-    def test_strided_storage(self):
-        traj = run(make_tc1(), uniform_mesh(8), TimeGrid.from_step(1e-2, 20), stride=7)
-        assert traj.step_indices == (0, 7, 14, 20)
-        assert traj.U.shape == (4, 10) and len(traj.newton_iters) == 3
+    def test_collapse_keeps_only_reached_rows(self, traj):
+        collapsed = run(make_tc2(), uniform_mesh(20), TimeGrid.from_step_and_horizon(1e-2, 3.5))
+        assert collapsed.termination.kind is TerminationKind.WIDTH_COLLAPSED
+        rows = len(collapsed.newton_iters) + 1
+        assert collapsed.U.shape == (rows, 22)
+        assert rows < collapsed.time_grid.n_steps + 1
+        # row n is step n: a completed run has a row for every step
+        assert traj.completed and traj.U.shape[0] == traj.time_grid.n_steps + 1
+        for t in (collapsed, traj):
+            assert t.times.tobytes() == t.time_grid.times[: t.U.shape[0]].tobytes()

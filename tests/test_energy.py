@@ -198,7 +198,7 @@ class TestLedger:
 
         traj = Trajectory.from_states(states, time_grid=TimeGrid.from_step(0.1, 2),
                                       termination=Termination(TerminationKind.COMPLETED),
-                                      step_indices=(0, 1, 2), newton_iters=(1, 1),
+                                      newton_iters=(1, 1),
                                       residual_inf=(0.0, 0.0))
         for density in builtin_densities():
             ledger = build_ledger(traj, mesh, params, density)
@@ -260,12 +260,6 @@ class TestLedger:
             d_tot = np.array(ledger.D_bulk[1:]) + np.array(ledger.D_bound[1:])
             assert np.max(np.diff(h_tot) / dt + d_tot) <= 1e-9
             assert np.all(np.diff(h_tot) <= 1e-9)
-
-    def test_requires_contiguous_storage(self, tc1):
-        mesh = uniform_mesh(20)
-        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 10), stride=5)
-        with pytest.raises(ValueError):
-            build_ledger(traj, mesh, tc1, quadratic())
 
     def test_csv_export(self, tc1, tmp_path):
         mesh = uniform_mesh(20)

@@ -517,7 +517,6 @@ class TestRun:
         traj = run(tc1, mesh, TimeGrid.from_step_and_horizon(1e-2, 0.5))
         assert traj.completed
         assert len(traj.states) == 51
-        assert traj.is_contiguous()
         assert all(s.closure_defect() <= 1e-9 for s in traj.states)
         assert max(traj.residual_inf) <= 1e-9
 
@@ -527,12 +526,6 @@ class TestRun:
         traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 10), initial_state=s0)
         assert traj.completed
         assert np.abs(traj.final_state.u - s0.u).max() <= 1e-10
-
-    def test_stride_storage(self, tc1):
-        mesh = uniform_mesh(30)
-        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 20), stride=7)
-        assert traj.step_indices == (0, 7, 14, 20)
-        assert not traj.is_contiguous()
 
     def test_offset_profile_respects_active_bracket(self):
         # offset initial data touches both bracket ends: sup u^init = M = 3
@@ -615,7 +608,7 @@ class TestCollapseEvent:
             assert term.kind is TerminationKind.WIDTH_COLLAPSED
             n = term.step
             prev = traj.final_state
-            assert traj.step_indices[-1] == n - 1
+            assert len(traj.states) - 1 == n - 1
             # the terminal step: Newton flags the collapse, and the
             # continuation from the same state does not converge either
             assert newton_step_solve(prev, mesh, dt, params).status is StepStatus.WIDTH_COLLAPSED
@@ -710,7 +703,7 @@ class TestCollapseEvent:
         traj = run(tc2, uniform_mesh(30), TimeGrid.from_step_and_horizon(1e-2, 3.5),
                    SolverOptions(width_floor=0.05))
         assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED
-        assert traj.termination.step == traj.step_indices[-1]
+        assert traj.termination.step == len(traj.states) - 1
         assert traj.final_state.L <= 2.0 * 0.05
         assert traj.termination.bracket is None
 
