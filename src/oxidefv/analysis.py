@@ -5,6 +5,7 @@ bounds."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,10 +351,6 @@ class ConvergenceReport:
     t_final: float
 
 
-def _interface_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    return traj.X0[1:], traj.X1[1:]
-
-
 def convergence_study(
     params: ModelParams,
     max_level: int = 3,
@@ -368,28 +365,47 @@ def convergence_study(
     base_steps * 4^k steps; the finest level serves as reference.  Profile
     errors are space-time L2 distances to the projected reference; interface
     errors are sup-in-time distances to the time-projected reference, with
-    rates taken w.r.t. the time step."""
+    rates taken w.r.t. the time step.  A reference level whose time step is
+    unusable, or whose stored concentrations would not fit in physical
+    memory, is rejected with ValueError before any mesh is built."""
     if ref_level <= max_level:
         raise ValueError("convergence_study: ref_level must exceed max_level")
 
-    def level_setup(k: int) -> tuple[Mesh, TimeGrid]:
-        return (
-            uniform_mesh(base_cells * 2**k),
-            TimeGrid.from_horizon(t_final, base_steps * 4**k),
+    def level_cells(k: int) -> int:
+        return base_cells * 2**k
+
+    def level_grid(k: int) -> TimeGrid:
+        return TimeGrid.from_horizon(t_final, base_steps * 4**k)
+
+    # The reference level has the study's smallest step and largest
+    # trajectory; check both before any mesh is built.
+    try:
+        ref_grid = level_grid(ref_level)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"convergence_study: t_final {t_final!r} at reference level {ref_level} "
+            f"gives no usable time step: {exc}"
+        ) from exc
+    ref_bytes = (ref_grid.n_steps + 1) * (level_cells(ref_level) + 2) * 8
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if ref_bytes > memory:
+        raise ValueError(
+            f"convergence_study: reference level {ref_level} would store {ref_bytes} bytes "
+            f"of concentrations, more than the {memory} bytes of physical memory"
         )
 
-    ref_mesh, ref_grid = level_setup(ref_level)
+    ref_mesh = uniform_mesh(level_cells(ref_level))
     ref_traj = run(params, ref_mesh, ref_grid, opts, initial_mode)
     if not ref_traj.completed:
         raise RuntimeError(f"convergence_study: reference level {ref_level} did not complete")
-    ref_x0, ref_x1 = _interface_series(ref_traj)
+    ref_x0, ref_x1 = ref_traj.X0[1:], ref_traj.X1[1:]
 
     rows = []
     prev_err = None
     prev_h = None
     prev_dt = None
     for k in range(max_level + 1):
-        mesh, grid = level_setup(k)
+        mesh, grid = uniform_mesh(level_cells(k)), level_grid(k)
         traj = run(params, mesh, grid, opts, initial_mode)
         if not traj.completed:
             raise RuntimeError(f"convergence_study: level {k} did not complete")
@@ -399,7 +415,7 @@ def convergence_study(
         diff = field - proj
         err_w = float(np.sqrt(grid.dt * np.sum((diff * diff) @ mesh.cell_sizes)))
         m = ref_grid.n_steps // grid.n_steps
-        x0, x1 = _interface_series(traj)
+        x0, x1 = traj.X0[1:], traj.X1[1:]
         err_x0 = float(np.abs(x0 - project_time_series(ref_x0, m)).max())
         err_x1 = float(np.abs(x1 - project_time_series(ref_x1, m)).max())
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,26 +45,18 @@ _MODEL_KEYS = ("a", "b", "alpha0", "beta0", "alpha1", "beta1", "R", "L0")
 _EXP_KEYS = ("u_init_c1", "u_init_c2", "u_init_c3")
 _TABLE_KEYS = ("u_init_x", "u_init_values")
 _RUN_KEYS = ("cells", "dt", "t_final")
-_OPTIONAL_DEFAULTS = {
-    "initial_mode": "average",
-    "newton_tol": 1e-10,
-    "max_newton_iters": 50,
-    "homotopy_steps": 16,
-    "width_floor": None,
-    "out": "out",
-    "experiment": "simulate",
-}
-_EXPERIMENTS = ("simulate", "tw", "energy", "converge")
+_SOLVER_KEYS = ("newton_tol", "max_newton_iters", "width_floor")
+_OPTIONAL_DEFAULTS = {"initial_mode": "average", "out": "out"}
 
 
 class ConfigError(ValueError):
-    """Configuration problem with a line-anchored message."""
+    """Configuration problem with a message that names its line or flag."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated run description: model parameters, discretization,
-    initial-data mode, solver options, output directory and experiment."""
+    initial-data mode, solver options and output directory."""
 
     params: ModelParams
     cells: int
@@ -73,18 +65,12 @@ class RunConfig:
     initial_mode: InitialMode
     solver: SolverOptions
     out: str
-    experiment: str
-
-
-def _wave_speed_estimate(a, b, alpha0, beta0, R):
-    # Speed of the exponential reference profile used by all presets.
-    return (alpha0 - beta0 * a / b) / R
 
 
 def _preset(a, b, alpha0, beta0, alpha1, beta1, R, L0, t_final):
     # Every preset starts from the exponential reference profile
     # (a/b) exp(-R c x) on [0, L0].
-    c_hat = _wave_speed_estimate(a, b, alpha0, beta0, R)
+    c_hat = (alpha0 - beta0 * a / b) / R
     return {
         "a": a,
         "b": b,
@@ -118,36 +104,46 @@ def _key_line(text: str, key: str) -> int:
     return 1
 
 
-def _expect_number(raw: dict, key: str, text: str) -> float:
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"line {_key_line(text, key)}: {key} must be a number")
-    return float(value)
+def _finite_number(value) -> bool:
+    # the bound rejects nan, inf and an integer too large for a float
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
 
 
-def _expect_int(raw: dict, key: str, text: str) -> int:
+def _expect_number(raw: dict, key: str, where) -> float:
+    if not _finite_number(raw[key]):
+        raise ConfigError(f"{where(key)}: {key} must be a finite number")
+    return float(raw[key])
+
+
+def _expect_int(raw: dict, key: str, where) -> int:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"line {_key_line(text, key)}: {key} must be an integer")
+        raise ConfigError(f"{where(key)}: {key} must be an integer")
     return value
 
 
-def _build_config(raw: dict, text: str) -> RunConfig:
-    known = set(_MODEL_KEYS) | set(_RUN_KEYS) | set(_OPTIONAL_DEFAULTS) | {
-        "u_init_kind",
-        *_EXP_KEYS,
-        *_TABLE_KEYS,
-        "preset",
-    }
+def _build_config(raw: dict, text: str, flags=()) -> RunConfig:
+    """Validate the merged key set.  A key in flags came from the command
+    line, and its errors name the flag; any other key's errors name its line
+    in text."""
+
+    def where(key: str) -> str:
+        if key in flags:
+            return "--" + key.replace("_", "-")
+        return f"line {_key_line(text, key)}"
+
+    known = {*_MODEL_KEYS, *_RUN_KEYS, *_SOLVER_KEYS, *_OPTIONAL_DEFAULTS,
+             "u_init_kind", *_EXP_KEYS, *_TABLE_KEYS, "preset"}
     for key in raw:
         if key not in known:
-            raise ConfigError(f"line {_key_line(text, key)}: unknown key {key!r}")
+            raise ConfigError(f"{where(key)}: unknown key {key!r}")
 
     if "preset" in raw:
         name = raw["preset"]
         if name not in PRESETS:
             raise ConfigError(
-                f"line {_key_line(text, 'preset')}: unknown preset {name!r}; "
+                f"{where('preset')}: unknown preset {name!r}; "
                 f"choose from {', '.join(sorted(PRESETS))}"
             )
         merged = dict(PRESETS[name])
@@ -165,13 +161,11 @@ def _build_config(raw: dict, text: str) -> RunConfig:
                 raise ConfigError(f"line 1: missing required key {key!r}")
         for key in _TABLE_KEYS:
             if key in raw:
-                raise ConfigError(
-                    f"line {_key_line(text, key)}: {key} is not valid for an exponential profile"
-                )
+                raise ConfigError(f"{where(key)}: {key} is not valid for an exponential profile")
         profile = ExponentialProfile(
-            c1=_expect_number(raw, "u_init_c1", text),
-            c2=_expect_number(raw, "u_init_c2", text),
-            c3=_expect_number(raw, "u_init_c3", text),
+            c1=_expect_number(raw, "u_init_c1", where),
+            c2=_expect_number(raw, "u_init_c2", where),
+            c3=_expect_number(raw, "u_init_c3", where),
         )
     elif kind == "table":
         for key in _TABLE_KEYS:
@@ -179,75 +173,63 @@ def _build_config(raw: dict, text: str) -> RunConfig:
                 raise ConfigError(f"line 1: missing required key {key!r}")
         for key in _EXP_KEYS:
             if key in raw:
-                raise ConfigError(
-                    f"line {_key_line(text, key)}: {key} is not valid for a tabulated profile"
-                )
+                raise ConfigError(f"{where(key)}: {key} is not valid for a tabulated profile")
+        for key in _TABLE_KEYS:
+            if not (isinstance(raw[key], list) and all(map(_finite_number, raw[key]))):
+                raise ConfigError(f"{where(key)}: {key} must be a list of finite numbers")
         try:
             profile = TabulatedProfile(
                 x=tuple(float(v) for v in raw["u_init_x"]),
                 values=tuple(float(v) for v in raw["u_init_values"]),
             )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"line {_key_line(text, 'u_init_x')}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{where('u_init_x')}: {exc}") from exc
     else:
-        raise ConfigError(
-            f"line {_key_line(text, 'u_init_kind')}: u_init_kind must be 'exp' or 'table'"
-        )
+        raise ConfigError(f"{where('u_init_kind')}: u_init_kind must be 'exp' or 'table'")
 
-    model_values = {key: _expect_number(raw, key, text) for key in _MODEL_KEYS}
+    model_values = {key: _expect_number(raw, key, where) for key in _MODEL_KEYS}
     try:
         params = ModelParams(u_init=profile, **model_values)
     except ValueError as exc:
-        bad = next(
-            (k for k in _MODEL_KEYS if model_values[k] <= 0 or not np.isfinite(model_values[k])),
-            _MODEL_KEYS[0],
-        )
-        raise ConfigError(f"line {_key_line(text, bad)}: {exc}") from exc
+        bad = next((k for k in _MODEL_KEYS if model_values[k] <= 0), _MODEL_KEYS[0])
+        raise ConfigError(f"{where(bad)}: {exc}") from exc
 
-    cells = _expect_int(raw, "cells", text)
+    cells = _expect_int(raw, "cells", where)
     if cells < 1:
-        raise ConfigError(f"line {_key_line(text, 'cells')}: cells must be at least 1")
-    dt = _expect_number(raw, "dt", text)
-    t_final = _expect_number(raw, "t_final", text)
+        raise ConfigError(f"{where('cells')}: cells must be at least 1")
+    dt = _expect_number(raw, "dt", where)
+    t_final = _expect_number(raw, "t_final", where)
     try:
         TimeGrid.from_step_and_horizon(dt, t_final)
     except ValueError as exc:
-        raise ConfigError(f"line {_key_line(text, 'dt')}: {exc}") from exc
+        # a horizon given alone on the command line is what broke the grid
+        key = "t_final" if "t_final" in flags and "dt" not in flags else "dt"
+        raise ConfigError(f"{where(key)}: {exc}") from exc
 
-    mode_raw = raw.get("initial_mode", _OPTIONAL_DEFAULTS["initial_mode"])
     try:
-        mode = InitialMode(mode_raw)
+        mode = InitialMode(raw.get("initial_mode", _OPTIONAL_DEFAULTS["initial_mode"]))
     except ValueError as exc:
         raise ConfigError(
-            f"line {_key_line(text, 'initial_mode')}: initial_mode must be 'average' or 'sample'"
+            f"{where('initial_mode')}: initial_mode must be 'average' or 'sample'"
         ) from exc
 
-    width_floor = raw.get("width_floor", None)
-    if width_floor is not None:
-        if isinstance(width_floor, bool) or not isinstance(width_floor, (int, float)):
-            raise ConfigError(
-                f"line {_key_line(text, 'width_floor')}: width_floor must be a number or null"
-            )
-        width_floor = float(width_floor)
-    try:
-        solver = SolverOptions(
-            newton_tol=float(raw.get("newton_tol", _OPTIONAL_DEFAULTS["newton_tol"])),
-            max_newton_iters=int(raw.get("max_newton_iters", _OPTIONAL_DEFAULTS["max_newton_iters"])),
-            homotopy_steps=int(raw.get("homotopy_steps", _OPTIONAL_DEFAULTS["homotopy_steps"])),
-            width_floor=width_floor,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"line {_key_line(text, 'newton_tol')}: {exc}") from exc
+    # Only the keys present reach SolverOptions, so its defaults are the
+    # only ones; a null width_floor is its default.
+    solver_values = {}
+    for key in _SOLVER_KEYS:
+        if key not in raw or (key == "width_floor" and raw[key] is None):
+            continue
+        expect = _expect_int if key == "max_newton_iters" else _expect_number
+        solver_values[key] = expect(raw, key, where)
+        try:
+            SolverOptions(**{key: solver_values[key]})
+        except ValueError as exc:
+            raise ConfigError(f"{where(key)}: {exc}") from exc
+    solver = SolverOptions(**solver_values)
 
-    experiment = raw.get("experiment", _OPTIONAL_DEFAULTS["experiment"])
-    if experiment not in _EXPERIMENTS:
-        raise ConfigError(
-            f"line {_key_line(text, 'experiment')}: experiment must be one of "
-            f"{', '.join(_EXPERIMENTS)}"
-        )
     out = raw.get("out", _OPTIONAL_DEFAULTS["out"])
     if not isinstance(out, str):
-        raise ConfigError(f"line {_key_line(text, 'out')}: out must be a string")
+        raise ConfigError(f"{where('out')}: out must be a string")
 
     return RunConfig(
         params=params,
@@ -257,8 +239,17 @@ def _build_config(raw: dict, text: str) -> RunConfig:
         initial_mode=mode,
         solver=solver,
         out=out,
-        experiment=experiment,
     )
+
+
+def _read_object(text: str) -> dict:
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("line 1: configuration must be a JSON object")
+    return raw
 
 
 def parse_config(text: str) -> RunConfig:
@@ -268,13 +259,7 @@ def parse_config(text: str) -> RunConfig:
     any other keys override the preset values.  Unknown keys and invalid
     values are rejected with line-anchored messages.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("line 1: configuration must be a JSON object")
-    return _build_config(raw, text)
+    return _build_config(_read_object(text), text)
 
 
 def render_config(config: RunConfig) -> str:
@@ -294,12 +279,9 @@ def render_config(config: RunConfig) -> str:
     data["dt"] = config.dt
     data["t_final"] = config.t_final
     data["initial_mode"] = config.initial_mode.value
-    data["newton_tol"] = config.solver.newton_tol
-    data["max_newton_iters"] = config.solver.max_newton_iters
-    data["homotopy_steps"] = config.solver.homotopy_steps
-    data["width_floor"] = config.solver.width_floor
+    for key in _SOLVER_KEYS:
+        data[key] = getattr(config.solver, key)
     data["out"] = config.out
-    data["experiment"] = config.experiment
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -361,40 +343,19 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
 
 
 def _load_config(args, with_horizon: bool = True) -> RunConfig:
-    """The config of --preset or --config with the flags applied.  With
-    with_horizon False, --dt and --t-final are neither applied nor checked:
-    converge takes its own horizon and builds its own time grids."""
+    """The config of --preset or --config with the given flags written over
+    its keys.  With with_horizon False, --dt and --t-final are neither
+    applied nor checked: converge takes its own horizon and builds its own
+    time grids."""
     if args.config is not None:
         text = Path(args.config).read_text()
-        config = parse_config(text)
     elif args.preset is not None:
-        config = parse_config(json.dumps({"preset": args.preset}))
+        text = json.dumps({"preset": args.preset})
     else:
         raise ConfigError("line 1: provide --preset or --config")
-
-    overrides = {}
-    if args.cells is not None:
-        overrides["cells"] = args.cells
-    if with_horizon and args.dt is not None:
-        overrides["dt"] = args.dt
-    if with_horizon and getattr(args, "t_final", None) is not None:
-        overrides["t_final"] = args.t_final
-    if args.out is not None:
-        overrides["out"] = args.out
-    if getattr(args, "initial_mode", None) is not None:
-        overrides["initial_mode"] = InitialMode(args.initial_mode)
-    if overrides:
-        if "dt" in overrides or "t_final" in overrides:
-            try:
-                TimeGrid.from_step_and_horizon(
-                    overrides.get("dt", config.dt), overrides.get("t_final", config.t_final)
-                )
-            except ValueError as exc:
-                raise ConfigError(f"line 1: {exc}") from exc
-        if "cells" in overrides and overrides["cells"] < 1:
-            raise ConfigError("line 1: cells must be at least 1")
-        config = replace(config, **overrides)
-    return config
+    keys = ("cells", "out", "initial_mode") + (("dt", "t_final") if with_horizon else ())
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return _build_config({**_read_object(text), **flags}, text, flags)
 
 
 def _run_config(config: RunConfig) -> Trajectory:
@@ -465,12 +426,9 @@ def _cmd_energy(args) -> int:
     if args.phi is not None:
         byname = {d.name: d for d in densities}
         if args.phi not in byname:
-            print(
-                f"error: unknown energy density {args.phi!r}; "
-                f"choose from {', '.join(sorted(byname))}",
-                file=sys.stderr,
+            raise ConfigError(
+                f"unknown energy density {args.phi!r}; choose from {', '.join(sorted(byname))}"
             )
-            return EXIT_CONFIG
         densities = (byname[args.phi],)
     mesh = uniform_mesh(config.cells)
     traj = _run_config(config)
@@ -494,13 +452,6 @@ def _cmd_converge(args) -> int:
         raise ConfigError(f"--ref-level must exceed --levels, got {ref_level} <= {levels}")
     if not (np.isfinite(t_final) and t_final > 0.0):
         raise ConfigError(f"--t-final must be positive and finite, got {t_final!r}")
-    # The reference level has the study's smallest step, t_final / (10 * 4^ref_level).
-    try:
-        TimeGrid.from_horizon(t_final, 10 * 4**ref_level)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"--t-final {t_final!r} at --ref-level {ref_level} gives no usable time step: {exc}"
-        ) from exc
     try:
         report = convergence_study(
             config.params,
@@ -510,6 +461,10 @@ def _cmd_converge(args) -> int:
             opts=config.solver,
             initial_mode=config.initial_mode,
         )
+    except ValueError as exc:
+        # the study rejects inputs it cannot run with, such as a reference
+        # level it cannot step or store, before it builds any mesh
+        raise ConfigError(str(exc)) from exc
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -528,19 +483,18 @@ def _cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _add_common_flags(sub, with_mode=True):
+def _add_common_flags(sub):
     sub.add_argument("--preset", choices=sorted(PRESETS), help="built-in test case")
     sub.add_argument("--config", help="path to a flat JSON config file")
     sub.add_argument("--cells", type=int, help="number of mesh cells")
     sub.add_argument("--dt", type=float, help="time step")
     sub.add_argument("--t-final", dest="t_final", type=float, help="final time")
     sub.add_argument("--out", help="output directory")
-    if with_mode:
-        sub.add_argument(
-            "--initial-mode",
-            choices=("average", "sample"),
-            help="initial discretization: cell averages or center samples",
-        )
+    sub.add_argument(
+        "--initial-mode",
+        choices=("average", "sample"),
+        help="initial discretization: cell averages or center samples",
+    )
 
 
 def main(argv=None) -> int:

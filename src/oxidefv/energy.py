@@ -221,9 +221,6 @@ class EnergyLedger:
     exchange_left_mass: float = 0.0
     exchange_right_rate: float = 0.0
 
-    def times(self) -> np.ndarray:
-        return np.asarray(self.steps, dtype=float) * self.dt
-
 
 def _exchange_increments(params: ModelParams, dt: float, u0, u1):
     """Per-step increments of the three boundary-exchange sums from the new

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgtsv
@@ -34,7 +35,9 @@ from .core import (
     discretize_initial,
 )
 
-# Continuation schedules double until this many lambda increments.
+# The first continuation schedule takes this many lambda increments; it
+# doubles on failure until HOMOTOPY_MAX_STEPS.
+HOMOTOPY_FIRST_STEPS = 16
 HOMOTOPY_MAX_STEPS = 1024
 # A converged Newton point must also satisfy the equations to this residual
 # sup-norm; otherwise the iteration merely stalled (e.g. pinned at the
@@ -45,27 +48,30 @@ _MAX_HALVINGS = 30
 _COLLAPSE_BRACKET_RTOL = 1e-10
 
 
+def _positive_finite(value) -> bool:
+    return not isinstance(value, bool) and 0.0 < value < np.inf
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Newton / continuation controls.
+    """Newton controls and the width floor.
 
     width_floor None means 1e-8 * L0, resolved per problem.
     """
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
-    homotopy_steps: int = 16
     width_floor: float | None = None
 
     def __post_init__(self):
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
-        if self.homotopy_steps < 1:
-            raise ValueError("homotopy_steps must be at least 1")
-        if self.width_floor is not None and self.width_floor <= 0.0:
-            raise ValueError("width_floor must be positive")
+        if not _positive_finite(self.newton_tol):
+            raise ValueError("newton_tol must be positive and finite")
+        if (isinstance(self.max_newton_iters, bool)
+                or not isinstance(self.max_newton_iters, Integral)
+                or self.max_newton_iters < 1):
+            raise ValueError("max_newton_iters must be an integer of at least 1")
+        if self.width_floor is not None and not _positive_finite(self.width_floor):
+            raise ValueError("width_floor must be positive and finite")
 
     def resolved_floor(self, params: ModelParams) -> float:
         return self.width_floor if self.width_floor is not None else 1e-8 * params.L0
@@ -443,13 +449,12 @@ def homotopy_solve(
     continuation reports the corrections spent over all schedules and the
     last residual sup-norm seen."""
     floor = opts.resolved_floor(params)
-    steps = opts.homotopy_steps
-    schedule_cap = max(HOMOTOPY_MAX_STEPS, opts.homotopy_steps)
+    steps = HOMOTOPY_FIRST_STEPS
     width_collapse_seen = False
     spent = 0
     resid_inf = np.inf
 
-    while steps <= schedule_cap:
+    while steps <= HOMOTOPY_MAX_STEPS:
         u = prev.u.copy()
         u[0] = params.alpha0 / params.beta0
         u[-1] = params.alpha1 / params.beta1

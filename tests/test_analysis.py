@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -443,6 +444,31 @@ class TestConvergenceStudy:
     def test_ref_level_must_exceed_levels(self, tc1):
         with pytest.raises(ValueError):
             convergence_study(tc1, max_level=2, ref_level=2)
+
+    @pytest.mark.parametrize(
+        "ref_level,message",
+        [(20, "physical memory"), (600, "gives no usable time step")],
+    )
+    def test_unusable_reference_level_rejected_before_any_mesh(
+        self, tc1, ref_level, message, monkeypatch
+    ):
+        def no_mesh(cells):
+            raise AssertionError("a mesh was built for a rejected reference level")
+
+        monkeypatch.setattr(analysis, "uniform_mesh", no_mesh)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(tc1, max_level=0, ref_level=ref_level)
+
+    def test_reference_level_must_fit_in_physical_memory(self, tc1, monkeypatch):
+        # U of reference level 1 holds 4 * 4 + 1 rows of 8 * 2 + 2 doubles
+        need = (4 * 4 + 1) * (8 * 2 + 2) * 8
+        memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        study = dict(max_level=0, ref_level=1, t_final=0.1, base_cells=8, base_steps=4)
+        with pytest.raises(ValueError, match=f"would store {need} bytes"):
+            convergence_study(tc1, **study)
+        memory["SC_PHYS_PAGES"] = need
+        assert len(convergence_study(tc1, **study).levels) == 1
 
     def test_csv_output(self, tc1, tmp_path):
         report = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1,

@@ -1,8 +1,9 @@
 """The benchmark traces layers by wrapping module attributes from outside
 (`perfbench/worker.py`), calls module attributes directly and reads
-attributes of the trajectories `run()` returns; a refactor that drops one
-of those names would break the benchmark without any test failing.  Check
-each name still exists."""
+attributes of the trajectories `run()` returns and of the configs
+`parse_config` returns; a refactor that drops one of those names would
+break the benchmark without any test failing.  Check each name still
+exists."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import pytest
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 _WRAP = re.compile(r'tracer\.wrap\(\s*(\w+)\s*,\s*"(\w+)"')
 _TRAJ_READ = re.compile(r"\btraj\.(\w+)")
+_CONFIG_READ = re.compile(r"\bcfg\.(\w+)")
 _MODULES = ("analysis", "cli", "core", "energy", "scheme")
 
 
@@ -49,6 +51,12 @@ def trajectory_reads():
     if not WORKER.is_file():
         return []
     return sorted(set(_TRAJ_READ.findall(WORKER.read_text())))
+
+
+def config_reads():
+    if not WORKER.is_file():
+        return []
+    return sorted(set(_CONFIG_READ.findall(WORKER.read_text())))
 
 
 def test_worker_declares_wraps():
@@ -93,3 +101,17 @@ def small_run():
 @pytest.mark.parametrize("attr", trajectory_reads())
 def test_trajectory_read_exists(attr, small_run):
     assert hasattr(small_run, attr), f"the benchmark reads traj.{attr}, which run() does not return"
+
+
+def test_worker_reads_config():
+    if not WORKER.is_file():
+        pytest.skip("perfbench/worker.py is absent")
+    assert {"params", "cells", "dt", "t_final", "initial_mode", "solver"} <= set(config_reads())
+
+
+@pytest.mark.parametrize("attr", config_reads())
+def test_config_read_exists(attr):
+    from oxidefv.cli import parse_config
+
+    config = parse_config('{"preset": "testcase1"}')
+    assert hasattr(config, attr), f"the benchmark reads cfg.{attr}, which parse_config does not return"

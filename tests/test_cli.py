@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from oxidefv import (
     StepStatus,
     TabulatedProfile,
     TimeGrid,
+    analysis,
     classify,
     cli,
     run,
@@ -90,6 +92,17 @@ class TestParseConfig:
         config = parse_config(json.dumps(raw))
         assert isinstance(config.params.u_init, TabulatedProfile)
 
+    @pytest.mark.parametrize("entry", ["true", '"0.5"', "NaN", "1e400", "null"])
+    def test_table_entries_must_be_finite_numbers(self, entry):
+        raw = dict(PRESETS["testcase1"])
+        for key in ("u_init_c1", "u_init_c2", "u_init_c3"):
+            raw.pop(key)
+        raw.update(u_init_kind="table", u_init_x=[0.0, 0.5, 1.0], u_init_values="VALUES")
+        text = json.dumps(raw, indent=2).replace('"VALUES"', f"[1.0, {entry}, 1.5]")
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if "u_init_values" in row)
+        with pytest.raises(ConfigError, match=f"line {line}: u_init_values must be a list"):
+            parse_config(text)
+
     def test_mixed_profile_keys_rejected(self):
         raw = dict(PRESETS["testcase1"])
         raw["u_init_x"] = [0.0, 1.0]
@@ -100,6 +113,53 @@ class TestParseConfig:
         text = json.dumps({"preset": "testcase1", "initial_mode": "middle"})
         with pytest.raises(ConfigError, match="initial_mode"):
             parse_config(text)
+
+
+_SOLVER_KEYS = ("newton_tol", "max_newton_iters", "width_floor")
+# JSON literals at the edge of the solver keys' types: 1e400 reads as inf
+_EDGE_VALUES = ("null", "true", "2.7", '"16"', "NaN", "1e400")
+# these are valid: a tolerance or floor of 2.7, and a null floor (the default)
+_VALID_EDGES = {("newton_tol", "2.7"), ("width_floor", "null"), ("width_floor", "2.7")}
+
+
+def _one_key_config(key, literal):
+    return f'{{\n  "preset": "testcase1",\n  "{key}": {literal}\n}}\n'
+
+
+_BOUNDARY_CASES = [
+    *(
+        pytest.param(_one_key_config(key, value), [], "line 3: ", id=f"{key}={value}")
+        for key in _SOLVER_KEYS
+        for value in _EDGE_VALUES
+        if (key, value) not in _VALID_EDGES
+    ),
+    pytest.param(_one_key_config("dt", "1" + "0" * 400), [], "line 3: ", id="dt=10**400"),
+    pytest.param(_one_key_config("experiment", '"converge"'), [], "line 3: unknown key",
+                 id="experiment"),
+    pytest.param(_one_key_config("homotopy_steps", "16"), [], "line 3: unknown key",
+                 id="homotopy_steps"),
+    pytest.param('{\n  "cells": 30,\n  "preset": "testcase1"\n}\n', ["--cells", "0"],
+                 "--cells: ", id="--cells 0"),
+]
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("text,flags,where", _BOUNDARY_CASES)
+    def test_edge_input_is_config_error(self, text, flags, where, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {where}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", sorted(_VALID_EDGES))
+    def test_valid_edge_is_accepted(self, key, value):
+        config = parse_config(_one_key_config(key, value))
+        assert getattr(config.solver, key) == json.loads(value)
 
 
 class TestRoundTrip:
@@ -235,6 +295,25 @@ class TestMain:
         assert err.startswith("config error: ") and message in err
         assert not out.exists()
 
+    def test_converge_unstorable_reference_level_is_config_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # reference level 20 would hold 52M cells over 1.1e13 steps
+        def no_mesh(cells):
+            raise AssertionError("a mesh was built for a rejected reference level")
+
+        monkeypatch.setattr(analysis, "uniform_mesh", no_mesh)
+        out = tmp_path / "cv"
+        start = time.perf_counter()
+        code = main(["converge", "--preset", "testcase1", "--levels", "0", "--ref-level", "20",
+                     "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "physical memory" in err
+        assert elapsed < 1.0
+        assert not out.exists()
+
     def test_converge_horizon_need_not_be_a_multiple_of_dt(self, tmp_path, capsys):
         # converge builds its own grids, t_final / (10 4^k): the preset's
         # dt = 0.01 does not divide 0.123 and plays no part
@@ -276,7 +355,8 @@ class TestMain:
     )
     def test_bad_time_grid_override_is_config_error(self, flags, capsys):
         assert main(["tw", "--preset", "testcase1", *flags]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        # the error names the flag that broke the grid
+        assert capsys.readouterr().err.startswith(f"config error: {flags[0]}: ")
 
     def test_overflowing_dt_is_config_error(self, tmp_path, capsys):
         # 1/dt overflows: rejected with the time grid, before any step runs

@@ -716,6 +716,14 @@ class TestSolverOptions:
             SolverOptions(max_newton_iters=0)
         with pytest.raises(ValueError):
             SolverOptions(width_floor=-1.0)
+        for bad in (float("nan"), float("inf"), True):
+            with pytest.raises(ValueError):
+                SolverOptions(newton_tol=bad)
+            with pytest.raises(ValueError):
+                SolverOptions(width_floor=bad)
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError):
+                SolverOptions(max_newton_iters=bad)
 
     def test_floor_resolution(self, tc1):
         assert SolverOptions().resolved_floor(tc1) == 1e-8 * tc1.L0
