@@ -5,7 +5,6 @@ bounds."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,11 @@ from .core import (
     State,
     TimeGrid,
     Trajectory,
+    check_storable,
     step_blocks,
     uniform_mesh,
 )
-from .formatting import format_float
+from .formatting import write_csv
 from .scheme import SolverOptions, _frame_velocity, run
 from .waves import RegimeKind, TravellingWave, classify
 
@@ -386,13 +386,10 @@ def convergence_study(
             f"convergence_study: t_final {t_final!r} at reference level {ref_level} "
             f"gives no usable time step: {exc}"
         ) from exc
-    ref_bytes = (ref_grid.n_steps + 1) * (level_cells(ref_level) + 2) * 8
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if ref_bytes > memory:
-        raise ValueError(
-            f"convergence_study: reference level {ref_level} would store {ref_bytes} bytes "
-            f"of concentrations, more than the {memory} bytes of physical memory"
-        )
+    try:
+        check_storable(level_cells(ref_level), ref_grid.n_steps)
+    except ValueError as exc:
+        raise ValueError(f"convergence_study: reference level {ref_level}: {exc}") from exc
 
     ref_mesh = uniform_mesh(level_cells(ref_level))
     ref_traj = run(params, ref_mesh, ref_grid, opts, initial_mode)
@@ -453,19 +450,12 @@ def convergence_study(
 def write_convergence_csv(report: ConvergenceReport, path) -> None:
     """Deterministic CSV mirroring the refinement table: one row per level
     with errors and rates; rates are blank on the coarsest level."""
-    with open(path, "w", newline="") as f:
-        f.write("k,h,dt,err_w,rate_w,err_x0,rate_x0,err_x1,rate_x1\n")
-        for row in report.levels:
-            fields = [
-                str(row.k),
-                format_float(row.h),
-                format_float(row.dt),
-                format_float(row.err_w),
-                "" if row.rate_w is None else format_float(row.rate_w),
-                format_float(row.err_x0),
-                "" if row.rate_x0 is None else format_float(row.rate_x0),
-                format_float(row.err_x1),
-                "" if row.rate_x1 is None else format_float(row.rate_x1),
-            ]
-            f.write(",".join(fields) + "\n")
-
+    names = ("k", "h", "dt", "err_w", "rate_w", "err_x0", "rate_x0", "err_x1", "rate_x1")
+    write_csv(
+        path,
+        names,
+        [
+            ["" if getattr(row, name) is None else getattr(row, name) for row in report.levels]
+            for name in names
+        ],
+    )

@@ -24,15 +24,17 @@ from .analysis import (
 from .core import (
     ExponentialProfile,
     InitialMode,
+    Mesh,
     ModelParams,
     TabulatedProfile,
     TerminationKind,
     TimeGrid,
     Trajectory,
+    check_storable,
     uniform_mesh,
 )
 from .energy import build_ledger, builtin_densities, write_ledger_csv
-from .formatting import format_float
+from .formatting import format_float, write_csv
 from .scheme import SolverOptions, run
 from .waves import RegimeKind, classify
 
@@ -123,10 +125,11 @@ def _expect_int(raw: dict, key: str, where) -> int:
     return value
 
 
-def _build_config(raw: dict, text: str, flags=()) -> RunConfig:
+def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> RunConfig:
     """Validate the merged key set.  A key in flags came from the command
     line, and its errors name the flag; any other key's errors name its line
-    in text."""
+    in text.  With with_horizon False, dt and t_final must be finite
+    numbers but need not make a time grid."""
 
     def where(key: str) -> str:
         if key in flags:
@@ -199,12 +202,13 @@ def _build_config(raw: dict, text: str, flags=()) -> RunConfig:
         raise ConfigError(f"{where('cells')}: cells must be at least 1")
     dt = _expect_number(raw, "dt", where)
     t_final = _expect_number(raw, "t_final", where)
-    try:
-        TimeGrid.from_step_and_horizon(dt, t_final)
-    except ValueError as exc:
-        # a horizon given alone on the command line is what broke the grid
-        key = "t_final" if "t_final" in flags and "dt" not in flags else "dt"
-        raise ConfigError(f"{where(key)}: {exc}") from exc
+    if with_horizon:
+        try:
+            TimeGrid.from_step_and_horizon(dt, t_final)
+        except ValueError as exc:
+            # a horizon given alone on the command line is what broke the grid
+            key = "t_final" if "t_final" in flags and "dt" not in flags else "dt"
+            raise ConfigError(f"{where(key)}: {exc}") from exc
 
     try:
         mode = InitialMode(raw.get("initial_mode", _OPTIONAL_DEFAULTS["initial_mode"]))
@@ -230,6 +234,11 @@ def _build_config(raw: dict, text: str, flags=()) -> RunConfig:
     out = raw.get("out", _OPTIONAL_DEFAULTS["out"])
     if not isinstance(out, str):
         raise ConfigError(f"{where('out')}: out must be a string")
+    # the commands create out and its missing parents only after their runs,
+    # so the nearest part of it that exists must be a directory
+    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{where('out')}: {existing} is not a directory")
 
     return RunConfig(
         params=params,
@@ -291,50 +300,33 @@ def render_config(config: RunConfig) -> str:
 
 
 def _write_profile_csv(state, mesh, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write("i,xi_center,x_physical,u\n")
-        for i in range(mesh.num_cells + 2):
-            xi = mesh.centers[i]
-            fields = [
-                str(i),
-                format_float(xi),
-                format_float(state.X0 + state.L * xi),
-                format_float(state.u[i]),
-            ]
-            f.write(",".join(fields) + "\n")
+    write_csv(
+        path,
+        ("i", "xi_center", "x_physical", "u"),
+        (range(mesh.num_cells + 2), mesh.centers, state.X0 + state.L * mesh.centers, state.u),
+    )
 
 
 def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
     regime = classify(params)
     wave = regime.wave if regime.kind is RegimeKind.UNIQUE_WAVE else None
-    with open(path, "w", newline="") as f:
-        f.write("n,t,X0,X1,L,u0,uI1,d,newton_iters,residual_inf\n")
-        columns = zip(
+    nan = float("nan")
+    write_csv(
+        path,
+        ("n", "t", "X0", "X1", "L", "u0", "uI1", "d", "newton_iters", "residual_inf"),
+        (
+            range(len(traj.X0)),
             traj.times,
             traj.X0,
             traj.X1,
             traj.L,
             traj.U[:, 0],
             traj.U[:, -1],
+            (nan if wave is None else wave_distance(s, mesh, wave) for s in traj.states),
             (0, *traj.newton_iters),
-            (float("nan"), *traj.residual_inf),
-            traj.states,
-        )
-        for n, (t, x0, x1, L, u0, u1, iters, resid, s) in enumerate(columns):
-            d = wave_distance(s, mesh, wave) if wave is not None else float("nan")
-            fields = [
-                str(n),
-                format_float(t),
-                format_float(x0),
-                format_float(x1),
-                format_float(L),
-                format_float(u0),
-                format_float(u1),
-                format_float(d),
-                str(iters),
-                format_float(resid),
-            ]
-            f.write(",".join(fields) + "\n")
+            (nan, *traj.residual_inf),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +337,32 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
 def _load_config(args, with_horizon: bool = True) -> RunConfig:
     """The config of --preset or --config with the given flags written over
     its keys.  With with_horizon False, --dt and --t-final are neither
-    applied nor checked: converge takes its own horizon and builds its own
-    time grids."""
+    applied nor checked, and the config's dt need not divide its t_final:
+    converge takes its own horizon and builds its own time grids."""
     if args.config is not None:
-        text = Path(args.config).read_text()
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     elif args.preset is not None:
         text = json.dumps({"preset": args.preset})
     else:
         raise ConfigError("line 1: provide --preset or --config")
     keys = ("cells", "out", "initial_mode") + (("dt", "t_final") if with_horizon else ())
     flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    return _build_config({**_read_object(text), **flags}, text, flags)
+    return _build_config({**_read_object(text), **flags}, text, flags, with_horizon)
 
 
-def _run_config(config: RunConfig) -> Trajectory:
-    mesh = uniform_mesh(config.cells)
+def _run_config(config: RunConfig) -> tuple[Mesh, Trajectory]:
+    """The mesh and trajectory of a config.  A run whose trajectory would
+    not fit in memory is a config error, raised before any mesh is built."""
     grid = TimeGrid.from_step_and_horizon(config.dt, config.t_final)
-    return run(config.params, mesh, grid, config.solver, config.initial_mode)
+    try:
+        check_storable(config.cells, grid.n_steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    mesh = uniform_mesh(config.cells)
+    return mesh, run(config.params, mesh, grid, config.solver, config.initial_mode)
 
 
 def _termination_exit(traj: Trajectory) -> int:
@@ -394,8 +395,7 @@ def _report_termination(traj: Trajectory) -> None:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
-    mesh = uniform_mesh(config.cells)
-    traj = _run_config(config)
+    mesh, traj = _run_config(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_steps_csv(traj, mesh, config.params, out / "steps.csv")
@@ -430,8 +430,7 @@ def _cmd_energy(args) -> int:
                 f"unknown energy density {args.phi!r}; choose from {', '.join(sorted(byname))}"
             )
         densities = (byname[args.phi],)
-    mesh = uniform_mesh(config.cells)
-    traj = _run_config(config)
+    mesh, traj = _run_config(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     for density in densities:
@@ -529,9 +528,6 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

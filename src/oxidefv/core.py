@@ -9,6 +9,7 @@ concentrations on the reference mesh plus the interface positions.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -410,6 +411,20 @@ class StateRows(Sequence):
     def __iter__(self):
         t = self._traj
         return map(State._view, t.U, t.X0, t.X1, t.L)
+
+
+def check_storable(cells: int, n_steps: int) -> None:
+    """Reject with ValueError a run whose stored trajectory would not fit in
+    the machine's physical memory: `U` holds n_steps + 1 rows of cells + 2
+    doubles.  Callers check this before they build the mesh."""
+    rows, row_len = n_steps + 1, cells + 2
+    stored = rows * row_len * 8
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if stored > memory:
+        raise ValueError(
+            f"{rows} rows of {row_len} concentrations would store {stored} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
 
 
 # Trajectory diagnostics read consecutive rows in 2-D blocks of at most

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bernoulli import bernoulli
 from .core import Mesh, ModelParams, State, Trajectory, step_blocks
-from .formatting import format_float
+from .formatting import write_csv
 from .scheme import _frame_velocity
 
 # Edge differences smaller than this fall back to the midpoint weight 1/2
@@ -345,15 +345,15 @@ def build_ledger(
 
 def write_ledger_csv(ledger: EnergyLedger, path) -> None:
     """Deterministic CSV with columns n, t, H, H_tot, D_bulk, D_bound."""
-    with open(path, "w", newline="") as f:
-        f.write("n,t,H,H_tot,D_bulk,D_bound\n")
-        for i, n in enumerate(ledger.steps):
-            row = (
-                str(n),
-                format_float(n * ledger.dt),
-                format_float(ledger.H[i]),
-                format_float(ledger.H_tot[i]),
-                format_float(ledger.D_bulk[i]),
-                format_float(ledger.D_bound[i]),
-            )
-            f.write(",".join(row) + "\n")
+    write_csv(
+        path,
+        ("n", "t", "H", "H_tot", "D_bulk", "D_bound"),
+        (
+            ledger.steps,
+            (n * ledger.dt for n in ledger.steps),
+            ledger.H,
+            ledger.H_tot,
+            ledger.D_bulk,
+            ledger.D_bound,
+        ),
+    )

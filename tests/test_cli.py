@@ -10,6 +10,8 @@ from oxidefv import (
     TabulatedProfile,
     TimeGrid,
     analysis,
+    build_ledger,
+    builtin_densities,
     classify,
     cli,
     run,
@@ -404,3 +406,194 @@ class TestMain:
             assert (tmp_path / "event" / name).read_bytes() == (
                 tmp_path / "continued" / name
             ).read_bytes()
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _field(value):
+    return str(value) if isinstance(value, int) else format_float(value)
+
+
+def _stored_run(preset, cells, t_final):
+    """The config, mesh and trajectory that `simulate --preset preset --cells
+    cells --t-final t_final` computes."""
+    config = parse_config(json.dumps({"preset": preset, "cells": cells, "t_final": t_final}))
+    mesh = uniform_mesh(cells)
+    grid = TimeGrid.from_step_and_horizon(config.dt, config.t_final)
+    return config, mesh, run(config.params, mesh, grid, config.solver, config.initial_mode)
+
+
+# testcase1 completes; testcase2 collapses and has no wave, so d is nan
+_CSV_RUNS = [
+    pytest.param("testcase1", 16, 0.1, EXIT_OK, id="testcase1"),
+    pytest.param("testcase2", 40, 3.5, EXIT_COLLAPSE, id="testcase2-collapse"),
+]
+
+
+class TestCsvFields:
+    """Every field of every CSV is format_float (or str) of the value it
+    was written from."""
+
+    @pytest.mark.parametrize("preset,cells,t_final,code", _CSV_RUNS)
+    def test_simulate_csvs(self, preset, cells, t_final, code, tmp_path, capsys):
+        out = tmp_path / "s"
+        argv = ["simulate", "--preset", preset, "--cells", str(cells),
+                "--t-final", str(t_final), "--out", str(out)]
+        assert main(argv) == code
+        config, mesh, traj = _stored_run(preset, cells, t_final)
+        wave = classify(config.params).wave if preset == "testcase1" else None
+
+        names, rows = _csv_rows(out / "steps.csv")
+        assert names == ["n", "t", "X0", "X1", "L", "u0", "uI1", "d",
+                         "newton_iters", "residual_inf"]
+        assert len(rows) == len(traj.states)
+        for n, (row, state) in enumerate(zip(rows, traj.states)):
+            d = float("nan") if wave is None else wave_distance(state, mesh, wave)
+            iters = traj.newton_iters[n - 1] if n else 0
+            resid = traj.residual_inf[n - 1] if n else float("nan")
+            values = (n, traj.times[n], state.X0, state.X1, state.L,
+                      state.u[0], state.u[-1], d, iters, resid)
+            assert row == [_field(v) for v in values]
+        if wave is None:
+            assert {row[7] for row in rows} == {"nan"}
+
+        names, rows = _csv_rows(out / "profile_final.csv")
+        assert names == ["i", "xi_center", "x_physical", "u"]
+        final = traj.final_state
+        assert len(rows) == cells + 2
+        for i, row in enumerate(rows):
+            xi = mesh.centers[i]
+            assert row == [_field(v) for v in (i, xi, final.X0 + final.L * xi, final.u[i])]
+
+    @pytest.mark.parametrize("preset,cells,t_final,code", _CSV_RUNS)
+    def test_energy_csvs(self, preset, cells, t_final, code, tmp_path, capsys):
+        out = tmp_path / "e"
+        argv = ["energy", "--preset", preset, "--cells", str(cells),
+                "--t-final", str(t_final), "--out", str(out)]
+        assert main(argv) == code
+        config, mesh, traj = _stored_run(preset, cells, t_final)
+        for density in builtin_densities():
+            ledger = build_ledger(traj, mesh, config.params, density)
+            names, rows = _csv_rows(out / f"energy_{density.name}.csv")
+            assert names == ["n", "t", "H", "H_tot", "D_bulk", "D_bound"]
+            assert len(rows) == len(traj.states)
+            for i, (row, n) in enumerate(zip(rows, ledger.steps)):
+                values = (n, n * ledger.dt, ledger.H[i], ledger.H_tot[i],
+                          ledger.D_bulk[i], ledger.D_bound[i])
+                assert row == [_field(v) for v in values]
+            assert rows[0][4:] == ["nan", "nan"]
+
+    def test_convergence_csv(self, tmp_path, capsys):
+        out = tmp_path / "cv"
+        argv = ["converge", "--preset", "testcase1", "--levels", "1", "--ref-level", "2",
+                "--t-final", "0.05", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        config = parse_config(json.dumps({"preset": "testcase1"}))
+        report = analysis.convergence_study(
+            config.params, max_level=1, ref_level=2, t_final=0.05,
+            opts=config.solver, initial_mode=config.initial_mode,
+        )
+        names, rows = _csv_rows(out / "convergence.csv")
+        assert names == ["k", "h", "dt", "err_w", "rate_w", "err_x0", "rate_x0",
+                         "err_x1", "rate_x1"]
+        assert len(rows) == 2
+        for row, level in zip(rows, report.levels):
+            values = [getattr(level, name) for name in names]
+            assert row == ["" if v is None else _field(v) for v in values]
+        assert rows[0][4::2] == ["", "", ""]
+
+
+def _assert_config_error(code, err, *parts):
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    for part in parts:
+        assert part in err
+
+
+class TestCommandErrors:
+    """Inputs that used to end in a traceback or after the run are config
+    errors (exit 2) raised before any work."""
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, kind, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"preset": "testcase1", "cells": \xff}')
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        _assert_config_error(code, capsys.readouterr().err, str(path))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "energy", "converge"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_that_cannot_be_a_directory_is_rejected_before_running(
+        self, command, below, tmp_path, monkeypatch, capsys
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the solver ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(cli, "convergence_study", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        code = main([command, "--preset", "testcase1", "--out", str(out)])
+        _assert_config_error(code, capsys.readouterr().err,
+                             f"--out: {blocker} is not a directory")
+        assert blocker.read_text() == ""
+
+    def test_out_in_a_config_file_names_its_line(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"preset": "testcase1", "out": str(blocker)}, indent=2))
+        code = main(["tw", "--config", str(path)])
+        _assert_config_error(code, capsys.readouterr().err, "line 3: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "energy"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t-final", "1e13"], ["--cells", "100000000000", "--t-final", "0.01"]],
+        ids=["long-horizon", "many-cells"],
+    )
+    def test_unstorable_run_is_config_error(self, command, flags, tmp_path, monkeypatch, capsys):
+        def no_mesh(cells):
+            raise AssertionError("a mesh was built for a run that cannot be stored")
+
+        monkeypatch.setattr(cli, "uniform_mesh", no_mesh)
+        out = tmp_path / "big"
+        code = main([command, "--preset", "testcase1", *flags, "--out", str(out)])
+        _assert_config_error(code, capsys.readouterr().err, "physical memory")
+        assert not out.exists()
+
+    def test_tw_does_not_check_storage(self, capsys):
+        assert main(["tw", "--preset", "testcase1", "--t-final", "1e13"]) == EXIT_OK
+
+    def test_converge_config_dt_need_not_divide_its_horizon(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"preset": "testcase1", "dt": 0.3, "t_final": 1.0}, indent=2))
+        out = tmp_path / "cv"
+        code = main(["converge", "--config", str(path), "--levels", "0", "--ref-level", "1",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert len((out / "convergence.csv").read_text().splitlines()) == 2
+        # tw and simulate still build the grid from the file's keys
+        for command in ("tw", "simulate"):
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "s")])
+            _assert_config_error(code, capsys.readouterr().err, "line 3: ", "does not divide")
+
+    def test_converge_config_dt_must_still_be_a_finite_number(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{\n  "preset": "testcase1",\n  "dt": true\n}\n')
+        out = tmp_path / "cv"
+        code = main(["converge", "--config", str(path), "--levels", "0", "--ref-level", "1",
+                     "--out", str(out)])
+        _assert_config_error(code, capsys.readouterr().err,
+                             "line 3: dt must be a finite number")
+        assert not out.exists()
