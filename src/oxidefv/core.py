@@ -205,7 +205,10 @@ class TimeGrid:
     def from_step_and_horizon(cls, dt: float, t_final: float) -> "TimeGrid":
         if dt <= 0.0:
             raise ValueError("TimeGrid.dt must be positive")
-        n = int(round(t_final / dt))
+        ratio = float(t_final) / float(dt)
+        if not np.isfinite(ratio):
+            raise ValueError(f"the horizon {t_final!r} takes too many steps of {dt!r} to count")
+        n = int(round(ratio))
         if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
             raise ValueError(f"time step {dt!r} does not divide the horizon {t_final!r}")
         return cls(dt=dt, n_steps=n, t_final=t_final)

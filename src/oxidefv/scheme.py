@@ -141,94 +141,6 @@ def sg_flux(u_left, u_right, v, L, h_edge):
 # ---------------------------------------------------------------------------
 
 
-def _edge_fields(
-    u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams, prime: bool = True
-):
-    """Velocities, Bernoulli weights B(w), B(-w), their derivatives (None
-    unless prime) and fluxes per edge, with Peclet arguments w.  One kernel
-    call evaluates the stacked (w, -w)."""
-    v = _frame_velocity(X0, X1, L, prev.X0, prev.X1, prev.L, mesh, dt, params.R)
-    w = (L * mesh.gaps) * v
-    edges = w.size
-    B, dB = _bernoulli_pair(np.concatenate((w, -w)), prime)
-    Bp, Bm = B[:edges], B[edges:]
-    F = (Bm * u[:-1] - Bp * u[1:]) / (L * mesh.gaps)
-    dBp, dBm = (dB[:edges], dB[edges:]) if prime else (None, None)
-    return v, Bp, Bm, dBp, dBm, F
-
-
-def _residual_rows(u, X0, X1, L, F, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    cells = mesh.num_cells
-    r = np.empty(cells + 5)
-    r[:cells] = (
-        mesh.cell_sizes * (L * u[1:-1] - prev.L * prev.u[1:-1]) / dt + F[1:] - F[:-1]
-    )
-    r[cells] = F[0] - params.a + params.b * u[0]
-    r[cells + 1] = F[-1]
-    r[cells + 2] = (
-        (X0 - prev.X0) / dt
-        - params.alpha0
-        + params.beta0 * u[0]
-        - (1.0 - params.R) * (X1 - prev.X1) / dt
-    )
-    r[cells + 3] = (X1 - prev.X1) / dt + params.alpha1 - params.beta1 * u[-1]
-    r[cells + 4] = L - X1 + X0
-    return r
-
-
-def _residual_raw(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params, prime=False)[-1]
-    return _residual_rows(u, X0, X1, L, F, prev, mesh, dt, params)
-
-
-def residual(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
-    """Stacked residual of the implicit step, length I+5: the I interior
-    balances, the left and right flux conditions, the two interface motion
-    laws, and the width closure.  A root defines the next state."""
-    if dt <= 0.0:
-        raise ValueError("residual: dt must be positive")
-    return _residual_raw(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, params)
-
-
-def _assemble(u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    """Residual r and Jacobian of the step system from one evaluation of
-    the edge fields.  The I+2 concentration rows are permuted (left flux
-    condition, interior balances, right flux condition): band is their
-    tridiagonal u-block in the (1, 1) banded layout (superdiagonal, diagonal,
-    subdiagonal rows, as scipy's solve_banded takes it), border their
-    (X0, X1, L) columns.  The last three rows are _affine_rows."""
-    cells = mesh.num_cells
-    v, Bp, Bm, dBp, dBm, F = _edge_fields(u, X0, X1, L, prev, mesh, dt, params)
-    r = _residual_rows(u, X0, X1, L, F, prev, mesh, dt, params)
-
-    # Partial derivatives of each edge flux w.r.t. its neighbors and the
-    # interface unknowns; Nw is dF/dw times L*h.
-    denom = L * mesh.gaps
-    dF_ul = Bm / denom
-    dF_ur = -Bp / denom
-    Nw = -dBm * u[:-1] - dBp * u[1:]
-    dF_X0 = -Nw / dt
-    dF_X1 = Nw * (1.0 - params.R) / dt
-    dF_L = Nw * (v / L - mesh.edges / dt) - F / L
-    h = mesh.cell_sizes
-
-    band = np.zeros((3, cells + 2))
-    band[1, 0] = dF_ul[0] + params.b
-    band[0, 1:] = dF_ur
-    band[1, 1 : cells + 1] = h * L / dt + dF_ul[1:] - dF_ur[:-1]
-    band[1, cells + 1] = dF_ur[-1]
-    band[2, :cells] = -dF_ul[:cells]
-    band[2, cells] = dF_ul[-1]
-
-    border = np.empty((cells + 2, 3))
-    border[0] = (dF_X0[0], dF_X1[0], dF_L[0])
-    border[1 : cells + 1, 0] = dF_X0[1:] - dF_X0[:-1]
-    border[1 : cells + 1, 1] = dF_X1[1:] - dF_X1[:-1]
-    border[1 : cells + 1, 2] = h * u[1:-1] / dt + dF_L[1:] - dF_L[:-1]
-    border[cells + 1] = (dF_X0[-1], dF_X1[-1], dF_L[-1])
-    return r, band, border
-
-
 @lru_cache(maxsize=64)
 def _affine_block(dt: float, R: float) -> np.ndarray:
     """Read-only 3x3 block of the motion laws and the closure in (X0, X1, L),
@@ -245,50 +157,223 @@ def _affine_block(dt: float, R: float) -> np.ndarray:
     return D
 
 
-def _affine_rows(dt: float, params: ModelParams):
-    """The motion laws and the closure: the X0 law's coefficient on u_0, the
-    X1 law's on u_{I+1}, and a writable copy of the 3x3 block of all three
-    in (X0, X1, L)."""
-    return params.beta0, -params.beta1, _affine_block(dt, params.R).copy(order="F")
+class _StepSystem:
+    """The step system of one nonlinear solve from prev over dt, built once
+    per solve and assembled at each iterate.
+
+    The I+2 concentration rows are permuted (left flux condition, interior
+    balances, right flux condition).  One column-major buffer holds their
+    tridiagonal u-block in the (1, 1) banded layout (band: superdiagonal,
+    diagonal, subdiagonal rows, as scipy's solve_banded takes it) and four
+    right-hand sides (rhs): the residual column, then the border, their
+    (X0, X1, L) columns.  The last three rows are the motion laws and the
+    closure: c0 is the X0 law's coefficient on u_0, c1 the X1 law's on
+    u_{I+1}, and block the 3x3 block of all three in (X0, X1, L).
+
+    The lambda-blended system of the continuation is assembled here too;
+    lam = 1 is the scheme itself.
+    """
+
+    def __init__(self, prev: State, mesh: Mesh, dt: float, params: ModelParams):
+        self.prev, self.mesh, self.dt, self.params = prev, mesh, dt, params
+        m = mesh.num_cells + 2
+        self._prev_mass = prev.L * prev.u[1:-1]
+        self._edges_dt = mesh.edges / dt
+        self._one_minus_R = 1.0 - params.R
+        self.c0, self.c1 = params.beta0, -params.beta1
+        self.block = _affine_block(dt, params.R)
+        # At rest (X0, X1 and L those of prev) w = 0 on every edge, where the
+        # kernel's series gives B = 1 and B' = -1/2 exactly.
+        self._rest_v = _frame_velocity(
+            prev.X0, prev.X1, prev.L, prev.X0, prev.X1, prev.L, mesh, dt, params.R
+        )
+        self._rest_B = np.ones(m - 1)
+        self._rest_dB = np.full(m - 1, -0.5)
+        self._buf = np.zeros((m, 7), order="F")
+        self.band = self._buf[:, :3].T
+        self.rhs = self._buf[:, 3:]
+        self.border = self._buf[:, 4:]
+        # (solved border, Schur matrix) of the last solve(), for resolve()
+        self._kept = None
+
+    def _fields(self, u, X0, X1, L, prime: bool):
+        """Velocities, L*h, Bernoulli weights B(w), B(-w), their derivatives
+        (None unless prime) and fluxes per edge, with Peclet arguments
+        w = L*h*v.  One kernel call evaluates the stacked (w, -w); none at
+        rest."""
+        prev, mesh = self.prev, self.mesh
+        Lh = L * mesh.gaps
+        if X0 == prev.X0 and X1 == prev.X1 and L == prev.L:
+            v = self._rest_v
+            Bp = Bm = self._rest_B
+            dBp = dBm = self._rest_dB
+        else:
+            v = _frame_velocity(X0, X1, L, prev.X0, prev.X1, prev.L, mesh, self.dt, self.params.R)
+            w = Lh * v
+            edges = w.size
+            B, dB = _bernoulli_pair(np.concatenate((w, -w)), prime)
+            Bp, Bm = B[:edges], B[edges:]
+            dBp, dBm = (dB[:edges], dB[edges:]) if prime else (None, None)
+        F = (Bm * u[:-1] - Bp * u[1:]) / Lh
+        return v, Lh, Bp, Bm, dBp, dBm, F
+
+    def _residual_rows(self, u, X0, X1, L, F):
+        prev, params, dt = self.prev, self.params, self.dt
+        cells = self.mesh.num_cells
+        r = np.empty(cells + 5)
+        r[:cells] = self.mesh.cell_sizes * (L * u[1:-1] - self._prev_mass) / dt + F[1:] - F[:-1]
+        r[cells] = F[0] - params.a + params.b * u[0]
+        r[cells + 1] = F[-1]
+        r[cells + 2] = (
+            (X0 - prev.X0) / dt
+            - params.alpha0
+            + params.beta0 * u[0]
+            - self._one_minus_R * (X1 - prev.X1) / dt
+        )
+        r[cells + 3] = (X1 - prev.X1) / dt + params.alpha1 - params.beta1 * u[-1]
+        r[cells + 4] = L - X1 + X0
+        return r
+
+    def residual(self, u, X0, X1, L) -> np.ndarray:
+        """Residual of the scheme (lam = 1) at (u, X0, X1, L), without the
+        Jacobian: the kernel evaluates B alone."""
+        F = self._fields(u, X0, X1, L, prime=False)[-1]
+        return self._residual_rows(u, X0, X1, L, F)
+
+    def assemble(self, u, X0, X1, L, lam: float = 1.0) -> np.ndarray:
+        """Residual r of the system blended by lam at (u, X0, X1, L), with
+        its Jacobian written to band and border from one evaluation of the
+        edge fields.
+
+        The blend moves toward the explicitly solvable lambda = 0 member:
+        frozen interior concentrations, boundary traces at the kinetic
+        ratios.  The motion laws and the closure are not blended."""
+        mesh, params, dt = self.mesh, self.params, self.dt
+        cells = mesh.num_cells
+        v, Lh, Bp, Bm, dBp, dBm, F = self._fields(u, X0, X1, L, prime=True)
+        r = self._residual_rows(u, X0, X1, L, F)
+
+        # Partial derivatives of each edge flux w.r.t. its neighbors and the
+        # interface unknowns; Nw is dF/dw times L*h.
+        dF_ul = Bm / Lh
+        dF_ur = -Bp / Lh
+        Nw = -dBm * u[:-1] - dBp * u[1:]
+        dF_X0 = -Nw / dt
+        dF_X1 = Nw * self._one_minus_R / dt
+        dF_L = Nw * (v / L - self._edges_dt) - F / L
+        h = mesh.cell_sizes
+
+        band = self.band
+        band[1, 0] = dF_ul[0] + params.b
+        band[0, 1:] = dF_ur
+        band[1, 1 : cells + 1] = h * L / dt + dF_ul[1:] - dF_ur[:-1]
+        band[1, cells + 1] = dF_ur[-1]
+        band[2, :cells] = -dF_ul[:cells]
+        band[2, cells] = dF_ul[-1]
+
+        border = self.border
+        border[0] = (dF_X0[0], dF_X1[0], dF_L[0])
+        border[1 : cells + 1, 0] = dF_X0[1:] - dF_X0[:-1]
+        border[1 : cells + 1, 1] = dF_X1[1:] - dF_X1[:-1]
+        border[1 : cells + 1, 2] = h * u[1:-1] / dt + dF_L[1:] - dF_L[:-1]
+        border[cells + 1] = (dF_X0[-1], dF_X1[-1], dF_L[-1])
+        if lam == 1.0:
+            return r
+
+        prev = self.prev
+        mass = prev.L * mesh.cell_sizes / dt
+        r[:cells] = lam * r[:cells] + (1.0 - lam) * mass * (u[1:-1] - prev.u[1:-1])
+        r[cells] = lam * r[cells] + (1.0 - lam) * (params.beta0 * u[0] - params.alpha0)
+        r[cells + 1] = lam * r[cells + 1] + (1.0 - lam) * (params.beta1 * u[-1] - params.alpha1)
+        band *= lam
+        border *= lam
+        band[1, 0] += (1.0 - lam) * params.beta0
+        band[1, 1 : cells + 1] += (1.0 - lam) * mass
+        band[1, cells + 1] += (1.0 - lam) * params.beta1
+        return r
+
+    def solve(self, r) -> np.ndarray:
+        """Newton increment -J^{-1} r of the assembled system by block
+        elimination: one tridiagonal LAPACK solve (dgtsv) of the
+        concentration block for the residual and the border, then one LAPACK
+        dgesv for the 3x3 Schur complement in (X0, X1, L).  Raises
+        LinAlgError when the system is singular or not finite."""
+        self._load(r, self.rhs[:, 0])
+        if not np.isfinite(self._buf).all():
+            raise np.linalg.LinAlgError("non-finite bordered system")
+        sol = self._band_solve(self.rhs)
+        Y = sol[:, 1:]
+        S = self.block.copy(order="F")
+        S[0] -= self.c0 * Y[0]
+        S[1] -= self.c1 * Y[-1]
+        delta = self._schur_step(r, sol[:, 0], Y, S)
+        self._kept = (Y, S)
+        return delta
+
+    def resolve(self, r) -> np.ndarray:
+        """Simplified Newton increment -J^{-1} r, with J the Jacobian of the
+        last successful solve(): one dgtsv of its band on the residual alone,
+        its solved border and its Schur matrix."""
+        b = self.rhs[:, :1]
+        self._load(r, b[:, 0])
+        if not np.isfinite(b).all():
+            raise np.linalg.LinAlgError("non-finite residual")
+        return self._schur_step(r, self._band_solve(b)[:, 0], *self._kept)
+
+    def _load(self, r, b_u):
+        """-r's concentration rows into b_u, in the band's row order."""
+        cells = self.mesh.num_cells
+        b_u[0] = -r[cells]
+        b_u[1 : cells + 1] = -r[:cells]
+        b_u[cells + 1] = -r[cells + 1]
+
+    def _band_solve(self, b):
+        band = self.band
+        *_, sol, info = dgtsv(band[2, :-1], band[1], band[0, 1:], b, overwrite_b=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular band")
+        if info < 0:
+            raise ValueError(f"dgtsv: illegal value in argument {-info}")
+        # an overflow in sol reaches the increment, which is checked
+        return sol
+
+    def _schur_step(self, r, y, Y, S):
+        """The increment from the band solutions y (residual) and Y (border)
+        and the Schur matrix S, which dgesv leaves intact."""
+        cells = self.mesh.num_cells
+        b_x = -r[cells + 2 :]
+        b_x[0] -= self.c0 * y[0]
+        b_x[1] -= self.c1 * y[-1]
+        *_, z, info = dgesv(S, b_x, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular Schur complement")
+        delta = np.concatenate((y - Y @ z, z))
+        if not np.isfinite(delta).all():
+            raise np.linalg.LinAlgError("Newton increment is not finite")
+        return delta
+
+    def dense_jacobian(self) -> np.ndarray:
+        """The assembled matrix solve() inverts, with its rows in residual
+        order."""
+        band = self.band
+        m = band.shape[1]
+        J = np.zeros((m + 3, m + 3))
+        J[:m, :m] = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
+        J[:m, m:] = self.border
+        J[m:, m:] = self.block
+        J[m, 0] = self.c0
+        J[m + 1, m - 1] = self.c1
+        # undo the row permutation: residual rows 0..I-1 are the interior balances
+        return J[np.r_[1 : m - 1, 0, m - 1 : m + 3]]
 
 
-def _bordered_solve(r, band, border, dt: float, params: ModelParams):
-    """Newton increment -J^{-1} r by block elimination: one tridiagonal
-    LAPACK solve (dgtsv) for the concentration block and its border, then
-    one LAPACK dgesv for the 3x3 Schur complement in (X0, X1, L).  Raises
-    LinAlgError when the system is singular or not finite."""
-    cells = band.shape[1] - 2
-    # Right-hand sides b_u and the border columns, column-major as dgtsv
-    # takes them.
-    rhs = np.empty((cells + 2, 4), order="F")
-    rhs[0, 0] = -r[cells]
-    rhs[1 : cells + 1, 0] = -r[:cells]
-    rhs[cells + 1, 0] = -r[cells + 1]
-    rhs[:, 1:] = border
-    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
-        raise np.linalg.LinAlgError("non-finite bordered system")
-    *_, sol, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs, overwrite_b=True)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular band")
-    if info < 0:
-        raise ValueError(f"dgtsv: illegal value in argument {-info}")
-    if not np.isfinite(sol).all():
-        raise np.linalg.LinAlgError("non-finite band solution")
-    y = sol[:, 0]
-    Y = sol[:, 1:]
-    c0, c1, S = _affine_rows(dt, params)
-    S[0] -= c0 * Y[0]
-    S[1] -= c1 * Y[-1]
-    b_x = -r[cells + 2 :]
-    b_x[0] -= c0 * y[0]
-    b_x[1] -= c1 * y[-1]
-    *_, z, info = dgesv(S, b_x, overwrite_a=True, overwrite_b=True)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular Schur complement")
-    delta = np.concatenate((y - Y @ z, z))
-    if not np.isfinite(delta).all():
-        raise np.linalg.LinAlgError("Newton increment is not finite")
-    return delta
+def residual(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
+    """Stacked residual of the implicit step, length I+5: the I interior
+    balances, the left and right flux conditions, the two interface motion
+    laws, and the width closure.  A root defines the next state."""
+    if dt <= 0.0:
+        raise ValueError("residual: dt must be positive")
+    return _StepSystem(prev, mesh, dt, params).residual(cand.u, cand.X0, cand.X1, cand.L)
 
 
 def jacobian(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
@@ -296,43 +381,9 @@ def jacobian(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParam
     a tridiagonal concentration core bordered by three dense rows/columns."""
     if dt <= 0.0:
         raise ValueError("jacobian: dt must be positive")
-    _, band, border = _assemble(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, params)
-    return _dense_jacobian(band, border, dt, params)
-
-
-def _dense_jacobian(band, border, dt: float, params: ModelParams) -> np.ndarray:
-    """The matrix _bordered_solve inverts, with its rows in residual order."""
-    m = band.shape[1]
-    J = np.zeros((m + 3, m + 3))
-    J[:m, :m] = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
-    J[:m, m:] = border
-    c0, c1, D = _affine_rows(dt, params)
-    J[m:, m:] = D
-    J[m, 0] = c0
-    J[m + 1, m - 1] = c1
-    # undo the row permutation: residual rows 0..I-1 are the interior balances
-    return J[np.r_[1 : m - 1, 0, m - 1 : m + 3]]
-
-
-def _blended_system(lam, u, X0, X1, L, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-    """(r, band, border) of the step system blended by lam toward its
-    explicitly solvable lambda = 0 member: frozen interior concentrations,
-    boundary traces at the kinetic ratios.  The motion laws and the closure
-    are not blended; lam = 1 is the scheme itself."""
-    r, band, border = _assemble(u, X0, X1, L, prev, mesh, dt, params)
-    if lam == 1.0:
-        return r, band, border
-    cells = mesh.num_cells
-    mass = prev.L * mesh.cell_sizes / dt
-    r[:cells] = lam * r[:cells] + (1.0 - lam) * mass * (u[1:-1] - prev.u[1:-1])
-    r[cells] = lam * r[cells] + (1.0 - lam) * (params.beta0 * u[0] - params.alpha0)
-    r[cells + 1] = lam * r[cells + 1] + (1.0 - lam) * (params.beta1 * u[-1] - params.alpha1)
-    band *= lam
-    border *= lam
-    band[1, 0] += (1.0 - lam) * params.beta0
-    band[1, 1 : cells + 1] += (1.0 - lam) * mass
-    band[1, cells + 1] += (1.0 - lam) * params.beta1
-    return r, band, border
+    system = _StepSystem(prev, mesh, dt, params)
+    system.assemble(cand.u, cand.X0, cand.X1, cand.L)
+    return system.dense_jacobian()
 
 
 # ---------------------------------------------------------------------------
@@ -361,42 +412,61 @@ def _damped_substep(u, L, du, dL, floor, enforce_positivity=True):
     return t, width_blocked
 
 
-def _newton(point, lam, prev, mesh, dt, params, opts, floor, enforce_positivity=True):
+def _sup_norm(r) -> float:
+    """|r|_inf, or inf when r is not finite."""
+    norm = float(np.abs(r).max())
+    return norm if norm < np.inf else np.inf
+
+
+def _newton(system: _StepSystem, point, lam, opts, floor, enforce_positivity=True):
     """Damped Newton on the step system blended by lam, from point = (u, X0,
     X1, L).  Returns the last iterate (None on breakdown), the status, the
-    iterations and the residual sup-norm of the last assembled system."""
+    iterations and the residual sup-norm of the last evaluated residual.
+
+    At lam = 1, a full undamped iteration whose increment is at most
+    sqrt(newton_tol) is followed by a confirmation: a simplified Newton
+    iteration that evaluates the residual alone and reuses that iteration's
+    factors.  Near the root its increment is quadratically small, so it
+    usually ends the solve; if it does not, the next iteration is a full one.
+    """
     u, X0, X1, L = point
-    cells = mesh.num_cells
+    cells = system.mesh.num_cells
+    confirm_below = np.sqrt(opts.newton_tol) if lam == 1.0 else -np.inf
+    confirm = False
     for iters in range(1, opts.max_newton_iters + 1):
-        r, band, border = _blended_system(lam, u, X0, X1, L, prev, mesh, dt, params)
-        if not np.isfinite(r).all():
-            return None, StepStatus.NO_CONVERGENCE, iters - 1, np.inf
         try:
-            delta = _bordered_solve(r, band, border, dt, params)
+            if confirm:
+                r = system.residual(u, X0, X1, L)
+                delta = system.resolve(r)
+            else:
+                r = system.assemble(u, X0, X1, L, lam)
+                delta = system.solve(r)
         except np.linalg.LinAlgError:
-            return None, StepStatus.NO_CONVERGENCE, iters - 1, float(np.abs(r).max())
+            return None, StepStatus.NO_CONVERGENCE, iters - 1, _sup_norm(r)
         du = delta[: cells + 2]
         dX0, dX1, dL = delta[cells + 2 :]
         t, width_blocked = _damped_substep(u, L, du, dL, floor, enforce_positivity)
         if t is None:
             status = StepStatus.WIDTH_COLLAPSED if width_blocked else StepStatus.NO_CONVERGENCE
-            return None, status, iters, float(np.abs(r).max())
+            return None, status, iters, _sup_norm(r)
         u = u + t * du
         X0 += t * dX0
         X1 += t * dX1
         L += t * dL
-        if t * float(np.abs(delta).max()) <= opts.newton_tol:
-            return (u, X0, X1, L), StepStatus.CONVERGED, iters, float(np.abs(r).max())
-    return (u, X0, X1, L), StepStatus.NO_CONVERGENCE, iters, float(np.abs(r).max())
+        step = t * float(np.abs(delta).max())
+        if step <= opts.newton_tol:
+            return (u, X0, X1, L), StepStatus.CONVERGED, iters, _sup_norm(r)
+        confirm = not confirm and t == 1.0 and step <= confirm_below
+    return (u, X0, X1, L), StepStatus.NO_CONVERGENCE, iters, _sup_norm(r)
 
 
-def _accept(point, status, iters, resid_inf, prev, mesh, dt, params, floor) -> StepResult:
+def _accept(system: _StepSystem, point, status, iters, resid_inf, floor) -> StepResult:
     """StepResult of _newton's outcome, its end point checked against the
     scheme itself."""
     if point is None:
         return StepResult(None, status, iters, resid_inf)
     u, X0, X1, L = point
-    resid_inf = float(np.abs(_residual_raw(u, X0, X1, L, prev, mesh, dt, params)).max())
+    resid_inf = float(np.abs(system.residual(u, X0, X1, L)).max())
     if status is not StepStatus.CONVERGED:
         return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
     if resid_inf > _STALL_RESIDUAL:
@@ -406,10 +476,11 @@ def _accept(point, status, iters, resid_inf, prev, mesh, dt, params, floor) -> S
         return StepResult(None, status, iters, resid_inf)
     if L <= floor:
         return StepResult(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
-    # roundoff may leave a trace infinitesimally negative
-    u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
-    if (u < 0.0).any():
-        return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
+    if u.min() < 0.0:
+        # roundoff may leave a trace infinitesimally negative
+        u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
+        if (u < 0.0).any():
+            return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
     state = State(u=u, X0=X0, X1=X1, L=L)
     return StepResult(state, StepStatus.CONVERGED, iters, resid_inf)
 
@@ -429,9 +500,9 @@ def newton_step_solve(
     to a fraction of the distance to the constraint.
     """
     floor = opts.resolved_floor(params)
+    system = _StepSystem(prev, mesh, dt, params)
     start = (prev.u, prev.X0, prev.X1, prev.L)
-    outcome = _newton(start, 1.0, prev, mesh, dt, params, opts, floor)
-    return _accept(*outcome, prev, mesh, dt, params, floor)
+    return _accept(system, *_newton(system, start, 1.0, opts, floor), floor)
 
 
 def homotopy_solve(
@@ -449,6 +520,7 @@ def homotopy_solve(
     continuation reports the corrections spent over all schedules and the
     last residual sup-norm seen."""
     floor = opts.resolved_floor(params)
+    system = _StepSystem(prev, mesh, dt, params)
     steps = HOMOTOPY_FIRST_STEPS
     width_collapse_seen = False
     spent = 0
@@ -465,15 +537,14 @@ def homotopy_solve(
             # solution branch may leave the positive cone, so only the width
             # stays floored here; the final state is validated at lambda = 1.
             point, status, used, resid_inf = _newton(
-                point, k / steps, prev, mesh, dt, params, opts, floor,
-                enforce_positivity=False,
+                system, point, k / steps, opts, floor, enforce_positivity=False
             )
             total_iters += used
             if status is not StepStatus.CONVERGED:
                 width_collapse_seen |= status is StepStatus.WIDTH_COLLAPSED
                 break
         else:
-            return _accept(point, status, total_iters, resid_inf, prev, mesh, dt, params, floor)
+            return _accept(system, point, status, total_iters, resid_inf, floor)
         spent += total_iters
         steps *= 2
 

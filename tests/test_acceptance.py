@@ -33,7 +33,7 @@ from oxidefv import (
     wave_distance,
     wave_profile_on_mesh,
 )
-from oxidefv.scheme import _residual_raw
+from oxidefv.scheme import _StepSystem
 from conftest import make_tc1, make_tc2, make_tc3
 
 
@@ -241,13 +241,14 @@ def test_criterion_08_jacobian_correctness():
                      L=max(0.1, Lp + rng.normal(0, 0.05)))
         x = np.concatenate([cand.u, [cand.X0, cand.X1, cand.L]])
         J = jacobian(prev, cand, mesh, dt, params)
+        system = _StepSystem(prev, mesh, dt, params)
         Jfd = np.zeros_like(J)
         for j in range(x.size):
             step = 1e-7 * max(1.0, abs(x[j]))
             xp = x.copy(); xp[j] += step
             xm = x.copy(); xm[j] -= step
-            rp = _residual_raw(xp[:10], xp[10], xp[11], xp[12], prev, mesh, dt, params)
-            rm = _residual_raw(xm[:10], xm[10], xm[11], xm[12], prev, mesh, dt, params)
+            rp = system.residual(xp[:10], xp[10], xp[11], xp[12])
+            rm = system.residual(xm[:10], xm[10], xm[11], xm[12])
             Jfd[:, j] = (rp - rm) / (2.0 * step)
         rel = np.abs(J - Jfd) / np.maximum(1.0, np.maximum(np.abs(J), np.abs(Jfd)))
         worst = max(worst, float(rel.max()))

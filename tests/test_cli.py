@@ -572,6 +572,14 @@ class TestCommandErrors:
         _assert_config_error(code, capsys.readouterr().err, "physical memory")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "tw", "energy"])
+    def test_uncountable_horizon_is_config_error(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([command, "--preset", "testcase1", "--dt", "1e-300", "--t-final", "1e308",
+                     "--out", str(out)])
+        _assert_config_error(code, capsys.readouterr().err, "--dt: ", "too many steps")
+        assert not out.exists()
+
     def test_tw_does_not_check_storage(self, capsys):
         assert main(["tw", "--preset", "testcase1", "--t-final", "1e13"]) == EXIT_OK
 

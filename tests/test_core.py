@@ -80,6 +80,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid.from_step_and_horizon(0.3, 1.0)
 
+    def test_uncountable_horizon_rejected(self):
+        # t_final / dt overflows: a ValueError, not int(inf)'s OverflowError
+        for dt, t_final in ((1e-300, 1e308), (np.float64(1e-300), np.float64(1e308))):
+            with pytest.raises(ValueError, match="too many steps"):
+                TimeGrid.from_step_and_horizon(dt, t_final)
+
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             TimeGrid(dt=-0.1, n_steps=10, t_final=-1.0)
