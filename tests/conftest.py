@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from oxidefv import ExponentialProfile, ModelParams
+
+# Property tests draw the same examples on every run, keep no example
+# database, and set no per-example deadline that a loaded machine could miss.
+settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
+settings.load_profile("derandomized")
 
 
 def make_tc1(offset: float = 0.0) -> ModelParams:

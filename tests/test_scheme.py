@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from oxidefv import (
@@ -435,6 +437,139 @@ class TestLeanIteration:
         assert calls == [(edges, True)] * (second.iterations - 2) + [(edges, False)] * 2
 
 
+def full_newton(prev, mesh, dt, params, opts=SolverOptions()):
+    """Damped Newton that reassembles on every iteration, through
+    reference_assemble and reference_bordered_solve: the end point (u, X0,
+    X1, L) and the iterations, or (None, iterations) when it does not
+    converge."""
+    floor = opts.resolved_floor(params)
+    m = mesh.num_cells + 2
+    u, X0, X1, L = prev.u, prev.X0, prev.X1, prev.L
+    for iters in range(1, opts.max_newton_iters + 1):
+        r, band, border = reference_assemble(u, X0, X1, L, prev, mesh, dt, params)
+        delta = reference_bordered_solve(r, band, border, dt, params)
+        t, _ = scheme._damped_substep(u, L, delta[:m], delta[m + 2], floor)
+        if t is None:
+            return None, iters
+        u = u + t * delta[:m]
+        X0, X1, L = X0 + t * delta[m], X1 + t * delta[m + 1], L + t * delta[m + 2]
+        if t * np.abs(delta).max() <= opts.newton_tol:
+            return (np.where((u < 0.0) & (u > -1e-12), 0.0, u), X0, X1, L), iters
+    return None, iters
+
+
+def state_gap(state, point):
+    u, X0, X1, L = point
+    return max(float(np.abs(state.u - u).max()),
+               abs(state.X0 - X0), abs(state.X1 - X1), abs(state.L - L))
+
+
+def record_iterations(monkeypatch):
+    """Record each Newton iteration of the step systems: the lam of a full
+    one, "confirm" for a residual-only confirmation."""
+    events = []
+    assemble, resolve = _StepSystem.assemble, _StepSystem.resolve
+
+    def recorded_assemble(self, u, X0, X1, L, lam=1.0):
+        events.append(lam)
+        return assemble(self, u, X0, X1, L, lam)
+
+    def recorded_resolve(self, r):
+        events.append("confirm")
+        return resolve(self, r)
+
+    monkeypatch.setattr(_StepSystem, "assemble", recorded_assemble)
+    monkeypatch.setattr(_StepSystem, "resolve", recorded_resolve)
+    return events
+
+
+class TestConfirmation:
+    """A full undamped iteration at lam = 1 with an increment at most
+    sqrt(newton_tol) is followed by a residual-only confirmation that
+    reuses its factors; the solve must end where full Newton ends."""
+
+    def test_matches_full_newton_over_a_run(self, tc1, monkeypatch):
+        events = record_iterations(monkeypatch)
+        mesh = uniform_mesh(100)
+        prev = discretize_initial(tc1, mesh)
+        for _ in range(200):
+            result = newton_step_solve(prev, mesh, 1e-2, tc1)
+            point, iters = full_newton(prev, mesh, 1e-2, tc1)
+            assert result.status is StepStatus.CONVERGED and point is not None
+            assert result.iterations == iters
+            assert state_gap(result.state, point) <= 1e-13
+            prev = result.state
+        assert events.count("confirm") >= 150
+
+    def test_continuation_confirms_only_at_lambda_one(self, tc1, monkeypatch):
+        events = record_iterations(monkeypatch)
+        mesh = uniform_mesh(30)
+        s0 = discretize_initial(tc1, mesh)
+        result = homotopy_solve(s0, mesh, 2e-2, tc1)
+        assert result.status is StepStatus.CONVERGED
+        assert result.iterations == len(events)
+        confirms = [i for i, event in enumerate(events) if event == "confirm"]
+        assert confirms
+        assert all(events[i - 1] == 1.0 for i in confirms)
+        # the corrections below lam = 1 take several iterations each
+        assert sum(event != "confirm" and event < 1.0 for event in events) > 2 * 16
+
+    def test_unconverged_confirmation_falls_through_to_full_iteration(
+        self, tc1, monkeypatch
+    ):
+        events = record_iterations(monkeypatch)
+        resolve = _StepSystem.resolve  # the recording wrapper
+        inflated = []
+
+        def first_inflated(self, r):
+            delta = resolve(self, r)
+            if not inflated:
+                delta = 1e4 * delta
+                inflated.append(float(np.abs(delta).max()))
+            return delta
+
+        monkeypatch.setattr(_StepSystem, "resolve", first_inflated)
+        mesh = uniform_mesh(30)
+        first = newton_step_solve(discretize_initial(tc1, mesh), mesh, 1e-2, tc1)
+        events.clear()
+        result = newton_step_solve(first.state, mesh, 1e-2, tc1)
+        assert result.status is StepStatus.CONVERGED
+        assert inflated[0] > SolverOptions().newton_tol
+        i = events.index("confirm")
+        assert events[i + 1] == 1.0
+        assert result.iterations == len(events)
+        point, _ = full_newton(first.state, mesh, 1e-2, tc1)
+        assert state_gap(result.state, point) <= 1e-12
+
+
+@st.composite
+def step_problems(draw):
+    """A preset, a random non-uniform mesh with 2 to 40 cells and dt
+    log-uniform in [1e-4, 1]."""
+    make = draw(st.sampled_from([make_tc1, make_tc2, make_tc3]))
+    cells = draw(st.integers(2, 40))
+    sizes = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=cells, max_size=cells)))
+    edges = np.concatenate(([0.0], np.cumsum(sizes[:-1]) / sizes.sum(), [1.0]))
+    dt = 10.0 ** draw(st.floats(-4.0, 0.0))
+    return make(), Mesh.from_edges(edges), dt
+
+
+@settings(max_examples=200)
+@given(step_problems())
+def test_converged_steps_match_full_newton(problem):
+    params, mesh, dt = problem
+    prev = discretize_initial(params, mesh)
+    result = newton_step_solve(prev, mesh, dt, params)
+    if result.status is not StepStatus.CONVERGED:
+        return
+    point, _ = full_newton(prev, mesh, dt, params)
+    assert point is not None
+    scale = max(1.0, float(np.abs(result.state.u).max()), abs(result.state.X1))
+    assert state_gap(result.state, point) <= 1e-12 * scale
+    assert np.abs(residual(prev, result.state, mesh, dt, params)).max() <= 1e-6
+    assert result.state.u.min() >= 0.0
+
+
 class TestNewton:
     def test_preserves_travelling_wave(self, tc1):
         mesh = uniform_mesh(100)
@@ -554,6 +689,39 @@ class TestRun:
         assert len(traj.states) == 51
         assert all(s.closure_defect() <= 1e-9 for s in traj.states)
         assert max(traj.residual_inf) <= 1e-9
+
+    def test_run_calls_traced_names_through_the_module(self, tc1, monkeypatch):
+        # The benchmark's tracer counts scheme.newton and core.state_new by
+        # wrapping these module attributes; run() must look them up there.
+        counts = Counter()
+
+        def count(name, wrapped=None):
+            original = wrapped or getattr(scheme, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(scheme, name, counted)
+
+        solve = scheme.newton_step_solve
+
+        def first_fails(prev, *args, **kwargs):
+            result = solve(prev, *args, **kwargs)
+            if prev.X0 == 0.0:
+                result = replace(result, state=None, status=StepStatus.NO_CONVERGENCE)
+            return result
+
+        count("newton_step_solve", first_fails)
+        count("homotopy_solve")
+        count("State")
+        traj = run(tc1, uniform_mesh(20), TimeGrid.from_step(1e-2, 3))
+        assert traj.completed
+        # three Newton solves, the first handed to the continuation; each
+        # converged solve builds its state
+        assert counts == {"newton_step_solve": 3, "homotopy_solve": 1, "State": 4}
+        for name in ("solve_banded", "bernoulli", "bernoulli_prime"):
+            assert callable(getattr(scheme, name))
 
     def test_initial_state_override(self, tc1):
         mesh = uniform_mesh(40)
