@@ -3,10 +3,18 @@
 Each step solves a nonlinear system in the unknowns (u_0, ..., u_{I+1},
 X0, X1, L): I interior balances with exponential-fitting two-point fluxes,
 the two boundary flux conditions, the two interface motion laws and the
-width closure.  Newton iteration with an analytic Jacobian and a
-bordered-banded linear solve does the work; the fallback is a
-lambda-continuation that blends the same system's rows toward an explicitly
-solvable member and corrects with the same Newton iteration and solve.
+width closure.  Each solve builds one _StepSystem: the step's constants, one
+assembly of the residual and the bordered-banded Jacobian, and one block
+solve, shared by Newton, the continuation and jacobian().
+
+Damped Newton iteration with the analytic Jacobian does the work.  Once a
+full undamped iteration of the scheme moves the iterate by at most
+sqrt(newton_tol), the next iteration is a confirmation: it evaluates the
+residual alone and solves with the factors of that iteration (a simplified
+Newton step), and usually ends the solve at full Newton's iteration count.
+The fallback is a lambda-continuation that blends the same system's rows
+toward an explicitly solvable member and corrects with the same Newton
+iteration and solve.
 """
 
 from __future__ import annotations
@@ -86,7 +94,11 @@ class StepStatus(Enum):
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of one nonlinear solve: the new state on success, the
-    iteration count, and the final residual sup-norm."""
+    iteration count, and the final residual sup-norm.
+
+    iterations counts every Newton iteration: the full ones and the
+    residual-only confirmations (at most one per full iteration).  A
+    continuation sums the iterations of its corrections."""
 
     state: State | None
     status: StepStatus
@@ -404,7 +416,7 @@ def _damped_substep(u, L, du, dL, floor, enforce_positivity=True):
     if enforce_positivity:
         neg = du < 0.0
         if neg.any():
-            t_pos = float(np.min(u[neg] / (-du[neg])))
+            t_pos = float((u[neg] / (-du[neg])).min())
     t = min(1.0, 0.995 * t_width, 0.995 * t_pos)
     width_blocked = t < 1.0 and t_width <= t_pos
     if t <= 2.0**-_MAX_HALVINGS:
