@@ -32,12 +32,15 @@ def _bernoulli_pair(r: np.ndarray, prime: bool = True):
     array, and merged by mask only when branches mix.  Its arguments are
     clipped so that no entry raises a floating-point warning: the series
     take r clipped at +-_LARGE_ARG, both middle branches share one expm1 of
-    r clipped at _LARGE_ARG, both tails one exp.
+    r clipped at _LARGE_ARG, both tails one exp.  Where no entry exceeds a
+    clip bound, the clip is the identity and is skipped.
     """
     if r.size == 0:
         return r.copy(), (r.copy() if prime else None)
     a = np.abs(r)
-    low, top = a.min(), a.max()
+    # axis=None: the reductions cover every axis of a 2-D block
+    low = np.minimum.reduce(a, axis=None)
+    top = np.maximum.reduce(a, axis=None)
     b = db = None
     if low < _SERIES_CUTOFF or (prime and low < _PRIME_SERIES_CUTOFF):
         rs = r if top <= _LARGE_ARG else np.clip(r, -_LARGE_ARG, _LARGE_ARG)
@@ -45,11 +48,12 @@ def _bernoulli_pair(r: np.ndarray, prime: bool = True):
         if low < _SERIES_CUTOFF:
             b = 1.0 - rs / 2.0 + r2 / 12.0 - r2 * r2 / 720.0
         if prime and low < _PRIME_SERIES_CUTOFF:
-            db = -0.5 + rs / 6.0 - rs * r2 / 180.0 + rs * r2 * r2 / 5040.0
+            r3 = rs * r2
+            db = -0.5 + rs / 6.0 - r3 / 180.0 + r3 * r2 / 5040.0
     if top < _SERIES_CUTOFF:
         return b, db
 
-    rm = np.minimum(r, _LARGE_ARG)
+    rm = r if top <= _LARGE_ARG else np.minimum(r, _LARGE_ARG)
     e1 = np.expm1(rm)
     if b is None:
         b = rm / e1
@@ -58,15 +62,18 @@ def _bernoulli_pair(r: np.ndarray, prime: bool = True):
 
     if prime and top >= _PRIME_SERIES_CUTOFF:
         mid = None
-        if db is not None or top > _PRIME_LARGE_ARG:
+        if top > _PRIME_LARGE_ARG:
             # e1 = 1 off B''s middle branch keeps e1 * e1 off 0 and overflow
             mid = (a >= _PRIME_SERIES_CUTOFF) & (r <= _PRIME_LARGE_ARG)
             e1 = np.where(mid, e1, 1.0)
-        mid_value = (e1 * (1.0 - rm) - rm) / (e1 * e1)
+        elif db is not None:
+            # e1 * e1 cannot overflow; only the series' entries can take it to 0
+            mid = a >= _PRIME_SERIES_CUTOFF
+        numer = e1 * (1.0 - rm) - rm
         if db is None:
-            db = mid_value
+            db = numer / (e1 * e1)
         else:
-            np.copyto(db, mid_value, where=mid)
+            np.divide(numer, e1 * e1, out=db, where=mid)
 
     if top > _PRIME_LARGE_ARG:
         rl = np.maximum(r, _PRIME_LARGE_ARG)

@@ -9,6 +9,7 @@ concentrations on the reference mesh plus the interface positions.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -232,13 +233,15 @@ class State:
         arr = np.array(self.u, dtype=float)
         if arr.ndim != 1 or arr.size < 3:
             raise ValueError("State.u must be a 1-d vector of length I+2 with I >= 1")
-        if not np.all(np.isfinite(arr)):
+        # a nan propagates into both extremes
+        low, high = np.minimum.reduce(arr), np.maximum.reduce(arr)
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError("State.u must be finite")
-        if np.any(arr < 0.0):
+        if low < 0.0:
             raise ValueError("State.u must be nonnegative")
-        if not (np.isfinite(self.L) and self.L > 0.0):
+        if not (math.isfinite(self.L) and self.L > 0.0):
             raise ValueError("State.L must be strictly positive")
-        if not (np.isfinite(self.X0) and np.isfinite(self.X1)):
+        if not (math.isfinite(self.X0) and math.isfinite(self.X1)):
             raise ValueError("State interfaces must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "u", arr)

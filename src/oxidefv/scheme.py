@@ -3,9 +3,11 @@
 Each step solves a nonlinear system in the unknowns (u_0, ..., u_{I+1},
 X0, X1, L): I interior balances with exponential-fitting two-point fluxes,
 the two boundary flux conditions, the two interface motion laws and the
-width closure.  Each solve builds one _StepSystem: the step's constants, one
-assembly of the residual and the bordered-banded Jacobian, and one block
-solve, shared by Newton, the continuation and jacobian().
+width closure.  Each solve builds one _StepSystem: the step's constants and
+the buffers that each iterate's assembly and block solve overwrite.  Its one
+assembly of the residual and the bordered-banded Jacobian, and its one block
+solve, are shared by Newton, the continuation and jacobian().  The solvers
+check dt and the previous state's cell count once, on entry.
 
 Damped Newton iteration with the analytic Jacobian does the work.  Once a
 full undamped iteration of the scheme moves the iterate by at most
@@ -19,6 +21,7 @@ iteration and solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -173,6 +176,12 @@ class _StepSystem:
     """The step system of one nonlinear solve from prev over dt, built once
     per solve and assembled at each iterate.
 
+    Built per solve: the step's constants (prev.L * prev.u[1:-1], edges/dt,
+    1 - R, the cached 3x3 affine block and its couplings), the edge fields
+    at rest, and the buffers that each iterate overwrites: the Peclet
+    arguments, the edge fluxes' derivatives in (X0, X1, L), and the block
+    solve's column-major buffer.
+
     The I+2 concentration rows are permuted (left flux condition, interior
     balances, right flux condition).  One column-major buffer holds their
     tridiagonal u-block in the (1, 1) banded layout (band: superdiagonal,
@@ -188,7 +197,8 @@ class _StepSystem:
 
     def __init__(self, prev: State, mesh: Mesh, dt: float, params: ModelParams):
         self.prev, self.mesh, self.dt, self.params = prev, mesh, dt, params
-        m = mesh.num_cells + 2
+        self.cells = cells = mesh.num_cells
+        m = cells + 2
         self._prev_mass = prev.L * prev.u[1:-1]
         self._edges_dt = mesh.edges / dt
         self._one_minus_R = 1.0 - params.R
@@ -199,8 +209,13 @@ class _StepSystem:
         self._rest_v = _frame_velocity(
             prev.X0, prev.X1, prev.L, prev.X0, prev.X1, prev.L, mesh, dt, params.R
         )
-        self._rest_B = np.ones(m - 1)
-        self._rest_dB = np.full(m - 1, -0.5)
+        rest = np.empty((2, 2, m - 1))
+        rest[0], rest[1] = 1.0, -0.5
+        self._rest_B, self._rest_dB = rest
+        # the stacked Peclet arguments (w, -w) and, per edge, the flux's
+        # derivatives in (X0, X1, L)
+        self._w = np.empty(2 * (m - 1))
+        self._dF = np.empty((m - 1, 3), order="F")
         self._buf = np.zeros((m, 7), order="F")
         self.band = self._buf[:, :3].T
         self.rhs = self._buf[:, 3:]
@@ -209,40 +224,48 @@ class _StepSystem:
         self._kept = None
 
     def _fields(self, u, X0, X1, L, prime: bool):
-        """Velocities, L*h, Bernoulli weights B(w), B(-w), their derivatives
-        (None unless prime) and fluxes per edge, with Peclet arguments
-        w = L*h*v.  One kernel call evaluates the stacked (w, -w); none at
-        rest."""
+        """Velocities, L*h, Bernoulli weights, their derivatives (None
+        unless prime) and fluxes per edge, with Peclet arguments w = L*h*v.
+        The weights come as rows (B(w), B(-w)), the derivatives likewise.
+        One kernel call evaluates the stacked (w, -w); none at rest."""
         prev, mesh = self.prev, self.mesh
         Lh = L * mesh.gaps
         if X0 == prev.X0 and X1 == prev.X1 and L == prev.L:
-            v = self._rest_v
-            Bp = Bm = self._rest_B
-            dBp = dBm = self._rest_dB
+            v, B, dB = self._rest_v, self._rest_B, self._rest_dB
         else:
             v = _frame_velocity(X0, X1, L, prev.X0, prev.X1, prev.L, mesh, self.dt, self.params.R)
-            w = Lh * v
-            edges = w.size
-            B, dB = _bernoulli_pair(np.concatenate((w, -w)), prime)
-            Bp, Bm = B[:edges], B[edges:]
-            dBp, dBm = (dB[:edges], dB[edges:]) if prime else (None, None)
-        F = (Bm * u[:-1] - Bp * u[1:]) / Lh
-        return v, Lh, Bp, Bm, dBp, dBm, F
+            w = self._w
+            edges = Lh.size
+            np.multiply(Lh, v, out=w[:edges])
+            np.negative(w[:edges], out=w[edges:])
+            B, dB = _bernoulli_pair(w, prime)
+            B = B.reshape(2, edges)
+            if prime:
+                dB = dB.reshape(2, edges)
+        F = (B[1] * u[:-1] - B[0] * u[1:]) / Lh
+        return v, Lh, B, dB, F
 
     def _residual_rows(self, u, X0, X1, L, F):
         prev, params, dt = self.prev, self.params, self.dt
-        cells = self.mesh.num_cells
+        cells = self.cells
         r = np.empty(cells + 5)
-        r[:cells] = self.mesh.cell_sizes * (L * u[1:-1] - self._prev_mass) / dt + F[1:] - F[:-1]
-        r[cells] = F[0] - params.a + params.b * u[0]
-        r[cells + 1] = F[-1]
+        balance = r[:cells]
+        np.multiply(L, u[1:-1], out=balance)
+        np.subtract(balance, self._prev_mass, out=balance)
+        np.multiply(self.mesh.cell_sizes, balance, out=balance)
+        np.divide(balance, dt, out=balance)
+        np.add(balance, F[1:], out=balance)
+        np.subtract(balance, F[:-1], out=balance)
+        u_first, u_last = u.item(0), u.item(-1)
+        r[cells] = F.item(0) - params.a + params.b * u_first
+        r[cells + 1] = F.item(-1)
         r[cells + 2] = (
             (X0 - prev.X0) / dt
             - params.alpha0
-            + params.beta0 * u[0]
+            + params.beta0 * u_first
             - self._one_minus_R * (X1 - prev.X1) / dt
         )
-        r[cells + 3] = (X1 - prev.X1) / dt + params.alpha1 - params.beta1 * u[-1]
+        r[cells + 3] = (X1 - prev.X1) / dt + params.alpha1 - params.beta1 * u_last
         r[cells + 4] = L - X1 + X0
         return r
 
@@ -261,34 +284,49 @@ class _StepSystem:
         frozen interior concentrations, boundary traces at the kinetic
         ratios.  The motion laws and the closure are not blended."""
         mesh, params, dt = self.mesh, self.params, self.dt
-        cells = mesh.num_cells
-        v, Lh, Bp, Bm, dBp, dBm, F = self._fields(u, X0, X1, L, prime=True)
+        cells = self.cells
+        v, Lh, B, dB, F = self._fields(u, X0, X1, L, prime=True)
         r = self._residual_rows(u, X0, X1, L, F)
 
         # Partial derivatives of each edge flux w.r.t. its neighbors and the
-        # interface unknowns; Nw is dF/dw times L*h.
-        dF_ul = Bm / Lh
-        dF_ur = -Bp / Lh
-        Nw = -dBm * u[:-1] - dBp * u[1:]
-        dF_X0 = -Nw / dt
-        dF_X1 = Nw * self._one_minus_R / dt
-        dF_L = Nw * (v / L - self._edges_dt) - F / L
+        # interface unknowns.  BL holds (-dF/du_right, dF/du_left); Nw is
+        # dF/dw times L*h; dF holds dF/dX0, dF/dX1, dF/dL.
+        BL = B / Lh
+        Nw = -dB[1] * u[:-1] - dB[0] * u[1:]
+        dF = self._dF
+        dF_X = dF[:, :2]
+        np.negative(Nw, out=dF[:, 0])
+        np.multiply(Nw, self._one_minus_R, out=dF[:, 1])
+        np.divide(dF_X, dt, out=dF_X)
+        dF_L = dF[:, 2]
+        np.divide(v, L, out=dF_L)
+        np.subtract(dF_L, self._edges_dt, out=dF_L)
+        np.multiply(Nw, dF_L, out=dF_L)
+        np.subtract(dF_L, F / L, out=dF_L)
         h = mesh.cell_sizes
 
         band = self.band
-        band[1, 0] = dF_ul[0] + params.b
-        band[0, 1:] = dF_ur
-        band[1, 1 : cells + 1] = h * L / dt + dF_ul[1:] - dF_ur[:-1]
-        band[1, cells + 1] = dF_ur[-1]
-        band[2, :cells] = -dF_ul[:cells]
-        band[2, cells] = dF_ul[-1]
+        band[1, 0] = BL.item(1, 0) + params.b
+        np.negative(BL[0], out=band[0, 1:])
+        diag = band[1, 1 : cells + 1]
+        np.multiply(h, L, out=diag)
+        np.divide(diag, dt, out=diag)
+        np.add(diag, BL[1, 1:], out=diag)
+        # adding B(w)/L*h subtracts dF/du_right exactly
+        np.add(diag, BL[0, :-1], out=diag)
+        band[1, cells + 1] = -BL.item(0, -1)
+        np.negative(BL[1, :cells], out=band[2, :cells])
+        band[2, cells] = BL.item(1, -1)
 
         border = self.border
-        border[0] = (dF_X0[0], dF_X1[0], dF_L[0])
-        border[1 : cells + 1, 0] = dF_X0[1:] - dF_X0[:-1]
-        border[1 : cells + 1, 1] = dF_X1[1:] - dF_X1[:-1]
-        border[1 : cells + 1, 2] = h * u[1:-1] / dt + dF_L[1:] - dF_L[:-1]
-        border[cells + 1] = (dF_X0[-1], dF_X1[-1], dF_L[-1])
+        border[0] = dF[0]
+        np.subtract(dF_X[1:], dF_X[:-1], out=border[1 : cells + 1, :2])
+        border_L = border[1 : cells + 1, 2]
+        np.multiply(h, u[1:-1], out=border_L)
+        np.divide(border_L, dt, out=border_L)
+        np.add(border_L, dF_L[1:], out=border_L)
+        np.subtract(border_L, dF_L[:-1], out=border_L)
+        border[cells + 1] = dF[-1]
         if lam == 1.0:
             return r
 
@@ -309,7 +347,8 @@ class _StepSystem:
         elimination: one tridiagonal LAPACK solve (dgtsv) of the
         concentration block for the residual and the border, then one LAPACK
         dgesv for the 3x3 Schur complement in (X0, X1, L).  Raises
-        LinAlgError when the system is singular or not finite."""
+        LinAlgError when the system is singular or not finite; an increment
+        that overflows is returned as it is, for the caller to check."""
         self._load(r, self.rhs[:, 0])
         if not np.isfinite(self._buf).all():
             raise np.linalg.LinAlgError("non-finite bordered system")
@@ -334,9 +373,9 @@ class _StepSystem:
 
     def _load(self, r, b_u):
         """-r's concentration rows into b_u, in the band's row order."""
-        cells = self.mesh.num_cells
+        cells = self.cells
         b_u[0] = -r[cells]
-        b_u[1 : cells + 1] = -r[:cells]
+        np.negative(r[:cells], out=b_u[1 : cells + 1])
         b_u[cells + 1] = -r[cells + 1]
 
     def _band_solve(self, b):
@@ -346,23 +385,20 @@ class _StepSystem:
             raise np.linalg.LinAlgError("singular band")
         if info < 0:
             raise ValueError(f"dgtsv: illegal value in argument {-info}")
-        # an overflow in sol reaches the increment, which is checked
+        # an overflow in sol reaches the increment, which the caller checks
         return sol
 
     def _schur_step(self, r, y, Y, S):
         """The increment from the band solutions y (residual) and Y (border)
         and the Schur matrix S, which dgesv leaves intact."""
-        cells = self.mesh.num_cells
+        cells = self.cells
         b_x = -r[cells + 2 :]
         b_x[0] -= self.c0 * y[0]
         b_x[1] -= self.c1 * y[-1]
         *_, z, info = dgesv(S, b_x, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError("singular Schur complement")
-        delta = np.concatenate((y - Y @ z, z))
-        if not np.isfinite(delta).all():
-            raise np.linalg.LinAlgError("Newton increment is not finite")
-        return delta
+        return np.concatenate((y - Y @ z, z))
 
     def dense_jacobian(self) -> np.ndarray:
         """The assembled matrix solve() inverts, with its rows in residual
@@ -379,20 +415,32 @@ class _StepSystem:
         return J[np.r_[1 : m - 1, 0, m - 1 : m + 3]]
 
 
+def _check_step(name: str, prev: State, mesh: Mesh, dt) -> None:
+    """Reject with ValueError a step the step system cannot hold: a dt that
+    is not positive and finite or whose 1/dt overflows, or a prev whose cell
+    count is not the mesh's."""
+    if not _positive_finite(dt):
+        raise ValueError(f"{name}: dt must be positive and finite, got {dt!r}")
+    if math.isinf(1.0 / float(dt)):
+        raise ValueError(f"{name}: dt {float(dt)!r} is too small: 1/dt overflows")
+    if prev.num_cells != mesh.num_cells:
+        raise ValueError(
+            f"{name}: prev has {prev.num_cells} cells, the mesh {mesh.num_cells}"
+        )
+
+
 def residual(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
     """Stacked residual of the implicit step, length I+5: the I interior
     balances, the left and right flux conditions, the two interface motion
     laws, and the width closure.  A root defines the next state."""
-    if dt <= 0.0:
-        raise ValueError("residual: dt must be positive")
+    _check_step("residual", prev, mesh, dt)
     return _StepSystem(prev, mesh, dt, params).residual(cand.u, cand.X0, cand.X1, cand.L)
 
 
 def jacobian(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
     """Analytic Jacobian of residual() w.r.t. (u_0..u_{I+1}, X0, X1, L),
     a tridiagonal concentration core bordered by three dense rows/columns."""
-    if dt <= 0.0:
-        raise ValueError("jacobian: dt must be positive")
+    _check_step("jacobian", prev, mesh, dt)
     system = _StepSystem(prev, mesh, dt, params)
     system.assemble(cand.u, cand.X0, cand.X1, cand.L)
     return system.dense_jacobian()
@@ -415,8 +463,9 @@ def _damped_substep(u, L, du, dL, floor, enforce_positivity=True):
     t_pos = np.inf
     if enforce_positivity:
         neg = du < 0.0
-        if neg.any():
-            t_pos = float((u[neg] / (-du[neg])).min())
+        # min(u / -du) as -max(u / du), negation being exact; inf when no
+        # du < 0
+        t_pos = -float(np.maximum.reduce(u[neg] / du[neg], initial=-np.inf))
     t = min(1.0, 0.995 * t_width, 0.995 * t_pos)
     width_blocked = t < 1.0 and t_width <= t_pos
     if t <= 2.0**-_MAX_HALVINGS:
@@ -426,7 +475,7 @@ def _damped_substep(u, L, du, dL, floor, enforce_positivity=True):
 
 def _sup_norm(r) -> float:
     """|r|_inf, or inf when r is not finite."""
-    norm = float(np.abs(r).max())
+    norm = float(np.maximum.reduce(np.abs(r)))
     return norm if norm < np.inf else np.inf
 
 
@@ -442,8 +491,9 @@ def _newton(system: _StepSystem, point, lam, opts, floor, enforce_positivity=Tru
     usually ends the solve; if it does not, the next iteration is a full one.
     """
     u, X0, X1, L = point
-    cells = system.mesh.num_cells
-    confirm_below = np.sqrt(opts.newton_tol) if lam == 1.0 else -np.inf
+    X0, X1, L = float(X0), float(X1), float(L)
+    m = system.cells + 2
+    confirm_below = math.sqrt(opts.newton_tol) if lam == 1.0 else -math.inf
     confirm = False
     for iters in range(1, opts.max_newton_iters + 1):
         try:
@@ -453,19 +503,24 @@ def _newton(system: _StepSystem, point, lam, opts, floor, enforce_positivity=Tru
             else:
                 r = system.assemble(u, X0, X1, L, lam)
                 delta = system.solve(r)
+            # one reduction checks the increment and gives its size; it
+            # reads the increment solve() or resolve() returned
+            norm = _sup_norm(delta)
+            if norm == np.inf:
+                raise np.linalg.LinAlgError("Newton increment is not finite")
         except np.linalg.LinAlgError:
             return None, StepStatus.NO_CONVERGENCE, iters - 1, _sup_norm(r)
-        du = delta[: cells + 2]
-        dX0, dX1, dL = delta[cells + 2 :]
+        du = delta[:m]
+        dX0, dX1, dL = delta[m:].tolist()
         t, width_blocked = _damped_substep(u, L, du, dL, floor, enforce_positivity)
         if t is None:
             status = StepStatus.WIDTH_COLLAPSED if width_blocked else StepStatus.NO_CONVERGENCE
             return None, status, iters, _sup_norm(r)
-        u = u + t * du
+        u = u + du if t == 1.0 else u + t * du
         X0 += t * dX0
         X1 += t * dX1
         L += t * dL
-        step = t * float(np.abs(delta).max())
+        step = t * norm
         if step <= opts.newton_tol:
             return (u, X0, X1, L), StepStatus.CONVERGED, iters, _sup_norm(r)
         confirm = not confirm and t == 1.0 and step <= confirm_below
@@ -478,7 +533,7 @@ def _accept(system: _StepSystem, point, status, iters, resid_inf, floor) -> Step
     if point is None:
         return StepResult(None, status, iters, resid_inf)
     u, X0, X1, L = point
-    resid_inf = float(np.abs(system.residual(u, X0, X1, L)).max())
+    resid_inf = float(np.maximum.reduce(np.abs(system.residual(u, X0, X1, L))))
     if status is not StepStatus.CONVERGED:
         return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
     if resid_inf > _STALL_RESIDUAL:
@@ -488,7 +543,7 @@ def _accept(system: _StepSystem, point, status, iters, resid_inf, floor) -> Step
         return StepResult(None, status, iters, resid_inf)
     if L <= floor:
         return StepResult(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
-    if u.min() < 0.0:
+    if np.minimum.reduce(u) < 0.0:
         # roundoff may leave a trace infinitesimally negative
         u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
         if (u < 0.0).any():
@@ -509,8 +564,11 @@ def newton_step_solve(
     Terminates when the applied increment drops below newton_tol in the
     sup norm; the final residual sup-norm is reported.  Steps that would
     push the width to the floor or a concentration negative are cut back
-    to a fraction of the distance to the constraint.
+    to a fraction of the distance to the constraint.  Raises ValueError for
+    a dt that is not positive and finite or whose 1/dt overflows, and for a
+    prev whose cell count is not the mesh's.
     """
+    _check_step("newton_step_solve", prev, mesh, dt)
     floor = opts.resolved_floor(params)
     system = _StepSystem(prev, mesh, dt, params)
     start = (prev.u, prev.X0, prev.X1, prev.L)
@@ -530,7 +588,9 @@ def homotopy_solve(
     interfaces) to the full scheme at lambda = 1, Newton-correcting at each
     increment.  The schedule doubles on failure up to a fixed cap.  A failed
     continuation reports the corrections spent over all schedules and the
-    last residual sup-norm seen."""
+    last residual sup-norm seen.  Raises ValueError for the inputs that
+    newton_step_solve rejects."""
+    _check_step("homotopy_solve", prev, mesh, dt)
     floor = opts.resolved_floor(params)
     system = _StepSystem(prev, mesh, dt, params)
     steps = HOMOTOPY_FIRST_STEPS

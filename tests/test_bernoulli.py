@@ -247,3 +247,92 @@ class TestKernel:
         B, dB = _bernoulli_pair(np.empty(0))
         assert B.shape == dB.shape == (0,)
         assert bernoulli(np.empty(0)).shape == (0,)
+
+
+def reference_bernoulli_pair(r, prime=True):
+    """A literal copy of the kernel as it stood before its clip and mask
+    work became conditional; the kernel must stay equal to it bit for bit."""
+    if r.size == 0:
+        return r.copy(), (r.copy() if prime else None)
+    a = np.abs(r)
+    low, top = a.min(), a.max()
+    b = db = None
+    if low < 1e-5 or (prime and low < 1e-2):
+        rs = r if top <= 705.0 else np.clip(r, -705.0, 705.0)
+        r2 = rs * rs
+        if low < 1e-5:
+            b = 1.0 - rs / 2.0 + r2 / 12.0 - r2 * r2 / 720.0
+        if prime and low < 1e-2:
+            db = -0.5 + rs / 6.0 - rs * r2 / 180.0 + rs * r2 * r2 / 5040.0
+    if top < 1e-5:
+        return b, db
+
+    rm = np.minimum(r, 705.0)
+    e1 = np.expm1(rm)
+    if b is None:
+        b = rm / e1
+    else:
+        np.divide(rm, e1, out=b, where=a >= 1e-5)
+
+    if prime and top >= 1e-2:
+        mid = None
+        if db is not None or top > 300.0:
+            mid = (a >= 1e-2) & (r <= 300.0)
+            e1 = np.where(mid, e1, 1.0)
+        mid_value = (e1 * (1.0 - rm) - rm) / (e1 * e1)
+        if db is None:
+            db = mid_value
+        else:
+            np.copyto(db, mid_value, where=mid)
+
+    if top > 300.0:
+        rl = np.maximum(r, 300.0)
+        el = np.exp(-rl)
+        np.copyto(b, rl * el, where=r > 705.0)
+        if prime:
+            np.copyto(db, (1.0 - rl) * el, where=r > 300.0)
+    return b, db
+
+
+def _branch_mix(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    spread = {
+        "all series": 5e-6,
+        "series and middle": 0.02,
+        "beyond 300": 450.0,
+        "beyond 705": 1000.0,
+    }
+    if name == "empty":
+        return np.empty(0)
+    r = rng.uniform(-1.0, 1.0, 202) * spread[name]
+    r[::7] *= 1e-4
+    return r
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize("prime", [True, False])
+    @pytest.mark.parametrize("shape", [(202,), (2, 101)])
+    @pytest.mark.parametrize(
+        "name", ["all series", "series and middle", "beyond 300", "beyond 705", "empty"]
+    )
+    def test_branch_mix_matches_reference(self, name, shape, prime):
+        r = _branch_mix(name)
+        r = r.reshape(shape if r.size else (0,) * len(shape))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _bernoulli_pair(r, prime)
+            want = reference_bernoulli_pair(r, prime)
+        assert got[0].shape == r.shape and got[0].tobytes() == want[0].tobytes()
+        if prime:
+            assert got[1].shape == r.shape and got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got[1] is None and want[1] is None
+
+    def test_every_kernel_array_matches_reference(self):
+        for r in _kernel_arrays():
+            for prime in (True, False):
+                got = _bernoulli_pair(r, prime)
+                want = reference_bernoulli_pair(r, prime)
+                assert got[0].tobytes() == want[0].tobytes(), r
+                assert (got[1] is None) == (want[1] is None)
+                if prime:
+                    assert got[1].tobytes() == want[1].tobytes(), r

@@ -220,6 +220,40 @@ class TestState:
         with pytest.raises(ValueError):
             State(u=np.array([1.0, np.nan, 1.0]), X0=0.0, X1=1.0, L=1.0)
 
+    @pytest.mark.parametrize(
+        "u, X0, X1, L, message",
+        [
+            (np.ones((2, 3)), 0.0, 1.0, 1.0, "1-d vector of length I\\+2"),
+            (np.ones(2), 0.0, 1.0, 1.0, "1-d vector of length I\\+2"),
+            (1.0, 0.0, 1.0, 1.0, "1-d vector of length I\\+2"),
+            ([1.0, np.nan, 1.0], 0.0, 1.0, 1.0, "State.u must be finite"),
+            ([1.0, np.inf, 1.0], 0.0, 1.0, 1.0, "State.u must be finite"),
+            ([1.0, -np.inf, 1.0], 0.0, 1.0, 1.0, "State.u must be finite"),
+            ([-1.0, np.nan, 1.0], 0.0, 1.0, 1.0, "State.u must be finite"),
+            ([1.0, -1e-300, 1.0], 0.0, 1.0, 1.0, "State.u must be nonnegative"),
+            ([1.0, 1.0, 1.0], 0.0, 1.0, 0.0, "State.L must be strictly positive"),
+            ([1.0, 1.0, 1.0], 0.0, 1.0, -1.0, "State.L must be strictly positive"),
+            ([1.0, 1.0, 1.0], 0.0, 1.0, np.nan, "State.L must be strictly positive"),
+            ([1.0, 1.0, 1.0], 0.0, 1.0, np.inf, "State.L must be strictly positive"),
+            ([1.0, 1.0, 1.0], np.nan, 1.0, 1.0, "State interfaces must be finite"),
+            ([1.0, 1.0, 1.0], 0.0, -np.inf, 1.0, "State interfaces must be finite"),
+            ([1.0, 1.0, 1.0], np.float64(np.inf), 1.0, 1.0, "State interfaces must be finite"),
+        ],
+    )
+    def test_each_check_keeps_its_message(self, u, X0, X1, L, message):
+        with pytest.raises(ValueError, match=message):
+            State(u=u, X0=X0, X1=X1, L=L)
+
+    def test_copies_u_read_only(self):
+        u = np.array([1.0, 0.0, 2.0])
+        s = State(u=u, X0=np.float64(0.0), X1=1.0, L=1.0)
+        assert not np.shares_memory(s.u, u) and not s.u.flags.writeable
+        assert s.u.dtype == np.float64 and s.u.tobytes() == u.tobytes()
+        u[0] = 5.0
+        assert s.u[0] == 1.0
+        # a list is taken as floats
+        assert State(u=[1, 0, 2], X0=0, X1=1, L=1).u.tobytes() == np.array([1.0, 0.0, 2.0]).tobytes()
+
     def test_closure_defect(self):
         s = State(u=np.ones(4), X0=0.5, X1=2.0, L=1.5)
         assert s.closure_defect() == 0.0

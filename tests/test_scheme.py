@@ -347,12 +347,17 @@ class TestLeanIteration:
                 system.solve(r)
 
     def test_overflowing_step_fails_without_exception(self, tc1):
-        # h * L / dt overflows in the band: both solvers report a failed step
+        # 1/dt is finite, but h * L / dt overflows in the band: both solvers
+        # report a failed step
+        params = replace(tc1, L0=50.0)
         mesh = uniform_mesh(20)
-        prev = discretize_initial(tc1, mesh)
+        prev = discretize_initial(params, mesh)
         with np.errstate(all="ignore"):
-            newton = newton_step_solve(prev, mesh, 1e-320, tc1)
-            fallback = homotopy_solve(prev, mesh, 1e-320, tc1)
+            system = _StepSystem(prev, mesh, 1e-308, params)
+            system.assemble(prev.u, prev.X0, prev.X1, prev.L)
+            assert np.isinf(system.band).any()
+            newton = newton_step_solve(prev, mesh, 1e-308, params)
+            fallback = homotopy_solve(prev, mesh, 1e-308, params)
         assert newton.status is StepStatus.NO_CONVERGENCE and newton.state is None
         assert fallback.status is not StepStatus.CONVERGED and fallback.state is None
 
@@ -540,6 +545,95 @@ class TestConfirmation:
         assert result.iterations == len(events)
         point, _ = full_newton(first.state, mesh, 1e-2, tc1)
         assert state_gap(result.state, point) <= 1e-12
+
+
+def reference_residual(u, X0, X1, L, prev, mesh, dt, params):
+    """The residual from the public bernoulli, as _StepSystem.residual must
+    reproduce bit for bit."""
+    v = velocities(prev, State(u=u, X0=X0, X1=X1, L=L), mesh, dt, params.R)
+    w = (L * mesh.gaps) * v
+    F = (bernoulli(-w) * u[:-1] - bernoulli(w) * u[1:]) / (L * mesh.gaps)
+    return reference_residual_rows(u, X0, X1, L, F, prev, mesh, dt, params)
+
+
+def reference_step(prev, mesh, dt, params, opts=SolverOptions()):
+    """One step of damped Newton with the scheme's confirmations and end
+    point check, built from reference_assemble, reference_bordered_solve and
+    reference_residual: (u, X0, X1, L, iterations, residual sup-norm) of the
+    accepted state, or None when the step is not accepted.
+
+    A full undamped iteration whose increment is at most sqrt(newton_tol)
+    is followed by a confirmation, which solves with that iteration's band
+    and border on the residual alone."""
+    floor = opts.resolved_floor(params)
+    m = mesh.num_cells + 2
+    u, X0, X1, L = prev.u, prev.X0, prev.X1, prev.L
+    confirm, kept = False, None
+    for iters in range(1, opts.max_newton_iters + 1):
+        if confirm:
+            r = reference_residual(u, X0, X1, L, prev, mesh, dt, params)
+        else:
+            r, *kept = reference_assemble(u, X0, X1, L, prev, mesh, dt, params)
+        delta = reference_bordered_solve(r, *kept, dt, params)
+        if not np.isfinite(delta).all():
+            return None
+        du, dL = delta[:m], delta[m + 2]
+        t_width = (L - floor) / -dL if dL < 0.0 else np.inf
+        neg = du < 0.0
+        t_pos = (u[neg] / -du[neg]).min() if neg.any() else np.inf
+        t = min(1.0, 0.995 * t_width, 0.995 * t_pos)
+        if t <= 2.0**-30:
+            return None
+        u = u + t * du
+        X0, X1, L = X0 + t * delta[m], X1 + t * delta[m + 1], L + t * dL
+        step = t * np.abs(delta).max()
+        if step <= opts.newton_tol:
+            break
+        confirm = not confirm and t == 1.0 and step <= np.sqrt(opts.newton_tol)
+    else:
+        return None
+    resid = np.abs(reference_residual(u, X0, X1, L, prev, mesh, dt, params)).max()
+    u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
+    if resid > 1e-6 or L <= floor or u.min() < 0.0:
+        return None
+    return u, X0, X1, L, iters, float(resid)
+
+
+class TestReferenceRun:
+    """run() reproduces, bit for bit, a Newton loop built from the reference
+    assembly, solve and residual: the stored states, the iteration counts
+    and the residual sup-norms."""
+
+    @pytest.mark.parametrize(
+        "make, cells, steps",
+        [(make_tc1, 100, 300), (make_tc2, 50, 1000), (make_tc3, 100, 5)],
+    )
+    def test_run_matches_reference_loop(self, make, cells, steps):
+        params, mesh, dt = make(), uniform_mesh(cells), 1e-2
+        traj = run(params, mesh, TimeGrid.from_step(dt, steps))
+        prev = discretize_initial(params, mesh)
+        states, iters, resids = [prev], [], []
+        for _ in range(steps):
+            step = reference_step(prev, mesh, dt, params)
+            if step is None:
+                break
+            u, X0, X1, L, used, resid = step
+            prev = State(u=u, X0=X0, X1=X1, L=L)
+            states.append(prev)
+            iters.append(used)
+            resids.append(resid)
+        if make is make_tc2:
+            # the reference stops where run() ends on the collapse
+            assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED
+            assert traj.termination.step == len(states)
+        else:
+            assert traj.completed and len(states) == steps + 1
+        assert traj.U.tobytes() == np.stack([s.u for s in states]).tobytes()
+        for name in ("X0", "X1", "L"):
+            want = np.array([getattr(s, name) for s in states])
+            assert getattr(traj, name).tobytes() == want.tobytes()
+        assert traj.newton_iters == tuple(iters)
+        assert traj.residual_inf == tuple(resids)
 
 
 @st.composite
@@ -909,6 +1003,40 @@ class TestCollapseEvent:
         assert traj.termination.step == len(traj.states) - 1
         assert traj.final_state.L <= 2.0 * 0.05
         assert traj.termination.bracket is None
+
+
+class TestStepValidation:
+    """The solvers and the residual reject a step the step system cannot
+    hold before any assembly."""
+
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("solve", [newton_step_solve, homotopy_solve])
+    def test_dt_not_positive_and_finite(self, tc1, solve, dt):
+        mesh = uniform_mesh(12)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            solve(discretize_initial(tc1, mesh), mesh, dt, tc1)
+
+    @pytest.mark.parametrize("solve", [newton_step_solve, homotopy_solve])
+    def test_dt_with_overflowing_reciprocal(self, tc1, solve):
+        mesh = uniform_mesh(12)
+        with pytest.raises(ValueError, match="1/dt overflows"):
+            solve(discretize_initial(tc1, mesh), mesh, 1e-320, tc1)
+
+    @pytest.mark.parametrize("solve", [newton_step_solve, homotopy_solve])
+    def test_prev_off_the_mesh(self, tc1, solve):
+        prev = discretize_initial(tc1, uniform_mesh(10))
+        with pytest.raises(ValueError, match="prev has 10 cells, the mesh 12"):
+            solve(prev, uniform_mesh(12), 1e-2, tc1)
+
+    def test_residual_and_jacobian_check_the_same(self, tc1):
+        mesh = uniform_mesh(12)
+        prev = discretize_initial(tc1, mesh)
+        for function in (residual, jacobian):
+            for dt in (0.0, 1e-320):
+                with pytest.raises(ValueError, match=function.__name__):
+                    function(prev, prev, mesh, dt, tc1)
+            with pytest.raises(ValueError, match="prev has 10 cells"):
+                function(discretize_initial(tc1, uniform_mesh(10)), prev, mesh, 1e-2, tc1)
 
 
 class TestSolverOptions:
