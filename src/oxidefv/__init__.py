@@ -44,23 +44,19 @@ from .energy import (
     dissipation_split,
     free_energy,
     mean_value_theta,
-    total_free_energy_increment,
     write_ledger_csv,
 )
 from .analysis import (
     ConvergenceReport,
-    DiscreteNorms,
     LevelResult,
     TrajectoryReport,
     convergence_study,
     h1_norm,
     l2_norm,
-    l2h1_norm,
     linf_bounds,
     mass_balance_defects,
     project_reference,
     sufficient_horizon,
-    trajectory_norms,
     velocity_bounds,
     verify_trajectory,
     wave_distance,

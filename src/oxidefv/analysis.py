@@ -18,6 +18,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     check_storable,
+    row_integrals,
     step_blocks,
     uniform_mesh,
 )
@@ -58,30 +59,6 @@ def l2_norm(values, mesh: Mesh) -> float:
     if z.size != mesh.num_cells + 2:
         raise ValueError("l2_norm: vector length must be I+2")
     return float(np.sqrt(np.dot(mesh.cell_sizes, z[1:-1] * z[1:-1])))
-
-
-def l2h1_norm(vectors, mesh: Mesh, dt: float) -> float:
-    """Space-time norm (sum_n dt * h1_norm(z^n)^2)^(1/2) over the rows."""
-    arr = np.asarray(vectors, dtype=float)
-    return float(np.sqrt(sum(dt * h1_norm(row, mesh) ** 2 for row in arr)))
-
-
-@dataclass(frozen=True)
-class DiscreteNorms:
-    """Norm summary of a trajectory: h1 and l2 of the final concentration
-    vector, and the space-time h1 accumulation over all steps."""
-
-    h1: float
-    l2h1: float
-    l2: float
-
-
-def trajectory_norms(traj: Trajectory, mesh: Mesh) -> DiscreteNorms:
-    return DiscreteNorms(
-        h1=h1_norm(traj.U[-1], mesh),
-        l2h1=l2h1_norm(traj.U[1:], mesh, traj.time_grid.dt),
-        l2=l2_norm(traj.U[-1], mesh),
-    )
 
 
 def _interior_field(traj: Trajectory) -> np.ndarray:
@@ -196,9 +173,7 @@ def mass_balance_defects(traj: Trajectory, mesh: Mesh, params: ModelParams) -> n
     """Per accepted step: L^n sum h u^n - L^{n-1} sum h u^{n-1}
     - dt (a - b u_0^n); vanishes for exact scheme solutions by telescoping."""
     dt = traj.time_grid.dt
-    # One np.dot per row: a matrix-vector product would sum in another order.
-    h = mesh.cell_sizes
-    masses = np.array([Lj * np.dot(h, uj) for Lj, uj in zip(traj.L, traj.U[:, 1:-1])])
+    masses = row_integrals(traj.U[:, 1:-1], traj.L, mesh)
     inflow = dt * (params.a - params.b * traj.U[1:, 0])
     return np.diff(masses) - inflow
 

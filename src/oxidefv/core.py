@@ -456,3 +456,11 @@ def step_blocks(traj: Trajectory):
     for start in range(0, max(U.shape[0] - 1, 1), rows):
         stop = start + rows + 1
         yield start, U[start:stop], traj.X0[start:stop], traj.X1[start:stop], traj.L[start:stop]
+
+
+def row_integrals(V, L, mesh: Mesh) -> np.ndarray:
+    """L_j * sum_i h_i V[j, i] for each row j of V (one entry per cell) and
+    its width L_j.  One np.dot per row: a matrix-vector product would sum in
+    another order."""
+    h = mesh.cell_sizes
+    return np.array([Lj * np.dot(h, vj) for Lj, vj in zip(L, V)])

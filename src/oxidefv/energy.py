@@ -9,15 +9,15 @@ is purely diagnostic: nothing here feeds back into the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .bernoulli import bernoulli
-from .core import Mesh, ModelParams, State, Trajectory, step_blocks
+from .core import Mesh, ModelParams, State, Trajectory, row_integrals, step_blocks
 from .formatting import write_csv
-from .scheme import _frame_velocity
+from .scheme import _frame_velocity, _positive_finite
 
 # Edge differences smaller than this fall back to the midpoint weight 1/2
 # in the mean-value construction.
@@ -101,17 +101,10 @@ def builtin_densities() -> tuple[ConvexDensity, ...]:
     return (_quadratic(), _quartic(), shifted_plus_squared(), _boltzmann())
 
 
-def _free_energy_rows(U, L, mesh: Mesh, density: ConvexDensity) -> np.ndarray:
-    """Free energy of each row of U with its width L.  One np.dot per row:
-    a matrix-vector product would sum in another order."""
-    P = density.phi(U[:, 1:-1])
-    return np.array([Lj * np.dot(mesh.cell_sizes, Pj) for Lj, Pj in zip(L, P)])
-
-
 def free_energy(state: State, mesh: Mesh, density: ConvexDensity) -> float:
     """L * sum_i h_i phi(u_i) over the interior cells (boundary traces
     excluded)."""
-    return float(_free_energy_rows(state.u[None], (state.L,), mesh, density)[0])
+    return float(row_integrals(density.phi(state.u[None, 1:-1]), (state.L,), mesh)[0])
 
 
 def mean_value_theta(u: np.ndarray, density: ConvexDensity) -> np.ndarray:
@@ -187,9 +180,10 @@ def dissipation_split(
     density: ConvexDensity,
 ) -> tuple[float, float]:
     """Bulk and boundary dissipation of one accepted step, both nonnegative
-    (see `_dissipation_rows`)."""
-    if dt <= 0.0:
-        raise ValueError("dissipation_split: dt must be positive")
+    (see `_dissipation_rows`).  Raises ValueError for a dt that is not
+    positive and finite."""
+    if not _positive_finite(dt):
+        raise ValueError(f"dissipation_split: dt must be positive and finite, got {dt!r}")
     d_bulk, d_bound = _dissipation_rows(
         np.stack((prev.u, nxt.u)),
         np.array([prev.X0, nxt.X0]),
@@ -200,26 +194,30 @@ def dissipation_split(
     return float(d_bulk[0]), float(d_bound[0])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EnergyLedger:
-    """Per-step free energy, total free energy and dissipation split for one
-    convex density, plus the running boundary-exchange sums.
+    """Free energy, total free energy and dissipation split of a stored
+    trajectory for one convex density, in columns, plus the final
+    boundary-exchange sums.  `build_ledger` makes ledgers.
 
-    Entries are appended per recorded step n = 0, 1, ...; the dissipation
-    columns are undefined at n = 0 and stored as nan.
+    H, H_tot, D_bulk and D_bound have one entry per trajectory row: row n
+    is step n.  The dissipation columns are undefined at row 0 and hold nan
+    there.  All four are read-only.
     """
 
     density: ConvexDensity
-    params: ModelParams
     dt: float
-    steps: list[int] = field(default_factory=list)
-    H: list[float] = field(default_factory=list)
-    H_tot: list[float] = field(default_factory=list)
-    D_bulk: list[float] = field(default_factory=list)
-    D_bound: list[float] = field(default_factory=list)
-    exchange_left_rate: float = 0.0
-    exchange_left_mass: float = 0.0
-    exchange_right_rate: float = 0.0
+    H: np.ndarray
+    H_tot: np.ndarray
+    D_bulk: np.ndarray
+    D_bound: np.ndarray
+    exchange_left_rate: float
+    exchange_left_mass: float
+    exchange_right_rate: float
+
+    def __post_init__(self):
+        for col in (self.H, self.H_tot, self.D_bulk, self.D_bound):
+            col.setflags(write=False)
 
 
 def _exchange_increments(params: ModelParams, dt: float, u0, u1):
@@ -250,107 +248,62 @@ def _exchange_correction(
     )
 
 
-def total_free_energy_increment(
-    ledger: EnergyLedger,
-    state: State,
-    mesh: Mesh,
-    prev: State | None = None,
-) -> EnergyLedger:
-    """Record the next step in the ledger.
-
-    Accumulates the three boundary-exchange sums (dissolution-rate,
-    mass-exchange and oxidation-rate terms) and evaluates the total free
-    energy; with the previous state supplied, the dissipation split of the
-    step is recorded as well.
-    """
-    p = ledger.params
-    density = ledger.density
-    n = ledger.steps[-1] + 1 if ledger.steps else 0
-    H = free_energy(state, mesh, density)
-    if n == 0:
-        ledger.steps.append(0)
-        ledger.H.append(H)
-        ledger.H_tot.append(H)
-        ledger.D_bulk.append(float("nan"))
-        ledger.D_bound.append(float("nan"))
-        return ledger
-
-    if prev is None:
-        raise ValueError("recording step n >= 1 requires the previous state")
-    d_left_rate, d_left_mass, d_right_rate = _exchange_increments(
-        p, ledger.dt, state.u[0], state.u[-1]
-    )
-    ledger.exchange_left_rate += d_left_rate
-    ledger.exchange_left_mass += d_left_mass
-    ledger.exchange_right_rate += d_right_rate
-    H_tot = H - _exchange_correction(
-        density, p, ledger.exchange_left_rate, ledger.exchange_left_mass, ledger.exchange_right_rate
-    )
-    d_bulk, d_bound = dissipation_split(prev, state, mesh, ledger.dt, p, density)
-    ledger.steps.append(n)
-    ledger.H.append(H)
-    ledger.H_tot.append(H_tot)
-    ledger.D_bulk.append(d_bulk)
-    ledger.D_bound.append(d_bound)
-    return ledger
-
-
 def build_ledger(
     traj: Trajectory,
     mesh: Mesh,
     params: ModelParams,
     density: ConvexDensity,
 ) -> EnergyLedger:
-    """Evaluate a stored trajectory into a complete ledger.
+    """Evaluate a stored trajectory into its ledger.
 
-    The steps are evaluated in blocks of consecutive rows (`step_blocks`);
-    the result is bitwise equal to recording each step in turn with
-    `total_free_energy_increment`.
+    The steps are evaluated in blocks of consecutive rows (`step_blocks`).
+    Each entry is summed in the same order as when its step is evaluated
+    alone, and the exchange sums accumulate in step order.
     """
     dt = traj.time_grid.dt
-    n = traj.U.shape[0] - 1
-    H = np.empty(n + 1)
-    H_tot = np.empty(n + 1)
-    d_bulk = np.empty(n)
-    d_bound = np.empty(n)
+    rows = traj.U.shape[0]
+    H = np.empty(rows)
+    H_tot = np.empty(rows)
+    D_bulk = np.empty(rows)
+    D_bound = np.empty(rows)
     sums = np.zeros(3)
     for start, U, X0, X1, L in step_blocks(traj):
-        stop = start + U.shape[0] - 1
+        stop = start + U.shape[0]
         # Row 0 repeats the previous block's last state and running sums;
-        # cumsum then adds in step order, as the per-step recording does.
-        H[start : stop + 1] = _free_energy_rows(U, L, mesh, density)
+        # cumsum then adds in step order.
+        H[start:stop] = row_integrals(density.phi(U[:, 1:-1]), L, mesh)
         incs = _exchange_increments(params, dt, U[1:, 0], U[1:, -1])
         running = np.cumsum(np.column_stack((sums, incs)), axis=1)
         sums = running[:, -1]
-        H_tot[start : stop + 1] = H[start : stop + 1] - _exchange_correction(density, params, *running)
-        d_bulk[start:stop], d_bound[start:stop] = _dissipation_rows(
+        H_tot[start:stop] = H[start:stop] - _exchange_correction(density, params, *running)
+        D_bulk[start + 1 : stop], D_bound[start + 1 : stop] = _dissipation_rows(
             U, X0, X1, L, mesh, dt, params, density
         )
     H_tot[0] = H[0]
-
-    nan = float("nan")
-    ledger = EnergyLedger(
+    D_bulk[0] = D_bound[0] = np.nan
+    left_rate, left_mass, right_rate = sums.tolist()
+    return EnergyLedger(
         density=density,
-        params=params,
         dt=dt,
-        steps=list(range(n + 1)),
-        H=H.tolist(),
-        H_tot=H_tot.tolist(),
-        D_bulk=[nan, *d_bulk.tolist()],
-        D_bound=[nan, *d_bound.tolist()],
+        H=H,
+        H_tot=H_tot,
+        D_bulk=D_bulk,
+        D_bound=D_bound,
+        exchange_left_rate=left_rate,
+        exchange_left_mass=left_mass,
+        exchange_right_rate=right_rate,
     )
-    ledger.exchange_left_rate, ledger.exchange_left_mass, ledger.exchange_right_rate = sums.tolist()
-    return ledger
 
 
 def write_ledger_csv(ledger: EnergyLedger, path) -> None:
     """Deterministic CSV with columns n, t, H, H_tot, D_bulk, D_bound."""
+    steps = range(len(ledger.H))
     write_csv(
         path,
         ("n", "t", "H", "H_tot", "D_bulk", "D_bound"),
         (
-            ledger.steps,
-            (n * ledger.dt for n in ledger.steps),
+            steps,
+            (n * ledger.dt for n in steps),
             ledger.H,
             ledger.H_tot,
             ledger.D_bulk,

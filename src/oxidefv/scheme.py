@@ -126,10 +126,11 @@ def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.n
     (1 - R) d[X1] - xi_edge * d[L] - d[X0], with d[f] = (f_next - f_prev)/dt.
 
     They are affine in the edge coordinate, so consecutive differences
-    telescope to -d[L] * h_i exactly.
+    telescope to -d[L] * h_i exactly.  Raises ValueError for a dt that is
+    not positive and finite.
     """
-    if dt <= 0.0:
-        raise ValueError("velocities: dt must be positive")
+    if not _positive_finite(dt):
+        raise ValueError(f"velocities: dt must be positive and finite, got {dt!r}")
     return _frame_velocity(nxt.X0, nxt.X1, nxt.L, prev.X0, prev.X1, prev.L, mesh, dt, R)
 
 
@@ -482,7 +483,9 @@ def _sup_norm(r) -> float:
 def _newton(system: _StepSystem, point, lam, opts, floor, enforce_positivity=True):
     """Damped Newton on the step system blended by lam, from point = (u, X0,
     X1, L).  Returns the last iterate (None on breakdown), the status, the
-    iterations and the residual sup-norm of the last evaluated residual.
+    iterations and the residual sup-norm of the last evaluated residual,
+    which is None on a converged return: `_accept` evaluates the end
+    point's residual again.
 
     At lam = 1, a full undamped iteration whose increment is at most
     sqrt(newton_tol) is followed by a confirmation: a simplified Newton
@@ -522,7 +525,7 @@ def _newton(system: _StepSystem, point, lam, opts, floor, enforce_positivity=Tru
         L += t * dL
         step = t * norm
         if step <= opts.newton_tol:
-            return (u, X0, X1, L), StepStatus.CONVERGED, iters, _sup_norm(r)
+            return (u, X0, X1, L), StepStatus.CONVERGED, iters, None
         confirm = not confirm and t == 1.0 and step <= confirm_below
     return (u, X0, X1, L), StepStatus.NO_CONVERGENCE, iters, _sup_norm(r)
 

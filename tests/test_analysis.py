@@ -20,13 +20,11 @@ from oxidefv import (
     convergence_study,
     h1_norm,
     l2_norm,
-    l2h1_norm,
     linf_bounds,
     mass_balance_defects,
     project_reference,
     run,
     sufficient_horizon,
-    trajectory_norms,
     uniform_mesh,
     velocities,
     velocity_bounds,
@@ -92,19 +90,6 @@ class TestNorms:
             mesh = uniform_mesh(int(cells))
             z = rng.normal(0.0, 2.0, cells + 2)
             assert l2_norm(z, mesh) <= np.sqrt(2.0) * h1_norm(z, mesh) + 1e-12
-
-    def test_l2h1_accumulation(self):
-        mesh = uniform_mesh(3)
-        z = np.ones(5)
-        # constant rows: h1 = 1 each, two rows with dt = 0.25
-        assert abs(l2h1_norm([z, z], mesh, 0.25) - np.sqrt(0.5)) <= 1e-14
-
-    def test_trajectory_norms(self, tc1):
-        mesh = uniform_mesh(16)
-        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 5))
-        norms = trajectory_norms(traj, mesh)
-        assert norms.h1 > 0 and norms.l2 > 0 and norms.l2h1 > 0
-        assert norms.l2 <= np.sqrt(2.0) * norms.h1 + 1e-12
 
 
 class TestProjection:

@@ -480,9 +480,9 @@ class TestCsvFields:
             names, rows = _csv_rows(out / f"energy_{density.name}.csv")
             assert names == ["n", "t", "H", "H_tot", "D_bulk", "D_bound"]
             assert len(rows) == len(traj.states)
-            for i, (row, n) in enumerate(zip(rows, ledger.steps)):
-                values = (n, n * ledger.dt, ledger.H[i], ledger.H_tot[i],
-                          ledger.D_bulk[i], ledger.D_bound[i])
+            for n, row in enumerate(rows):
+                values = (n, n * ledger.dt, ledger.H[n], ledger.H_tot[n],
+                          ledger.D_bulk[n], ledger.D_bound[n])
                 assert row == [_field(v) for v in values]
             assert rows[0][4:] == ["nan", "nan"]
 

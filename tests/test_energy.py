@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, dataclass, field
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,7 +11,10 @@ from oxidefv import (
     Mesh,
     ModelParams,
     State,
+    Termination,
+    TerminationKind,
     TimeGrid,
+    Trajectory,
     bernoulli,
     build_ledger,
     builtin_densities,
@@ -19,13 +24,18 @@ from oxidefv import (
     free_energy,
     mean_value_theta,
     run,
-    total_free_energy_increment,
     uniform_mesh,
     wave_profile_on_mesh,
     write_ledger_csv,
 )
 from oxidefv.core import _BLOCK_ELEMS, step_blocks
-from oxidefv.energy import _THETA_EPS, _dissipation_rows, shifted_plus_squared
+from oxidefv.energy import (
+    _THETA_EPS,
+    _dissipation_rows,
+    _exchange_correction,
+    _exchange_increments,
+    shifted_plus_squared,
+)
 from oxidefv.scheme import _frame_velocity
 from conftest import make_tc1, make_tc2
 
@@ -184,6 +194,13 @@ class TestDissipation:
             balance = np.diff(h_tot) / dt + d_tot
             assert np.abs(balance).max() <= 1e-9
 
+    @pytest.mark.parametrize("dt", [0.0, -0.05, np.nan, np.inf, -np.inf, True])
+    def test_dt_not_positive_and_finite_rejected(self, tc1, dt):
+        mesh = uniform_mesh(10)
+        s = discretize_initial(tc1, mesh)
+        with pytest.raises(ValueError, match="dissipation_split: dt must be positive and finite"):
+            dissipation_split(s, s, mesh, dt, tc1, quadratic())
+
 
 class TestLedger:
     def test_exchange_sums_vanish_at_kinetic_ratios(self):
@@ -194,8 +211,6 @@ class TestLedger:
         mesh = uniform_mesh(4)
         u = np.array([1.5, 1.0, 1.1, 0.9, 1.2, 0.4])
         states = tuple(State(u=u, X0=0.0, X1=1.0, L=1.0) for _ in range(3))
-        from oxidefv import Termination, TerminationKind, Trajectory
-
         traj = Trajectory.from_states(states, time_grid=TimeGrid.from_step(0.1, 2),
                                       termination=Termination(TerminationKind.COMPLETED),
                                       newton_iters=(1, 1),
@@ -206,6 +221,21 @@ class TestLedger:
             assert ledger.exchange_left_mass == 0.0
             assert ledger.exchange_right_rate == 0.0
             assert np.allclose(ledger.H_tot, ledger.H, rtol=0, atol=1e-15)
+
+    def test_frozen_with_read_only_columns(self, tc1):
+        mesh = uniform_mesh(12)
+        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 5))
+        ledger = build_ledger(traj, mesh, tc1, quadratic())
+        for col in (ledger.H, ledger.H_tot, ledger.D_bulk, ledger.D_bound):
+            assert col.shape == (6,)
+            assert not col.flags.writeable
+        assert np.isnan(ledger.D_bulk[0]) and np.isnan(ledger.D_bound[0])
+        with pytest.raises(ValueError):
+            ledger.H_tot[1] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            ledger.H = np.zeros(6)
+        with pytest.raises(FrozenInstanceError):
+            ledger.exchange_left_rate = 0.0
 
     def test_density_vanishing_on_bracket_reduces_to_bulk_energy(self, tc1):
         # density supported above the solution range: H_tot == H == 0
@@ -277,26 +307,85 @@ class TestLedger:
         assert float(row[2]) == pytest.approx(ledger.H[1])
 
 
+@dataclass
+class ListLedger:
+    """The list ledger that `total_free_energy_increment` recorded into
+    before a ledger became the columns that `build_ledger` makes."""
+
+    density: ConvexDensity
+    params: ModelParams
+    dt: float
+    steps: list[int] = field(default_factory=list)
+    H: list[float] = field(default_factory=list)
+    H_tot: list[float] = field(default_factory=list)
+    D_bulk: list[float] = field(default_factory=list)
+    D_bound: list[float] = field(default_factory=list)
+    exchange_left_rate: float = 0.0
+    exchange_left_mass: float = 0.0
+    exchange_right_rate: float = 0.0
+
+
+def total_free_energy_increment(
+    ledger: ListLedger,
+    state: State,
+    mesh: Mesh,
+    prev: State | None = None,
+) -> ListLedger:
+    """A literal copy of the per-step recorder that the ledger columns
+    replaced: the per-step definition of a ledger."""
+    p = ledger.params
+    density = ledger.density
+    n = ledger.steps[-1] + 1 if ledger.steps else 0
+    H = free_energy(state, mesh, density)
+    if n == 0:
+        ledger.steps.append(0)
+        ledger.H.append(H)
+        ledger.H_tot.append(H)
+        ledger.D_bulk.append(float("nan"))
+        ledger.D_bound.append(float("nan"))
+        return ledger
+
+    if prev is None:
+        raise ValueError("recording step n >= 1 requires the previous state")
+    d_left_rate, d_left_mass, d_right_rate = _exchange_increments(
+        p, ledger.dt, state.u[0], state.u[-1]
+    )
+    ledger.exchange_left_rate += d_left_rate
+    ledger.exchange_left_mass += d_left_mass
+    ledger.exchange_right_rate += d_right_rate
+    H_tot = H - _exchange_correction(
+        density, p, ledger.exchange_left_rate, ledger.exchange_left_mass, ledger.exchange_right_rate
+    )
+    d_bulk, d_bound = dissipation_split(prev, state, mesh, ledger.dt, p, density)
+    ledger.steps.append(n)
+    ledger.H.append(H)
+    ledger.H_tot.append(H_tot)
+    ledger.D_bulk.append(d_bulk)
+    ledger.D_bound.append(d_bound)
+    return ledger
+
+
 def replay_ledger(traj, mesh, params, density):
     """The per-step definition: record every step in turn."""
-    ledger = EnergyLedger(density=density, params=params, dt=traj.time_grid.dt)
+    ledger = ListLedger(density=density, params=params, dt=traj.time_grid.dt)
     total_free_energy_increment(ledger, traj.states[0], mesh)
     for prev, state in zip(traj.states[:-1], traj.states[1:]):
         total_free_energy_increment(ledger, state, mesh, prev=prev)
     return ledger
 
 
-def assert_ledgers_identical(blocked, replayed):
-    assert blocked.steps == replayed.steps
-    assert blocked.H == replayed.H
-    assert blocked.H_tot == replayed.H_tot
-    # step 0 has no dissipation (nan); everything after must match exactly
-    assert np.isnan(blocked.D_bulk[0]) and np.isnan(blocked.D_bound[0])
-    assert blocked.D_bulk[1:] == replayed.D_bulk[1:]
-    assert blocked.D_bound[1:] == replayed.D_bound[1:]
-    assert blocked.exchange_left_rate == replayed.exchange_left_rate
-    assert blocked.exchange_left_mass == replayed.exchange_left_mass
-    assert blocked.exchange_right_rate == replayed.exchange_right_rate
+def assert_ledgers_identical(ledger, replayed):
+    assert ledger.dt == replayed.dt
+    assert list(range(len(ledger.H))) == replayed.steps
+    assert np.array_equal(ledger.H, replayed.H)
+    assert np.array_equal(ledger.H_tot, replayed.H_tot)
+    # row 0 has no dissipation (nan); every later row must match exactly
+    assert np.isnan(ledger.D_bulk[0]) and np.isnan(ledger.D_bound[0])
+    assert np.array_equal(ledger.D_bulk, replayed.D_bulk, equal_nan=True)
+    assert np.array_equal(ledger.D_bound, replayed.D_bound, equal_nan=True)
+    assert ledger.exchange_left_rate == replayed.exchange_left_rate
+    assert ledger.exchange_left_mass == replayed.exchange_left_mass
+    assert ledger.exchange_right_rate == replayed.exchange_right_rate
 
 
 def edgewise_dissipation_rows(U, X0, X1, L, mesh, dt, params, density):
@@ -362,8 +451,8 @@ class TestSharedDensityEvaluation:
 
 
 class TestBlockedLedger:
-    """build_ledger evaluates blocks of steps; it must equal the per-step
-    replay exactly."""
+    """build_ledger evaluates blocks of steps into columns; they must equal
+    the per-step replay into lists exactly."""
 
     def check(self, traj, mesh, params):
         for density in builtin_densities():
@@ -396,3 +485,24 @@ class TestBlockedLedger:
         traj = run(params, mesh, TimeGrid.from_step_and_horizon(1e-2, 3.5))
         assert not traj.completed
         self.check(traj, mesh, params)
+
+    def test_collapse_on_non_uniform_mesh(self):
+        rng = np.random.default_rng(38)
+        edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 29)), [1.0]))
+        mesh = Mesh.from_edges(edges)
+        params = make_tc2()
+        traj = run(params, mesh, TimeGrid.from_step_and_horizon(1e-2, 3.5))
+        assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED
+        self.check(traj, mesh, params)
+
+    def test_one_row_trajectory(self):
+        # the first step fails: the trajectory holds the initial state alone
+        params = make_tc2()
+        mesh = uniform_mesh(50)
+        traj = run(params, mesh, TimeGrid.from_step(3.5, 1))
+        assert traj.U.shape[0] == 1
+        self.check(traj, mesh, params)
+        ledger = build_ledger(traj, mesh, params, quadratic())
+        assert ledger.H_tot.tolist() == ledger.H.tolist()
+        assert (ledger.exchange_left_rate, ledger.exchange_left_mass,
+                ledger.exchange_right_rate) == (0.0, 0.0, 0.0)

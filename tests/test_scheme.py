@@ -98,6 +98,13 @@ class TestVelocities:
             assert np.allclose(np.diff(v), -dL * mesh.cell_sizes,
                                rtol=0, atol=1e-11 * max(1.0, abs(dL)))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf, -np.inf, True])
+    def test_dt_not_positive_and_finite_rejected(self, tc1, dt):
+        mesh = uniform_mesh(5)
+        s = discretize_initial(tc1, mesh)
+        with pytest.raises(ValueError, match="velocities: dt must be positive and finite"):
+            velocities(s, s, mesh, dt, tc1.R)
+
 
 class TestSgFlux:
     def test_equal_states_zero_velocity(self):
