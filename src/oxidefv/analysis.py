@@ -27,6 +27,10 @@ from .scheme import SolverOptions, _frame_velocity, run
 from .waves import RegimeKind, TravellingWave, classify
 
 _EDGE_MATCH_TOL = 1e-12
+# verify_trajectory's slack on the proved brackets (concentration, width,
+# rates, velocities) and its bound on the worst mass-balance defect.
+_BRACKET_TOL = 1e-9
+_MASS_TOL = 1e-8
 
 
 def wave_distance(state: State, mesh: Mesh, wave: TravellingWave) -> float:
@@ -216,8 +220,6 @@ def verify_trajectory(
     traj: Trajectory,
     mesh: Mesh,
     params: ModelParams,
-    bracket_tol: float = 1e-9,
-    mass_tol: float = 1e-8,
 ) -> TrajectoryReport:
     """Check every stored step against the invariants the scheme guarantees.
 
@@ -230,7 +232,7 @@ def verify_trajectory(
 
     defects = mass_balance_defects(traj, mesh, params)
     mass_worst = float(np.abs(defects).max()) if defects.size else 0.0
-    mass = CheckResult(mass_worst <= mass_tol, mass_worst)
+    mass = CheckResult(mass_worst <= _MASS_TOL, mass_worst)
 
     regime = classify(params)
     forward_wave = regime.kind is RegimeKind.UNIQUE_WAVE and regime.wave.c_hat > 0.0
@@ -254,7 +256,7 @@ def verify_trajectory(
 
             lower = np.minimum(m / M * L[:-1], L_hat)
             worst_width = max(worst_width, float(np.max(lower - L[1:], initial=0.0)))
-            ok_width = ok_width and np.all(L[1:] > lower - bracket_tol)
+            ok_width = ok_width and np.all(L[1:] > lower - _BRACKET_TOL)
 
             dX1 = np.diff(X1) / dt
             dL = np.diff(L) / dt
@@ -277,11 +279,11 @@ def verify_trajectory(
             # are those at the extremes of v.
             worst_v = max(worst_v, v_flat - float(v.min()), float(v.max()) - v_sharp)
         worst = max(m - u_lo, u_hi - M, 0.0)
-        max_principle = CheckResult(u_lo >= m - bracket_tol and u_hi <= M + bracket_tol, worst)
+        max_principle = CheckResult(u_lo >= m - _BRACKET_TOL and u_hi <= M + _BRACKET_TOL, worst)
         width_bound = CheckResult(ok_width, worst_width)
-        interface_rate = CheckResult(worst_x1 <= bracket_tol, worst_x1)
-        width_rate = CheckResult(worst_dl <= bracket_tol, worst_dl)
-        velocity_bracket = CheckResult(worst_v <= bracket_tol, worst_v)
+        interface_rate = CheckResult(worst_x1 <= _BRACKET_TOL, worst_x1)
+        width_rate = CheckResult(worst_dl <= _BRACKET_TOL, worst_dl)
+        velocity_bracket = CheckResult(worst_v <= _BRACKET_TOL, worst_v)
 
         horizon = sufficient_horizon(params)
         horizon_ok = horizon is None or traj.time_grid.t_final < horizon

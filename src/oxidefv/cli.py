@@ -323,8 +323,8 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
             traj.U[:, 0],
             traj.U[:, -1],
             (nan if wave is None else wave_distance(s, mesh, wave) for s in traj.states),
-            (0, *traj.newton_iters),
-            (nan, *traj.residual_inf),
+            traj.newton_iters,
+            traj.residual_inf,
         ),
     )
 

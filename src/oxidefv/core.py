@@ -32,6 +32,12 @@ class ExponentialProfile:
     c2: float
     c3: float
 
+    def __post_init__(self):
+        for name in ("c1", "c2", "c3"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"ExponentialProfile.{name} must be finite, got {value!r}")
+
     def __call__(self, x):
         return self.c1 * np.exp(self.c2 * np.asarray(x, dtype=float)) + self.c3
 
@@ -68,6 +74,8 @@ class TabulatedProfile:
     def __post_init__(self):
         if len(self.x) != len(self.values) or len(self.x) < 2:
             raise ValueError("tabulated profile needs matching x/values, at least 2 samples")
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.values))):
+            raise ValueError("tabulated profile samples must be finite")
         if np.any(np.diff(self.x) <= 0.0):
             raise ValueError("tabulated profile abscissae must be strictly increasing")
 
@@ -148,6 +156,8 @@ class Mesh:
         e = np.array(edges, dtype=float)
         if e.ndim != 1 or e.size < 2:
             raise ValueError("mesh needs at least two edges")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("mesh edges must be finite")
         if e[0] != 0.0 or e[-1] != 1.0:
             raise ValueError("mesh edges must start at 0 and end at 1")
         if np.any(np.diff(e) <= 0.0):
@@ -328,9 +338,10 @@ class Trajectory:
 
     U has one row of concentrations (length I+2) per time step reached:
     row n is the state after step n (row 0 the initial state).  X0, X1
-    and L are the matching interface positions and widths.  All four are
-    read-only.  newton_iters and residual_inf are aligned with rows 1.. of
-    U.
+    and L are the matching interface positions and widths; newton_iters
+    (int) and residual_inf (float) are the iterations and the final
+    residual sup-norm of the solve that produced row n, 0 and nan at row 0,
+    which no solve produced.  All six are read-only.
 
     `states` and `final_state` present the rows as `State` objects: views
     over the rows, neither copied nor validated again (see StateRows).
@@ -342,41 +353,19 @@ class Trajectory:
     L: np.ndarray
     time_grid: TimeGrid
     termination: Termination
-    newton_iters: tuple[int, ...]
-    residual_inf: tuple[float, ...]
+    newton_iters: np.ndarray
+    residual_inf: np.ndarray
 
     def __post_init__(self):
         if self.U.ndim != 2 or self.U.shape[0] < 1 or self.U.shape[1] < 3:
             raise ValueError("Trajectory.U must have shape (n, I+2) with n >= 1 and I >= 1")
-        rows = self.U.shape[0]
-        for col in (self.X0, self.X1, self.L):
-            if col.shape != (rows,):
-                raise ValueError("Trajectory: X0, X1 and L need one entry per row of U")
-        if len(self.newton_iters) != rows - 1 or len(self.residual_inf) != rows - 1:
-            raise ValueError("Trajectory: newton_iters and residual_inf cover rows 1.. of U")
-        for arr in (self.U, self.X0, self.X1, self.L):
-            arr.setflags(write=False)
-
-    @classmethod
-    def from_states(
-        cls,
-        states,
-        time_grid: TimeGrid,
-        termination: Termination,
-        newton_iters,
-        residual_inf,
-    ) -> "Trajectory":
-        """A trajectory holding copies of the given states' data."""
-        return cls(
-            U=np.stack([s.u for s in states]),
-            X0=np.array([s.X0 for s in states], dtype=float),
-            X1=np.array([s.X1 for s in states], dtype=float),
-            L=np.array([s.L for s in states], dtype=float),
-            time_grid=time_grid,
-            termination=termination,
-            newton_iters=tuple(newton_iters),
-            residual_inf=tuple(residual_inf),
-        )
+        self.U.setflags(write=False)
+        for col in (self.X0, self.X1, self.L, self.newton_iters, self.residual_inf):
+            if col.shape != self.U.shape[:1]:
+                raise ValueError(
+                    "Trajectory: X0, X1, L, newton_iters and residual_inf need one entry per row of U"
+                )
+            col.setflags(write=False)
 
     @property
     def states(self) -> "StateRows":

@@ -121,16 +121,28 @@ def _frame_velocity(X0, X1, L, X0_prev, X1_prev, L_prev, mesh: Mesh, dt: float, 
     return (1.0 - R) * dX1 - mesh.edges * dL - dX0
 
 
+def _check_rates(name: str, prev: State, nxt: State, dt) -> None:
+    """Reject with ValueError a dt that is not positive and finite, or so
+    small that (f_next - f_prev)/dt overflows for f = X0, X1 or L.  The
+    quotients are taken in Python floats, which do not warn on overflow."""
+    if not _positive_finite(dt):
+        raise ValueError(f"{name}: dt must be positive and finite, got {dt!r}")
+    for f_next, f_prev in ((nxt.X0, prev.X0), (nxt.X1, prev.X1), (nxt.L, prev.L)):
+        if not math.isfinite((float(f_next) - float(f_prev)) / float(dt)):
+            raise ValueError(
+                f"{name}: dt {float(dt)!r} is too small: (f_next - f_prev)/dt overflows"
+            )
+
+
 def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.ndarray:
     """Edge velocities of the moving frame mapped onto [0, 1], one per edge:
     (1 - R) d[X1] - xi_edge * d[L] - d[X0], with d[f] = (f_next - f_prev)/dt.
 
     They are affine in the edge coordinate, so consecutive differences
     telescope to -d[L] * h_i exactly.  Raises ValueError for a dt that is
-    not positive and finite.
+    not positive and finite or that makes a d[f] overflow.
     """
-    if not _positive_finite(dt):
-        raise ValueError(f"velocities: dt must be positive and finite, got {dt!r}")
+    _check_rates("velocities", prev, nxt, dt)
     return _frame_velocity(nxt.X0, nxt.X1, nxt.L, prev.X0, prev.X1, prev.L, mesh, dt, R)
 
 
@@ -674,16 +686,18 @@ def run(
     if first.num_cells != mesh.num_cells:
         raise ValueError("run: initial state does not match the mesh")
 
-    # Row n holds the state after step n.  Rows a collapse never reaches
-    # are never touched.
+    # Row n holds the state after step n and the work of the solve that
+    # produced it.  Rows a collapse never reaches are never touched.
     rows = time_grid.n_steps + 1
     U = np.empty((rows, first.u.size))
     X0 = np.empty(rows)
     X1 = np.empty(rows)
     L = np.empty(rows)
+    iters = np.empty(rows, dtype=int)
+    resid = np.empty(rows)
     U[0], X0[0], X1[0], L[0] = first.u, first.X0, first.X1, first.L
-    newton_iters: list[int] = []
-    residuals: list[float] = []
+    iters[0], resid[0] = 0, np.nan
+    kept = 1
     termination = Termination(TerminationKind.COMPLETED)
     prev = first
 
@@ -711,13 +725,12 @@ def run(
             break
         prev = state
         U[n], X0[n], X1[n], L[n] = state.u, state.X0, state.X1, state.L
-        newton_iters.append(result.iterations)
-        residuals.append(result.residual_inf)
+        iters[n], resid[n] = result.iterations, result.residual_inf
+        kept = n + 1
         if state.L <= 2.0 * floor:
             termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n)
             break
 
-    kept = len(newton_iters) + 1
     return Trajectory(
         U=U[:kept],
         X0=X0[:kept],
@@ -725,6 +738,6 @@ def run(
         L=L[:kept],
         time_grid=time_grid,
         termination=termination,
-        newton_iters=tuple(newton_iters),
-        residual_inf=tuple(residuals),
+        newton_iters=iters[:kept],
+        residual_inf=resid[:kept],
     )

@@ -10,9 +10,9 @@ import numpy as np
 
 from .core import Mesh, ModelParams
 
-#: Default relative tolerance for the exact-equality regime and for the
-#: strict inequalities of the existence condition.
-DEFAULT_REGIME_TOL = 1e-12
+# Relative tolerance for the exact-equality regime and for the strict
+# inequalities of the existence condition.
+_REGIME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,15 @@ class RegimeClassification:
     level: float | None = None
 
 
-def _close(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+def _close(x: float, y: float) -> bool:
+    return abs(x - y) <= _REGIME_TOL * max(1.0, abs(x), abs(y))
 
 
-def _strictly_less(x: float, y: float, tol: float) -> bool:
-    return y - x > tol * max(1.0, abs(x), abs(y))
+def _strictly_less(x: float, y: float) -> bool:
+    return y - x > _REGIME_TOL * max(1.0, abs(x), abs(y))
 
 
-def classify(params: ModelParams, tol: float = DEFAULT_REGIME_TOL) -> RegimeClassification:
+def classify(params: ModelParams) -> RegimeClassification:
     """Classify the parameter regime and build the wave when it exists.
 
     A unique wave exists iff a/b sits strictly between the mixed ratio
@@ -78,11 +78,11 @@ def classify(params: ModelParams, tol: float = DEFAULT_REGIME_TOL) -> RegimeClas
     r1 = params.alpha1 / params.beta1
     r_mid = (params.alpha0 + params.R * params.alpha1) / (params.beta0 + params.R * params.beta1)
 
-    if _close(q, r0, tol) and _close(q, r1, tol):
+    if _close(q, r0) and _close(q, r1):
         return RegimeClassification(kind=RegimeKind.EQUILIBRIUM_CONTINUUM, level=q)
 
-    forward = _strictly_less(r_mid, q, tol) and _strictly_less(q, r0, tol)
-    backward = _strictly_less(q, r_mid, tol) and _strictly_less(r0, q, tol)
+    forward = _strictly_less(r_mid, q) and _strictly_less(q, r0)
+    backward = _strictly_less(q, r_mid) and _strictly_less(r0, q)
     if not (forward or backward):
         return RegimeClassification(kind=RegimeKind.NO_WAVE)
 

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from oxidefv import ExponentialProfile, ModelParams
+from oxidefv import ExponentialProfile, ModelParams, Termination, TerminationKind, Trajectory
 
 # Property tests draw the same examples on every run, keep no example
 # database, and set no per-example deadline that a loaded machine could miss.
@@ -44,3 +45,23 @@ def tc2() -> ModelParams:
 @pytest.fixture(scope="session")
 def tc3() -> ModelParams:
     return make_tc3()
+
+
+def trajectory_of(states, time_grid, termination=Termination(TerminationKind.COMPLETED)):
+    """A trajectory holding copies of the given states' data, state k being
+    the state after step k.  Its solver columns read (0, nan) at row 0, as
+    run() writes them, and (1, 0.0) on every later row."""
+    rows = len(states)
+    newton_iters = np.ones(rows, dtype=int)
+    residual_inf = np.zeros(rows)
+    newton_iters[0], residual_inf[0] = 0, np.nan
+    return Trajectory(
+        U=np.stack([s.u for s in states]),
+        X0=np.array([s.X0 for s in states], dtype=float),
+        X1=np.array([s.X1 for s in states], dtype=float),
+        L=np.array([s.L for s in states], dtype=float),
+        time_grid=time_grid,
+        termination=termination,
+        newton_iters=newton_iters,
+        residual_inf=residual_inf,
+    )

@@ -36,7 +36,7 @@ from oxidefv import (
 )
 from oxidefv import analysis
 from oxidefv.analysis import project_time_series
-from conftest import make_tc1
+from conftest import make_tc1, trajectory_of
 
 
 def synthetic_trajectory(mesh, fields, dt):
@@ -44,13 +44,7 @@ def synthetic_trajectory(mesh, fields, dt):
         State(u=np.concatenate([[f[0]], f, [f[-1]]]), X0=0.0, X1=1.0, L=1.0)
         for f in fields
     )
-    return Trajectory.from_states(
-        states,
-        time_grid=TimeGrid.from_step(dt, len(fields) - 1),
-        termination=Termination(TerminationKind.COMPLETED),
-        newton_iters=tuple(1 for _ in fields[1:]),
-        residual_inf=tuple(0.0 for _ in fields[1:]),
-    )
+    return trajectory_of(states, TimeGrid.from_step(dt, len(fields) - 1))
 
 
 class TestWaveDistance:
@@ -237,8 +231,8 @@ class TestDiagnosticsMemory:
             L=L,
             time_grid=TimeGrid.from_step(1e-2, rows - 1),
             termination=Termination(TerminationKind.COMPLETED),
-            newton_iters=(1,) * (rows - 1),
-            residual_inf=(0.0,) * (rows - 1),
+            newton_iters=np.zeros(rows, dtype=int),
+            residual_inf=np.full(rows, np.nan),
         )
         return traj, uniform_mesh(cells), make_tc1()
 
@@ -349,10 +343,7 @@ class TestVerification:
                   X1=s.X1 + rng.normal(0.0, 2e-2), L=s.L * scale)
             for s, scale in zip(traj.states, width_scale)
         )
-        noisy = Trajectory.from_states(states, time_grid=traj.time_grid,
-                                       termination=traj.termination,
-                                       newton_iters=traj.newton_iters,
-                                       residual_inf=traj.residual_inf)
+        noisy = trajectory_of(states, traj.time_grid)
         report = verify_trajectory(noisy, mesh, tc1)
 
         # the per-step definition of the same worst cases

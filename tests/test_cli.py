@@ -6,6 +6,7 @@ import pytest
 
 from oxidefv import (
     ExponentialProfile,
+    RegimeKind,
     StepStatus,
     TabulatedProfile,
     TimeGrid,
@@ -29,7 +30,7 @@ from oxidefv.cli import (
     parse_config,
     render_config,
 )
-from oxidefv.formatting import format_float
+from oxidefv.formatting import format_float, write_csv
 
 
 class TestParseConfig:
@@ -433,6 +434,32 @@ _CSV_RUNS = [
 ]
 
 
+def _reference_steps_csv(traj, mesh, params, path) -> None:
+    """The steps writer as it was when `newton_iters` and `residual_inf`
+    were tuples for rows 1.. of `U`, spliced behind the row-0 values."""
+    newton_iters = tuple(traj.newton_iters[1:].tolist())
+    residual_inf = tuple(traj.residual_inf[1:].tolist())
+    regime = classify(params)
+    wave = regime.wave if regime.kind is RegimeKind.UNIQUE_WAVE else None
+    nan = float("nan")
+    write_csv(
+        path,
+        ("n", "t", "X0", "X1", "L", "u0", "uI1", "d", "newton_iters", "residual_inf"),
+        (
+            range(len(traj.X0)),
+            traj.times,
+            traj.X0,
+            traj.X1,
+            traj.L,
+            traj.U[:, 0],
+            traj.U[:, -1],
+            (nan if wave is None else wave_distance(s, mesh, wave) for s in traj.states),
+            (0, *newton_iters),
+            (nan, *residual_inf),
+        ),
+    )
+
+
 class TestCsvFields:
     """Every field of every CSV is format_float (or str) of the value it
     was written from."""
@@ -452,11 +479,11 @@ class TestCsvFields:
         assert len(rows) == len(traj.states)
         for n, (row, state) in enumerate(zip(rows, traj.states)):
             d = float("nan") if wave is None else wave_distance(state, mesh, wave)
-            iters = traj.newton_iters[n - 1] if n else 0
-            resid = traj.residual_inf[n - 1] if n else float("nan")
-            values = (n, traj.times[n], state.X0, state.X1, state.L,
-                      state.u[0], state.u[-1], d, iters, resid)
+            values = (n, traj.times[n], state.X0, state.X1, state.L, state.u[0],
+                      state.u[-1], d, int(traj.newton_iters[n]), traj.residual_inf[n])
             assert row == [_field(v) for v in values]
+        # no solve produced the initial state
+        assert rows[0][8:] == ["0", "nan"]
         if wave is None:
             assert {row[7] for row in rows} == {"nan"}
 
@@ -467,6 +494,15 @@ class TestCsvFields:
         for i, row in enumerate(rows):
             xi = mesh.centers[i]
             assert row == [_field(v) for v in (i, xi, final.X0 + final.L * xi, final.u[i])]
+
+    @pytest.mark.parametrize("preset,cells,t_final,code", _CSV_RUNS)
+    def test_steps_csv_matches_spliced_writer(self, preset, cells, t_final, code, tmp_path):
+        config, mesh, traj = _stored_run(preset, cells, t_final)
+        cli._write_steps_csv(traj, mesh, config.params, tmp_path / "columns.csv")
+        _reference_steps_csv(traj, mesh, config.params, tmp_path / "spliced.csv")
+        got = (tmp_path / "columns.csv").read_bytes()
+        assert got == (tmp_path / "spliced.csv").read_bytes()
+        assert got.count(b"\n") == len(traj.states) + 1
 
     @pytest.mark.parametrize("preset,cells,t_final,code", _CSV_RUNS)
     def test_energy_csvs(self, preset, cells, t_final, code, tmp_path, capsys):

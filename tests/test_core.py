@@ -59,6 +59,10 @@ class TestMesh:
             Mesh.from_edges([0.1, 0.5, 1.0])
         with pytest.raises(ValueError):
             Mesh.from_edges([0.0, 0.5, 0.9])
+        # np.diff(e) <= 0 is false for nan, so the order check lets nan through
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="mesh edges must be finite"):
+                Mesh.from_edges([0.0, bad, 1.0])
 
     def test_arrays_read_only(self):
         m = uniform_mesh(4)
@@ -146,6 +150,18 @@ class TestProfiles:
             TabulatedProfile(x=(0.0, 0.0, 1.0), values=(1.0, 2.0, 3.0))
         with pytest.raises(ValueError):
             TabulatedProfile(x=(0.0, 1.0), values=(1.0,))
+        for bad in (np.nan, np.inf, -np.inf):
+            for x, values in (((0.0, bad, 1.0), (1.0, 2.0, 3.0)),
+                              ((0.0, 0.5, 1.0), (1.0, bad, 3.0))):
+                with pytest.raises(ValueError, match="tabulated profile samples must be finite"):
+                    TabulatedProfile(x=x, values=values)
+
+    def test_exponential_non_finite_coefficient_rejected(self):
+        for name in ("c1", "c2", "c3"):
+            for bad in (np.nan, np.inf, -np.inf):
+                coeffs = {"c1": 1.0, "c2": -0.5, "c3": 0.0, name: bad}
+                with pytest.raises(ValueError, match=f"ExponentialProfile.{name} must be finite"):
+                    ExponentialProfile(**coeffs)
 
 
 class TestModelParams:
@@ -280,6 +296,31 @@ class TestTrajectoryStorage:
         for arr in (traj.U, traj.X0, traj.X1, traj.L):
             assert not arr.flags.writeable
 
+    @pytest.mark.parametrize(
+        "make, cells, dt, t_final, kind, rows",
+        [
+            (make_tc1, 12, 1e-2, 5e-2, TerminationKind.COMPLETED, 6),
+            (make_tc2, 20, 1e-2, 3.5, TerminationKind.WIDTH_COLLAPSED, 149),
+            # the first step already fails: the initial state is the only row
+            (make_tc2, 50, 3.5, 3.5, TerminationKind.SOLVER_FAILED, 1),
+        ],
+    )
+    def test_solver_columns_share_the_rows(self, make, cells, dt, t_final, kind, rows):
+        traj = run(make(), uniform_mesh(cells), TimeGrid.from_step_and_horizon(dt, t_final))
+        assert traj.termination.kind is kind and traj.U.shape == (rows, cells + 2)
+        for name in ("X0", "X1", "L", "newton_iters", "residual_inf"):
+            col = getattr(traj, name)
+            assert col.shape == (rows,)
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1
+        assert traj.newton_iters.dtype.kind == "i"
+        assert traj.residual_inf.dtype == np.float64
+        # no solve produced row 0
+        assert traj.newton_iters[0] == 0 and np.isnan(traj.residual_inf[0])
+        assert np.all(traj.newton_iters[1:] >= 1)
+        assert np.all(traj.residual_inf[1:] <= 1e-9)
+
     def test_states_are_views_over_rows(self, traj):
         assert len(traj.states) == 6
         assert [s.L for s in traj.states[1:3]] == list(traj.L[1:3])
@@ -293,28 +334,21 @@ class TestTrajectoryStorage:
         final = traj.final_state
         assert np.shares_memory(final.u, traj.U[-1]) and final.L == traj.L[-1]
 
-    def test_from_states_round_trip(self, traj):
-        copy = Trajectory.from_states(
-            traj.states, traj.time_grid, traj.termination, traj.newton_iters,
-            traj.residual_inf,
-        )
-        for name in ("U", "X0", "X1", "L"):
-            assert getattr(copy, name).tobytes() == getattr(traj, name).tobytes()
-        assert not np.shares_memory(copy.U, traj.U)
-
     def test_mismatched_columns_rejected(self, traj):
         fields = dict(U=traj.U, X0=traj.X0, X1=traj.X1, L=traj.L, time_grid=traj.time_grid,
                       termination=traj.termination, newton_iters=traj.newton_iters,
                       residual_inf=traj.residual_inf)
-        for name, value in (("L", traj.L[:-1]), ("newton_iters", traj.newton_iters + (1,)),
-                            ("U", traj.U[0])):
+        for name, value in (("L", traj.L[:-1]), ("newton_iters", np.append(traj.newton_iters, 1)),
+                            ("residual_inf", traj.residual_inf[1:]), ("U", traj.U[0])):
             with pytest.raises(ValueError):
                 Trajectory(**{**fields, name: value})
 
     def test_collapse_keeps_only_reached_rows(self, traj):
         collapsed = run(make_tc2(), uniform_mesh(20), TimeGrid.from_step_and_horizon(1e-2, 3.5))
         assert collapsed.termination.kind is TerminationKind.WIDTH_COLLAPSED
-        rows = len(collapsed.newton_iters) + 1
+        # the failed step is not stored: rows 0 .. step - 1
+        assert collapsed.termination.bracket is not None
+        rows = collapsed.termination.step
         assert collapsed.U.shape == (rows, 22)
         assert rows < collapsed.time_grid.n_steps + 1
         # row n is step n: a completed run has a row for every step

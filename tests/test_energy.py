@@ -11,10 +11,8 @@ from oxidefv import (
     Mesh,
     ModelParams,
     State,
-    Termination,
     TerminationKind,
     TimeGrid,
-    Trajectory,
     bernoulli,
     build_ledger,
     builtin_densities,
@@ -37,7 +35,7 @@ from oxidefv.energy import (
     shifted_plus_squared,
 )
 from oxidefv.scheme import _frame_velocity
-from conftest import make_tc1, make_tc2
+from conftest import make_tc1, make_tc2, trajectory_of
 
 
 def quadratic():
@@ -57,18 +55,8 @@ class TestConvexDensity:
             derived = r * density.phi_prime(r) - density.phi(r)
             assert np.allclose(direct, derived, rtol=0, atol=1e-12)
 
-    def test_broken_density_rejected(self):
-        bad = ConvexDensity(
-            name="bad",
-            phi=lambda r: np.asarray(r) ** 2,
-            phi_prime=lambda r: 2.0 * np.asarray(r),
-            pi=lambda r: np.asarray(r) * 0.0,
-        )
-        with pytest.raises(ValueError):
-            bad.validate_on(np.linspace(0.5, 2.0, 10))
-
     def test_concavevalidation_fails(self):
-        concave = ConvexDensity.from_phi(
+        concave = ConvexDensity(
             "concave", lambda r: -np.asarray(r) ** 2, lambda r: -2.0 * np.asarray(r)
         )
         with pytest.raises(ValueError):
@@ -104,8 +92,8 @@ class TestFreeEnergy:
     def test_zero_density(self):
         mesh = uniform_mesh(5)
         s = State(u=np.linspace(0.5, 1.5, 7), X0=0.0, X1=1.0, L=1.0)
-        zero = ConvexDensity.from_phi("zero", lambda r: 0.0 * np.asarray(r),
-                                      lambda r: 0.0 * np.asarray(r))
+        zero = ConvexDensity("zero", lambda r: 0.0 * np.asarray(r),
+                             lambda r: 0.0 * np.asarray(r))
         assert free_energy(s, mesh, zero) == 0.0
 
     def test_matches_quadrature_oracle(self):
@@ -201,6 +189,15 @@ class TestDissipation:
         with pytest.raises(ValueError, match="dissipation_split: dt must be positive and finite"):
             dissipation_split(s, s, mesh, dt, tc1, quadratic())
 
+    @pytest.mark.parametrize("dt", [1e-320, np.float64(1e-320), 5e-324])
+    def test_overflowing_rates_rejected(self, tc1, dt):
+        # the rates of testcase1's first step overflow over this dt: a
+        # ValueError naming dt, not a failure inside the Bernoulli weights
+        mesh = uniform_mesh(10)
+        prev, nxt = run(tc1, mesh, TimeGrid.from_step(1e-2, 1)).states
+        with pytest.raises(ValueError, match=r"dissipation_split: dt .* too small"):
+            dissipation_split(prev, nxt, mesh, dt, tc1, quadratic())
+
 
 class TestLedger:
     def test_exchange_sums_vanish_at_kinetic_ratios(self):
@@ -211,10 +208,7 @@ class TestLedger:
         mesh = uniform_mesh(4)
         u = np.array([1.5, 1.0, 1.1, 0.9, 1.2, 0.4])
         states = tuple(State(u=u, X0=0.0, X1=1.0, L=1.0) for _ in range(3))
-        traj = Trajectory.from_states(states, time_grid=TimeGrid.from_step(0.1, 2),
-                                      termination=Termination(TerminationKind.COMPLETED),
-                                      newton_iters=(1, 1),
-                                      residual_inf=(0.0, 0.0))
+        traj = trajectory_of(states, TimeGrid.from_step(0.1, 2))
         for density in builtin_densities():
             ledger = build_ledger(traj, mesh, params, density)
             assert ledger.exchange_left_rate == 0.0

@@ -105,6 +105,21 @@ class TestVelocities:
         with pytest.raises(ValueError, match="velocities: dt must be positive and finite"):
             velocities(s, s, mesh, dt, tc1.R)
 
+    @pytest.mark.parametrize("dt", [1e-320, np.float64(1e-320), 5e-324])
+    def test_overflowing_rates_rejected(self, tc1, dt):
+        # testcase1's first step moves X0, X1 and L by about 1e-3: over a dt
+        # this small the rates overflow, with no floating-point warning first
+        mesh = uniform_mesh(10)
+        prev, nxt = run(tc1, mesh, TimeGrid.from_step(1e-2, 1)).states
+        # the stored rows hold numpy floats; plain floats must fail the same way
+        plain = [State(s.u, float(s.X0), float(s.X1), float(s.L)) for s in (prev, nxt)]
+        for a, b in ((prev, nxt), plain):
+            with pytest.raises(ValueError, match=r"velocities: dt .* too small"):
+                velocities(a, b, mesh, dt, tc1.R)
+        # no motion has finite rates at any dt
+        assert np.all(velocities(prev, prev, mesh, dt, tc1.R) == 0.0)
+        assert np.all(np.isfinite(velocities(prev, nxt, mesh, 1e-300, tc1.R)))
+
 
 class TestSgFlux:
     def test_equal_states_zero_velocity(self):
@@ -639,8 +654,8 @@ class TestReferenceRun:
         for name in ("X0", "X1", "L"):
             want = np.array([getattr(s, name) for s in states])
             assert getattr(traj, name).tobytes() == want.tobytes()
-        assert traj.newton_iters == tuple(iters)
-        assert traj.residual_inf == tuple(resids)
+        assert traj.newton_iters[1:].tolist() == iters
+        assert traj.residual_inf[1:].tolist() == resids
 
 
 @st.composite
@@ -789,7 +804,7 @@ class TestRun:
         assert traj.completed
         assert len(traj.states) == 51
         assert all(s.closure_defect() <= 1e-9 for s in traj.states)
-        assert max(traj.residual_inf) <= 1e-9
+        assert max(traj.residual_inf[1:]) <= 1e-9
 
     def test_run_calls_traced_names_through_the_module(self, tc1, monkeypatch):
         # The benchmark's tracer counts scheme.newton and core.state_new by
@@ -999,8 +1014,8 @@ class TestCollapseEvent:
         for got, want in zip(traj.states, states):
             assert got.u.tobytes() == want.u.tobytes()
             assert (got.X0, got.X1, got.L) == (want.X0, want.X1, want.L)
-        assert traj.newton_iters == tuple(iters)
-        assert traj.residual_inf == tuple(resids)
+        assert traj.newton_iters[1:].tolist() == iters
+        assert traj.residual_inf[1:].tolist() == resids
 
     def test_floor_reached_by_an_accepted_state_has_no_bracket(self, tc2):
         # a floor this high is crossed by an accepted step
