@@ -33,7 +33,6 @@ from .scheme import (
     newton_step_solve,
     residual,
     run,
-    sg_flux,
     velocities,
 )
 from .energy import (
@@ -51,12 +50,9 @@ from .analysis import (
     LevelResult,
     TrajectoryReport,
     convergence_study,
-    h1_norm,
-    l2_norm,
     linf_bounds,
     mass_balance_defects,
     project_reference,
-    sufficient_horizon,
     velocity_bounds,
     verify_trajectory,
     wave_distance,

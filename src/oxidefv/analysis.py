@@ -1,7 +1,6 @@
 """Quantitative diagnostics and experiment harnesses: distance to the
-travelling wave, discrete norms, nested-mesh projection, the grid
-refinement study, and post-hoc verification of the scheme's a priori
-bounds."""
+travelling wave, nested-mesh projection, the grid refinement study, and
+post-hoc verification of the scheme's a priori bounds."""
 
 from __future__ import annotations
 
@@ -43,26 +42,6 @@ def wave_distance(state: State, mesh: Mesh, wave: TravellingWave) -> float:
     target = wave.profile_rescaled(mesh.centers[1:-1])
     diff = state.u[1:-1] - target
     return float(state.L * np.dot(mesh.cell_sizes, diff * diff))
-
-
-def h1_norm(values, mesh: Mesh) -> float:
-    """Discrete H1-type norm: consecutive differences over the center gaps
-    plus the squared left trace,
-    (sum (z_i - z_{i-1})^2 / gap + z_0^2)^(1/2)."""
-    z = np.asarray(values, dtype=float)
-    if z.size != mesh.num_cells + 2:
-        raise ValueError("h1_norm: vector length must be I+2")
-    jumps = np.diff(z)
-    return float(np.sqrt(np.sum(jumps * jumps / mesh.gaps) + z[0] * z[0]))
-
-
-def l2_norm(values, mesh: Mesh) -> float:
-    """L2 norm of the piecewise-constant reconstruction on [0, 1]
-    (interior cells; the boundary points carry no measure)."""
-    z = np.asarray(values, dtype=float)
-    if z.size != mesh.num_cells + 2:
-        raise ValueError("l2_norm: vector length must be I+2")
-    return float(np.sqrt(np.dot(mesh.cell_sizes, z[1:-1] * z[1:-1])))
 
 
 def _interior_field(traj: Trajectory) -> np.ndarray:
@@ -161,18 +140,6 @@ def velocity_bounds(params: ModelParams, m: float, M: float) -> tuple[float, flo
     return v_flat, v_sharp
 
 
-def sufficient_horizon(params: ModelParams) -> float | None:
-    """Horizon below which the width provably stays bounded away from zero;
-    None when the bound is vacuous (the width cannot shrink on average)."""
-    m, _ = linf_bounds(params)
-    denom = (params.alpha0 + params.R * params.alpha1) - m * (
-        params.beta0 + params.R * params.beta1
-    )
-    if denom <= 0.0:
-        return None
-    return params.L0 / denom
-
-
 def mass_balance_defects(traj: Trajectory, mesh: Mesh, params: ModelParams) -> np.ndarray:
     """Per accepted step: L^n sum h u^n - L^{n-1} sum h u^{n-1}
     - dt (a - b u_0^n); vanishes for exact scheme solutions by telescoping."""
@@ -200,7 +167,6 @@ class TrajectoryReport:
     interface_rate: CheckResult | None
     width_rate: CheckResult | None
     velocity_bracket: CheckResult | None
-    horizon_bound_respected: bool | None
 
     @property
     def all_passed(self) -> bool:
@@ -237,7 +203,6 @@ def verify_trajectory(
     regime = classify(params)
     forward_wave = regime.kind is RegimeKind.UNIQUE_WAVE and regime.wave.c_hat > 0.0
     max_principle = width_bound = interface_rate = width_rate = velocity_bracket = None
-    horizon_ok = None
     if forward_wave:
         m, M = linf_bounds(params)
         L_hat = regime.wave.L_hat
@@ -285,9 +250,6 @@ def verify_trajectory(
         width_rate = CheckResult(worst_dl <= _BRACKET_TOL, worst_dl)
         velocity_bracket = CheckResult(worst_v <= _BRACKET_TOL, worst_v)
 
-        horizon = sufficient_horizon(params)
-        horizon_ok = horizon is None or traj.time_grid.t_final < horizon
-
     return TrajectoryReport(
         closure=closure,
         mass_balance=mass,
@@ -296,7 +258,6 @@ def verify_trajectory(
         interface_rate=interface_rate,
         width_rate=width_rate,
         velocity_bracket=velocity_bracket,
-        horizon_bound_respected=horizon_ok,
     )
 
 
@@ -324,8 +285,6 @@ class LevelResult:
 @dataclass(frozen=True)
 class ConvergenceReport:
     levels: tuple[LevelResult, ...]
-    ref_level: int
-    t_final: float
 
 
 def convergence_study(
@@ -421,7 +380,7 @@ def convergence_study(
         prev_h = h
         prev_dt = grid.dt
 
-    return ConvergenceReport(levels=tuple(rows), ref_level=ref_level, t_final=t_final)
+    return ConvergenceReport(levels=tuple(rows))
 
 
 def write_convergence_csv(report: ConvergenceReport, path) -> None:

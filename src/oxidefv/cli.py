@@ -31,6 +31,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     check_storable,
+    discretize_initial,
     uniform_mesh,
 )
 from .energy import build_ledger, builtin_densities, write_ledger_csv
@@ -142,6 +143,7 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
         if key not in known:
             raise ConfigError(f"{where(key)}: unknown key {key!r}")
 
+    given = set(raw)
     if "preset" in raw:
         name = raw["preset"]
         if name not in PRESETS:
@@ -216,6 +218,14 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
         raise ConfigError(
             f"{where('initial_mode')}: initial_mode must be 'average' or 'sample'"
         ) from exc
+    # The initial state on one cell holds the profile's end values, which
+    # bound an exponential profile on [0, L0], and its mean there.  An error
+    # names the first profile key the document sets.
+    try:
+        discretize_initial(params, Mesh.from_edges((0.0, 1.0)), mode)
+    except ValueError as exc:
+        keys = _EXP_KEYS if kind == "exp" else _TABLE_KEYS
+        raise ConfigError(f"{where(next((k for k in keys if k in given), keys[0]))}: {exc}") from exc
 
     # Only the keys present reach SolverOptions, so its defaults are the
     # only ones; a null width_floor is its default.
@@ -230,6 +240,11 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
         except ValueError as exc:
             raise ConfigError(f"{where(key)}: {exc}") from exc
     solver = SolverOptions(**solver_values)
+    if solver.resolved_floor(params) >= params.L0:
+        raise ConfigError(
+            f"{where('width_floor')}: width_floor {solver.width_floor!r} must be below "
+            f"the initial width L0 = {params.L0!r}"
+        )
 
     out = raw.get("out", _OPTIONAL_DEFAULTS["out"])
     if not isinstance(out, str):
@@ -269,29 +284,6 @@ def parse_config(text: str) -> RunConfig:
     values are rejected with line-anchored messages.
     """
     return _build_config(_read_object(text), text)
-
-
-def render_config(config: RunConfig) -> str:
-    """Canonical JSON form of a config; parse(render(c)) == c."""
-    profile = config.params.u_init
-    data: dict = {key: getattr(config.params, key) for key in _MODEL_KEYS}
-    if isinstance(profile, ExponentialProfile):
-        data["u_init_kind"] = "exp"
-        data["u_init_c1"] = profile.c1
-        data["u_init_c2"] = profile.c2
-        data["u_init_c3"] = profile.c3
-    else:
-        data["u_init_kind"] = "table"
-        data["u_init_x"] = list(profile.x)
-        data["u_init_values"] = list(profile.values)
-    data["cells"] = config.cells
-    data["dt"] = config.dt
-    data["t_final"] = config.t_final
-    data["initial_mode"] = config.initial_mode.value
-    for key in _SOLVER_KEYS:
-        data[key] = getattr(config.solver, key)
-    data["out"] = config.out
-    return json.dumps(data, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -290,23 +290,28 @@ def discretize_initial(
 
     Cell averages are exact for the exponential family and 3-point Gauss
     otherwise; boundary entries are the endpoint traces in both modes.
+    Raises ValueError, without a floating-point warning, for a profile that
+    overflows or turns negative on [0, L0].
     """
     profile = params.u_init
     L0 = params.L0
-    lo, _ = profile.bounds(0.0, L0)
-    if lo < 0.0:
-        raise ValueError("initial profile must be nonnegative on [0, L0]")
-
     mode = InitialMode(mode)
     u = np.empty(mesh.num_cells + 2)
-    u[0] = profile(0.0)
-    u[-1] = profile(L0)
-    if mode is InitialMode.CELL_AVERAGE:
-        phys = L0 * mesh.edges
-        for i in range(mesh.num_cells):
-            u[i + 1] = profile.average(phys[i], phys[i + 1])
-    else:
-        u[1:-1] = profile(L0 * mesh.centers[1:-1])
+    # an overflow is reported below as the profile's error
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, _ = profile.bounds(0.0, L0)
+        u[0] = profile(0.0)
+        u[-1] = profile(L0)
+        if mode is InitialMode.CELL_AVERAGE:
+            phys = L0 * mesh.edges
+            for i in range(mesh.num_cells):
+                u[i + 1] = profile.average(phys[i], phys[i + 1])
+        else:
+            u[1:-1] = profile(L0 * mesh.centers[1:-1])
+    if not np.isfinite(u).all():
+        raise ValueError("initial profile must be finite on [0, L0]")
+    if lo < 0.0:
+        raise ValueError("initial profile must be nonnegative on [0, L0]")
     return State(u=u, X0=0.0, X1=L0, L=L0)
 
 

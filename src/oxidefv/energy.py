@@ -38,14 +38,6 @@ class ConvexDensity:
         r = np.asarray(r, dtype=float)
         return r * self.phi_prime(r) - self.phi(r)
 
-    def validate_on(self, samples) -> None:
-        """Check convexity (secant monotonicity of phi') on the given sample
-        points."""
-        r = np.sort(np.asarray(samples, dtype=float))
-        p = np.asarray(self.phi_prime(r), dtype=float)
-        if np.any(np.diff(p) < -1e-12 * np.maximum(1.0, np.abs(p[:-1]))):
-            raise ValueError(f"density {self.name!r}: phi' is not nondecreasing on the samples")
-
 
 def _quadratic() -> ConvexDensity:
     return ConvexDensity("quadratic", lambda r: 0.5 * r * r, lambda r: np.asarray(r, dtype=float))
@@ -174,8 +166,8 @@ def dissipation_split(
     """Bulk and boundary dissipation of one accepted step, both nonnegative
     (see `_dissipation_rows`).  Raises ValueError for a dt that is not
     positive and finite or that makes a rate (f - f_prev)/dt of X0, X1 or
-    L overflow."""
-    _check_rates("dissipation_split", prev, nxt, dt)
+    L, or an edge velocity, overflow."""
+    _check_rates("dissipation_split", prev, nxt, dt, params.R)
     d_bulk, d_bound = _dissipation_rows(
         np.stack((prev.u, nxt.u)),
         np.array([prev.X0, nxt.X0]),

@@ -30,7 +30,8 @@ from numbers import Integral
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgtsv
 
-# solve_banded and bernoulli_prime are uncalled here; the benchmark's tracer wraps them.
+# solve_banded, bernoulli and bernoulli_prime are uncalled here; the benchmark's
+# tracer wraps them.
 from scipy.linalg import solve_banded  # noqa: F401
 
 from .bernoulli import _bernoulli_pair, bernoulli, bernoulli_prime  # noqa: F401
@@ -121,17 +122,25 @@ def _frame_velocity(X0, X1, L, X0_prev, X1_prev, L_prev, mesh: Mesh, dt: float, 
     return (1.0 - R) * dX1 - mesh.edges * dL - dX0
 
 
-def _check_rates(name: str, prev: State, nxt: State, dt) -> None:
+def _check_rates(name: str, prev: State, nxt: State, dt, R: float) -> None:
     """Reject with ValueError a dt that is not positive and finite, or so
-    small that (f_next - f_prev)/dt overflows for f = X0, X1 or L.  The
-    quotients are taken in Python floats, which do not warn on overflow."""
+    small that (f_next - f_prev)/dt overflows for f = X0, X1 or L, or that
+    the edge velocities of _frame_velocity overflow.  The velocity is affine
+    in the edge coordinate and rounding is monotone, so its values at 0 and
+    1 bound every edge's.  All is taken in Python floats, which do not warn
+    on overflow."""
     if not _positive_finite(dt):
         raise ValueError(f"{name}: dt must be positive and finite, got {dt!r}")
-    for f_next, f_prev in ((nxt.X0, prev.X0), (nxt.X1, prev.X1), (nxt.L, prev.L)):
-        if not math.isfinite((float(f_next) - float(f_prev)) / float(dt)):
-            raise ValueError(
-                f"{name}: dt {float(dt)!r} is too small: (f_next - f_prev)/dt overflows"
-            )
+    dt = float(dt)
+    dX0, dX1, dL = (
+        (float(f_next) - float(f_prev)) / dt
+        for f_next, f_prev in ((nxt.X0, prev.X0), (nxt.X1, prev.X1), (nxt.L, prev.L))
+    )
+    if not all(map(math.isfinite, (dX0, dX1, dL))):
+        raise ValueError(f"{name}: dt {dt!r} is too small: (f_next - f_prev)/dt overflows")
+    ends = ((1.0 - float(R)) * dX1 - xi * dL - dX0 for xi in (0.0, 1.0))
+    if not all(map(math.isfinite, ends)):
+        raise ValueError(f"{name}: dt {dt!r} is too small: the edge velocities overflow")
 
 
 def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.ndarray:
@@ -140,28 +149,10 @@ def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.n
 
     They are affine in the edge coordinate, so consecutive differences
     telescope to -d[L] * h_i exactly.  Raises ValueError for a dt that is
-    not positive and finite or that makes a d[f] overflow.
+    not positive and finite or that makes a d[f] or a velocity overflow.
     """
-    _check_rates("velocities", prev, nxt, dt)
+    _check_rates("velocities", prev, nxt, dt, R)
     return _frame_velocity(nxt.X0, nxt.X1, nxt.L, prev.X0, prev.X1, prev.L, mesh, dt, R)
-
-
-def sg_flux(u_left, u_right, v, L, h_edge):
-    """Exponential-fitting flux through one edge:
-    (B(-L h v) u_left - B(L h v) u_right) / (L h).
-
-    Reduces to central diffusion (u_left - u_right) / (L h) when v = 0 and
-    vanishes identically on exponential steady profiles.
-    """
-    L = np.asarray(L, dtype=float)
-    h_edge = np.asarray(h_edge, dtype=float)
-    if np.any(L <= 0.0):
-        raise ValueError("sg_flux: width L must be positive")
-    if np.any(h_edge <= 0.0):
-        raise ValueError("sg_flux: edge gap must be positive")
-    w = L * h_edge * np.asarray(v, dtype=float)
-    value = (bernoulli(-w) * u_left - bernoulli(w) * u_right) / (L * h_edge)
-    return float(value) if np.ndim(value) == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +667,8 @@ def run(
     solves that fail to converge to the continuation solver, and stopping
     early when the width collapses.  A collapse at a step that cannot be
     taken is located by _bracket_collapse and reported in the termination.
+    Raises ValueError for an initial state off the mesh or whose width is
+    at or below the width floor.
     """
     floor = opts.resolved_floor(params)
     first = (
@@ -685,6 +678,10 @@ def run(
     )
     if first.num_cells != mesh.num_cells:
         raise ValueError("run: initial state does not match the mesh")
+    if first.L <= floor:
+        raise ValueError(
+            f"run: initial width {float(first.L)!r} is at or below the width floor {float(floor)!r}"
+        )
 
     # Row n holds the state after step n and the work of the solve that
     # produced it.  Rows a collapse never reaches are never touched.

@@ -18,13 +18,10 @@ from oxidefv import (
     builtin_densities,
     classify,
     convergence_study,
-    h1_norm,
-    l2_norm,
     linf_bounds,
     mass_balance_defects,
     project_reference,
     run,
-    sufficient_horizon,
     uniform_mesh,
     velocities,
     velocity_bounds,
@@ -63,27 +60,6 @@ class TestWaveDistance:
                   L=wave.L_hat)
         expected = wave.L_hat * eps**2
         assert abs(wave_distance(s, mesh, wave) - expected) <= 1e-12 * expected
-
-
-class TestNorms:
-    def test_constant_vector(self):
-        mesh = uniform_mesh(6)
-        z = np.full(8, -1.7)
-        assert abs(h1_norm(z, mesh) - 1.7) <= 1e-15
-
-    def test_single_bump(self):
-        # gaps 0.25, 0.5, 0.25: jumps 1, -1, 0 give sqrt(4 + 2)
-        mesh = uniform_mesh(2)
-        z = np.array([0.0, 1.0, 0.0, 0.0])
-        assert abs(h1_norm(z, mesh) - np.sqrt(6.0)) <= 1e-14
-
-    def test_poincare_inequality(self):
-        rng = np.random.default_rng(41)
-        for _ in range(500):
-            cells = rng.integers(1, 30)
-            mesh = uniform_mesh(int(cells))
-            z = rng.normal(0.0, 2.0, cells + 2)
-            assert l2_norm(z, mesh) <= np.sqrt(2.0) * h1_norm(z, mesh) + 1e-12
 
 
 class TestProjection:
@@ -297,16 +273,6 @@ class TestBounds:
             v = velocities(a, b, mesh, 1e-2, tc1.R)
             assert np.all(v >= v_flat - 1e-9)
             assert np.all(v <= v_sharp + 1e-9)
-
-    def test_sufficient_horizon(self, tc1):
-        horizon = sufficient_horizon(tc1)
-        m, _ = linf_bounds(tc1)
-        expected = tc1.L0 / ((tc1.alpha0 + tc1.R * tc1.alpha1) - m * (tc1.beta0 + tc1.R * tc1.beta1))
-        assert horizon == pytest.approx(expected)
-        balanced = ModelParams(a=1, b=1, alpha0=1, beta0=1, alpha1=1, beta1=1, R=1,
-                               L0=1.0, u_init=ExponentialProfile(0.0, 0.0, 1.0))
-        assert sufficient_horizon(balanced) is None
-
 
 class TestVerification:
     def test_reference_run_passes_all_checks(self, tc1):

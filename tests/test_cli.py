@@ -28,7 +28,6 @@ from oxidefv.cli import (
     PRESETS,
     main,
     parse_config,
-    render_config,
 )
 from oxidefv.formatting import format_float, write_csv
 
@@ -86,14 +85,19 @@ class TestParseConfig:
             parse_config(text)
 
     def test_tabulated_profile(self):
+        # a full document: every model, profile, run and optional key set
         raw = dict(PRESETS["testcase1"])
         for key in ("u_init_c1", "u_init_c2", "u_init_c3"):
             raw.pop(key)
         raw["u_init_kind"] = "table"
         raw["u_init_x"] = [0.0, 0.5, 1.0]
         raw["u_init_values"] = [1.0, 2.0, 1.5]
+        raw.update(initial_mode="sample", newton_tol=1e-9, out="elsewhere")
         config = parse_config(json.dumps(raw))
-        assert isinstance(config.params.u_init, TabulatedProfile)
+        assert config.params.u_init == TabulatedProfile(x=(0.0, 0.5, 1.0), values=(1.0, 2.0, 1.5))
+        assert config.initial_mode.value == "sample"
+        assert config.solver.newton_tol == 1e-9
+        assert config.out == "elsewhere"
 
     @pytest.mark.parametrize("entry", ["true", '"0.5"', "NaN", "1e400", "null"])
     def test_table_entries_must_be_finite_numbers(self, entry):
@@ -121,8 +125,9 @@ class TestParseConfig:
 _SOLVER_KEYS = ("newton_tol", "max_newton_iters", "width_floor")
 # JSON literals at the edge of the solver keys' types: 1e400 reads as inf
 _EDGE_VALUES = ("null", "true", "2.7", '"16"', "NaN", "1e400")
-# these are valid: a tolerance or floor of 2.7, and a null floor (the default)
-_VALID_EDGES = {("newton_tol", "2.7"), ("width_floor", "null"), ("width_floor", "2.7")}
+# these are valid: a tolerance of 2.7, a floor below testcase1's L0 = 1 and a
+# null floor (the default); a floor of 2.7 is at or above L0
+_VALID_EDGES = {("newton_tol", "2.7"), ("width_floor", "null"), ("width_floor", "0.27")}
 
 
 def _one_key_config(key, literal):
@@ -137,6 +142,11 @@ _BOUNDARY_CASES = [
         if (key, value) not in _VALID_EDGES
     ),
     pytest.param(_one_key_config("dt", "1" + "0" * 400), [], "line 3: ", id="dt=10**400"),
+    # exp(800 x) overflows on [0, L0]; an offset of -5 turns the profile negative
+    pytest.param(_one_key_config("u_init_c2", "800.0"), [], "line 3: initial profile must be finite",
+                 id="u_init_c2=800"),
+    pytest.param(_one_key_config("u_init_c3", "-5.0"), [], "line 3: initial profile must be nonnegative",
+                 id="u_init_c3=-5"),
     pytest.param(_one_key_config("experiment", '"converge"'), [], "line 3: unknown key",
                  id="experiment"),
     pytest.param(_one_key_config("homotopy_steps", "16"), [], "line 3: unknown key",
@@ -163,26 +173,6 @@ class TestConfigBoundary:
     def test_valid_edge_is_accepted(self, key, value):
         config = parse_config(_one_key_config(key, value))
         assert getattr(config.solver, key) == json.loads(value)
-
-
-class TestRoundTrip:
-    def test_preset_round_trip(self):
-        config = parse_config(json.dumps({"preset": "testcase2"}))
-        assert parse_config(render_config(config)) == config
-
-    def test_tabulated_round_trip(self):
-        raw = dict(PRESETS["testcase1"])
-        for key in ("u_init_c1", "u_init_c2", "u_init_c3"):
-            raw.pop(key)
-        raw.update(
-            u_init_kind="table",
-            u_init_x=[0.0, 0.3, 1.0],
-            u_init_values=[1.0, 1.7, 1.2],
-            newton_tol=1e-9,
-            out="elsewhere",
-        )
-        config = parse_config(json.dumps(raw))
-        assert parse_config(render_config(config)) == config
 
 
 class TestMain:

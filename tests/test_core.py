@@ -226,6 +226,17 @@ class TestDiscretizeInitial:
         with pytest.raises(ValueError):
             discretize_initial(params, uniform_mesh(4))
 
+    @pytest.mark.parametrize("c1,c2", [(1.0, 800.0), (0.0, 800.0), (1e308, 1.0)])
+    def test_overflowing_profile_rejected(self, c1, c2):
+        # exp(800) overflows; 0 * exp(800) is nan; 1e308 * e overflows.  The
+        # error is discretize_initial's own, with no floating-point warning
+        # (tier-1 turns warnings into errors).
+        params = ModelParams(a=1, b=1, alpha0=1, beta0=1, alpha1=1, beta1=1, R=1,
+                             L0=1.0, u_init=ExponentialProfile(c1, c2, 0.0))
+        for mode in InitialMode:
+            with pytest.raises(ValueError, match=r"initial profile must be finite on \[0, L0\]"):
+                discretize_initial(params, uniform_mesh(4), mode)
+
 
 class TestState:
     def test_validation(self):

@@ -1,17 +1,32 @@
 """Every name a module of the package imports is read in that module, so an
 import left behind by a refactor fails here.  The one exception is a name
 the benchmark wraps in that module (`perfbench/worker.py`): the module
-keeps it as an attribute for the tracer to replace."""
+keeps it as an attribute for the tracer to replace.
+
+Likewise every public function or class the package defines is read by name
+in the package or by the benchmark, so code that only its own tests call
+fails here, unless it is listed in KEPT_FOR_TESTS with its reason."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from test_bench_hooks import wrapped_names
+from test_bench_hooks import module_reads, wrapped_names
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oxidefv"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "oxidefv"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# Public functions that neither the package nor the benchmark calls, kept
+# because the certification tests state a property of the scheme through
+# them.
+KEPT_FOR_TESTS = {
+    "jacobian": "criterion 08 checks the analytic Jacobian against finite differences",
+    "velocities": "the frame-velocity identities: uniform on the wave, telescoping to -d[L] h",
+    "mean_value_theta": "the mean-value identity behind the bulk dissipation's edge weights",
+    "wave_profile_on_mesh": "the exact discrete travelling wave the wave-exactness tests start from",
+}
 
 
 def unread_imports(source: str) -> list[str]:
@@ -44,3 +59,62 @@ def test_every_import_is_read(path):
 def test_guard_catches_an_unread_import():
     source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
     assert unread_imports(source) == ["field"]
+
+
+def name_reads(source: str) -> set[str]:
+    """The names the module's code loads, as a name or as an attribute: a
+    guard by name cannot tell `system.residual` from `residual`."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    return reads
+
+
+def unread_definitions(sources: dict, reads=frozenset()) -> list[str]:
+    """"module.name" of each public top-level function or class in sources
+    (module name -> source) that no source loads by name and that is not in
+    reads."""
+    read = set(reads).union(*map(name_reads, sources.values()))
+    return [
+        f"{module}.{node.name}"
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def package_sources() -> dict:
+    return {path.stem: path.read_text() for path in MODULES}
+
+
+def benchmark_reads() -> set[str]:
+    """The package names the benchmark calls, reads or wraps."""
+    return {name for _, name in (*module_reads(), *wrapped_names())}
+
+
+def test_every_public_definition_is_read():
+    unread = unread_definitions(package_sources(), benchmark_reads() | set(KEPT_FOR_TESTS))
+    assert not unread, f"{unread} are read by neither the package nor the benchmark"
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_FOR_TESTS))
+def test_kept_name_is_unread_and_tested(name):
+    # an entry whose name the package or the benchmark reads again, or that
+    # no test reads, is stale
+    assert name in {n.split(".")[1] for n in unread_definitions(package_sources())}
+    assert name not in benchmark_reads()
+    assert any(name in name_reads(path.read_text()) for path in TESTS.glob("test_*.py"))
+
+
+def test_guard_catches_an_uncalled_definition():
+    sources = {
+        "a": "def used():\n    pass\n\ndef unused():\n    pass\n\ndef _private():\n    pass\n",
+        "b": "from .a import used, unused\n\nclass Kept:\n    pass\n\nused()\n",
+    }
+    assert unread_definitions(sources) == ["a.unused", "b.Kept"]
+    assert unread_definitions(sources, {"Kept"}) == ["a.unused"]

@@ -25,7 +25,6 @@ from oxidefv import (
     newton_step_solve,
     residual,
     run,
-    sg_flux,
     uniform_mesh,
     velocities,
     wave_profile_on_mesh,
@@ -105,7 +104,7 @@ class TestVelocities:
         with pytest.raises(ValueError, match="velocities: dt must be positive and finite"):
             velocities(s, s, mesh, dt, tc1.R)
 
-    @pytest.mark.parametrize("dt", [1e-320, np.float64(1e-320), 5e-324])
+    @pytest.mark.parametrize("dt", [1e-320, np.float64(1e-320), 5e-324, 1e-318])
     def test_overflowing_rates_rejected(self, tc1, dt):
         # testcase1's first step moves X0, X1 and L by about 1e-3: over a dt
         # this small the rates overflow, with no floating-point warning first
@@ -113,33 +112,16 @@ class TestVelocities:
         prev, nxt = run(tc1, mesh, TimeGrid.from_step(1e-2, 1)).states
         # the stored rows hold numpy floats; plain floats must fail the same way
         plain = [State(s.u, float(s.X0), float(s.X1), float(s.L)) for s in (prev, nxt)]
-        for a, b in ((prev, nxt), plain):
+        # X1 = L grows by 1e-10: over dt = 1e-318 each rate is finite, about
+        # 1e308, but the velocity -d[X1] - d[L] at the right edge (R = 2) is not
+        assert tc1.R == 2.0 and np.isfinite(1e-10 / 1e-318)
+        grow = [State(prev.u, 0.0, x, x) for x in (1.0, 1.0 + 1e-10)]
+        for a, b in ((prev, nxt), plain, grow):
             with pytest.raises(ValueError, match=r"velocities: dt .* too small"):
                 velocities(a, b, mesh, dt, tc1.R)
         # no motion has finite rates at any dt
         assert np.all(velocities(prev, prev, mesh, dt, tc1.R) == 0.0)
         assert np.all(np.isfinite(velocities(prev, nxt, mesh, 1e-300, tc1.R)))
-
-
-class TestSgFlux:
-    def test_equal_states_zero_velocity(self):
-        assert sg_flux(1.7, 1.7, 0.0, 2.0, 0.25) == 0.0
-
-    def test_pure_diffusion(self):
-        assert sg_flux(1.0, 0.0, 0.0, 2.0, 0.5) == 1.0
-
-    def test_wave_neighbors_cancel(self, tc1):
-        mesh = uniform_mesh(40)
-        wave, s = wave_state(tc1, mesh)
-        v = -tc1.R * wave.c_hat
-        f = sg_flux(s.u[:-1], s.u[1:], v, wave.L_hat, mesh.gaps)
-        assert np.all(np.abs(f) <= 1e-12)
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            sg_flux(1.0, 1.0, 0.0, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            sg_flux(1.0, 1.0, 0.0, 1.0, 0.0)
 
 
 class TestResidual:
@@ -805,6 +787,14 @@ class TestRun:
         assert len(traj.states) == 51
         assert all(s.closure_defect() <= 1e-9 for s in traj.states)
         assert max(traj.residual_inf[1:]) <= 1e-9
+
+    def test_initial_width_at_or_below_floor_rejected(self, tc1):
+        # testcase1 starts at L0 = 1: a run cannot start at or below its floor
+        mesh, grid = uniform_mesh(10), TimeGrid.from_step(1e-2, 2)
+        for floor in (1.0, 1.5):
+            with pytest.raises(ValueError, match="run: initial width 1.0 is at or below"):
+                run(tc1, mesh, grid, SolverOptions(width_floor=floor))
+        assert run(tc1, mesh, grid, SolverOptions(width_floor=np.nextafter(1.0, 0.0))).states
 
     def test_run_calls_traced_names_through_the_module(self, tc1, monkeypatch):
         # The benchmark's tracer counts scheme.newton and core.state_new by
