@@ -19,9 +19,10 @@ from typing import Union
 import numpy as np
 
 # 3-point Gauss-Legendre rule on [-1, 1], used to average profiles without
-# a closed-form antiderivative.
+# a closed-form antiderivative.  The weights are halved, which is exact, so
+# that they sum to 1: an average of finite samples cannot overflow.
 _GAUSS3_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
-_GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+_GAUSS3_HALF_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class TabulatedProfile:
             raise ValueError("average: interval must have positive width")
         mid = 0.5 * (x_lo + x_hi)
         pts = mid + 0.5 * width * _GAUSS3_NODES
-        return float(np.dot(_GAUSS3_WEIGHTS, self(pts)) / 2.0)
+        return float(np.dot(_GAUSS3_HALF_WEIGHTS, self(pts)))
 
     def integral(self, x_lo: float, x_hi: float) -> float:
         return self.average(x_lo, x_hi) * (x_hi - x_lo)

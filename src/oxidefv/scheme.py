@@ -6,17 +6,18 @@ the two boundary flux conditions, the two interface motion laws and the
 width closure.  Each solve builds one _StepSystem: the step's constants and
 the buffers that each iterate's assembly and block solve overwrite.  Its one
 assembly of the residual and the bordered-banded Jacobian, and its one block
-solve, are shared by Newton, the continuation and jacobian().  The solvers
-check dt and the previous state's cell count once, on entry.
+solve, are shared by Newton, the continuation and jacobian(): all three
+work on the scheme itself.  The solvers check dt and the previous state's
+cell count once, on entry.
 
 Damped Newton iteration with the analytic Jacobian does the work.  Once a
 full undamped iteration of the scheme moves the iterate by at most
 sqrt(newton_tol), the next iteration is a confirmation: it evaluates the
 residual alone and solves with the factors of that iteration (a simplified
 Newton step), and usually ends the solve at full Newton's iteration count.
-The fallback is a lambda-continuation that blends the same system's rows
-toward an explicitly solvable member and corrects with the same Newton
-iteration and solve.
+The fallback is a continuation in the step size: it solves the scheme
+over growing sub-steps of the step, each Newton solve starting at the
+previous sub-step's solution, and halves a sub-step that fails.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .core import (
     discretize_initial,
 )
 
-# The first continuation schedule takes this many lambda increments; it
-# doubles on failure until HOMOTOPY_MAX_STEPS.
+# The continuation first splits the step into this many sub-steps; each
+# failed sub-step doubles the count, up to HOMOTOPY_MAX_STEPS.
 HOMOTOPY_FIRST_STEPS = 16
 HOMOTOPY_MAX_STEPS = 1024
 # A converged Newton point must also satisfy the equations to this residual
@@ -102,7 +103,8 @@ class StepResult:
 
     iterations counts every Newton iteration: the full ones and the
     residual-only confirmations (at most one per full iteration).  A
-    continuation sums the iterations of its corrections."""
+    continuation's iterations count every correction of every sub-step,
+    the failed ones included."""
 
     state: State | None
     status: StepStatus
@@ -194,9 +196,6 @@ class _StepSystem:
     (X0, X1, L) columns.  The last three rows are the motion laws and the
     closure: c0 is the X0 law's coefficient on u_0, c1 the X1 law's on
     u_{I+1}, and block the 3x3 block of all three in (X0, X1, L).
-
-    The lambda-blended system of the continuation is assembled here too;
-    lam = 1 is the scheme itself.
     """
 
     def __init__(self, prev: State, mesh: Mesh, dt: float, params: ModelParams):
@@ -274,19 +273,15 @@ class _StepSystem:
         return r
 
     def residual(self, u, X0, X1, L) -> np.ndarray:
-        """Residual of the scheme (lam = 1) at (u, X0, X1, L), without the
+        """Residual of the scheme at (u, X0, X1, L), without the
         Jacobian: the kernel evaluates B alone."""
         F = self._fields(u, X0, X1, L, prime=False)[-1]
         return self._residual_rows(u, X0, X1, L, F)
 
-    def assemble(self, u, X0, X1, L, lam: float = 1.0) -> np.ndarray:
-        """Residual r of the system blended by lam at (u, X0, X1, L), with
-        its Jacobian written to band and border from one evaluation of the
-        edge fields.
-
-        The blend moves toward the explicitly solvable lambda = 0 member:
-        frozen interior concentrations, boundary traces at the kinetic
-        ratios.  The motion laws and the closure are not blended."""
+    def assemble(self, u, X0, X1, L) -> np.ndarray:
+        """Residual r of the scheme at (u, X0, X1, L), with its Jacobian
+        written to band and border from one evaluation of the edge
+        fields."""
         mesh, params, dt = self.mesh, self.params, self.dt
         cells = self.cells
         v, Lh, B, dB, F = self._fields(u, X0, X1, L, prime=True)
@@ -331,19 +326,6 @@ class _StepSystem:
         np.add(border_L, dF_L[1:], out=border_L)
         np.subtract(border_L, dF_L[:-1], out=border_L)
         border[cells + 1] = dF[-1]
-        if lam == 1.0:
-            return r
-
-        prev = self.prev
-        mass = prev.L * mesh.cell_sizes / dt
-        r[:cells] = lam * r[:cells] + (1.0 - lam) * mass * (u[1:-1] - prev.u[1:-1])
-        r[cells] = lam * r[cells] + (1.0 - lam) * (params.beta0 * u[0] - params.alpha0)
-        r[cells + 1] = lam * r[cells + 1] + (1.0 - lam) * (params.beta1 * u[-1] - params.alpha1)
-        band *= lam
-        border *= lam
-        band[1, 0] += (1.0 - lam) * params.beta0
-        band[1, 1 : cells + 1] += (1.0 - lam) * mass
-        band[1, cells + 1] += (1.0 - lam) * params.beta1
         return r
 
     def solve(self, r) -> np.ndarray:
@@ -455,21 +437,28 @@ def jacobian(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParam
 # ---------------------------------------------------------------------------
 
 
-def _damped_substep(u, L, du, dL, floor, enforce_positivity=True):
-    """Step fraction keeping the width above the floor and (optionally) the
+def _damped_substep(u, L, du, dL, floor):
+    """Step fraction keeping the width above the floor and the
     concentrations nonnegative: fraction-to-the-boundary backoff, never
     closer than 0.5% to a constraint and never smaller than
     2^-_MAX_HALVINGS.  Returns (fraction, width_blocked) or
-    (None, width_blocked) when fully stalled."""
+    (None, width_blocked) when fully stalled.
+
+    A fraction t <= 0.995 u_i / -du_i for every du_i < 0 leaves u_i + t du_i
+    >= 0.005 u_i up to the roundings of the quotient and the update, which
+    cannot take it below 0.  So from a nonnegative state every corrected
+    iterate, Newton's or the continuation's, is nonnegative: no
+    concentration needs clipping."""
     t_width = np.inf
     if dL < 0.0:
         t_width = (L - floor) / (-dL)
-    t_pos = np.inf
-    if enforce_positivity:
-        neg = du < 0.0
-        # min(u / -du) as -max(u / du), negation being exact; inf when no
-        # du < 0
-        t_pos = -float(np.maximum.reduce(u[neg] / du[neg], initial=-np.inf))
+    neg = du < 0.0
+    # min(u / -du) as -max(u / du), negation being exact; inf when no du < 0.
+    # A du below u / 1.8e308, as tiny sub-steps give, overflows the quotient
+    # to -inf, which leaves that entry unconstrained as it should.
+    with np.errstate(over="ignore"):
+        quotients = u[neg] / du[neg]
+    t_pos = -float(np.maximum.reduce(quotients, initial=-np.inf))
     t = min(1.0, 0.995 * t_width, 0.995 * t_pos)
     width_blocked = t < 1.0 and t_width <= t_pos
     if t <= 2.0**-_MAX_HALVINGS:
@@ -483,23 +472,23 @@ def _sup_norm(r) -> float:
     return norm if norm < np.inf else np.inf
 
 
-def _newton(system: _StepSystem, point, lam, opts, floor, enforce_positivity=True):
-    """Damped Newton on the step system blended by lam, from point = (u, X0,
-    X1, L).  Returns the last iterate (None on breakdown), the status, the
+def _newton(system: _StepSystem, point, opts, floor):
+    """Damped Newton on the step system from point = (u, X0, X1, L).
+    Returns the last iterate (None on breakdown), the status, the
     iterations and the residual sup-norm of the last evaluated residual,
     which is None on a converged return: `_accept` evaluates the end
     point's residual again.
 
-    At lam = 1, a full undamped iteration whose increment is at most
-    sqrt(newton_tol) is followed by a confirmation: a simplified Newton
-    iteration that evaluates the residual alone and reuses that iteration's
-    factors.  Near the root its increment is quadratically small, so it
-    usually ends the solve; if it does not, the next iteration is a full one.
+    A full undamped iteration whose increment is at most sqrt(newton_tol)
+    is followed by a confirmation: a simplified Newton iteration that
+    evaluates the residual alone and reuses that iteration's factors.  Near
+    the root its increment is quadratically small, so it usually ends the
+    solve; if it does not, the next iteration is a full one.
     """
     u, X0, X1, L = point
     X0, X1, L = float(X0), float(X1), float(L)
     m = system.cells + 2
-    confirm_below = math.sqrt(opts.newton_tol) if lam == 1.0 else -math.inf
+    confirm_below = math.sqrt(opts.newton_tol)
     confirm = False
     for iters in range(1, opts.max_newton_iters + 1):
         try:
@@ -507,7 +496,7 @@ def _newton(system: _StepSystem, point, lam, opts, floor, enforce_positivity=Tru
                 r = system.residual(u, X0, X1, L)
                 delta = system.resolve(r)
             else:
-                r = system.assemble(u, X0, X1, L, lam)
+                r = system.assemble(u, X0, X1, L)
                 delta = system.solve(r)
             # one reduction checks the increment and gives its size; it
             # reads the increment solve() or resolve() returned
@@ -518,7 +507,7 @@ def _newton(system: _StepSystem, point, lam, opts, floor, enforce_positivity=Tru
             return None, StepStatus.NO_CONVERGENCE, iters - 1, _sup_norm(r)
         du = delta[:m]
         dX0, dX1, dL = delta[m:].tolist()
-        t, width_blocked = _damped_substep(u, L, du, dL, floor, enforce_positivity)
+        t, width_blocked = _damped_substep(u, L, du, dL, floor)
         if t is None:
             status = StepStatus.WIDTH_COLLAPSED if width_blocked else StepStatus.NO_CONVERGENCE
             return None, status, iters, _sup_norm(r)
@@ -549,11 +538,6 @@ def _accept(system: _StepSystem, point, status, iters, resid_inf, floor) -> Step
         return StepResult(None, status, iters, resid_inf)
     if L <= floor:
         return StepResult(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
-    if np.minimum.reduce(u) < 0.0:
-        # roundoff may leave a trace infinitesimally negative
-        u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
-        if (u < 0.0).any():
-            return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
     state = State(u=u, X0=X0, X1=X1, L=L)
     return StepResult(state, StepStatus.CONVERGED, iters, resid_inf)
 
@@ -578,7 +562,7 @@ def newton_step_solve(
     floor = opts.resolved_floor(params)
     system = _StepSystem(prev, mesh, dt, params)
     start = (prev.u, prev.X0, prev.X1, prev.L)
-    return _accept(system, *_newton(system, start, 1.0, opts, floor), floor)
+    return _accept(system, *_newton(system, start, opts, floor), floor)
 
 
 def homotopy_solve(
@@ -588,44 +572,41 @@ def homotopy_solve(
     params: ModelParams,
     opts: SolverOptions = SolverOptions(),
 ) -> StepResult:
-    """Continuation fallback: follow the lambda-parameterized family from
-    its explicitly solvable member at lambda = 0 (previous interior
-    concentrations, boundary traces at the kinetic ratios, frozen
-    interfaces) to the full scheme at lambda = 1, Newton-correcting at each
-    increment.  The schedule doubles on failure up to a fixed cap.  A failed
-    continuation reports the corrections spent over all schedules and the
-    last residual sup-norm seen.  Raises ValueError for the inputs that
-    newton_step_solve rejects."""
+    """Continuation fallback in the step size: solve the scheme itself from
+    prev over the sub-steps tau = dt * k / steps, k = 1, ..., steps, each
+    Newton solve starting at the previous sub-step's solution (the first at
+    prev, the solution for tau = 0).  steps starts at HOMOTOPY_FIRST_STEPS.
+    A sub-step that fails, or whose 1/tau overflows, doubles steps and the
+    walk resumes from the last converged sub-step, so that the failed one is
+    retried at half its size; the walk gives up beyond HOMOTOPY_MAX_STEPS.
+
+    iterations counts every correction.  A failed continuation reports
+    WIDTH_COLLAPSED if any sub-step was blocked at the width floor, else
+    NO_CONVERGENCE, with the last residual sup-norm seen.  Raises ValueError
+    for the inputs that newton_step_solve rejects."""
     _check_step("homotopy_solve", prev, mesh, dt)
     floor = opts.resolved_floor(params)
-    system = _StepSystem(prev, mesh, dt, params)
-    steps = HOMOTOPY_FIRST_STEPS
-    width_collapse_seen = False
+    point = (prev.u, prev.X0, prev.X1, prev.L)
+    steps, done = HOMOTOPY_FIRST_STEPS, 0
     spent = 0
+    width_collapse_seen = False
     resid_inf = np.inf
 
-    while steps <= HOMOTOPY_MAX_STEPS:
-        u = prev.u.copy()
-        u[0] = params.alpha0 / params.beta0
-        u[-1] = params.alpha1 / params.beta1
-        point = (u, prev.X0, prev.X1, prev.L)
-        total_iters = 0
-        for k in range(1, steps + 1):
-            # The intermediate lambda systems are solver scaffolding: their
-            # solution branch may leave the positive cone, so only the width
-            # stays floored here; the final state is validated at lambda = 1.
-            point, status, used, resid_inf = _newton(
-                system, point, k / steps, opts, floor, enforce_positivity=False
-            )
-            total_iters += used
-            if status is not StepStatus.CONVERGED:
-                width_collapse_seen |= status is StepStatus.WIDTH_COLLAPSED
-                break
-        else:
-            return _accept(system, point, status, total_iters, resid_inf, floor)
-        spent += total_iters
-        steps *= 2
+    while done < steps <= HOMOTOPY_MAX_STEPS:
+        # (done + 1) / steps is exact, and 1.0 at the last sub-step
+        tau = dt * ((done + 1) / steps)
+        if not math.isinf(1.0 / tau):
+            system = _StepSystem(prev, mesh, tau, params)
+            end, status, used, resid_inf = _newton(system, point, opts, floor)
+            spent += used
+            if status is StepStatus.CONVERGED:
+                point, done = end, done + 1
+                continue
+            width_collapse_seen |= status is StepStatus.WIDTH_COLLAPSED
+        steps, done = 2 * steps, 2 * done
 
+    if done == steps:
+        return _accept(system, point, StepStatus.CONVERGED, spent, resid_inf, floor)
     status = (
         StepStatus.WIDTH_COLLAPSED if width_collapse_seen else StepStatus.NO_CONVERGENCE
     )

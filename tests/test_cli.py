@@ -25,6 +25,7 @@ from oxidefv.cli import (
     EXIT_COLLAPSE,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     PRESETS,
     main,
     parse_config,
@@ -234,6 +235,20 @@ class TestMain:
         assert len(steps) == 149
         # testcase2 admits no travelling wave
         assert all(line.split(",")[7] == "nan" for line in steps)
+
+    def test_simulate_solver_failure_exit_code(self, tmp_path, capsys):
+        # one Newton iteration converges no step, nor any continuation sub-step
+        path = tmp_path / "one_iteration.json"
+        path.write_text(json.dumps({"preset": "testcase1", "max_newton_iters": 1,
+                                    "t_final": 0.05}))
+        out = tmp_path / "f"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.err == "solver failed at step 1\n" and captured.out == ""
+        steps = (out / "steps.csv").read_text().splitlines()
+        assert steps[0] == "n,t,X0,X1,L,u0,uI1,d,newton_iters,residual_inf"
+        assert len(steps) == 2 and steps[1].startswith("0,0,")
 
     def test_energy_writes_ledger(self, tmp_path, capsys):
         code = main(["energy", "--preset", "testcase1", "--cells", "16",

@@ -9,6 +9,7 @@ from oxidefv import (
     InitialMode,
     Mesh,
     ModelParams,
+    SolverOptions,
     State,
     TabulatedProfile,
     TerminationKind,
@@ -237,6 +238,13 @@ class TestDiscretizeInitial:
             with pytest.raises(ValueError, match=r"initial profile must be finite on \[0, L0\]"):
                 discretize_initial(params, uniform_mesh(4), mode)
 
+    def test_averages_of_samples_near_the_largest_float_are_finite(self):
+        # the Gauss sum of samples above 9e307 would overflow before halving
+        params = ModelParams(a=1, b=1, alpha0=1, beta0=1, alpha1=1, beta1=1, R=1, L0=1.0,
+                             u_init=TabulatedProfile(x=(0.0, 1.0), values=(0.0, 1.7e308)))
+        u = discretize_initial(params, uniform_mesh(100)).u
+        assert np.isfinite(u).all() and u[-2] > 9e307
+
 
 class TestState:
     def test_validation(self):
@@ -308,16 +316,21 @@ class TestTrajectoryStorage:
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize(
-        "make, cells, dt, t_final, kind, rows",
+        "make, cells, dt, t_final, kind, rows, opts",
         [
-            (make_tc1, 12, 1e-2, 5e-2, TerminationKind.COMPLETED, 6),
-            (make_tc2, 20, 1e-2, 3.5, TerminationKind.WIDTH_COLLAPSED, 149),
-            # the first step already fails: the initial state is the only row
-            (make_tc2, 50, 3.5, 3.5, TerminationKind.SOLVER_FAILED, 1),
+            (make_tc1, 12, 1e-2, 5e-2, TerminationKind.COMPLETED, 6, SolverOptions()),
+            (make_tc2, 20, 1e-2, 3.5, TerminationKind.WIDTH_COLLAPSED, 149, SolverOptions()),
+            # the first step already fails: the initial state is the only row.
+            # The continuation walks the step into the collapse.
+            (make_tc2, 50, 3.5, 3.5, TerminationKind.WIDTH_COLLAPSED, 1, SolverOptions()),
+            # one iteration converges no solve, Newton's or a sub-step's
+            (make_tc1, 12, 1e-2, 5e-2, TerminationKind.SOLVER_FAILED, 1,
+             SolverOptions(max_newton_iters=1)),
         ],
     )
-    def test_solver_columns_share_the_rows(self, make, cells, dt, t_final, kind, rows):
-        traj = run(make(), uniform_mesh(cells), TimeGrid.from_step_and_horizon(dt, t_final))
+    def test_solver_columns_share_the_rows(self, make, cells, dt, t_final, kind, rows, opts):
+        grid = TimeGrid.from_step_and_horizon(dt, t_final)
+        traj = run(make(), uniform_mesh(cells), grid, opts)
         assert traj.termination.kind is kind and traj.U.shape == (rows, cells + 2)
         for name in ("X0", "X1", "L", "newton_iters", "residual_inf"):
             col = getattr(traj, name)

@@ -285,7 +285,8 @@ def first_newton_iterate(params, mesh, dt):
 class TestLeanIteration:
     """The Newton iteration evaluates its Bernoulli weights with one
     unchecked kernel call and solves the band with LAPACK's dgtsv directly;
-    both must agree exactly with the public-function path."""
+    both must agree exactly with the public-function path.  The residual
+    that assemble() returns is residual()'s, bit for bit."""
 
     def assert_assembly_matches_reference(self, prev, cand, mesh, dt, params):
         system = _StepSystem(prev, mesh, dt, params)
@@ -294,6 +295,7 @@ class TestLeanIteration:
         want = reference_assemble(cand.u, cand.X0, cand.X1, cand.L, prev, mesh, dt, params)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+        assert system.residual(cand.u, cand.X0, cand.X1, cand.L).tobytes() == r.tobytes()
 
     def test_assembly_at_zero_peclet(self, tc1):
         # a step's first iterate: the frame is at rest, so w == 0 on every edge
@@ -463,7 +465,7 @@ def full_newton(prev, mesh, dt, params, opts=SolverOptions()):
         u = u + t * delta[:m]
         X0, X1, L = X0 + t * delta[m], X1 + t * delta[m + 1], L + t * delta[m + 2]
         if t * np.abs(delta).max() <= opts.newton_tol:
-            return (np.where((u < 0.0) & (u > -1e-12), 0.0, u), X0, X1, L), iters
+            return (u, X0, X1, L), iters
     return None, iters
 
 
@@ -474,14 +476,14 @@ def state_gap(state, point):
 
 
 def record_iterations(monkeypatch):
-    """Record each Newton iteration of the step systems: the lam of a full
-    one, "confirm" for a residual-only confirmation."""
+    """Record each Newton iteration of the step systems: the system's dt for
+    a full one, "confirm" for a residual-only confirmation."""
     events = []
     assemble, resolve = _StepSystem.assemble, _StepSystem.resolve
 
-    def recorded_assemble(self, u, X0, X1, L, lam=1.0):
-        events.append(lam)
-        return assemble(self, u, X0, X1, L, lam)
+    def recorded_assemble(self, u, X0, X1, L):
+        events.append(self.dt)
+        return assemble(self, u, X0, X1, L)
 
     def recorded_resolve(self, r):
         events.append("confirm")
@@ -493,7 +495,7 @@ def record_iterations(monkeypatch):
 
 
 class TestConfirmation:
-    """A full undamped iteration at lam = 1 with an increment at most
+    """A full undamped iteration with an increment at most
     sqrt(newton_tol) is followed by a residual-only confirmation that
     reuses its factors; the solve must end where full Newton ends."""
 
@@ -510,18 +512,32 @@ class TestConfirmation:
             prev = result.state
         assert events.count("confirm") >= 150
 
-    def test_continuation_confirms_only_at_lambda_one(self, tc1, monkeypatch):
+    def test_continuation_walks_the_sub_steps(self, tc1, monkeypatch):
+        # the continuation solves the scheme over dt * k / 16, k = 1..16, in
+        # order, each solve Newton's from the previous sub-step's solution
         events = record_iterations(monkeypatch)
-        mesh = uniform_mesh(30)
+        mesh, dt = uniform_mesh(30), 2e-2
         s0 = discretize_initial(tc1, mesh)
-        result = homotopy_solve(s0, mesh, 2e-2, tc1)
+        result = homotopy_solve(s0, mesh, dt, tc1)
         assert result.status is StepStatus.CONVERGED
         assert result.iterations == len(events)
-        confirms = [i for i, event in enumerate(events) if event == "confirm"]
-        assert confirms
-        assert all(events[i - 1] == 1.0 for i in confirms)
-        # the corrections below lam = 1 take several iterations each
-        assert sum(event != "confirm" and event < 1.0 for event in events) > 2 * 16
+        walked = events.copy()
+        full = [event for event in walked if event != "confirm"]
+        taus = [dt * k / 16 for k in range(1, 17)]
+        assert sorted(set(full)) == taus and full == sorted(full)
+        assert taus[-1] == dt
+        # every sub-step's solve ends on a confirmation, as Newton's does
+        assert walked.count("confirm") == 16 and walked[-1] == "confirm"
+        events.clear()
+        opts = SolverOptions()
+        point = (s0.u, s0.X0, s0.X1, s0.L)
+        for tau in taus:
+            system = _StepSystem(s0, mesh, tau, tc1)
+            point, status, _, _ = scheme._newton(system, point, opts, opts.resolved_floor(tc1))
+            assert status is StepStatus.CONVERGED
+        assert events == walked
+        assert result.state.u.tobytes() == point[0].tobytes()
+        assert (result.state.X0, result.state.X1, result.state.L) == point[1:]
 
     def test_unconverged_confirmation_falls_through_to_full_iteration(
         self, tc1, monkeypatch
@@ -545,7 +561,7 @@ class TestConfirmation:
         assert result.status is StepStatus.CONVERGED
         assert inflated[0] > SolverOptions().newton_tol
         i = events.index("confirm")
-        assert events[i + 1] == 1.0
+        assert events[i + 1] == 1e-2
         assert result.iterations == len(events)
         point, _ = full_newton(first.state, mesh, 1e-2, tc1)
         assert state_gap(result.state, point) <= 1e-12
@@ -597,8 +613,7 @@ def reference_step(prev, mesh, dt, params, opts=SolverOptions()):
     else:
         return None
     resid = np.abs(reference_residual(u, X0, X1, L, prev, mesh, dt, params)).max()
-    u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
-    if resid > 1e-6 or L <= floor or u.min() < 0.0:
+    if resid > 1e-6 or L <= floor:
         return None
     return u, X0, X1, L, iters, float(resid)
 
@@ -709,46 +724,6 @@ class TestNewton:
 
 
 class TestHomotopy:
-    def test_lambda_zero_closed_form_is_root(self, tc1):
-        mesh = uniform_mesh(25)
-        s0 = discretize_initial(tc1, mesh)
-        u = s0.u.copy()
-        u[0] = tc1.alpha0 / tc1.beta0
-        u[-1] = tc1.alpha1 / tc1.beta1
-        r = _StepSystem(s0, mesh, 1e-2, tc1).assemble(u, s0.X0, s0.X1, s0.L, 0.0)
-        assert np.all(r == 0.0)
-
-    def test_lambda_one_matches_direct_scheme(self, tc1):
-        mesh = uniform_mesh(25)
-        s0 = discretize_initial(tc1, mesh)
-        nxt = newton_step_solve(s0, mesh, 1e-2, tc1).state
-        r = _StepSystem(s0, mesh, 1e-2, tc1).assemble(nxt.u, nxt.X0, nxt.X1, nxt.L, 1.0)
-        assert np.abs(r).max() <= 1e-9
-        assert np.array_equal(r, residual(s0, nxt, mesh, 1e-2, tc1))
-
-    def test_jacobian_matches_finite_differences(self, tc1):
-        rng = np.random.default_rng(24)
-        mesh = uniform_mesh(8)
-        dt = 0.01
-        s0 = discretize_initial(tc1, mesh)
-        system = _StepSystem(s0, mesh, dt, tc1)
-        for lam in (0.0, 0.37, 1.0):
-            u = rng.uniform(0.2, 2.0, 10)
-            X0, X1, L = 0.2, 1.1, 0.9
-            x = np.concatenate([u, [X0, X1, L]])
-            system.assemble(u, X0, X1, L, lam)
-            J = system.dense_jacobian()
-            Jfd = np.zeros_like(J)
-            for j in range(x.size):
-                step = 1e-7 * max(1.0, abs(x[j]))
-                xp = x.copy(); xp[j] += step
-                xm = x.copy(); xm[j] -= step
-                rp = system.assemble(xp[:10], *xp[10:], lam)
-                rm = system.assemble(xm[:10], *xm[10:], lam)
-                Jfd[:, j] = (rp - rm) / (2.0 * step)
-            rel = np.abs(J - Jfd) / np.maximum(1.0, np.maximum(np.abs(J), np.abs(Jfd)))
-            assert rel.max() <= 1e-5
-
     def test_agrees_with_newton_on_regular_step(self, tc1):
         for cells in (30, 100):
             mesh = uniform_mesh(cells)
@@ -764,6 +739,42 @@ class TestHomotopy:
             )
             assert gap <= 1e-9
 
+    def test_failed_sub_step_is_retried_at_half_size(self, tc1, monkeypatch):
+        # the third of 16 sub-steps fails once: the walk resumes from the
+        # second sub-step's solution, not from prev, over 32 sub-steps
+        mesh, dt = uniform_mesh(30), 2e-2
+        s0 = discretize_initial(tc1, mesh)
+        calls = []
+        newton = scheme._newton
+
+        def third_fails_once(system, point, *args):
+            out = newton(system, point, *args)
+            if len(calls) == 2:
+                out = (None, StepStatus.NO_CONVERGENCE, out[2], np.inf)
+            calls.append((system.dt, point, out))
+            return out
+
+        monkeypatch.setattr(scheme, "_newton", third_fails_once)
+        result = homotopy_solve(s0, mesh, dt, tc1)
+        assert result.status is StepStatus.CONVERGED
+        taus = [dt * k / 16 for k in (1, 2, 3)] + [dt * k / 32 for k in range(5, 33)]
+        assert [tau for tau, _, _ in calls] == taus
+        second_end = calls[1][2][0]
+        assert calls[2][1] is second_end and calls[3][1] is second_end
+        assert result.iterations == sum(out[2] for _, _, out in calls)
+        direct = newton_step_solve(s0, mesh, dt, tc1)
+        assert state_gap(direct.state, (result.state.u, result.state.X0,
+                                        result.state.X1, result.state.L)) <= 1e-9
+
+    @pytest.mark.parametrize("dt", [1e-306, 3e-308])
+    def test_tiny_step_fails_without_warning(self, tc1, dt):
+        # 1/tau overflows for every sub-step of 3e-308: they fail unsolved.
+        # The sub-steps of 1e-306 are solved, and their tiny increments
+        # overflow u / du.  pytest turns any warning into an error.
+        for cells in (12, 100):
+            mesh = uniform_mesh(cells)
+            result = homotopy_solve(discretize_initial(tc1, mesh), mesh, dt, tc1)
+            assert result.status is not StepStatus.CONVERGED and result.state is None
 
     def test_failed_continuation_reports_its_work(self):
         # from the last state before testcase2 collapses, the continuation
@@ -928,6 +939,35 @@ class TestCollapseEvent:
             assert newton_step_solve(prev, mesh, hi, params).status is not StepStatus.CONVERGED
             assert term.bracket == ((n - 1) * dt + lo, (n - 1) * dt + hi)
         assert len(brackets) == 15
+
+    @pytest.mark.parametrize(
+        "make, dt, step",
+        [(make_tc2, 0.25, 6), (make_tc2, 1.0, 2), (make_tc2, 3.5, 1), (make_tc3, 0.5, 1)],
+    )
+    def test_continuation_walks_into_a_collapse_newton_misses(
+        self, make, dt, step, monkeypatch
+    ):
+        # Newton reports these collapses as NO_CONVERGENCE; the continuation
+        # walks the step into the width floor, and the run brackets it
+        brackets = []
+        bracket_collapse = scheme._bracket_collapse
+
+        def recorded(*args):
+            brackets.append(bracket_collapse(*args))
+            return brackets[-1]
+
+        monkeypatch.setattr(scheme, "_bracket_collapse", recorded)
+        params, mesh = make(), uniform_mesh(50)
+        traj = run(params, mesh, TimeGrid.from_step(dt, 20))
+        term = traj.termination
+        assert term.kind is TerminationKind.WIDTH_COLLAPSED and term.step == step
+        prev = traj.final_state
+        assert newton_step_solve(prev, mesh, dt, params).status is StepStatus.NO_CONVERGENCE
+        [(lo, hi)] = brackets
+        assert 0.0 < lo < hi <= dt and hi - lo <= 1e-10 * dt
+        assert newton_step_solve(prev, mesh, lo, params).status is StepStatus.CONVERGED
+        assert newton_step_solve(prev, mesh, hi, params).status is not StepStatus.CONVERGED
+        assert term.bracket == ((step - 1) * dt + lo, (step - 1) * dt + hi)
 
     def test_no_continuation_after_newton_collapse(self, tc2, monkeypatch):
         calls = []
