@@ -303,22 +303,24 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
     regime = classify(params)
     wave = regime.wave if regime.kind is RegimeKind.UNIQUE_WAVE else None
     nan = float("nan")
-    write_csv(
-        path,
-        ("n", "t", "X0", "X1", "L", "u0", "uI1", "d", "newton_iters", "residual_inf"),
-        (
-            range(len(traj.X0)),
-            traj.times,
-            traj.X0,
-            traj.X1,
-            traj.L,
-            traj.U[:, 0],
-            traj.U[:, -1],
-            (nan if wave is None else wave_distance(s, mesh, wave) for s in traj.states),
-            traj.newton_iters,
-            traj.residual_inf,
-        ),
-    )
+    # a squared distance that overflows is written as inf, without a warning
+    with np.errstate(over="ignore"):
+        write_csv(
+            path,
+            ("n", "t", "X0", "X1", "L", "u0", "uI1", "d", "newton_iters", "residual_inf"),
+            (
+                range(len(traj.X0)),
+                traj.times,
+                traj.X0,
+                traj.X1,
+                traj.L,
+                traj.U[:, 0],
+                traj.U[:, -1],
+                (nan if wave is None else wave_distance(s, mesh, wave) for s in traj.states),
+                traj.newton_iters,
+                traj.residual_inf,
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,6 @@ class ExponentialProfile:
             exp_part = self.c1 * np.exp(self.c2 * x_lo) * np.expm1(z) / z
         return float(exp_part + self.c3)
 
-    def integral(self, x_lo: float, x_hi: float) -> float:
-        return self.average(x_lo, x_hi) * (x_hi - x_lo)
-
     def bounds(self, x_lo: float, x_hi: float) -> tuple[float, float]:
         """(inf, sup) over [x_lo, x_hi]; the profile is monotone."""
         lo = float(self(x_lo))
@@ -90,9 +87,6 @@ class TabulatedProfile:
         mid = 0.5 * (x_lo + x_hi)
         pts = mid + 0.5 * width * _GAUSS3_NODES
         return float(np.dot(_GAUSS3_HALF_WEIGHTS, self(pts)))
-
-    def integral(self, x_lo: float, x_hi: float) -> float:
-        return self.average(x_lo, x_hi) * (x_hi - x_lo)
 
     def bounds(self, x_lo: float, x_hi: float) -> tuple[float, float]:
         xs = np.asarray(self.x)

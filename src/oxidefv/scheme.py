@@ -18,6 +18,11 @@ Newton step), and usually ends the solve at full Newton's iteration count.
 The fallback is a continuation in the step size: it solves the scheme
 over growing sub-steps of the step, each Newton solve starting at the
 previous sub-step's solution, and halves a sub-step that fails.
+
+One rule decides every solve's outcome, a step's, a sub-step's or a
+bisection probe's: _newton accepts its end point only when the scheme's
+residual there is at most _STALL_RESIDUAL and the width is above the
+floor.  So the continuation walks through solutions of the scheme only.
 """
 
 from __future__ import annotations
@@ -99,7 +104,9 @@ class StepStatus(Enum):
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of one nonlinear solve: the new state on success, the
-    iteration count, and the final residual sup-norm.
+    iteration count, and a residual sup-norm: the end point's when the
+    iteration reached one (converged or out of iterations), otherwise the
+    last residual evaluated.
 
     iterations counts every Newton iteration: the full ones and the
     residual-only confirmations (at most one per full iteration).  A
@@ -455,10 +462,9 @@ def _damped_substep(u, L, du, dL, floor):
     neg = du < 0.0
     # min(u / -du) as -max(u / du), negation being exact; inf when no du < 0.
     # A du below u / 1.8e308, as tiny sub-steps give, overflows the quotient
-    # to -inf, which leaves that entry unconstrained as it should.
-    with np.errstate(over="ignore"):
-        quotients = u[neg] / du[neg]
-    t_pos = -float(np.maximum.reduce(quotients, initial=-np.inf))
+    # to -inf (silently, under _newton's errstate), which leaves that entry
+    # unconstrained as it should.
+    t_pos = -float(np.maximum.reduce(u[neg] / du[neg], initial=-np.inf))
     t = min(1.0, 0.995 * t_width, 0.995 * t_pos)
     width_blocked = t < 1.0 and t_width <= t_pos
     if t <= 2.0**-_MAX_HALVINGS:
@@ -472,74 +478,70 @@ def _sup_norm(r) -> float:
     return norm if norm < np.inf else np.inf
 
 
-def _newton(system: _StepSystem, point, opts, floor):
-    """Damped Newton on the step system from point = (u, X0, X1, L).
-    Returns the last iterate (None on breakdown), the status, the
-    iterations and the residual sup-norm of the last evaluated residual,
-    which is None on a converged return: `_accept` evaluates the end
-    point's residual again.
+def _newton(system: _StepSystem, start, opts, floor) -> StepResult:
+    """Damped Newton on the step system from start (a State, or any object
+    with u, X0, X1 and L), and the one acceptance rule of every solve.
+
+    The end point is accepted, as a new State, only when the iteration
+    converged, the scheme's residual there is at most _STALL_RESIDUAL and
+    the width is above the floor.  Otherwise the outcome is WIDTH_COLLAPSED
+    when damping stalled at the width floor, or when a converged end point
+    misses the residual within 10 floors or lies at or below the floor; it
+    is NO_CONVERGENCE in every other case.
 
     A full undamped iteration whose increment is at most sqrt(newton_tol)
     is followed by a confirmation: a simplified Newton iteration that
     evaluates the residual alone and reuses that iteration's factors.  Near
     the root its increment is quadratically small, so it usually ends the
     solve; if it does not, the next iteration is a full one.
+
+    Overflow and invalid values are not warned about: a system, increment
+    or residual that is not finite fails the solve.
     """
-    u, X0, X1, L = point
-    X0, X1, L = float(X0), float(X1), float(L)
+    u, X0, X1, L = start.u, float(start.X0), float(start.X1), float(start.L)
     m = system.cells + 2
     confirm_below = math.sqrt(opts.newton_tol)
-    confirm = False
-    for iters in range(1, opts.max_newton_iters + 1):
-        try:
-            if confirm:
-                r = system.residual(u, X0, X1, L)
-                delta = system.resolve(r)
-            else:
-                r = system.assemble(u, X0, X1, L)
-                delta = system.solve(r)
-            # one reduction checks the increment and gives its size; it
-            # reads the increment solve() or resolve() returned
-            norm = _sup_norm(delta)
-            if norm == np.inf:
-                raise np.linalg.LinAlgError("Newton increment is not finite")
-        except np.linalg.LinAlgError:
-            return None, StepStatus.NO_CONVERGENCE, iters - 1, _sup_norm(r)
-        du = delta[:m]
-        dX0, dX1, dL = delta[m:].tolist()
-        t, width_blocked = _damped_substep(u, L, du, dL, floor)
-        if t is None:
-            status = StepStatus.WIDTH_COLLAPSED if width_blocked else StepStatus.NO_CONVERGENCE
-            return None, status, iters, _sup_norm(r)
-        u = u + du if t == 1.0 else u + t * du
-        X0 += t * dX0
-        X1 += t * dX1
-        L += t * dL
-        step = t * norm
-        if step <= opts.newton_tol:
-            return (u, X0, X1, L), StepStatus.CONVERGED, iters, None
-        confirm = not confirm and t == 1.0 and step <= confirm_below
-    return (u, X0, X1, L), StepStatus.NO_CONVERGENCE, iters, _sup_norm(r)
-
-
-def _accept(system: _StepSystem, point, status, iters, resid_inf, floor) -> StepResult:
-    """StepResult of _newton's outcome, its end point checked against the
-    scheme itself."""
-    if point is None:
-        return StepResult(None, status, iters, resid_inf)
-    u, X0, X1, L = point
-    resid_inf = float(np.maximum.reduce(np.abs(system.residual(u, X0, X1, L))))
-    if status is not StepStatus.CONVERGED:
+    confirm, converged = False, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iters in range(1, opts.max_newton_iters + 1):
+            try:
+                if confirm:
+                    r = system.residual(u, X0, X1, L)
+                    delta = system.resolve(r)
+                else:
+                    r = system.assemble(u, X0, X1, L)
+                    delta = system.solve(r)
+                # one reduction checks the increment and gives its size; it
+                # reads the increment solve() or resolve() returned
+                norm = _sup_norm(delta)
+                if norm == np.inf:
+                    raise np.linalg.LinAlgError("Newton increment is not finite")
+            except np.linalg.LinAlgError:
+                return StepResult(None, StepStatus.NO_CONVERGENCE, iters - 1, _sup_norm(r))
+            du = delta[:m]
+            dX0, dX1, dL = delta[m:].tolist()
+            t, width_blocked = _damped_substep(u, L, du, dL, floor)
+            if t is None:
+                status = StepStatus.WIDTH_COLLAPSED if width_blocked else StepStatus.NO_CONVERGENCE
+                return StepResult(None, status, iters, _sup_norm(r))
+            u = u + du if t == 1.0 else u + t * du
+            X0 += t * dX0
+            X1 += t * dX1
+            L += t * dL
+            step = t * norm
+            if step <= opts.newton_tol:
+                converged = True
+                break
+            confirm = not confirm and t == 1.0 and step <= confirm_below
+        resid_inf = _sup_norm(system.residual(u, X0, X1, L))
+    if not converged:
         return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
     if resid_inf > _STALL_RESIDUAL:
-        status = (
-            StepStatus.WIDTH_COLLAPSED if L <= 10.0 * floor else StepStatus.NO_CONVERGENCE
-        )
+        status = StepStatus.WIDTH_COLLAPSED if L <= 10.0 * floor else StepStatus.NO_CONVERGENCE
         return StepResult(None, status, iters, resid_inf)
     if L <= floor:
         return StepResult(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
-    state = State(u=u, X0=X0, X1=X1, L=L)
-    return StepResult(state, StepStatus.CONVERGED, iters, resid_inf)
+    return StepResult(State(u=u, X0=X0, X1=X1, L=L), StepStatus.CONVERGED, iters, resid_inf)
 
 
 def newton_step_solve(
@@ -559,10 +561,7 @@ def newton_step_solve(
     prev whose cell count is not the mesh's.
     """
     _check_step("newton_step_solve", prev, mesh, dt)
-    floor = opts.resolved_floor(params)
-    system = _StepSystem(prev, mesh, dt, params)
-    start = (prev.u, prev.X0, prev.X1, prev.L)
-    return _accept(system, *_newton(system, start, opts, floor), floor)
+    return _newton(_StepSystem(prev, mesh, dt, params), prev, opts, opts.resolved_floor(params))
 
 
 def homotopy_solve(
@@ -574,11 +573,12 @@ def homotopy_solve(
 ) -> StepResult:
     """Continuation fallback in the step size: solve the scheme itself from
     prev over the sub-steps tau = dt * k / steps, k = 1, ..., steps, each
-    Newton solve starting at the previous sub-step's solution (the first at
-    prev, the solution for tau = 0).  steps starts at HOMOTOPY_FIRST_STEPS.
-    A sub-step that fails, or whose 1/tau overflows, doubles steps and the
-    walk resumes from the last converged sub-step, so that the failed one is
-    retried at half its size; the walk gives up beyond HOMOTOPY_MAX_STEPS.
+    Newton solve starting at the previous sub-step's accepted state (the
+    first at prev, the solution for tau = 0).  steps starts at
+    HOMOTOPY_FIRST_STEPS.  A sub-step that fails, or whose 1/tau overflows,
+    doubles steps and the walk resumes from the last accepted sub-step, so
+    that the failed one is retried at half its size; the walk gives up
+    beyond HOMOTOPY_MAX_STEPS.  The last sub-step's result is the step's.
 
     iterations counts every correction.  A failed continuation reports
     WIDTH_COLLAPSED if any sub-step was blocked at the width floor, else
@@ -586,7 +586,7 @@ def homotopy_solve(
     for the inputs that newton_step_solve rejects."""
     _check_step("homotopy_solve", prev, mesh, dt)
     floor = opts.resolved_floor(params)
-    point = (prev.u, prev.X0, prev.X1, prev.L)
+    state = prev
     steps, done = HOMOTOPY_FIRST_STEPS, 0
     spent = 0
     width_collapse_seen = False
@@ -596,17 +596,17 @@ def homotopy_solve(
         # (done + 1) / steps is exact, and 1.0 at the last sub-step
         tau = dt * ((done + 1) / steps)
         if not math.isinf(1.0 / tau):
-            system = _StepSystem(prev, mesh, tau, params)
-            end, status, used, resid_inf = _newton(system, point, opts, floor)
-            spent += used
-            if status is StepStatus.CONVERGED:
-                point, done = end, done + 1
+            result = _newton(_StepSystem(prev, mesh, tau, params), state, opts, floor)
+            spent += result.iterations
+            resid_inf = result.residual_inf
+            if result.status is StepStatus.CONVERGED:
+                state, done = result.state, done + 1
                 continue
-            width_collapse_seen |= status is StepStatus.WIDTH_COLLAPSED
+            width_collapse_seen |= result.status is StepStatus.WIDTH_COLLAPSED
         steps, done = 2 * steps, 2 * done
 
     if done == steps:
-        return _accept(system, point, StepStatus.CONVERGED, spent, resid_inf, floor)
+        return StepResult(state, StepStatus.CONVERGED, spent, resid_inf)
     status = (
         StepStatus.WIDTH_COLLAPSED if width_collapse_seen else StepStatus.NO_CONVERGENCE
     )

@@ -250,6 +250,22 @@ class TestMain:
         assert steps[0] == "n,t,X0,X1,L,u0,uI1,d,newton_iters,residual_inf"
         assert len(steps) == 2 and steps[1].startswith("0,0,")
 
+    def test_overflowing_initial_data_fails_without_warning(self, tmp_path, capsys):
+        # the table's squared distance to the wave overflows: d is written
+        # as inf, and pytest turns any warning into an error
+        raw = dict(PRESETS["testcase1"])
+        for key in ("u_init_c1", "u_init_c2", "u_init_c3"):
+            raw.pop(key)
+        raw.update(u_init_kind="table", u_init_x=[0.0, 1.0], u_init_values=[0.0, 1.7e308],
+                   cells=100, t_final=0.05)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "h"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == "solver failed at step 1\n"
+        header, row0 = (out / "steps.csv").read_text().splitlines()[:2]
+        assert row0.split(",")[header.split(",").index("d")] == "inf"
+
     def test_energy_writes_ledger(self, tmp_path, capsys):
         code = main(["energy", "--preset", "testcase1", "--cells", "16",
                      "--t-final", "0.1", "--phi", "quadratic",

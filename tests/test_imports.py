@@ -5,14 +5,16 @@ keeps it as an attribute for the tracer to replace.
 
 Likewise every public function or class the package defines is read by name
 in the package or by the benchmark, so code that only its own tests call
-fails here, unless it is listed in KEPT_FOR_TESTS with its reason."""
+fails here, unless it is listed in KEPT_FOR_TESTS with its reason.  So is
+every public method of a package class, by name or as an attribute the
+benchmark loads."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from test_bench_hooks import module_reads, wrapped_names
+from test_bench_hooks import WORKER, module_reads, wrapped_names
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "oxidefv"
@@ -100,6 +102,50 @@ def benchmark_reads() -> set[str]:
 def test_every_public_definition_is_read():
     unread = unread_definitions(package_sources(), benchmark_reads() | set(KEPT_FOR_TESTS))
     assert not unread, f"{unread} are read by neither the package nor the benchmark"
+
+
+def unread_methods(sources: dict, reads=frozenset()) -> list[str]:
+    """"module.Class.name" of each public method of a top-level class in
+    sources (module name -> source) that no source loads by name and that
+    is not in reads."""
+    read = set(reads).union(*map(name_reads, sources.values()))
+    return [
+        f"{module}.{cls.name}.{node.name}"
+        for module, source in sources.items()
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def worker_attribute_reads() -> set[str]:
+    """Every attribute name the benchmark's worker loads."""
+    if not WORKER.is_file():
+        return set()
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(WORKER.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_method_is_read():
+    unread = unread_methods(package_sources(), worker_attribute_reads())
+    assert not unread, f"{unread} are read by neither the package nor the benchmark"
+
+
+def test_guard_catches_an_unread_method():
+    sources = {
+        "a": "class A:\n    def used(self):\n        pass\n\n    def unused(self):\n"
+             "        pass\n\n    def _private(self):\n        pass\n\n    def __call__(self):\n"
+             "        pass\n",
+        "b": "from .a import A\n\nA().used()\n",
+    }
+    assert unread_methods(sources) == ["a.A.unused"]
+    assert unread_methods(sources, {"unused"}) == []
 
 
 @pytest.mark.parametrize("name", sorted(KEPT_FOR_TESTS))

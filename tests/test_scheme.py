@@ -15,6 +15,7 @@ from oxidefv import (
     ModelParams,
     SolverOptions,
     State,
+    StepResult,
     StepStatus,
     TerminationKind,
     TimeGrid,
@@ -530,14 +531,17 @@ class TestConfirmation:
         assert walked.count("confirm") == 16 and walked[-1] == "confirm"
         events.clear()
         opts = SolverOptions()
-        point = (s0.u, s0.X0, s0.X1, s0.L)
+        state = s0
         for tau in taus:
             system = _StepSystem(s0, mesh, tau, tc1)
-            point, status, _, _ = scheme._newton(system, point, opts, opts.resolved_floor(tc1))
-            assert status is StepStatus.CONVERGED
+            step = scheme._newton(system, state, opts, opts.resolved_floor(tc1))
+            assert step.status is StepStatus.CONVERGED
+            state = step.state
         assert events == walked
-        assert result.state.u.tobytes() == point[0].tobytes()
-        assert (result.state.X0, result.state.X1, result.state.L) == point[1:]
+        assert result.state.u.tobytes() == state.u.tobytes()
+        assert (result.state.X0, result.state.X1, result.state.L) == (
+            state.X0, state.X1, state.L)
+        assert result.residual_inf == step.residual_inf
 
     def test_unconverged_confirmation_falls_through_to_full_iteration(
         self, tc1, monkeypatch
@@ -747,11 +751,11 @@ class TestHomotopy:
         calls = []
         newton = scheme._newton
 
-        def third_fails_once(system, point, *args):
-            out = newton(system, point, *args)
+        def third_fails_once(system, start, *args):
+            out = newton(system, start, *args)
             if len(calls) == 2:
-                out = (None, StepStatus.NO_CONVERGENCE, out[2], np.inf)
-            calls.append((system.dt, point, out))
+                out = StepResult(None, StepStatus.NO_CONVERGENCE, out.iterations, np.inf)
+            calls.append((system.dt, start, out))
             return out
 
         monkeypatch.setattr(scheme, "_newton", third_fails_once)
@@ -759,22 +763,39 @@ class TestHomotopy:
         assert result.status is StepStatus.CONVERGED
         taus = [dt * k / 16 for k in (1, 2, 3)] + [dt * k / 32 for k in range(5, 33)]
         assert [tau for tau, _, _ in calls] == taus
-        second_end = calls[1][2][0]
+        second_end = calls[1][2].state
         assert calls[2][1] is second_end and calls[3][1] is second_end
-        assert result.iterations == sum(out[2] for _, _, out in calls)
+        assert result.iterations == sum(out.iterations for _, _, out in calls)
+        assert result.state is calls[-1][2].state
         direct = newton_step_solve(s0, mesh, dt, tc1)
         assert state_gap(direct.state, (result.state.u, result.state.X0,
                                         result.state.X1, result.state.L)) <= 1e-9
 
-    @pytest.mark.parametrize("dt", [1e-306, 3e-308])
-    def test_tiny_step_fails_without_warning(self, tc1, dt):
+    @pytest.mark.parametrize(
+        "make, dt, cell_counts",
+        [
+            pytest.param(make_tc1, 1e-306, (12, 100), id="1e-306"),
+            pytest.param(make_tc1, 3e-308, (12, 100), id="3e-308"),
+            pytest.param(make_tc2, 1e-307, (1, 2, 12, 50, 100, 400), id="testcase2-1e-307"),
+        ],
+    )
+    def test_tiny_step_fails_without_warning(self, make, dt, cell_counts):
         # 1/tau overflows for every sub-step of 3e-308: they fail unsolved.
         # The sub-steps of 1e-306 are solved, and their tiny increments
-        # overflow u / du.  pytest turns any warning into an error.
-        for cells in (12, 100):
+        # overflow u / du; those of 1e-307 (about 6e-309) overflow the
+        # assembly's division by tau.  pytest turns any warning into an error.
+        params = make()
+        for cells in cell_counts:
             mesh = uniform_mesh(cells)
-            result = homotopy_solve(discretize_initial(tc1, mesh), mesh, dt, tc1)
+            result = homotopy_solve(discretize_initial(params, mesh), mesh, dt, params)
             assert result.status is not StepStatus.CONVERGED and result.state is None
+
+    def test_tiny_newton_step_fails_without_warning(self, tc1):
+        # 1/dt is finite at 1e-308, but on one cell the Schur matrix
+        # overflows: the step fails, and no warning is raised
+        mesh = uniform_mesh(1)
+        result = newton_step_solve(discretize_initial(tc1, mesh), mesh, 1e-308, tc1)
+        assert result.status is StepStatus.NO_CONVERGENCE and result.state is None
 
     def test_failed_continuation_reports_its_work(self):
         # from the last state before testcase2 collapses, the continuation
@@ -835,8 +856,9 @@ class TestRun:
         traj = run(tc1, uniform_mesh(20), TimeGrid.from_step(1e-2, 3))
         assert traj.completed
         # three Newton solves, the first handed to the continuation; each
-        # converged solve builds its state
-        assert counts == {"newton_step_solve": 3, "homotopy_solve": 1, "State": 4}
+        # accepted solve builds its state: the three Newton steps' and the
+        # continuation's 16 sub-steps'
+        assert counts == {"newton_step_solve": 3, "homotopy_solve": 1, "State": 19}
         for name in ("solve_banded", "bernoulli", "bernoulli_prime"):
             assert callable(getattr(scheme, name))
 
@@ -956,9 +978,29 @@ class TestCollapseEvent:
             brackets.append(bracket_collapse(*args))
             return brackets[-1]
 
+        # each state a solve returns, with the system of its sub-step, and
+        # each one that a later solve starts from: the walk's waypoints
+        produced, waypoints = {}, []
+        newton = scheme._newton
+
+        def recorded_newton(system, start, *args):
+            if start is not system.prev:
+                waypoints.append(produced[id(start)])
+            result = newton(system, start, *args)
+            if result.state is not None:
+                produced[id(result.state)] = (system, result.state)
+            return result
+
         monkeypatch.setattr(scheme, "_bracket_collapse", recorded)
+        monkeypatch.setattr(scheme, "_newton", recorded_newton)
         params, mesh = make(), uniform_mesh(50)
         traj = run(params, mesh, TimeGrid.from_step(dt, 20))
+        # the walk continues only from solutions of its sub-steps' scheme
+        floor = SolverOptions().resolved_floor(params)
+        assert waypoints
+        for system, state in waypoints:
+            r = residual(system.prev, state, mesh, system.dt, params)
+            assert np.abs(r).max() <= scheme._STALL_RESIDUAL and state.L > floor
         term = traj.termination
         assert term.kind is TerminationKind.WIDTH_COLLAPSED and term.step == step
         prev = traj.final_state
