@@ -165,7 +165,7 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
             if key not in raw:
                 raise ConfigError(f"line 1: missing required key {key!r}")
         for key in _TABLE_KEYS:
-            if key in raw:
+            if key in given:
                 raise ConfigError(f"{where(key)}: {key} is not valid for an exponential profile")
         profile = ExponentialProfile(
             c1=_expect_number(raw, "u_init_c1", where),
@@ -177,7 +177,7 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
             if key not in raw:
                 raise ConfigError(f"line 1: missing required key {key!r}")
         for key in _EXP_KEYS:
-            if key in raw:
+            if key in given:
                 raise ConfigError(f"{where(key)}: {key} is not valid for a tabulated profile")
         for key in _TABLE_KEYS:
             if not (isinstance(raw[key], list) and all(map(_finite_number, raw[key]))):

@@ -179,11 +179,12 @@ def uniform_mesh(cells: int) -> Mesh:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time discretization with N steps of size dt up to t_final."""
+    """Uniform time discretization: n_steps steps of size dt.  The horizon
+    t_final is n_steps * dt; `from_step_and_horizon` accepts a given horizon
+    only when a whole number of steps meets it within 1e-12 relative."""
 
     dt: float
     n_steps: int
-    t_final: float
 
     def __post_init__(self):
         if self.dt <= 0.0 or not np.isfinite(self.dt):
@@ -193,19 +194,20 @@ class TimeGrid:
             raise ValueError(f"TimeGrid.dt {float(self.dt)!r} is too small: 1/dt overflows")
         if self.n_steps < 1:
             raise ValueError("TimeGrid.n_steps must be at least 1")
-        defect = abs(self.n_steps * self.dt - self.t_final)
-        if defect > 1e-12 * max(1.0, abs(self.t_final)):
-            raise ValueError("TimeGrid: n_steps * dt must equal t_final")
+
+    @property
+    def t_final(self) -> float:
+        return self.n_steps * self.dt
 
     @classmethod
     def from_step(cls, dt: float, n_steps: int) -> "TimeGrid":
-        return cls(dt=dt, n_steps=n_steps, t_final=dt * n_steps)
+        return cls(dt=dt, n_steps=n_steps)
 
     @classmethod
     def from_horizon(cls, t_final: float, n_steps: int) -> "TimeGrid":
         if n_steps < 1:
             raise ValueError("TimeGrid.n_steps must be at least 1")
-        return cls(dt=t_final / n_steps, n_steps=n_steps, t_final=t_final)
+        return cls(dt=t_final / n_steps, n_steps=n_steps)
 
     @classmethod
     def from_step_and_horizon(cls, dt: float, t_final: float) -> "TimeGrid":
@@ -215,13 +217,9 @@ class TimeGrid:
         if not np.isfinite(ratio):
             raise ValueError(f"the horizon {t_final!r} takes too many steps of {dt!r} to count")
         n = int(round(ratio))
-        if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        if n < 1 or abs(n * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
             raise ValueError(f"time step {dt!r} does not divide the horizon {t_final!r}")
-        return cls(dt=dt, n_steps=n, t_final=t_final)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
+        return cls(dt=dt, n_steps=n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,11 +181,12 @@ def dissipation_split(
 @dataclass(frozen=True, eq=False)
 class EnergyLedger:
     """Free energy, total free energy and dissipation split of a stored
-    trajectory for one convex density, in columns, plus the final
-    boundary-exchange sums.  `build_ledger` makes ledgers.
+    trajectory for one convex density, in columns.  `build_ledger` makes
+    ledgers.
 
     H, H_tot, D_bulk and D_bound have one entry per trajectory row: row n
-    is step n.  The dissipation columns are undefined at row 0 and hold nan
+    is step n.  H_tot carries the boundary-exchange sums accumulated up to
+    row n.  The dissipation columns are undefined at row 0 and hold nan
     there.  All four are read-only.
     """
 
@@ -195,9 +196,6 @@ class EnergyLedger:
     H_tot: np.ndarray
     D_bulk: np.ndarray
     D_bound: np.ndarray
-    exchange_left_rate: float
-    exchange_left_mass: float
-    exchange_right_rate: float
 
     def __post_init__(self):
         for col in (self.H, self.H_tot, self.D_bulk, self.D_bound):
@@ -265,7 +263,6 @@ def build_ledger(
         )
     H_tot[0] = H[0]
     D_bulk[0] = D_bound[0] = np.nan
-    left_rate, left_mass, right_rate = sums.tolist()
     return EnergyLedger(
         density=density,
         dt=dt,
@@ -273,9 +270,6 @@ def build_ledger(
         H_tot=H_tot,
         D_bulk=D_bulk,
         D_bound=D_bound,
-        exchange_left_rate=left_rate,
-        exchange_left_mass=left_mass,
-        exchange_right_rate=right_rate,
     )
 
 

@@ -112,6 +112,17 @@ class TestProjection:
             project_reference(traj, fine_mesh, uniform_mesh(2),
                               TimeGrid.from_horizon(0.2, 3))
 
+    def test_horizons_must_agree_to_rounding(self):
+        # A grid's horizon is n_steps * dt, and from_horizon(0.1, n) takes
+        # dt = 0.1 / n: 33 steps reach 0.1, 11 steps 0.10000000000000002.
+        mesh = uniform_mesh(2)
+        fine_time, coarse_time = TimeGrid.from_horizon(0.1, 33), TimeGrid.from_horizon(0.1, 11)
+        assert fine_time.t_final != coarse_time.t_final
+        traj = trajectory_of([State(u=np.ones(4), X0=0.0, X1=1.0, L=1.0)] * 34, fine_time)
+        assert np.array_equal(project_reference(traj, mesh, mesh, coarse_time), np.ones((11, 2)))
+        with pytest.raises(ValueError, match="time grids cover different horizons"):
+            project_reference(traj, mesh, mesh, TimeGrid.from_horizon(0.1 + 1e-9, 11))
+
     def test_time_series_blocks(self):
         assert np.allclose(project_time_series([1.0, 3.0, 5.0, 7.0], 2), [2.0, 6.0])
         with pytest.raises(ValueError):
@@ -353,8 +364,7 @@ class TestVerification:
 
 class TestConvergenceStudy:
     def test_small_study_shapes_and_rates(self, tc1):
-        report = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1,
-                                   base_cells=8, base_steps=4)
+        report = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1)
         assert len(report.levels) == 2
         first, second = report.levels
         assert first.rate_w is None and second.rate_w is not None
@@ -369,7 +379,7 @@ class TestConvergenceStudy:
                              alpha1=tc1.alpha1, beta1=tc1.beta1, R=tc1.R,
                              L0=wave.L_hat,
                              u_init=ExponentialProfile(1.0, -tc1.R * wave.c_hat, 0.0))
-        for cells, steps in ((8, 4), (16, 16)):
+        for cells, steps in ((50, 10), (100, 40)):
             mesh = uniform_mesh(cells)
             traj = run(params, mesh, TimeGrid.from_horizon(0.1, steps),
                        initial_mode=InitialMode.CENTER_SAMPLE)
@@ -377,7 +387,6 @@ class TestConvergenceStudy:
             worst = max(float(np.abs(s.u - target).max()) for s in traj.states)
             assert worst <= 1e-9
         report = convergence_study(params, max_level=1, ref_level=2, t_final=0.1,
-                                   base_cells=8, base_steps=4,
                                    initial_mode=InitialMode.CENTER_SAMPLE)
         # cross-grid projection artifacts only: O(h^2), far below the
         # transient-case errors at this resolution
@@ -402,19 +411,18 @@ class TestConvergenceStudy:
             convergence_study(tc1, max_level=0, ref_level=ref_level)
 
     def test_reference_level_must_fit_in_physical_memory(self, tc1, monkeypatch):
-        # U of reference level 1 holds 4 * 4 + 1 rows of 8 * 2 + 2 doubles
-        need = (4 * 4 + 1) * (8 * 2 + 2) * 8
+        # U of reference level 1 holds 10 * 4 + 1 rows of 50 * 2 + 2 doubles
+        need = (10 * 4 + 1) * (50 * 2 + 2) * 8
         memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-        study = dict(max_level=0, ref_level=1, t_final=0.1, base_cells=8, base_steps=4)
+        study = dict(max_level=0, ref_level=1, t_final=0.1)
         with pytest.raises(ValueError, match=f"would store {need} bytes"):
             convergence_study(tc1, **study)
         memory["SC_PHYS_PAGES"] = need
         assert len(convergence_study(tc1, **study).levels) == 1
 
     def test_csv_output(self, tc1, tmp_path):
-        report = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1,
-                                   base_cells=8, base_steps=4)
+        report = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1)
         path = tmp_path / "conv.csv"
         write_convergence_csv(report, path)
         lines = path.read_text().splitlines()

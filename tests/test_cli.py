@@ -1,6 +1,7 @@
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -375,7 +376,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--dt", "0.03"], ["--dt", "-1"], ["--t-final", "0"]],
+        [["--dt", "0.03"], ["--dt", "-1"], ["--t-final", "0"],
+         ["--dt", "0.1", "--t-final", "0.3000000001"]],
     )
     def test_bad_time_grid_override_is_config_error(self, flags, capsys):
         assert main(["tw", "--preset", "testcase1", *flags]) == EXIT_CONFIG
@@ -661,4 +663,88 @@ class TestCommandErrors:
                      "--out", str(out)])
         _assert_config_error(code, capsys.readouterr().err,
                              "line 3: dt must be a finite number")
+        assert not out.exists()
+
+
+def _table_preset(**keys):
+    """A testcase1 document that switches its profile to a table."""
+    return {"preset": "testcase1", "u_init_kind": "table", **keys}
+
+
+_EXP_DOCUMENT = {k: v for k, v in PRESETS["testcase1"].items() if k != "u_init_c3"}
+
+
+class TestProfileKeys:
+    """A preset's profile keys are its own: a document may switch the preset
+    to another kind of profile, but may not set both kinds' keys itself."""
+
+    def test_preset_takes_a_tabulated_profile(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_table_preset(u_init_x=[0, 1], u_init_values=[1, 1],
+                                                 t_final=0.05)))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        names, rows = _csv_rows(out / "steps.csv")
+        assert float(rows[0][names.index("u0")]) == 1.0
+
+    @pytest.mark.parametrize(
+        "raw,key,message",
+        [
+            (_table_preset(u_init_x=[0, 1], u_init_values=[1, 1], u_init_c1=1.0),
+             "u_init_c1", "u_init_c1 is not valid for a tabulated profile"),
+            ({"preset": "testcase1", "u_init_x": [0, 1]},
+             "u_init_x", "u_init_x is not valid for an exponential profile"),
+        ],
+        ids=["table-with-exp-key", "exp-with-table-key"],
+    )
+    def test_both_kinds_keys_rejected_with_line(self, raw, key, message, tmp_path, capsys):
+        text = json.dumps(raw, indent=2)
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if f'"{key}"' in row)
+        assert line > 1
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        _assert_config_error(code, capsys.readouterr().err, f"line {line}: {message}")
+
+
+class TestRejectionPaths:
+    """Each rejection of a document, and the study whose reference run
+    fails, with its exit code and message; nothing is written."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (json.dumps(_EXP_DOCUMENT), "line 1: missing required key 'u_init_c3'"),
+            (json.dumps(_table_preset(u_init_x=[0, 1])),
+             "line 1: missing required key 'u_init_values'"),
+            ('{\n  "preset": "testcase1",\n  "u_init_kind": "table",\n'
+             '  "u_init_x": [0, 1, 0.5],\n  "u_init_values": [1, 1, 1]\n}\n',
+             "line 4: tabulated profile abscissae must be strictly increasing"),
+            (_one_key_config("u_init_kind", '"gauss"'),
+             "line 3: u_init_kind must be 'exp' or 'table'"),
+            (_one_key_config("newton_tol", "0"), "line 3: newton_tol must be positive and finite"),
+            (_one_key_config("out", "5"), "line 3: out must be a string"),
+            ('[{"preset": "testcase1"}]', "line 1: configuration must be a JSON object"),
+        ],
+        ids=["missing-exp-key", "missing-table-key", "table-not-increasing", "bad-kind",
+             "zero-newton-tol", "out-not-a-string", "json-array"],
+    )
+    def test_document_rejected(self, text, message, tmp_path, monkeypatch, capsys):
+        # no --out: the document's own out is read
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text(text)
+        code = main(["simulate", "--config", "c.json"])
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert code == EXIT_CONFIG
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_converge_reference_run_that_collapses_is_a_solver_failure(self, tmp_path, capsys):
+        # testcase2's width collapses near t = 1.48, before the horizon 2
+        out = tmp_path / "cv"
+        code = main(["converge", "--preset", "testcase2", "--levels", "0", "--ref-level", "1",
+                     "--t-final", "2.0", "--out", str(out)])
+        assert capsys.readouterr().err == (
+            "error: convergence_study: reference level 1 did not complete\n"
+        )
+        assert code == EXIT_SOLVER
         assert not out.exists()

@@ -84,6 +84,11 @@ class TestTimeGrid:
     def test_nondivisible_rejected(self):
         with pytest.raises(ValueError):
             TimeGrid.from_step_and_horizon(0.3, 1.0)
+        # one tolerance, 1e-12 relative: 3 steps of 0.1 miss this horizon by
+        # 1e-10, and 3 * 0.1 = 0.30000000000000004 meets 0.3
+        with pytest.raises(ValueError, match="does not divide the horizon"):
+            TimeGrid.from_step_and_horizon(0.1, 0.3000000001)
+        assert TimeGrid.from_step_and_horizon(0.1, 0.3).n_steps == 3
 
     def test_uncountable_horizon_rejected(self):
         # t_final / dt overflows: a ValueError, not int(inf)'s OverflowError
@@ -93,11 +98,12 @@ class TestTimeGrid:
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
-            TimeGrid(dt=-0.1, n_steps=10, t_final=-1.0)
+            TimeGrid(dt=-0.1, n_steps=10)
         with pytest.raises(ValueError):
-            TimeGrid(dt=0.1, n_steps=0, t_final=0.0)
-        with pytest.raises(ValueError):
-            TimeGrid(dt=0.1, n_steps=10, t_final=2.0)
+            TimeGrid(dt=0.1, n_steps=0)
+        # the horizon is derived from dt and n_steps, never given
+        with pytest.raises(TypeError):
+            TimeGrid(dt=0.1, n_steps=3, t_final=0.3)
 
     def test_overflowing_reciprocal_rejected(self):
         # 1/dt enters the step matrix; no floating-point warning on the way
@@ -108,9 +114,10 @@ class TestTimeGrid:
             TimeGrid.from_step_and_horizon(1e-320, 1e-318)
         assert TimeGrid.from_step(1e-300, 100).dt == 1e-300
 
-    def test_times(self):
-        g = TimeGrid.from_step(0.5, 4)
-        assert np.allclose(g.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_t_final_is_n_steps_times_dt(self):
+        assert TimeGrid.from_step(0.5, 4).t_final == 2.0
+        g = TimeGrid.from_horizon(0.1, 3)
+        assert (g.dt, g.t_final) == (0.1 / 3, 3 * (0.1 / 3))
 
 
 class TestProfiles:
@@ -378,4 +385,5 @@ class TestTrajectoryStorage:
         # row n is step n: a completed run has a row for every step
         assert traj.completed and traj.U.shape[0] == traj.time_grid.n_steps + 1
         for t in (collapsed, traj):
-            assert t.times.tobytes() == t.time_grid.times[: t.U.shape[0]].tobytes()
+            assert t.times.tobytes() == (np.arange(t.U.shape[0]) * t.time_grid.dt).tobytes()
+        assert traj.times[-1] == traj.time_grid.t_final

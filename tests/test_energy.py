@@ -204,10 +204,7 @@ class TestLedger:
         traj = trajectory_of(states, TimeGrid.from_step(0.1, 2))
         for density in builtin_densities():
             ledger = build_ledger(traj, mesh, params, density)
-            assert ledger.exchange_left_rate == 0.0
-            assert ledger.exchange_left_mass == 0.0
-            assert ledger.exchange_right_rate == 0.0
-            assert np.allclose(ledger.H_tot, ledger.H, rtol=0, atol=1e-15)
+            assert ledger.H_tot.tobytes() == ledger.H.tobytes()
 
     def test_frozen_with_read_only_columns(self, tc1):
         mesh = uniform_mesh(12)
@@ -221,8 +218,6 @@ class TestLedger:
             ledger.H_tot[1] = 0.0
         with pytest.raises(FrozenInstanceError):
             ledger.H = np.zeros(6)
-        with pytest.raises(FrozenInstanceError):
-            ledger.exchange_left_rate = 0.0
 
     def test_density_vanishing_on_bracket_reduces_to_bulk_energy(self, tc1):
         # density supported above the solution range: H_tot == H == 0
@@ -370,9 +365,6 @@ def assert_ledgers_identical(ledger, replayed):
     assert np.isnan(ledger.D_bulk[0]) and np.isnan(ledger.D_bound[0])
     assert np.array_equal(ledger.D_bulk, replayed.D_bulk, equal_nan=True)
     assert np.array_equal(ledger.D_bound, replayed.D_bound, equal_nan=True)
-    assert ledger.exchange_left_rate == replayed.exchange_left_rate
-    assert ledger.exchange_left_mass == replayed.exchange_left_mass
-    assert ledger.exchange_right_rate == replayed.exchange_right_rate
 
 
 def edgewise_dissipation_rows(U, X0, X1, L, mesh, dt, params, density):
@@ -491,5 +483,3 @@ class TestBlockedLedger:
         self.check(traj, mesh, params)
         ledger = build_ledger(traj, mesh, params, quadratic())
         assert ledger.H_tot.tolist() == ledger.H.tolist()
-        assert (ledger.exchange_left_rate, ledger.exchange_left_mass,
-                ledger.exchange_right_rate) == (0.0, 0.0, 0.0)

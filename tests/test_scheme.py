@@ -828,6 +828,11 @@ class TestRun:
                 run(tc1, mesh, grid, SolverOptions(width_floor=floor))
         assert run(tc1, mesh, grid, SolverOptions(width_floor=np.nextafter(1.0, 0.0))).states
 
+    def test_initial_state_off_the_mesh_rejected(self, tc1):
+        first = discretize_initial(tc1, uniform_mesh(11))
+        with pytest.raises(ValueError, match="run: initial state does not match the mesh"):
+            run(tc1, uniform_mesh(10), TimeGrid.from_step(1e-2, 2), initial_state=first)
+
     def test_run_calls_traced_names_through_the_module(self, tc1, monkeypatch):
         # The benchmark's tracer counts scheme.newton and core.state_new by
         # wrapping these module attributes; run() must look them up there.
