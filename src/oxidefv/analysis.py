@@ -4,6 +4,7 @@ post-hoc verification of the scheme's a priori bounds."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,18 @@ def wave_distance(state: State, mesh: Mesh, wave: TravellingWave) -> float:
     The wave is rescaled by mapping its own domain [0, L_hat] onto [0, 1],
     so u_hat_i = u_left * exp(-decay * L_hat * xi_i).
     """
-    target = wave.profile_rescaled(mesh.centers[1:-1])
-    diff = state.u[1:-1] - target
+    diff = state.u[1:-1] - _wave_target(wave, mesh)
     return float(state.L * np.dot(mesh.cell_sizes, diff * diff))
+
+
+@functools.lru_cache(maxsize=1)
+def _wave_target(wave: TravellingWave, mesh: Mesh) -> np.ndarray:
+    """The rescaled wave at the interior centers of the mesh, read-only.
+    The step CSV measures every row against one (wave, mesh) pair, so the
+    last pair's target is kept."""
+    target = wave.profile_rescaled(mesh.centers[1:-1])
+    target.setflags(write=False)
+    return target
 
 
 def _interior_field(traj: Trajectory) -> np.ndarray:

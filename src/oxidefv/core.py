@@ -424,10 +424,15 @@ def check_storable(cells: int, n_steps: int) -> None:
 # about this many entries, so their temporaries do not grow with the run
 # length (project_reference reads whole coarse time slabs, at least one per
 # block).  Larger blocks spend less Python overhead per step, but their
-# temporaries add to the peak: at 4096 the ledger of a 2000-step run at
-# I = 100 raised the process's peak RSS by 0.1-0.3 MB over a per-step
-# replay; at 2048 it stayed level.
-_BLOCK_ELEMS = 2048
+# temporaries add to the peak.  Traced peaks of TestDiagnosticsMemory's 641
+# rows at I = 400, whose bound is U.nbytes / 4 = 515 KB, at 2048 / 4096 /
+# 8192: build_ledger 234 / 443 / 860 KB (it keeps about 13 block-sized
+# arrays alive), verify_trajectory 75 / 139 / 268 KB, project_reference
+# 257 KB at all three (one slab per block).  The benchmark's peak_rss_mb
+# medians on a 2-core Xeon VM with numpy 2.4.6, three runs each at 2048
+# and 4096: wave 61.08 and 61.08 MB, collapse 60.00 and 59.97 MB, refine
+# 83.72 and 83.88 MB, within the runs' spread.
+_BLOCK_ELEMS = 4096
 
 
 def step_blocks(traj: Trajectory):
@@ -446,8 +451,13 @@ def step_blocks(traj: Trajectory):
 
 
 def row_integrals(V, L, mesh: Mesh) -> np.ndarray:
-    """L_j * sum_i h_i V[j, i] for each row j of V (one entry per cell) and
-    its width L_j.  One np.dot per row: a matrix-vector product would sum in
-    another order."""
+    """L_j * sum_i h_i V[j, i] for each row j of the 2-d V (one entry per
+    cell) and its width L_j (a sequence or an array).
+
+    The rows go through one stacked product of each row V[j] (1 x I) with
+    the column h (I x 1).  NumPy's matmul computes a 1 x 1 result with the
+    same vector dot that np.dot(h, V[j]) calls, so each entry has the bits
+    of its per-row np.dot; a matrix-vector product V @ h goes through gemv
+    and sums in another order."""
     h = mesh.cell_sizes
-    return np.array([Lj * np.dot(h, vj) for Lj, vj in zip(L, V)])
+    return np.asarray(L, dtype=float) * np.matmul(V[:, None, :], h[:, None])[:, 0, 0]

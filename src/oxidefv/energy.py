@@ -97,8 +97,16 @@ def mean_value_theta(u: np.ndarray, density: ConvexDensity) -> np.ndarray:
     with a 1/2 fallback on degenerate edges.  Rows of a (..., I+2) array
     are treated independently."""
     u = np.asarray(u, dtype=float)
+    _, P, Pi = _potentials(density, u)
+    return _theta(u, P[..., 1:] - P[..., :-1], Pi)
+
+
+def _potentials(density: ConvexDensity, u):
+    """phi(u), phi'(u) and the pressure pi(u), with phi and phi' evaluated
+    once each; pi takes the operations of ConvexDensity.pi."""
+    F = np.asarray(density.phi(u), dtype=float)
     P = np.asarray(density.phi_prime(u), dtype=float)
-    return _theta(u, P[..., 1:] - P[..., :-1], np.asarray(density.pi(u), dtype=float))
+    return F, P, u * P - F
 
 
 def _theta(u, dphip, Pi):
@@ -116,10 +124,13 @@ def _theta(u, dphip, Pi):
 
 
 def _dissipation_rows(
-    U, X0, X1, L, mesh: Mesh, dt: float, params: ModelParams, density: ConvexDensity
+    U, X0, X1, L, P, Pi, weights, mesh: Mesh, dt: float, params: ModelParams
 ):
     """Bulk and boundary dissipation of the k steps between the k+1 stacked
     states (rows of U, with their X0, X1 and L), as two length-k arrays.
+    P and Pi are phi' and pi over the step rows U[1:], shared by theta, the
+    bulk and the boundary terms; weights are the density's
+    `_exchange_weights`.
 
     The bulk part weights each edge's gradient-type product with the
     Bernoulli combination B(w) theta + B(-w) (1 - theta); the boundary part
@@ -127,10 +138,6 @@ def _dissipation_rows(
     """
     u = U[1:]
     Lc = L[1:, None]
-    # phi' and pi are evaluated once over the block and shared by theta,
-    # the bulk and the boundary terms.
-    P = np.asarray(density.phi_prime(u), dtype=float)
-    Pi = np.asarray(density.pi(u), dtype=float)
     dphip = P[:, 1:] - P[:, :-1]
     theta = _theta(u, dphip, Pi)
     w = (Lc * mesh.gaps) * _frame_velocity(
@@ -140,17 +147,13 @@ def _dissipation_rows(
     weight = bernoulli(w) * theta + bernoulli(-w) * (1.0 - theta)
     d_bulk = np.sum(weight * dphip * (u[:, 1:] - u[:, :-1]) / (Lc * mesh.gaps), axis=1)
 
-    phip = density.phi_prime
-    pi = density.pi
-    r0 = params.alpha0 / params.beta0
-    rb = params.a / params.b
-    r1 = params.alpha1 / params.beta1
+    pi_r0, phip_rb, pi_r1 = weights
     u0 = u[:, 0]
     u1 = u[:, -1]
     d_bound = (
-        (params.beta0 * u0 - params.alpha0) * (Pi[:, 0] - pi(r0))
-        + (params.b * u0 - params.a) * (P[:, 0] - phip(rb))
-        + params.R * (params.beta1 * u1 - params.alpha1) * (Pi[:, -1] - pi(r1))
+        (params.beta0 * u0 - params.alpha0) * (Pi[:, 0] - pi_r0)
+        + (params.b * u0 - params.a) * (P[:, 0] - phip_rb)
+        + params.R * (params.beta1 * u1 - params.alpha1) * (Pi[:, -1] - pi_r1)
     )
     return d_bulk, d_bound
 
@@ -168,12 +171,15 @@ def dissipation_split(
     positive and finite or that makes a rate (f - f_prev)/dt of X0, X1 or
     L, or an edge velocity, overflow."""
     _check_rates("dissipation_split", prev, nxt, dt, params.R)
+    U = np.stack((prev.u, nxt.u))
+    _, P, Pi = _potentials(density, U[1:])
     d_bulk, d_bound = _dissipation_rows(
-        np.stack((prev.u, nxt.u)),
+        U,
         np.array([prev.X0, nxt.X0]),
         np.array([prev.X1, nxt.X1]),
         np.array([prev.L, nxt.L]),
-        mesh, dt, params, density,
+        P, Pi, _exchange_weights(density, params),
+        mesh, dt, params,
     )
     return float(d_bulk[0]), float(d_bound[0])
 
@@ -212,22 +218,26 @@ def _exchange_increments(params: ModelParams, dt: float, u0, u1):
     )
 
 
-def _exchange_correction(
-    density: ConvexDensity, params: ModelParams, left_rate, left_mass, right_rate
-):
+def _exchange_weights(density: ConvexDensity, params: ModelParams) -> tuple[float, float, float]:
+    """pi(alpha0/beta0), phi'(a/b) and pi(alpha1/beta1): the weights of the
+    three boundary exchanges in the total free energy and in the boundary
+    dissipation."""
+    return (
+        float(density.pi(params.alpha0 / params.beta0)),
+        float(density.phi_prime(params.a / params.b)),
+        float(density.pi(params.alpha1 / params.beta1)),
+    )
+
+
+def _exchange_correction(weights, R: float, left_rate, left_mass, right_rate):
     """What the accumulated boundary-exchange sums contribute to the total
-    free energy, H_tot = H - correction.  The sums may be arrays."""
-    r0 = params.alpha0 / params.beta0
-    rb = params.a / params.b
-    r1 = params.alpha1 / params.beta1
+    free energy, H_tot = H - correction, given the density's
+    `_exchange_weights`.  The sums may be arrays."""
+    pi_r0, phip_rb, pi_r1 = weights
     # The exchange corrections remove what the environment feeds in, so the
     # total decreases along the scheme; each accumulated sum enters with a
     # minus sign against its pressure / potential weight.
-    return (
-        float(density.pi(r0)) * left_rate
-        + float(density.phi_prime(rb)) * left_mass
-        + params.R * float(density.pi(r1)) * right_rate
-    )
+    return pi_r0 * left_rate + phip_rb * left_mass + R * pi_r1 * right_rate
 
 
 def build_ledger(
@@ -238,7 +248,8 @@ def build_ledger(
 ) -> EnergyLedger:
     """Evaluate a stored trajectory into its ledger.
 
-    The steps are evaluated in blocks of consecutive rows (`step_blocks`).
+    The steps are evaluated in blocks of consecutive rows (`step_blocks`),
+    with phi and phi' evaluated once per block and pi derived from them.
     Each entry is summed in the same order as when its step is evaluated
     alone, and the exchange sums accumulate in step order.
     """
@@ -248,20 +259,27 @@ def build_ledger(
     H_tot = np.empty(rows)
     D_bulk = np.empty(rows)
     D_bound = np.empty(rows)
+    weights = _exchange_weights(density, params)
+    # phi never sees the boundary traces of the initial state, which no
+    # column reads (xlogx is undefined at 0).
+    H[0] = H_tot[0] = row_integrals(density.phi(traj.U[:1, 1:-1]), traj.L[:1], mesh)[0]
     sums = np.zeros(3)
     for start, U, X0, X1, L in step_blocks(traj):
+        # Row 0 of a block is the previous block's last row: its H and
+        # running sums are known, and cumsum adds on in step order.
         stop = start + U.shape[0]
-        # Row 0 repeats the previous block's last state and running sums;
-        # cumsum then adds in step order.
-        H[start:stop] = row_integrals(density.phi(U[:, 1:-1]), L, mesh)
-        incs = _exchange_increments(params, dt, U[1:, 0], U[1:, -1])
+        u = U[1:]
+        F, P, Pi = _potentials(density, u)
+        H[start + 1 : stop] = row_integrals(F[:, 1:-1], L[1:], mesh)
+        incs = _exchange_increments(params, dt, u[:, 0], u[:, -1])
         running = np.cumsum(np.column_stack((sums, incs)), axis=1)
         sums = running[:, -1]
-        H_tot[start:stop] = H[start:stop] - _exchange_correction(density, params, *running)
-        D_bulk[start + 1 : stop], D_bound[start + 1 : stop] = _dissipation_rows(
-            U, X0, X1, L, mesh, dt, params, density
+        H_tot[start + 1 : stop] = H[start + 1 : stop] - _exchange_correction(
+            weights, params.R, *running[:, 1:]
         )
-    H_tot[0] = H[0]
+        D_bulk[start + 1 : stop], D_bound[start + 1 : stop] = _dissipation_rows(
+            U, X0, X1, L, P, Pi, weights, mesh, dt, params
+        )
     D_bulk[0] = D_bound[0] = np.nan
     return EnergyLedger(
         density=density,

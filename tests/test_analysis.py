@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -60,6 +61,23 @@ class TestWaveDistance:
                   L=wave.L_hat)
         expected = wave.L_hat * eps**2
         assert abs(wave_distance(s, mesh, wave) - expected) <= 1e-12 * expected
+
+    def test_target_follows_the_wave_and_the_mesh(self, tc1):
+        # the interior target is kept for the last (wave, mesh) pair only;
+        # alternating pairs of equal cell count keep the uncached bits
+        rng = np.random.default_rng(47)
+        wave = classify(tc1).wave
+        waves = (wave, dataclasses.replace(wave, L_hat=1.1 * wave.L_hat))
+        edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 31)), [1.0]))
+        meshes = (uniform_mesh(32), Mesh.from_edges(edges))
+        s = State(u=rng.uniform(0.5, 1.5, 34), X0=0.0, X1=1.3, L=1.3)
+        for _ in range(2):
+            for w in waves:
+                for mesh in meshes:
+                    diff = s.u[1:-1] - w.profile_rescaled(mesh.centers[1:-1])
+                    want = float(s.L * np.dot(mesh.cell_sizes, diff * diff))
+                    assert wave_distance(s, mesh, w) == want
+                    assert not analysis._wave_target(w, mesh).flags.writeable
 
 
 class TestProjection:

@@ -19,6 +19,7 @@ from oxidefv import (
     run,
     uniform_mesh,
 )
+from oxidefv.core import row_integrals
 from conftest import make_tc1, make_tc2
 
 
@@ -387,3 +388,24 @@ class TestTrajectoryStorage:
         for t in (collapsed, traj):
             assert t.times.tobytes() == (np.arange(t.U.shape[0]) * t.time_grid.dt).tobytes()
         assert traj.times[-1] == traj.time_grid.t_final
+
+
+class TestRowIntegrals:
+    """row_integrals takes all rows in one stacked product; each entry keeps
+    the bits of its per-row np.dot, so a NumPy whose stacked product sums in
+    another order fails here before it moves a golden file."""
+
+    @pytest.mark.parametrize("cells", [1, 7, 8, 9, 100, 802, 1601])
+    def test_bitwise_per_row_dot(self, cells):
+        rng = np.random.default_rng(cells)
+        edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, cells - 1)), [1.0]))
+        mesh = Mesh.from_edges(edges)
+        for rows in (1, 37):
+            U = rng.uniform(0.0, 2.0, (rows, cells + 2))
+            widths = rng.uniform(0.5, 2.0, rows)
+            for V in (U[:, 1:-1], np.ascontiguousarray(U[:, 1:-1])):
+                want = np.array([Lj * np.dot(mesh.cell_sizes, vj) for Lj, vj in zip(widths, V)])
+                for L in (widths, tuple(widths)):
+                    got = row_integrals(V, L, mesh)
+                    assert got.shape == (rows,)
+                    assert got.tobytes() == want.tobytes()

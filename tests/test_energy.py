@@ -23,15 +23,18 @@ from oxidefv import (
     mean_value_theta,
     run,
     uniform_mesh,
+    verify_trajectory,
     wave_profile_on_mesh,
     write_ledger_csv,
 )
+from oxidefv import core
 from oxidefv.core import _BLOCK_ELEMS, step_blocks
 from oxidefv.energy import (
     _THETA_EPS,
     _dissipation_rows,
-    _exchange_correction,
     _exchange_increments,
+    _exchange_weights,
+    _potentials,
     shifted_plus_squared,
 )
 from oxidefv.scheme import _frame_velocity
@@ -335,8 +338,10 @@ def total_free_energy_increment(
     ledger.exchange_left_rate += d_left_rate
     ledger.exchange_left_mass += d_left_mass
     ledger.exchange_right_rate += d_right_rate
-    H_tot = H - _exchange_correction(
-        density, p, ledger.exchange_left_rate, ledger.exchange_left_mass, ledger.exchange_right_rate
+    H_tot = H - (
+        float(density.pi(p.alpha0 / p.beta0)) * ledger.exchange_left_rate
+        + float(density.phi_prime(p.a / p.b)) * ledger.exchange_left_mass
+        + p.R * float(density.pi(p.alpha1 / p.beta1)) * ledger.exchange_right_rate
     )
     d_bulk, d_bound = dissipation_split(prev, state, mesh, ledger.dt, p, density)
     ledger.steps.append(n)
@@ -399,8 +404,9 @@ def edgewise_dissipation_rows(U, X0, X1, L, mesh, dt, params, density):
 
 
 class TestSharedDensityEvaluation:
-    """phi' and pi are evaluated once per block; the theta weights and the
-    dissipation rows stay exactly those of the edge-by-edge evaluation."""
+    """phi and phi' are evaluated once per block and pi is derived from
+    them; the theta weights and the dissipation rows stay exactly those of
+    the edge-by-edge evaluation."""
 
     def check(self, traj, mesh, params):
         dt = traj.time_grid.dt
@@ -410,7 +416,13 @@ class TestSharedDensityEvaluation:
                     U, X0, X1, L, mesh, dt, params, density
                 )
                 assert np.array_equal(mean_value_theta(U[1:], density), theta)
-                got_bulk, got_bound = _dissipation_rows(U, X0, X1, L, mesh, dt, params, density)
+                F, P, Pi = _potentials(density, U[1:])
+                assert np.array_equal(F, density.phi(U[1:]))
+                assert np.array_equal(P, density.phi_prime(U[1:]))
+                assert np.array_equal(Pi, density.pi(U[1:]))
+                got_bulk, got_bound = _dissipation_rows(
+                    U, X0, X1, L, P, Pi, _exchange_weights(density, params), mesh, dt, params
+                )
                 assert np.array_equal(got_bulk, d_bulk)
                 assert np.array_equal(got_bound, d_bound)
 
@@ -431,14 +443,28 @@ class TestSharedDensityEvaluation:
 
 class TestBlockedLedger:
     """build_ledger evaluates blocks of steps into columns; they must equal
-    the per-step replay into lists exactly."""
+    the per-step replay into lists exactly.  Neither they nor the report of
+    verify_trajectory, which also reads blocks, may depend on the block
+    size."""
 
     def check(self, traj, mesh, params):
-        for density in builtin_densities():
-            assert_ledgers_identical(
-                build_ledger(traj, mesh, params, density),
-                replay_ledger(traj, mesh, params, density),
-            )
+        replayed = [replay_ledger(traj, mesh, params, d) for d in builtin_densities()]
+        columns, reports = set(), set()
+        # one row per block, three rows per block, the whole run in one block
+        for budget in (1, 3 * (mesh.num_cells + 2), 1 << 30):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_BLOCK_ELEMS", budget)
+                ledgers = [build_ledger(traj, mesh, params, d) for d in builtin_densities()]
+                reports.add(repr(verify_trajectory(traj, mesh, params)))
+            for ledger, want in zip(ledgers, replayed):
+                assert_ledgers_identical(ledger, want)
+            columns.add(b"".join(
+                col.tobytes()
+                for ledger in ledgers
+                for col in (ledger.H, ledger.H_tot, ledger.D_bulk, ledger.D_bound)
+            ))
+        assert len(columns) == 1
+        assert len(reports) == 1
 
     def test_several_blocks_with_partial_last(self, tc1):
         cells = 100
