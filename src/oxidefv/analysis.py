@@ -65,9 +65,12 @@ def _interior_field(traj: Trajectory) -> np.ndarray:
     return traj.U[1:, 1:-1]
 
 
+@functools.lru_cache(maxsize=8)
 def _space_blocks(fine_mesh: Mesh, coarse_mesh: Mesh) -> np.ndarray:
-    """Indices of the fine edges that coincide with the coarse edges;
-    rejects non-nested meshes."""
+    """Indices of the fine edges that coincide with the coarse edges, read-
+    only; rejects non-nested meshes.  The refinement study projects each of
+    its ten reference slabs onto the same meshes, so the last pairs are
+    kept."""
     fine = fine_mesh.edges
     coarse = coarse_mesh.edges
     idx = np.clip(np.searchsorted(fine, coarse), 0, fine.size - 1)
@@ -76,6 +79,7 @@ def _space_blocks(fine_mesh: Mesh, coarse_mesh: Mesh) -> np.ndarray:
     idx = np.where(np.abs(fine[below] - coarse) < np.abs(fine[idx] - coarse), below, idx)
     if np.any(np.abs(fine[idx] - coarse) > _EDGE_MATCH_TOL):
         raise ValueError("meshes are not nested: coarse edges must be fine edges")
+    idx.setflags(write=False)
     return idx
 
 
@@ -111,7 +115,10 @@ def project_reference(
         k = min(slabs, n_c - j)
         weighted = field[j * m : (j + k) * m] * fine_mesh.cell_sizes
         space_avg = np.add.reduceat(weighted, starts, axis=1) / coarse_mesh.cell_sizes
-        proj[j : j + k] = space_avg.reshape(k, m, cells).mean(axis=1)
+        # sum over the m fine slabs of each coarse slab; divided by m below,
+        # as np.mean would
+        np.add.reduce(space_avg.reshape(k, m, cells), axis=1, out=proj[j : j + k])
+    proj /= m
     return proj
 
 
@@ -311,9 +318,19 @@ def convergence_study(
     ref_level serves as reference.  Profile errors are space-time L2
     distances to the projected reference; interface errors are sup-in-time
     distances to the time-projected reference, with rates taken w.r.t. the
-    time step.  A reference level whose time step is unusable, or whose
-    stored concentrations would not fit in physical memory, is rejected
-    with ValueError before any mesh is built."""
+    time step.
+
+    The reference is run one level-0 slab (4^ref_level steps) at a time,
+    each slab continuing from the last state of the one before.  Each slab
+    is projected onto every level as soon as it is run and then dropped, so
+    the study holds one slab of the reference, never its whole trajectory.
+    The errors are bitwise those of one reference run projected whole: a
+    continued run repeats the same step solves, and project_reference sums
+    each coarse value in the same order whatever block it reads.
+
+    A reference level whose time step is unusable, or a stored slab or
+    finest-level trajectory that would not fit in physical memory, is
+    rejected with ValueError before any mesh is built."""
     if ref_level <= max_level:
         raise ValueError("convergence_study: ref_level must exceed max_level")
 
@@ -323,8 +340,9 @@ def convergence_study(
     def level_grid(k: int) -> TimeGrid:
         return TimeGrid.from_horizon(t_final, _BASE_STEPS * 4**k)
 
-    # The reference level has the study's smallest step and largest
-    # trajectory; check both before any mesh is built.
+    # The reference level has the study's smallest step; the study stores
+    # one reference slab and each level's trajectory, of which the finest
+    # is the largest.  Check all three before any mesh is built.
     try:
         ref_grid = level_grid(ref_level)
     except (ValueError, OverflowError) as exc:
@@ -332,31 +350,56 @@ def convergence_study(
             f"convergence_study: t_final {t_final!r} at reference level {ref_level} "
             f"gives no usable time step: {exc}"
         ) from exc
-    try:
-        check_storable(level_cells(ref_level), ref_grid.n_steps)
-    except ValueError as exc:
-        raise ValueError(f"convergence_study: reference level {ref_level}: {exc}") from exc
+    slab_steps = ref_grid.n_steps // _BASE_STEPS
+    for name, k, n_steps in (
+        ("reference level", ref_level, slab_steps),
+        ("level", max_level, _BASE_STEPS * 4**max_level),
+    ):
+        try:
+            check_storable(level_cells(k), n_steps)
+        except ValueError as exc:
+            raise ValueError(f"convergence_study: {name} {k}: {exc}") from exc
+
+    levels = range(max_level + 1)
+    meshes = [uniform_mesh(level_cells(k)) for k in levels]
+    grids = [level_grid(k) for k in levels]
+    # Each level's projected reference, one row per time slab, and the
+    # reference interface positions, filled slab by slab.
+    projs = [np.empty((grid.n_steps, mesh.num_cells)) for mesh, grid in zip(meshes, grids)]
+    ref_x0 = np.empty(ref_grid.n_steps)
+    ref_x1 = np.empty(ref_grid.n_steps)
 
     ref_mesh = uniform_mesh(level_cells(ref_level))
-    ref_traj = run(params, ref_mesh, ref_grid, opts, initial_mode)
-    if not ref_traj.completed:
-        raise RuntimeError(f"convergence_study: reference level {ref_level} did not complete")
-    ref_x0, ref_x1 = ref_traj.X0[1:], ref_traj.X1[1:]
+    slab_grid = TimeGrid.from_step(ref_grid.dt, slab_steps)
+    level_slabs = [TimeGrid.from_step(grid.dt, grid.n_steps // _BASE_STEPS) for grid in grids]
+    start = None
+    for s in range(_BASE_STEPS):
+        slab = run(params, ref_mesh, slab_grid, opts, initial_mode, initial_state=start)
+        if not slab.completed:
+            raise RuntimeError(f"convergence_study: reference level {ref_level} did not complete")
+        ref_x0[s * slab_steps : (s + 1) * slab_steps] = slab.X0[1:]
+        ref_x1[s * slab_steps : (s + 1) * slab_steps] = slab.X1[1:]
+        for proj, mesh, coarse in zip(projs, meshes, level_slabs):
+            n = coarse.n_steps
+            proj[s * n : (s + 1) * n] = project_reference(slab, ref_mesh, mesh, coarse)
+        # Continue from a copy of the last state, so that the slab's rows
+        # are freed before the next slab is run.
+        start = State(slab.U[-1], slab.X0[-1], slab.X1[-1], slab.L[-1])
+        del slab
 
     rows = []
     prev_err = None
     prev_h = None
     prev_dt = None
-    for k in range(max_level + 1):
-        mesh, grid = uniform_mesh(level_cells(k)), level_grid(k)
+    for k, mesh, grid, proj in zip(levels, meshes, grids, projs):
         traj = run(params, mesh, grid, opts, initial_mode)
         if not traj.completed:
             raise RuntimeError(f"convergence_study: level {k} did not complete")
 
-        proj = project_reference(ref_traj, ref_mesh, mesh, grid)
-        field = _interior_field(traj)
-        diff = field - proj
-        err_w = float(np.sqrt(grid.dt * np.sum((diff * diff) @ mesh.cell_sizes)))
+        # The squared error, in place of the projection.
+        np.subtract(_interior_field(traj), proj, out=proj)
+        np.multiply(proj, proj, out=proj)
+        err_w = float(np.sqrt(grid.dt * np.sum(proj @ mesh.cell_sizes)))
         m = ref_grid.n_steps // grid.n_steps
         x0, x1 = traj.X0[1:], traj.X1[1:]
         err_x0 = float(np.abs(x0 - project_time_series(ref_x0, m)).max())

@@ -380,6 +380,41 @@ class TestVerification:
         assert np.abs(defects).max() <= 1e-10
 
 
+def whole_reference_study(params, max_level, ref_level, t_final, initial_mode):
+    """The refinement study with the reference run in one piece: each
+    level's errors against the projection of the whole reference trajectory,
+    by the same formulas as convergence_study."""
+    ref_mesh = uniform_mesh(50 * 2**ref_level)
+    ref_grid = TimeGrid.from_horizon(t_final, 10 * 4**ref_level)
+    ref = run(params, ref_mesh, ref_grid, initial_mode=initial_mode)
+    assert ref.completed
+    rows, prev = [], None
+    for k in range(max_level + 1):
+        mesh, grid = uniform_mesh(50 * 2**k), TimeGrid.from_horizon(t_final, 10 * 4**k)
+        traj = run(params, mesh, grid, initial_mode=initial_mode)
+        diff = traj.U[1:, 1:-1] - project_reference(ref, ref_mesh, mesh, grid)
+        err_w = float(np.sqrt(grid.dt * np.sum((diff * diff) @ mesh.cell_sizes)))
+        m = ref_grid.n_steps // grid.n_steps
+        err_x0 = float(np.abs(traj.X0[1:] - project_time_series(ref.X0[1:], m)).max())
+        err_x1 = float(np.abs(traj.X1[1:] - project_time_series(ref.X1[1:], m)).max())
+        h = float(mesh.cell_sizes.max())
+        rates = (None, None, None)
+        if prev is not None:
+            log_h = np.log(h) - np.log(prev.h)
+            log_dt = np.log(grid.dt) - np.log(prev.dt)
+            rates = (
+                float((np.log(err_w) - np.log(prev.err_w)) / log_h),
+                float((np.log(err_x0) - np.log(prev.err_x0)) / log_dt),
+                float((np.log(err_x1) - np.log(prev.err_x1)) / log_dt),
+            )
+        prev = analysis.LevelResult(
+            k=k, h=h, dt=grid.dt, err_w=err_w, rate_w=rates[0],
+            err_x0=err_x0, rate_x0=rates[1], err_x1=err_x1, rate_x1=rates[2],
+        )
+        rows.append(prev)
+    return tuple(rows)
+
+
 class TestConvergenceStudy:
     def test_small_study_shapes_and_rates(self, tc1):
         report = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1)
@@ -428,16 +463,54 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match=message):
             convergence_study(tc1, max_level=0, ref_level=ref_level)
 
-    def test_reference_level_must_fit_in_physical_memory(self, tc1, monkeypatch):
-        # U of reference level 1 holds 10 * 4 + 1 rows of 50 * 2 + 2 doubles
-        need = (10 * 4 + 1) * (50 * 2 + 2) * 8
+    @staticmethod
+    def check_memory_boundary(params, monkeypatch, ref_level, need):
+        # rejected with one byte less than `need`, run with `need`
         memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-        study = dict(max_level=0, ref_level=1, t_final=0.1)
+        study = dict(max_level=0, ref_level=ref_level, t_final=0.1)
         with pytest.raises(ValueError, match=f"would store {need} bytes"):
-            convergence_study(tc1, **study)
+            convergence_study(params, **study)
         memory["SC_PHYS_PAGES"] = need
-        assert len(convergence_study(tc1, **study).levels) == 1
+        assert len(convergence_study(params, **study).levels) == 1
+
+    def test_reference_level_must_fit_in_physical_memory(self, tc1, monkeypatch):
+        # one level-0 slab of reference level 2 holds 4^2 + 1 rows of
+        # 50 * 4 + 2 doubles, more than the 10 + 1 rows of 50 + 2 of level 0
+        need = (4**2 + 1) * (50 * 4 + 2) * 8
+        self.check_memory_boundary(tc1, monkeypatch, 2, need)
+
+    def test_finest_level_must_fit_in_physical_memory(self, tc1, monkeypatch):
+        # level 0 holds 10 + 1 rows of 50 + 2 doubles, more than the 4 + 1
+        # rows of 50 * 2 + 2 of one level-0 slab of reference level 1
+        need = (10 + 1) * (50 + 2) * 8
+        self.check_memory_boundary(tc1, monkeypatch, 1, need)
+
+    @pytest.mark.parametrize(
+        "max_level,ref_level,initial_mode",
+        [
+            (1, 2, InitialMode.CELL_AVERAGE),
+            (0, 3, InitialMode.CELL_AVERAGE),
+            (1, 2, InitialMode.CENTER_SAMPLE),
+        ],
+    )
+    def test_slab_by_slab_reference_matches_the_whole_run(
+        self, tc1, max_level, ref_level, initial_mode
+    ):
+        # the reference runs one level-0 slab at a time; every error and
+        # rate is that of one reference run projected whole
+        want = whole_reference_study(tc1, max_level, ref_level, 0.1, initial_mode)
+        got = convergence_study(tc1, max_level=max_level, ref_level=ref_level, t_final=0.1,
+                                initial_mode=initial_mode)
+        assert got.levels == want
+
+    def test_reference_is_held_one_slab_at_a_time(self, tc1):
+        # the whole reference U of level 3 over 640 steps of 400 cells
+        whole_u = (640 + 1) * (400 + 2) * 8
+        peak = traced_peak(
+            lambda: convergence_study(tc1, max_level=0, ref_level=3, t_final=0.1)
+        )
+        assert peak < whole_u / 2
 
     def test_csv_output(self, tc1, tmp_path):
         report = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1)

@@ -323,7 +323,8 @@ class TestMain:
     def test_converge_unstorable_reference_level_is_config_error(
         self, tmp_path, monkeypatch, capsys
     ):
-        # reference level 20 would hold 52M cells over 1.1e13 steps
+        # one level-0 slab of reference level 20 would hold 52M cells over
+        # 1.1e12 steps
         def no_mesh(cells):
             raise AssertionError("a mesh was built for a rejected reference level")
 

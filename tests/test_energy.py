@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from oxidefv import (
     discretize_initial,
     dissipation_split,
     free_energy,
+    linf_bounds,
     mean_value_theta,
     run,
     uniform_mesh,
@@ -465,6 +466,27 @@ class TestBlockedLedger:
             ))
         assert len(columns) == 1
         assert len(reports) == 1
+
+    def test_max_principle_reads_every_row(self, tc1):
+        # A report keeps only worst values, so comparing reports across
+        # block sizes cannot see a walk that loses a block.  Raise one
+        # concentration of a single row above M, row by row: the check must
+        # fail for every row at every block size.
+        cells = 10
+        mesh = uniform_mesh(cells)
+        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 10))
+        assert verify_trajectory(traj, mesh, tc1).max_principle.passed
+        _, M = linf_bounds(tc1)
+        for budget in (1, 3 * (cells + 2), 1 << 30):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_BLOCK_ELEMS", budget)
+                for j in range(traj.U.shape[0]):
+                    U = traj.U.copy()
+                    U[j, j % (cells + 2)] = M + 0.5
+                    spiked = replace(traj, U=U)
+                    report = verify_trajectory(spiked, mesh, tc1).max_principle
+                    assert not report.passed, (budget, j)
+                    assert report.worst == 0.5
 
     def test_several_blocks_with_partial_last(self, tc1):
         cells = 100

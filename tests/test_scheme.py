@@ -874,6 +874,28 @@ class TestRun:
         assert traj.completed
         assert np.abs(traj.final_state.u - s0.u).max() <= 1e-10
 
+    @pytest.mark.parametrize("mesh_kind", ["uniform", "non-uniform"])
+    def test_continued_run_repeats_the_whole_run(self, tc1, mesh_kind):
+        # run() over 2N steps is run() over N steps continued for N more
+        # from its final state, bit for bit: the refinement study runs its
+        # reference in such pieces
+        if mesh_kind == "uniform":
+            mesh = uniform_mesh(40)
+        else:
+            rng = np.random.default_rng(47)
+            mesh = Mesh.from_edges(
+                np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 39)), [1.0]))
+            )
+        n, dt = 25, 1e-2
+        whole = run(tc1, mesh, TimeGrid.from_step(dt, 2 * n))
+        first = run(tc1, mesh, TimeGrid.from_step(dt, n))
+        second = run(tc1, mesh, TimeGrid.from_step(dt, n), initial_state=first.final_state)
+        assert whole.completed and first.completed and second.completed
+        for name in ("U", "X0", "X1", "L", "newton_iters", "residual_inf"):
+            joined = np.concatenate([getattr(first, name), getattr(second, name)[1:]])
+            assert joined.dtype == getattr(whole, name).dtype
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
+
     def test_offset_profile_respects_active_bracket(self):
         # offset initial data touches both bracket ends: sup u^init = M = 3
         # and the right trace relaxes toward alpha1/beta1 = m = 0.125
