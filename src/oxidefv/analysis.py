@@ -255,8 +255,7 @@ def verify_trajectory(
             )
 
             v = _frame_velocity(
-                X0[1:, None], X1[1:, None], L[1:, None], X0[:-1, None], X1[:-1, None], L[:-1, None],
-                mesh, dt, params.R,
+                np.diff(X0)[:, None], np.diff(X1)[:, None], np.diff(L)[:, None], mesh, dt, params.R
             )
             # Rounding is monotone, so the largest v_flat - v and v - v_sharp
             # are those at the extremes of v.

@@ -250,8 +250,12 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
     if not isinstance(out, str):
         raise ConfigError(f"{where('out')}: out must be a string")
     # the commands create out and its missing parents only after their runs,
-    # so the nearest part of it that exists must be a directory
-    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    # so the nearest part of it that exists must be a directory, and a path
+    # the system rejects (a name too long, say) is rejected here
+    try:
+        existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    except OSError as exc:
+        raise ConfigError(f"{where('out')}: cannot create {out}: {exc.strerror}") from exc
     if not existing.is_dir():
         raise ConfigError(f"{where('out')}: {existing} is not a directory")
 
@@ -347,6 +351,17 @@ def _load_config(args, with_horizon: bool = True) -> RunConfig:
     return _build_config({**_read_object(text), **flags}, text, flags, with_horizon)
 
 
+def _output_dir(config: RunConfig) -> Path:
+    """config.out, created with its missing parents after a run.  What
+    _build_config's check cannot see before the run, such as a name too
+    long below a missing directory, fails here as a config error."""
+    try:
+        Path(config.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create {config.out}: {exc.strerror}") from exc
+    return Path(config.out)
+
+
 def _run_config(config: RunConfig) -> tuple[Mesh, Trajectory]:
     """The mesh and trajectory of a config.  A run whose trajectory would
     not fit in memory is a config error, raised before any mesh is built."""
@@ -390,8 +405,7 @@ def _report_termination(traj: Trajectory) -> None:
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     mesh, traj = _run_config(config)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     _write_steps_csv(traj, mesh, config.params, out / "steps.csv")
     _write_profile_csv(traj.final_state, mesh, out / "profile_final.csv")
     _report_termination(traj)
@@ -425,8 +439,7 @@ def _cmd_energy(args) -> int:
             )
         densities = (byname[args.phi],)
     mesh, traj = _run_config(config)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     for density in densities:
         ledger = build_ledger(traj, mesh, config.params, density)
         write_ledger_csv(ledger, out / f"energy_{density.name}.csv")
@@ -461,8 +474,7 @@ def _cmd_converge(args) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     write_convergence_csv(report, out / "convergence.csv")
     print(f"{'k':>2} {'h':>12} {'dt':>12} {'err_w':>12} {'rate_w':>7} "
           f"{'err_0':>12} {'rate_0':>7} {'err_1':>12} {'rate_1':>7}")

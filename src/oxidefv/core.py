@@ -261,10 +261,6 @@ class State:
     def num_cells(self) -> int:
         return self.u.size - 2
 
-    def closure_defect(self) -> float:
-        """|L - (X1 - X0)|; solvers keep this at their tolerance."""
-        return abs(self.L - (self.X1 - self.X0))
-
 
 class InitialMode(str, Enum):
     """How the initial profile is put on the mesh: exact cell averages, or

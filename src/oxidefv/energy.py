@@ -141,8 +141,7 @@ def _dissipation_rows(
     dphip = P[:, 1:] - P[:, :-1]
     theta = _theta(u, dphip, Pi)
     w = (Lc * mesh.gaps) * _frame_velocity(
-        X0[1:, None], X1[1:, None], Lc, X0[:-1, None], X1[:-1, None], L[:-1, None],
-        mesh, dt, params.R,
+        np.diff(X0)[:, None], np.diff(X1)[:, None], np.diff(L)[:, None], mesh, dt, params.R
     )
     weight = bernoulli(w) * theta + bernoulli(-w) * (1.0 - theta)
     d_bulk = np.sum(weight * dphip * (u[:, 1:] - u[:, :-1]) / (Lc * mesh.gaps), axis=1)

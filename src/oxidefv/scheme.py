@@ -1,14 +1,19 @@
 """Fully implicit time stepping of the moving-boundary scheme.
 
-Each step solves a nonlinear system in the unknowns (u_0, ..., u_{I+1},
-X0, X1, L): I interior balances with exponential-fitting two-point fluxes,
-the two boundary flux conditions, the two interface motion laws and the
-width closure.  Each solve builds one _StepSystem: the step's constants and
-the buffers that each iterate's assembly and block solve overwrite.  Its one
-assembly of the residual and the bordered-banded Jacobian, and its one block
-solve, are shared by Newton, the continuation and jacobian(): all three
-work on the scheme itself.  The solvers check dt and the previous state's
-cell count once, on entry.
+Each step solves a nonlinear system of length I+4 in the unknowns (u_0,
+..., u_{I+1}, d0, d1): the concentrations and the displacements of the two
+interfaces from the previous state.  The width is L = L_prev + (d1 - d0),
+so it closes by construction, and the stored positions are X0_prev + d0
+and X1_prev + d1.  The rows are I interior balances with exponential-fitting
+two-point fluxes, the two boundary flux conditions and the two interface
+motion laws.  No row or Jacobian entry reads an absolute position, so a
+step's u, L and work do not depend on where the layer lies.  Each solve
+builds one _StepSystem: the step's constants and the buffers that each
+iterate's assembly and block solve overwrite.  Its one assembly of the
+residual and the bordered-banded Jacobian, and its one block solve, are
+shared by Newton, the continuation and jacobian(): all three work on the
+scheme itself.  The solvers check dt and the previous state's cell count
+once, on entry.
 
 Damped Newton iteration with the analytic Jacobian does the work.  Once a
 full undamped iteration of the scheme moves the iterate by at most
@@ -30,11 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgtsv
+from scipy.linalg.lapack import dgtsv
 
 # solve_banded, bernoulli and bernoulli_prime are uncalled here; the benchmark's
 # tracer wraps them.
@@ -119,15 +123,16 @@ class StepResult:
     residual_inf: float
 
 
-def _frame_velocity(X0, X1, L, X0_prev, X1_prev, L_prev, mesh: Mesh, dt: float, R: float):
-    """(1 - R) d[X1] - xi_edge * d[L] - d[X0] per edge, d[f] = (f - f_prev)/dt.
+def _frame_velocity(d0, d1, dL, mesh: Mesh, dt: float, R: float):
+    """(1 - R) d1/dt - xi_edge * dL/dt - d0/dt per edge, from a step's
+    displacements d0 of X0 and d1 of X1 and its change dL of the width.
 
     Scalars give one row of edge velocities; column arrays of shape (k, 1)
     give k rows, one per step.
     """
-    dX0 = (X0 - X0_prev) / dt
-    dX1 = (X1 - X1_prev) / dt
-    dL = (L - L_prev) / dt
+    dX0 = d0 / dt
+    dX1 = d1 / dt
+    dL = dL / dt
     return (1.0 - R) * dX1 - mesh.edges * dL - dX0
 
 
@@ -161,7 +166,7 @@ def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.n
     not positive and finite or that makes a d[f] or a velocity overflow.
     """
     _check_rates("velocities", prev, nxt, dt, R)
-    return _frame_velocity(nxt.X0, nxt.X1, nxt.L, prev.X0, prev.X1, prev.L, mesh, dt, R)
+    return _frame_velocity(nxt.X0 - prev.X0, nxt.X1 - prev.X1, nxt.L - prev.L, mesh, dt, R)
 
 
 # ---------------------------------------------------------------------------
@@ -169,81 +174,78 @@ def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.n
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _affine_block(dt: float, R: float) -> np.ndarray:
-    """Read-only 3x3 block of the motion laws and the closure in (X0, X1, L),
-    column-major as LAPACK takes it."""
-    D = np.array(
-        [
-            [1.0 / dt, -(1.0 - R) / dt, 0.0],
-            [0.0, 1.0 / dt, 0.0],
-            [1.0, -1.0, 1.0],
-        ],
-        order="F",
-    )
-    D.setflags(write=False)
-    return D
-
-
 class _StepSystem:
     """The step system of one nonlinear solve from prev over dt, built once
-    per solve and assembled at each iterate.
+    per solve and assembled at each iterate (u, d0, d1).
 
     Built per solve: the step's constants (prev.L * prev.u[1:-1], edges/dt,
-    1 - R, the cached 3x3 affine block and its couplings), the edge fields
-    at rest, and the buffers that each iterate overwrites: the Peclet
-    arguments, the edge fluxes' derivatives in (X0, X1, L), and the block
-    solve's column-major buffer.
+    1 - R and the motion laws' coefficients), the edge fields at rest, and
+    the buffers that each iterate overwrites: the Peclet arguments, the edge
+    fluxes' derivatives in (d0, d1), and the block solve's column-major
+    buffer.
 
     The I+2 concentration rows are permuted (left flux condition, interior
     balances, right flux condition).  One column-major buffer holds their
     tridiagonal u-block in the (1, 1) banded layout (band: superdiagonal,
-    diagonal, subdiagonal rows, as scipy's solve_banded takes it) and four
+    diagonal, subdiagonal rows, as scipy's solve_banded takes it) and three
     right-hand sides (rhs): the residual column, then the border, their
-    (X0, X1, L) columns.  The last three rows are the motion laws and the
-    closure: c0 is the X0 law's coefficient on u_0, c1 the X1 law's on
-    u_{I+1}, and block the 3x3 block of all three in (X0, X1, L).
+    (d0, d1) columns.  The last two rows are the motion laws: c0 is the X0
+    law's coefficient on u_0, c1 the X1 law's on u_{I+1}, and block the 2x2
+    block of both in (d0, d1), row by row.
     """
 
     def __init__(self, prev: State, mesh: Mesh, dt: float, params: ModelParams):
         self.prev, self.mesh, self.dt, self.params = prev, mesh, dt, params
         self.cells = cells = mesh.num_cells
         m = cells + 2
+        self._L_prev = float(prev.L)
         self._prev_mass = prev.L * prev.u[1:-1]
         self._edges_dt = mesh.edges / dt
         self._one_minus_R = 1.0 - params.R
         self.c0, self.c1 = params.beta0, -params.beta1
-        self.block = _affine_block(dt, params.R)
-        # At rest (X0, X1 and L those of prev) w = 0 on every edge, where the
+        self.block = (1.0 / dt, -self._one_minus_R / dt, 0.0, 1.0 / dt)
+        # At rest (d0 = d1 = 0, so L = prev.L) w = 0 on every edge, where the
         # kernel's series gives B = 1 and B' = -1/2 exactly.
-        self._rest_v = _frame_velocity(
-            prev.X0, prev.X1, prev.L, prev.X0, prev.X1, prev.L, mesh, dt, params.R
-        )
+        self._rest_v = _frame_velocity(0.0, 0.0, 0.0, mesh, dt, params.R)
         rest = np.empty((2, 2, m - 1))
         rest[0], rest[1] = 1.0, -0.5
         self._rest_B, self._rest_dB = rest
         # the stacked Peclet arguments (w, -w) and, per edge, the flux's
-        # derivatives in (X0, X1, L)
+        # derivatives in (d0, d1)
         self._w = np.empty(2 * (m - 1))
-        self._dF = np.empty((m - 1, 3), order="F")
-        self._buf = np.zeros((m, 7), order="F")
+        self._dF = np.empty((m - 1, 2), order="F")
+        self._buf = np.zeros((m, 6), order="F")
         self.band = self._buf[:, :3].T
         self.rhs = self._buf[:, 3:]
         self.border = self._buf[:, 4:]
         # (solved border, Schur matrix) of the last solve(), for resolve()
         self._kept = None
 
-    def _fields(self, u, X0, X1, L, prime: bool):
+    def width(self, d0, d1) -> float:
+        """The width prev.L + (d1 - d0) at the displacements (d0, d1)."""
+        return self._L_prev + (d1 - d0)
+
+    def result(self, end, status: StepStatus, iterations: int, residual_inf: float) -> StepResult:
+        """The StepResult of a solve that ended at end = (u, d0, d1), or at
+        None: its State holds prev's positions moved by the displacements."""
+        state = None
+        if end is not None:
+            u, d0, d1 = end
+            prev = self.prev
+            state = State(u=u, X0=float(prev.X0) + d0, X1=float(prev.X1) + d1, L=self.width(d0, d1))
+        return StepResult(state, status, iterations, residual_inf)
+
+    def _fields(self, u, d0, d1, L, prime: bool):
         """Velocities, L*h, Bernoulli weights, their derivatives (None
         unless prime) and fluxes per edge, with Peclet arguments w = L*h*v.
         The weights come as rows (B(w), B(-w)), the derivatives likewise.
         One kernel call evaluates the stacked (w, -w); none at rest."""
-        prev, mesh = self.prev, self.mesh
+        mesh = self.mesh
         Lh = L * mesh.gaps
-        if X0 == prev.X0 and X1 == prev.X1 and L == prev.L:
+        if d0 == 0.0 and d1 == 0.0:
             v, B, dB = self._rest_v, self._rest_B, self._rest_dB
         else:
-            v = _frame_velocity(X0, X1, L, prev.X0, prev.X1, prev.L, mesh, self.dt, self.params.R)
+            v = _frame_velocity(d0, d1, d1 - d0, mesh, self.dt, self.params.R)
             w = self._w
             edges = Lh.size
             np.multiply(Lh, v, out=w[:edges])
@@ -255,10 +257,10 @@ class _StepSystem:
         F = (B[1] * u[:-1] - B[0] * u[1:]) / Lh
         return v, Lh, B, dB, F
 
-    def _residual_rows(self, u, X0, X1, L, F):
-        prev, params, dt = self.prev, self.params, self.dt
+    def _residual_rows(self, u, d0, d1, L, F):
+        params, dt = self.params, self.dt
         cells = self.cells
-        r = np.empty(cells + 5)
+        r = np.empty(cells + 4)
         balance = r[:cells]
         np.multiply(L, u[1:-1], out=balance)
         np.subtract(balance, self._prev_mass, out=balance)
@@ -270,45 +272,42 @@ class _StepSystem:
         r[cells] = F.item(0) - params.a + params.b * u_first
         r[cells + 1] = F.item(-1)
         r[cells + 2] = (
-            (X0 - prev.X0) / dt
-            - params.alpha0
-            + params.beta0 * u_first
-            - self._one_minus_R * (X1 - prev.X1) / dt
+            d0 / dt - params.alpha0 + params.beta0 * u_first - self._one_minus_R * d1 / dt
         )
-        r[cells + 3] = (X1 - prev.X1) / dt + params.alpha1 - params.beta1 * u_last
-        r[cells + 4] = L - X1 + X0
+        r[cells + 3] = d1 / dt + params.alpha1 - params.beta1 * u_last
         return r
 
-    def residual(self, u, X0, X1, L) -> np.ndarray:
-        """Residual of the scheme at (u, X0, X1, L), without the
-        Jacobian: the kernel evaluates B alone."""
-        F = self._fields(u, X0, X1, L, prime=False)[-1]
-        return self._residual_rows(u, X0, X1, L, F)
+    def residual(self, u, d0, d1) -> np.ndarray:
+        """Residual of the scheme at (u, d0, d1), without the Jacobian: the
+        kernel evaluates B alone."""
+        L = self.width(d0, d1)
+        F = self._fields(u, d0, d1, L, prime=False)[-1]
+        return self._residual_rows(u, d0, d1, L, F)
 
-    def assemble(self, u, X0, X1, L) -> np.ndarray:
-        """Residual r of the scheme at (u, X0, X1, L), with its Jacobian
+    def assemble(self, u, d0, d1) -> np.ndarray:
+        """Residual r of the scheme at (u, d0, d1), with its Jacobian
         written to band and border from one evaluation of the edge
         fields."""
         mesh, params, dt = self.mesh, self.params, self.dt
         cells = self.cells
-        v, Lh, B, dB, F = self._fields(u, X0, X1, L, prime=True)
-        r = self._residual_rows(u, X0, X1, L, F)
+        L = self.width(d0, d1)
+        v, Lh, B, dB, F = self._fields(u, d0, d1, L, prime=True)
+        r = self._residual_rows(u, d0, d1, L, F)
 
         # Partial derivatives of each edge flux w.r.t. its neighbors and the
         # interface unknowns.  BL holds (-dF/du_right, dF/du_left); Nw is
-        # dF/dw times L*h; dF holds dF/dX0, dF/dX1, dF/dL.
+        # dF/dw times L*h; dF_L is dF/dL.  L moves with d1 - d0, so dF holds
+        # dF/dd0 = -Nw/dt - dF_L and dF/dd1 = (1 - R) Nw/dt + dF_L.
         BL = B / Lh
         Nw = -dB[1] * u[:-1] - dB[0] * u[1:]
+        dF_L = Nw * (v / L - self._edges_dt) - F / L
         dF = self._dF
-        dF_X = dF[:, :2]
-        np.negative(Nw, out=dF[:, 0])
-        np.multiply(Nw, self._one_minus_R, out=dF[:, 1])
-        np.divide(dF_X, dt, out=dF_X)
-        dF_L = dF[:, 2]
-        np.divide(v, L, out=dF_L)
-        np.subtract(dF_L, self._edges_dt, out=dF_L)
-        np.multiply(Nw, dF_L, out=dF_L)
-        np.subtract(dF_L, F / L, out=dF_L)
+        dF0, dF1 = dF.T
+        np.negative(Nw, out=dF0)
+        np.multiply(Nw, self._one_minus_R, out=dF1)
+        np.divide(dF, dt, out=dF)
+        np.subtract(dF0, dF_L, out=dF0)
+        np.add(dF1, dF_L, out=dF1)
         h = mesh.cell_sizes
 
         band = self.band
@@ -324,32 +323,33 @@ class _StepSystem:
         np.negative(BL[1, :cells], out=band[2, :cells])
         band[2, cells] = BL.item(1, -1)
 
+        # the balances' L * u term moves with d1 - d0 as well
         border = self.border
         border[0] = dF[0]
-        np.subtract(dF_X[1:], dF_X[:-1], out=border[1 : cells + 1, :2])
-        border_L = border[1 : cells + 1, 2]
-        np.multiply(h, u[1:-1], out=border_L)
-        np.divide(border_L, dt, out=border_L)
-        np.add(border_L, dF_L[1:], out=border_L)
-        np.subtract(border_L, dF_L[:-1], out=border_L)
+        inner = border[1 : cells + 1]
+        np.subtract(dF[1:], dF[:-1], out=inner)
+        hu_dt = h * u[1:-1]
+        np.divide(hu_dt, dt, out=hu_dt)
+        np.subtract(inner[:, 0], hu_dt, out=inner[:, 0])
+        np.add(inner[:, 1], hu_dt, out=inner[:, 1])
         border[cells + 1] = dF[-1]
         return r
 
     def solve(self, r) -> np.ndarray:
         """Newton increment -J^{-1} r of the assembled system by block
         elimination: one tridiagonal LAPACK solve (dgtsv) of the
-        concentration block for the residual and the border, then one LAPACK
-        dgesv for the 3x3 Schur complement in (X0, X1, L).  Raises
-        LinAlgError when the system is singular or not finite; an increment
-        that overflows is returned as it is, for the caller to check."""
+        concentration block for the residual and the border, then the 2x2
+        Schur complement in (d0, d1) in closed form.  Raises LinAlgError
+        when the system is singular or not finite; an increment that
+        overflows is returned as it is, for the caller to check."""
         self._load(r, self.rhs[:, 0])
         if not np.isfinite(self._buf).all():
             raise np.linalg.LinAlgError("non-finite bordered system")
         sol = self._band_solve(self.rhs)
         Y = sol[:, 1:]
-        S = self.block.copy(order="F")
-        S[0] -= self.c0 * Y[0]
-        S[1] -= self.c1 * Y[-1]
+        (y00, y01), (y10, y11) = Y[0].tolist(), Y[-1].tolist()
+        a, b, c, d = self.block
+        S = (a - self.c0 * y00, b - self.c0 * y01, c - self.c1 * y10, d - self.c1 * y11)
         delta = self._schur_step(r, sol[:, 0], Y, S)
         self._kept = (Y, S)
         return delta
@@ -383,29 +383,33 @@ class _StepSystem:
 
     def _schur_step(self, r, y, Y, S):
         """The increment from the band solutions y (residual) and Y (border)
-        and the Schur matrix S, which dgesv leaves intact."""
-        cells = self.cells
-        b_x = -r[cells + 2 :]
-        b_x[0] -= self.c0 * y[0]
-        b_x[1] -= self.c1 * y[-1]
-        *_, z, info = dgesv(S, b_x, overwrite_b=True)
-        if info != 0:
+        and the Schur matrix S = (s00, s01, s10, s11), row by row.  Cramer's
+        rule solves it, which for two unknowns is forward stable (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2002, sec. 1.10.1).
+        Raises LinAlgError when S's determinant is zero or not finite."""
+        s00, s01, s10, s11 = S
+        det = s00 * s11 - s01 * s10
+        if not (det != 0.0 and math.isfinite(det)):
             raise np.linalg.LinAlgError("singular Schur complement")
-        return np.concatenate((y - Y @ z, z))
+        b0 = -r.item(-2) - self.c0 * y.item(0)
+        b1 = -r.item(-1) - self.c1 * y.item(-1)
+        z0 = (b0 * s11 - s01 * b1) / det
+        z1 = (s00 * b1 - s10 * b0) / det
+        return np.concatenate((y - Y[:, 0] * z0 - Y[:, 1] * z1, (z0, z1)))
 
     def dense_jacobian(self) -> np.ndarray:
         """The assembled matrix solve() inverts, with its rows in residual
         order."""
         band = self.band
         m = band.shape[1]
-        J = np.zeros((m + 3, m + 3))
+        J = np.zeros((m + 2, m + 2))
         J[:m, :m] = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
         J[:m, m:] = self.border
-        J[m:, m:] = self.block
+        J[m:, m:] = np.reshape(self.block, (2, 2))
         J[m, 0] = self.c0
         J[m + 1, m - 1] = self.c1
         # undo the row permutation: residual rows 0..I-1 are the interior balances
-        return J[np.r_[1 : m - 1, 0, m - 1 : m + 3]]
+        return J[np.r_[1 : m - 1, 0, m - 1 : m + 2]]
 
 
 def _check_step(name: str, prev: State, mesh: Mesh, dt) -> None:
@@ -423,19 +427,22 @@ def _check_step(name: str, prev: State, mesh: Mesh, dt) -> None:
 
 
 def residual(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
-    """Stacked residual of the implicit step, length I+5: the I interior
-    balances, the left and right flux conditions, the two interface motion
-    laws, and the width closure.  A root defines the next state."""
+    """Stacked residual of the implicit step, length I+4: the I interior
+    balances, the left and right flux conditions and the two interface
+    motion laws, at cand.u and the displacements d0 = cand.X0 - prev.X0 and
+    d1 = cand.X1 - prev.X1.  The width is prev.L + (d1 - d0), so cand.L is
+    not read.  A root defines the next state."""
     _check_step("residual", prev, mesh, dt)
-    return _StepSystem(prev, mesh, dt, params).residual(cand.u, cand.X0, cand.X1, cand.L)
+    system = _StepSystem(prev, mesh, dt, params)
+    return system.residual(cand.u, float(cand.X0 - prev.X0), float(cand.X1 - prev.X1))
 
 
 def jacobian(prev: State, cand: State, mesh: Mesh, dt: float, params: ModelParams) -> np.ndarray:
-    """Analytic Jacobian of residual() w.r.t. (u_0..u_{I+1}, X0, X1, L),
-    a tridiagonal concentration core bordered by three dense rows/columns."""
+    """Analytic Jacobian of residual() w.r.t. (u_0..u_{I+1}, d0, d1), a
+    tridiagonal concentration core bordered by two dense rows/columns."""
     _check_step("jacobian", prev, mesh, dt)
     system = _StepSystem(prev, mesh, dt, params)
-    system.assemble(cand.u, cand.X0, cand.X1, cand.L)
+    system.assemble(cand.u, float(cand.X0 - prev.X0), float(cand.X1 - prev.X1))
     return system.dense_jacobian()
 
 
@@ -478,16 +485,18 @@ def _sup_norm(r) -> float:
     return norm if norm < np.inf else np.inf
 
 
-def _newton(system: _StepSystem, start, opts, floor) -> StepResult:
-    """Damped Newton on the step system from start (a State, or any object
-    with u, X0, X1 and L), and the one acceptance rule of every solve.
+def _newton(system: _StepSystem, start, opts, floor):
+    """Damped Newton on the step system from start = (u, d0, d1), and the
+    one acceptance rule of every solve.  Returns (end, status, iterations,
+    residual_inf): the accepted end point (u, d0, d1) or None, and the rest
+    of the solve's StepResult.
 
-    The end point is accepted, as a new State, only when the iteration
-    converged, the scheme's residual there is at most _STALL_RESIDUAL and
-    the width is above the floor.  Otherwise the outcome is WIDTH_COLLAPSED
-    when damping stalled at the width floor, or when a converged end point
-    misses the residual within 10 floors or lies at or below the floor; it
-    is NO_CONVERGENCE in every other case.
+    The end point is accepted only when the iteration converged, the
+    scheme's residual there is at most _STALL_RESIDUAL and the width is
+    above the floor.  Otherwise the outcome is WIDTH_COLLAPSED when damping
+    stalled at the width floor, or when a converged end point misses the
+    residual within 10 floors or lies at or below the floor; it is
+    NO_CONVERGENCE in every other case.
 
     A full undamped iteration whose increment is at most sqrt(newton_tol)
     is followed by a confirmation: a simplified Newton iteration that
@@ -498,7 +507,7 @@ def _newton(system: _StepSystem, start, opts, floor) -> StepResult:
     Overflow and invalid values are not warned about: a system, increment
     or residual that is not finite fails the solve.
     """
-    u, X0, X1, L = start.u, float(start.X0), float(start.X1), float(start.L)
+    u, d0, d1 = start
     m = system.cells + 2
     confirm_below = math.sqrt(opts.newton_tol)
     confirm, converged = False, False
@@ -506,10 +515,10 @@ def _newton(system: _StepSystem, start, opts, floor) -> StepResult:
         for iters in range(1, opts.max_newton_iters + 1):
             try:
                 if confirm:
-                    r = system.residual(u, X0, X1, L)
+                    r = system.residual(u, d0, d1)
                     delta = system.resolve(r)
                 else:
-                    r = system.assemble(u, X0, X1, L)
+                    r = system.assemble(u, d0, d1)
                     delta = system.solve(r)
                 # one reduction checks the increment and gives its size; it
                 # reads the increment solve() or resolve() returned
@@ -517,31 +526,31 @@ def _newton(system: _StepSystem, start, opts, floor) -> StepResult:
                 if norm == np.inf:
                     raise np.linalg.LinAlgError("Newton increment is not finite")
             except np.linalg.LinAlgError:
-                return StepResult(None, StepStatus.NO_CONVERGENCE, iters - 1, _sup_norm(r))
+                return None, StepStatus.NO_CONVERGENCE, iters - 1, _sup_norm(r)
             du = delta[:m]
-            dX0, dX1, dL = delta[m:].tolist()
-            t, width_blocked = _damped_substep(u, L, du, dL, floor)
+            dd0, dd1 = delta[m:].tolist()
+            t, width_blocked = _damped_substep(u, system.width(d0, d1), du, dd1 - dd0, floor)
             if t is None:
                 status = StepStatus.WIDTH_COLLAPSED if width_blocked else StepStatus.NO_CONVERGENCE
-                return StepResult(None, status, iters, _sup_norm(r))
+                return None, status, iters, _sup_norm(r)
             u = u + du if t == 1.0 else u + t * du
-            X0 += t * dX0
-            X1 += t * dX1
-            L += t * dL
+            d0 += t * dd0
+            d1 += t * dd1
             step = t * norm
             if step <= opts.newton_tol:
                 converged = True
                 break
             confirm = not confirm and t == 1.0 and step <= confirm_below
-        resid_inf = _sup_norm(system.residual(u, X0, X1, L))
+        resid_inf = _sup_norm(system.residual(u, d0, d1))
+    L = system.width(d0, d1)
     if not converged:
-        return StepResult(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
+        return None, StepStatus.NO_CONVERGENCE, iters, resid_inf
     if resid_inf > _STALL_RESIDUAL:
         status = StepStatus.WIDTH_COLLAPSED if L <= 10.0 * floor else StepStatus.NO_CONVERGENCE
-        return StepResult(None, status, iters, resid_inf)
+        return None, status, iters, resid_inf
     if L <= floor:
-        return StepResult(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
-    return StepResult(State(u=u, X0=X0, X1=X1, L=L), StepStatus.CONVERGED, iters, resid_inf)
+        return None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf
+    return (u, d0, d1), StepStatus.CONVERGED, iters, resid_inf
 
 
 def newton_step_solve(
@@ -561,7 +570,8 @@ def newton_step_solve(
     prev whose cell count is not the mesh's.
     """
     _check_step("newton_step_solve", prev, mesh, dt)
-    return _newton(_StepSystem(prev, mesh, dt, params), prev, opts, opts.resolved_floor(params))
+    system = _StepSystem(prev, mesh, dt, params)
+    return system.result(*_newton(system, (prev.u, 0.0, 0.0), opts, opts.resolved_floor(params)))
 
 
 def homotopy_solve(
@@ -573,12 +583,13 @@ def homotopy_solve(
 ) -> StepResult:
     """Continuation fallback in the step size: solve the scheme itself from
     prev over the sub-steps tau = dt * k / steps, k = 1, ..., steps, each
-    Newton solve starting at the previous sub-step's accepted state (the
-    first at prev, the solution for tau = 0).  steps starts at
-    HOMOTOPY_FIRST_STEPS.  A sub-step that fails, or whose 1/tau overflows,
-    doubles steps and the walk resumes from the last accepted sub-step, so
-    that the failed one is retried at half its size; the walk gives up
-    beyond HOMOTOPY_MAX_STEPS.  The last sub-step's result is the step's.
+    Newton solve starting at the previous sub-step's accepted end point
+    (u, d0, d1) (the first at (prev.u, 0, 0), the solution for tau = 0).
+    steps starts at HOMOTOPY_FIRST_STEPS.  A sub-step that fails, or whose
+    1/tau overflows, doubles steps and the walk resumes from the last
+    accepted sub-step, so that the failed one is retried at half its size;
+    the walk gives up beyond HOMOTOPY_MAX_STEPS.  The last sub-step's end
+    point is the step's, and the only one made a State.
 
     iterations counts every correction.  A failed continuation reports
     WIDTH_COLLAPSED if any sub-step was blocked at the width floor, else
@@ -586,7 +597,7 @@ def homotopy_solve(
     for the inputs that newton_step_solve rejects."""
     _check_step("homotopy_solve", prev, mesh, dt)
     floor = opts.resolved_floor(params)
-    state = prev
+    iterate = (prev.u, 0.0, 0.0)
     steps, done = HOMOTOPY_FIRST_STEPS, 0
     spent = 0
     width_collapse_seen = False
@@ -596,17 +607,18 @@ def homotopy_solve(
         # (done + 1) / steps is exact, and 1.0 at the last sub-step
         tau = dt * ((done + 1) / steps)
         if not math.isinf(1.0 / tau):
-            result = _newton(_StepSystem(prev, mesh, tau, params), state, opts, floor)
-            spent += result.iterations
-            resid_inf = result.residual_inf
-            if result.status is StepStatus.CONVERGED:
-                state, done = result.state, done + 1
+            system = _StepSystem(prev, mesh, tau, params)
+            end, status, iters, resid_inf = _newton(system, iterate, opts, floor)
+            spent += iters
+            if status is StepStatus.CONVERGED:
+                iterate, done = end, done + 1
                 continue
-            width_collapse_seen |= result.status is StepStatus.WIDTH_COLLAPSED
+            width_collapse_seen |= status is StepStatus.WIDTH_COLLAPSED
         steps, done = 2 * steps, 2 * done
 
     if done == steps:
-        return StepResult(state, StepStatus.CONVERGED, spent, resid_inf)
+        # the last sub-step's system; every sub-step's starts from prev
+        return system.result(iterate, StepStatus.CONVERGED, spent, resid_inf)
     status = (
         StepStatus.WIDTH_COLLAPSED if width_collapse_seen else StepStatus.NO_CONVERGENCE
     )
@@ -697,11 +709,7 @@ def run(
             else:
                 termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
             break
-        state = result.state
-        if state.closure_defect() > 1e-6 * max(1.0, state.L):
-            termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
-            break
-        prev = state
+        prev = state = result.state
         U[n], X0[n], X1[n], L[n] = state.u, state.X0, state.X1, state.L
         iters[n], resid[n] = result.iterations, result.residual_inf
         kept = n + 1

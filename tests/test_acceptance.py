@@ -225,7 +225,8 @@ def test_criterion_07_width_bound(tc1_run):
 
 
 def test_criterion_08_jacobian_correctness():
-    """Analytic Jacobian vs central differences on 100 random states, I=8."""
+    """Analytic Jacobian in (u, d0, d1) vs central differences on 100
+    random states, I=8."""
     params = make_tc1()
     mesh = uniform_mesh(8)
     dt = 1e-2
@@ -237,9 +238,9 @@ def test_criterion_08_jacobian_correctness():
         Lp = rng.uniform(0.5, 3.0)
         prev = State(u=up, X0=X0p, X1=X0p + Lp, L=Lp)
         u = rng.uniform(0.1, 3.0, 10)
-        cand = State(u=u, X0=X0p + rng.normal(0, 0.05), X1=X0p + Lp + rng.normal(0, 0.05),
-                     L=max(0.1, Lp + rng.normal(0, 0.05)))
-        x = np.concatenate([cand.u, [cand.X0, cand.X1, cand.L]])
+        d0, d1 = rng.normal(0, 0.05, 2).tolist()
+        x = np.concatenate([u, [d0, d1]])
+        cand = State(u=u, X0=X0p + d0, X1=X0p + Lp + d1, L=Lp + (d1 - d0))
         J = jacobian(prev, cand, mesh, dt, params)
         system = _StepSystem(prev, mesh, dt, params)
         Jfd = np.zeros_like(J)
@@ -247,8 +248,8 @@ def test_criterion_08_jacobian_correctness():
             step = 1e-7 * max(1.0, abs(x[j]))
             xp = x.copy(); xp[j] += step
             xm = x.copy(); xm[j] -= step
-            rp = system.residual(xp[:10], xp[10], xp[11], xp[12])
-            rm = system.residual(xm[:10], xm[10], xm[11], xm[12])
+            rp = system.residual(xp[:10], xp[10], xp[11])
+            rm = system.residual(xm[:10], xm[10], xm[11])
             Jfd[:, j] = (rp - rm) / (2.0 * step)
         rel = np.abs(J - Jfd) / np.maximum(1.0, np.maximum(np.abs(J), np.abs(Jfd)))
         worst = max(worst, float(rel.max()))

@@ -608,6 +608,20 @@ class TestCommandErrors:
                              f"--out: {blocker} is not a directory")
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("command", ["simulate", "energy", "converge"])
+    @pytest.mark.parametrize("below", ["", "missing"])
+    def test_out_whose_name_is_too_long_is_config_error(self, command, below, tmp_path, capsys):
+        # no file system here takes a 300-byte name: directly below an
+        # existing directory the name is rejected before the run, below a
+        # missing one when the output directory is made
+        out = tmp_path / below / ("x" * 300)
+        flags = ["--t-final", "0.05"] if command != "converge" else [
+            "--levels", "0", "--ref-level", "1", "--t-final", "0.05"]
+        code = main([command, "--preset", "testcase1", "--cells", "10", *flags,
+                     "--out", str(out)])
+        _assert_config_error(code, capsys.readouterr().err, f"--out: cannot create {out}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ([below] if below else [])
+
     def test_out_in_a_config_file_names_its_line(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

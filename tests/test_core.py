@@ -297,12 +297,6 @@ class TestState:
         # a list is taken as floats
         assert State(u=[1, 0, 2], X0=0, X1=1, L=1).u.tobytes() == np.array([1.0, 0.0, 2.0]).tobytes()
 
-    def test_closure_defect(self):
-        s = State(u=np.ones(4), X0=0.5, X1=2.0, L=1.5)
-        assert s.closure_defect() == 0.0
-        s2 = State(u=np.ones(4), X0=0.5, X1=2.0, L=1.6)
-        assert abs(s2.closure_defect() - 0.1) < 1e-15
-
     def test_immutable(self):
         s = State(u=np.ones(4), X0=0.0, X1=1.0, L=1.0)
         with pytest.raises(ValueError):

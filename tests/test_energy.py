@@ -387,7 +387,7 @@ def edgewise_dissipation_rows(U, X0, X1, L, mesh, dt, params, density):
                      / np.where(regular, du, 1.0), 0.5)
     theta = np.clip(theta, 0.0, 1.0)
     w = (Lc * mesh.gaps) * _frame_velocity(
-        X0[1:, None], X1[1:, None], Lc, X0[:-1, None], X1[:-1, None], L[:-1, None],
+        (X0[1:] - X0[:-1])[:, None], (X1[1:] - X1[:-1])[:, None], (L[1:] - L[:-1])[:, None],
         mesh, dt, params.R,
     )
     weight = bernoulli(w) * theta + bernoulli(-w) * (1.0 - theta)
