@@ -9,8 +9,11 @@ error, 3 solver failure, 4 width collapse (partial output is flushed).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -251,13 +254,18 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
         raise ConfigError(f"{where('out')}: out must be a string")
     # the commands create out and its missing parents only after their runs,
     # so the nearest part of it that exists must be a directory, and a path
-    # the system rejects (a name too long, say) is rejected here
+    # the system rejects, or a missing part longer than the names that
+    # directory's file system takes, is rejected here
     try:
         existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"{where('out')}: {existing} is not a directory")
+        # pathconf gives -1 for a file system without a limit
+        name_max = os.pathconf(existing, "PC_NAME_MAX")
+        if any(0 < name_max < len(os.fsencode(p)) for p in Path(out).relative_to(existing).parts):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
     except OSError as exc:
         raise ConfigError(f"{where('out')}: cannot create {out}: {exc.strerror}") from exc
-    if not existing.is_dir():
-        raise ConfigError(f"{where('out')}: {existing} is not a directory")
 
     return RunConfig(
         params=params,
@@ -353,13 +361,19 @@ def _load_config(args, with_horizon: bool = True) -> RunConfig:
 
 def _output_dir(config: RunConfig) -> Path:
     """config.out, created with its missing parents after a run.  What
-    _build_config's check cannot see before the run, such as a name too
-    long below a missing directory, fails here as a config error."""
+    _build_config's check cannot see before the run fails here as a config
+    error, and the directories made for it are removed again."""
+    out = Path(config.out)
+    made = []
     try:
-        Path(config.out).mkdir(parents=True, exist_ok=True)
+        made = [p for p in (out, *out.parents) if not p.exists()]
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"--out: cannot create {config.out}: {exc.strerror}") from exc
-    return Path(config.out)
+        for p in made:
+            with suppress(OSError):
+                p.rmdir()
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    return out
 
 
 def _run_config(config: RunConfig) -> tuple[Mesh, Trajectory]:

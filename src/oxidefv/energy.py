@@ -53,13 +53,15 @@ def shifted_plus_squared(center: float = 1.0, blend: float = 0.5) -> ConvexDensi
 
     def phi(r):
         t = np.asarray(r, dtype=float) - center
-        # The cubic takes t clipped to [0, blend], which equals t on its
-        # branch: a negative base would send the power down a slow path.
-        cubic = np.minimum(np.maximum(t, 0.0), blend) ** 3 / (3.0 * blend)
+        left = t <= 0.0
+        right = t >= blend
+        # The power is taken only on the cubic's branch (nan included),
+        # where the slow pow meets few entries or none.
+        cube = np.power(t, 3.0, out=np.zeros_like(t), where=~(left | right))
         return np.where(
-            t <= 0.0,
+            left,
             0.0,
-            np.where(t >= blend, t * t - blend * t + blend * blend / 3.0, cubic),
+            np.where(right, t * t - blend * t + blend * blend / 3.0, cube / (3.0 * blend)),
         )
 
     def phi_prime(r):
@@ -292,13 +294,13 @@ def build_ledger(
 
 def write_ledger_csv(ledger: EnergyLedger, path) -> None:
     """Deterministic CSV with columns n, t, H, H_tot, D_bulk, D_bound."""
-    steps = range(len(ledger.H))
+    rows = len(ledger.H)
     write_csv(
         path,
         ("n", "t", "H", "H_tot", "D_bulk", "D_bound"),
         (
-            steps,
-            (n * ledger.dt for n in steps),
+            range(rows),
+            np.arange(rows) * ledger.dt,
             ledger.H,
             ledger.H_tot,
             ledger.D_bulk,

@@ -1,4 +1,8 @@
+import errno
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -184,6 +188,17 @@ class TestMain:
         assert "unique travelling wave" in out
         assert "c_hat = 0.25" in out
         assert "3.3479528" in out
+
+    def test_python_m_oxidefv(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, path)) if path else src)
+        result = subprocess.run(
+            [sys.executable, "-m", "oxidefv", "tw", "--preset", "testcase1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert "unique travelling wave" in result.stdout
 
     def test_tw_testcase2(self, capsys):
         assert main(["tw", "--preset", "testcase2"]) == EXIT_OK
@@ -611,16 +626,47 @@ class TestCommandErrors:
     @pytest.mark.parametrize("command", ["simulate", "energy", "converge"])
     @pytest.mark.parametrize("below", ["", "missing"])
     def test_out_whose_name_is_too_long_is_config_error(self, command, below, tmp_path, capsys):
-        # no file system here takes a 300-byte name: directly below an
-        # existing directory the name is rejected before the run, below a
-        # missing one when the output directory is made
+        # no file system here takes a 300-byte name: the name is rejected
+        # before the run, also below a missing directory, which is not made
         out = tmp_path / below / ("x" * 300)
         flags = ["--t-final", "0.05"] if command != "converge" else [
             "--levels", "0", "--ref-level", "1", "--t-final", "0.05"]
         code = main([command, "--preset", "testcase1", "--cells", "10", *flags,
                      "--out", str(out)])
         _assert_config_error(code, capsys.readouterr().err, f"--out: cannot create {out}: ")
-        assert [p.name for p in tmp_path.iterdir()] == ([below] if below else [])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_whose_name_is_too_long_in_a_config_file_names_its_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the solver ran before out was checked")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        out = tmp_path / "missing" / ("x" * 300)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"preset": "testcase1", "out": str(out)}, indent=2))
+        code = main(["simulate", "--config", str(path)])
+        _assert_config_error(code, capsys.readouterr().err, f"line 3: cannot create {out}: ")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_output_dir_that_fails_late_leaves_nothing_made(self, tmp_path, monkeypatch, capsys):
+        # a failure the check before the run cannot foresee, in the last
+        # of three directories to be made
+        mkdir = Path.mkdir
+
+        def refuse_last(self, *args, **kwargs):
+            if self.name == "c" and self.parent.is_dir():
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", refuse_last)
+        out = tmp_path / "a" / "b" / "c"
+        code = main(["simulate", "--preset", "testcase1", "--cells", "10", "--t-final", "0.05",
+                     "--out", str(out)])
+        _assert_config_error(code, capsys.readouterr().err,
+                             f"cannot create output directory {out}: Permission denied")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_in_a_config_file_names_its_line(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -74,6 +74,34 @@ class TestConvexDensity:
         )
         assert density.phi(r).tobytes() == unclipped.tobytes()
 
+    @pytest.mark.parametrize("center", [0.0, 1.0])
+    def test_plus_squared_matches_the_power_of_every_entry(self, center):
+        # phi takes the power only on the cubic branch; it must write the
+        # bytes of the expression that powers every entry, clipped
+        blend = 0.5
+        density = shifted_plus_squared(center, blend)
+        edges = (center, center + blend)
+        r = np.concatenate((
+            edges,
+            [np.nextafter(x, d) for x in edges for d in (-np.inf, np.inf)],
+            [x + s * k * 1e-3 for x in edges for s in (-1.0, 1.0) for k in (1, 2, 3)],
+            np.linspace(center - 1.0, center + 2.0, 301),
+            [np.nan, np.inf, -np.inf],
+        ))
+
+        def clipped(r):
+            t = np.asarray(r, dtype=float) - center
+            cubic = np.minimum(np.maximum(t, 0.0), blend) ** 3 / (3.0 * blend)
+            return np.where(
+                t <= 0.0,
+                0.0,
+                np.where(t >= blend, t * t - blend * t + blend * blend / 3.0, cubic),
+            )
+
+        with np.errstate(invalid="ignore"):
+            for sample in (r, r.reshape(-1, 1), r[::-3], *r):
+                assert density.phi(sample).tobytes() == clipped(sample).tobytes()
+
 
 class TestFreeEnergy:
     def test_constant_state_quadratic(self):
