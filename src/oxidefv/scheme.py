@@ -32,18 +32,17 @@ floor.  So the continuation walks through solutions of the scheme only.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import _umath_linalg
 
-# solve_banded, bernoulli and bernoulli_prime are uncalled here; the benchmark's
-# tracer wraps them.
-from scipy.linalg import solve_banded  # noqa: F401
-
+# bernoulli and bernoulli_prime are uncalled here; the benchmark's tracer
+# wraps them.
 from .bernoulli import _bernoulli_pair, bernoulli, bernoulli_prime  # noqa: F401
 from .core import (
     InitialMode,
@@ -57,6 +56,13 @@ from .core import (
     discretize_initial,
 )
 
+# At rest (d0 = d1 = 0, so L = prev.L) w = 0 on every edge, where the
+# kernel's series gives B = 1 and B' = -1/2 exactly: the rows (B(w), B(-w))
+# and their derivatives, broadcast over the edges.
+_REST_B = np.ones((2, 1))
+_REST_DB = np.full((2, 1), -0.5)
+_REST_B.flags.writeable = _REST_DB.flags.writeable = False
+
 # The continuation first splits the step into this many sub-steps; each
 # failed sub-step doubles the count, up to HOMOTOPY_MAX_STEPS.
 HOMOTOPY_FIRST_STEPS = 16
@@ -68,6 +74,44 @@ _STALL_RESIDUAL = 1e-6
 _MAX_HALVINGS = 30
 # The collapse time is bracketed to this fraction of the time step.
 _COLLAPSE_BRACKET_RTOL = 1e-10
+
+
+def _lapack_dgtsv():
+    """LAPACK's dgtsv, with 64-bit integers, from the OpenBLAS that numpy's
+    linalg is linked with: numpy 2 wheels export it as scipy_dgtsv_64_,
+    numpy 1.x wheels as dgtsv_64_.  Looked up through _umath_linalg, whose
+    dependencies hold it.  Each of its eight arguments is an address, which
+    a step system passes as a plain int."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in ("scipy_dgtsv_64_", "dgtsv_64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_void_p] * 8
+            fn.restype = None
+            return fn
+    raise ImportError(
+        "oxidefv solves its band with LAPACK's dgtsv from numpy's bundled OpenBLAS, "
+        f"but {_umath_linalg.__file__} exports neither scipy_dgtsv_64_ nor dgtsv_64_"
+    )
+
+
+dgtsv = _lapack_dgtsv()
+
+
+def __getattr__(name):
+    # The benchmark's tracer wraps scheme.solve_banded, which nothing here
+    # calls, so scipy is imported on that access alone.  ROADMAP item 1's
+    # benchmark change deletes this.
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of a C-contiguous, writable array's first element."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
 def _positive_finite(value) -> bool:
@@ -179,19 +223,21 @@ class _StepSystem:
     per solve and assembled at each iterate (u, d0, d1).
 
     Built per solve: the step's constants (prev.L * prev.u[1:-1], edges/dt,
-    1 - R and the motion laws' coefficients), the edge fields at rest, and
-    the buffers that each iterate overwrites: the Peclet arguments, the edge
-    fluxes' derivatives in (d0, d1), and the block solve's column-major
-    buffer.
+    1 - R and the motion laws' coefficients), the edge velocities at rest,
+    and the buffers that each iterate overwrites: the Peclet arguments, the
+    edge fluxes' derivatives in (d0, d1), and the block solve's column-major
+    buffer with the addresses dgtsv takes into it.
 
     The I+2 concentration rows are permuted (left flux condition, interior
     balances, right flux condition).  One column-major buffer holds their
     tridiagonal u-block in the (1, 1) banded layout (band: superdiagonal,
-    diagonal, subdiagonal rows, as scipy's solve_banded takes it) and three
-    right-hand sides (rhs): the residual column, then the border, their
-    (d0, d1) columns.  The last two rows are the motion laws: c0 is the X0
-    law's coefficient on u_0, c1 the X1 law's on u_{I+1}, and block the 2x2
-    block of both in (d0, d1), row by row.
+    diagonal, subdiagonal rows, LAPACK's DU, D and DL with DU shifted one
+    entry right), three right-hand sides (rhs): the residual column, then
+    the border, their (d0, d1) columns, and three scratch columns that a
+    copy of the band takes before each dgtsv, which overwrites it.  The
+    last two rows are the motion laws: c0 is the X0 law's coefficient on
+    u_0, c1 the X1 law's on u_{I+1}, and block the 2x2 block of both in
+    (d0, d1), row by row.
     """
 
     def __init__(self, prev: State, mesh: Mesh, dt: float, params: ModelParams):
@@ -204,20 +250,23 @@ class _StepSystem:
         self._one_minus_R = 1.0 - params.R
         self.c0, self.c1 = params.beta0, -params.beta1
         self.block = (1.0 / dt, -self._one_minus_R / dt, 0.0, 1.0 / dt)
-        # At rest (d0 = d1 = 0, so L = prev.L) w = 0 on every edge, where the
-        # kernel's series gives B = 1 and B' = -1/2 exactly.
         self._rest_v = _frame_velocity(0.0, 0.0, 0.0, mesh, dt, params.R)
-        rest = np.empty((2, 2, m - 1))
-        rest[0], rest[1] = 1.0, -0.5
-        self._rest_B, self._rest_dB = rest
         # the stacked Peclet arguments (w, -w) and, per edge, the flux's
         # derivatives in (d0, d1)
         self._w = np.empty(2 * (m - 1))
         self._dF = np.empty((m - 1, 2), order="F")
-        self._buf = np.zeros((m, 6), order="F")
-        self.band = self._buf[:, :3].T
-        self.rhs = self._buf[:, 3:]
-        self.border = self._buf[:, 4:]
+        self._buf = buf = np.zeros((m, 9), order="F")
+        self.band = buf[:, :3].T
+        self.rhs = buf[:, 3:6]
+        self.border = buf[:, 4:6]
+        self._band_copy = buf[:, 6:].T
+        # dgtsv's integers N (also LDB), NRHS and INFO, and its arguments:
+        # DL, D and DU in the scratch copy of the band, B in rhs
+        self._ints = ints = np.array((m, 3, 0), dtype=np.int64)
+        p, q, col = _address(buf.T), _address(ints), 8 * m
+        self._dgtsv_args = (
+            q, q + 8, p + 8 * col, p + 7 * col, p + 6 * col + 8, p + 3 * col, q, q + 16
+        )
         # (solved border, Schur matrix) of the last solve(), for resolve()
         self._kept = None
 
@@ -243,7 +292,7 @@ class _StepSystem:
         mesh = self.mesh
         Lh = L * mesh.gaps
         if d0 == 0.0 and d1 == 0.0:
-            v, B, dB = self._rest_v, self._rest_B, self._rest_dB
+            v, B, dB = self._rest_v, _REST_B, _REST_DB
         else:
             v = _frame_velocity(d0, d1, d1 - d0, mesh, self.dt, self.params.R)
             w = self._w
@@ -342,10 +391,11 @@ class _StepSystem:
         Schur complement in (d0, d1) in closed form.  Raises LinAlgError
         when the system is singular or not finite; an increment that
         overflows is returned as it is, for the caller to check."""
-        self._load(r, self.rhs[:, 0])
-        if not np.isfinite(self._buf).all():
+        sol = self.rhs
+        self._load(r, sol[:, 0])
+        if not np.isfinite(self._buf[:, :6]).all():
             raise np.linalg.LinAlgError("non-finite bordered system")
-        sol = self._band_solve(self.rhs)
+        self._band_solve(3)
         Y = sol[:, 1:]
         (y00, y01), (y10, y11) = Y[0].tolist(), Y[-1].tolist()
         a, b, c, d = self.block
@@ -358,11 +408,12 @@ class _StepSystem:
         """Simplified Newton increment -J^{-1} r, with J the Jacobian of the
         last successful solve(): one dgtsv of its band on the residual alone,
         its solved border and its Schur matrix."""
-        b = self.rhs[:, :1]
-        self._load(r, b[:, 0])
-        if not np.isfinite(b).all():
+        y = self.rhs[:, 0]
+        self._load(r, y)
+        if not np.isfinite(y).all():
             raise np.linalg.LinAlgError("non-finite residual")
-        return self._schur_step(r, self._band_solve(b)[:, 0], *self._kept)
+        self._band_solve(1)
+        return self._schur_step(r, y, *self._kept)
 
     def _load(self, r, b_u):
         """-r's concentration rows into b_u, in the band's row order."""
@@ -371,15 +422,20 @@ class _StepSystem:
         np.negative(r[:cells], out=b_u[1 : cells + 1])
         b_u[cells + 1] = -r[cells + 1]
 
-    def _band_solve(self, b):
-        band = self.band
-        *_, sol, info = dgtsv(band[2, :-1], band[1], band[0, 1:], b, overwrite_b=True)
+    def _band_solve(self, nrhs: int):
+        """dgtsv on a copy of the band, in place on the first nrhs columns
+        of rhs; the band itself stays for resolve()."""
+        ints = self._ints
+        ints[1] = nrhs
+        np.copyto(self._band_copy, self.band)
+        dgtsv(*self._dgtsv_args)
+        info = ints.item(2)
         if info > 0:
             raise np.linalg.LinAlgError("singular band")
         if info < 0:
             raise ValueError(f"dgtsv: illegal value in argument {-info}")
-        # an overflow in sol reaches the increment, which the caller checks
-        return sol
+        # an overflow in the solution reaches the increment, which the
+        # caller checks
 
     def _schur_step(self, r, y, Y, S):
         """The increment from the band solutions y (residual) and Y (border)

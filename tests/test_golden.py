@@ -3,10 +3,12 @@
 A change that moves them re-records them with tests/golden/record.py and
 says which files moved, by how much, and why."""
 
+import ctypes
 import json
 import math
 
 import pytest
+from numpy.linalg import _umath_linalg
 
 from golden.record import GOLDEN, MANIFEST, RUNS, run_one, sha256, versions
 
@@ -44,10 +46,34 @@ def _versions(v: dict) -> str:
     return ", ".join(f"{name} {version}" for name, version in v.items())
 
 
+def cpu_kernels() -> str:
+    """The CPU-specific code the outputs' round-off depends on: the SIMD
+    target numpy dispatched each float64 math kernel the scheme calls to,
+    and the core OpenBLAS chose for its kernels."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2
+        targets = "unknown"
+    else:
+        info = opt_func_info(func_name="^(exp|expm1|log|log1p|power)$", signature="float64")
+        targets = ", ".join(
+            f"{name} {target['current']}" for name, sigs in info.items() for target in sigs.values()
+        )
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    core = "unknown"
+    for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+        corename = getattr(lib, sym, None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+            break
+    return f"numpy kernels: {targets}; OpenBLAS core: {core}"
+
+
 def describe(path: str, recorded: bytes, current: bytes) -> str:
     """A mismatch report: the file, its first differing line on both sides,
-    the largest change per column of a CSV, and the recorded and current
-    Python, numpy and scipy versions."""
+    the largest change per column of a CSV, the recorded and current
+    Python, numpy and scipy versions, and the CPU kernels running now."""
     old, new = recorded.decode().splitlines(), current.decode().splitlines()
     first = next(
         (i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new))
@@ -70,6 +96,7 @@ def describe(path: str, recorded: bytes, current: bytes) -> str:
         )
     lines.append(f"recorded with {_versions(RECORDED['versions'])}")
     lines.append(f"running      {_versions(versions())}")
+    lines.append(f"on           {cpu_kernels()}")
     return "\n".join(lines)
 
 
@@ -97,3 +124,4 @@ def test_mismatch_report():
     assert "3 lines recorded, 4 now" in report
     assert "largest change per column: L 1e-07, note text" in report
     assert "recorded with python " in report and "running      python " in report
+    assert "kernels: exp " in report and "power " in report and "; OpenBLAS core: " in report

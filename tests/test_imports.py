@@ -12,6 +12,10 @@ of a package class is loaded as an attribute by the package or the
 benchmark."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,3 +222,59 @@ def test_guard_catches_an_unread_field():
     # a bare name is not the field, and neither is a string
     assert unread_fields(sources) == ["a.A.unused", "a.A.named"]
     assert unread_fields(sources, {"unused", "named"}) == []
+
+
+# Imports every module of the package and runs `python -m oxidefv simulate`
+# in one fresh interpreter, then prints the scipy modules it loaded.  With
+# "block", a finder refuses every scipy import first, as on an install
+# without scipy.
+RUN_WITHOUT_SCIPY = """
+import importlib, json, pkgutil, runpy, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"No module named {name!r}")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+import oxidefv
+for info in pkgutil.iter_modules(oxidefv.__path__):
+    importlib.import_module("oxidefv." + info.name)
+sys.argv = ["oxidefv", "simulate", "--preset", "testcase1", "--cells", "20",
+            "--t-final", "0.1", "--out", sys.argv[2]]
+try:
+    runpy.run_module("oxidefv", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert stop.code == 0, stop.code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+@pytest.mark.parametrize("mode", ["installed", "block"])
+def test_package_runs_without_scipy(mode, tmp_path):
+    src = str(PACKAGE.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, path)) if path else src)
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_SCIPY, mode, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "out" / "steps.csv").is_file()
+
+
+def test_solve_banded_is_imported_on_access():
+    # the benchmark's tracer wraps scheme.solve_banded; reading it is what
+    # imports scipy.linalg
+    code = (
+        "import sys; from oxidefv import scheme\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert hasattr(scheme, 'solve_banded')\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+        "assert not hasattr(scheme, 'no_such_name')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv as scipy_dgtsv
 
 from oxidefv import (
     ExponentialProfile,
@@ -479,6 +482,85 @@ class TestLeanIteration:
         second = newton_step_solve(first.state, mesh, 1e-2, tc1)
         assert second.status is StepStatus.CONVERGED
         assert calls == [(edges, True)] * (second.iterations - 2) + [(edges, False)] * 2
+
+
+class TestBandBinding:
+    """The step system calls LAPACK's dgtsv from numpy's own OpenBLAS
+    through ctypes, on a copy of its band, with its integer arguments held
+    per system."""
+
+    def test_matches_scipy_dgtsv_bit_for_bit(self, tc1):
+        rng = np.random.default_rng(2300)
+        singular = 0
+        for trial in range(120):
+            m = int(rng.integers(3, 901))
+            nrhs = (1, 3)[trial % 2]
+            mesh = uniform_mesh(m - 2)
+            system = _StepSystem(discretize_initial(tc1, mesh), mesh, 0.02, tc1)
+            band, rhs = system.band, system.rhs
+            band[:, :] = rng.normal(size=(3, m))
+            if trial % 5 == 4:
+                # an all-zero column of the matrix stays zero through the
+                # elimination, so dgtsv meets a zero pivot there
+                band[:, int(rng.integers(0, m))] = 0.0
+            band[0, 0] = band[2, -1] = 0.0
+            rhs[:, :] = rng.normal(size=(m, 3))
+            before = rhs.copy()
+            *_, want, info = scipy_dgtsv(band[2, :-1], band[1], band[0, 1:], rhs[:, :nrhs])
+            if info > 0:
+                singular += 1
+                with pytest.raises(np.linalg.LinAlgError, match="singular band"):
+                    system._band_solve(nrhs)
+                continue
+            assert info == 0
+            system._band_solve(nrhs)
+            assert rhs[:, :nrhs].tobytes() == want.tobytes()
+            assert rhs[:, nrhs:].tobytes() == before[:, nrhs:].tobytes()
+        assert singular >= 20
+
+    def test_band_is_kept_and_resolve_repeats_a_fresh_solve(self, tc1):
+        rng = np.random.default_rng(2301)
+        mesh = uniform_mesh(40)
+        for _ in range(5):
+            prev, point = random_step(rng, 40)
+            system = _StepSystem(prev, mesh, 0.02, tc1)
+            r = system.assemble(*point)
+            band = system.band.tobytes()
+            system.solve(r)
+            assert system.band.tobytes() == band
+            r_next = rng.normal(size=r.size)
+            got = system.resolve(r_next)
+            assert system.band.tobytes() == band
+            fresh = _StepSystem(prev, mesh, 0.02, tc1)
+            fresh.assemble(*point)
+            assert got.tobytes() == fresh.solve(r_next).tobytes()
+
+    def test_runs_in_threads_repeat_serial_runs(self, tc1):
+        # ctypes releases the GIL during dgtsv; more threads than cores,
+        # switching every microsecond, interleave the runs' solves closely
+        grid = TimeGrid.from_step(1e-2, 60)
+        meshes = (uniform_mesh(20), uniform_mesh(50), uniform_mesh(35))
+        serial = [run(tc1, mesh, grid) for mesh in meshes]
+        threaded = [None] * len(meshes)
+
+        def work(i):
+            threaded[i] = run(tc1, meshes[i], grid)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(meshes))]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(serial, threaded):
+            assert b is not None and b.completed
+            for name in ("U", "X0", "X1", "L", "newton_iters", "residual_inf"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def full_newton(prev, mesh, dt, params, opts=SolverOptions()):
