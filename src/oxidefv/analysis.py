@@ -17,13 +17,14 @@ from .core import (
     State,
     TimeGrid,
     Trajectory,
+    _frame_velocity,
     check_storable,
     row_integrals,
     step_blocks,
     uniform_mesh,
 )
 from .formatting import write_csv
-from .scheme import SolverOptions, _frame_velocity, run
+from .scheme import SolverOptions, run
 from .waves import RegimeKind, TravellingWave, classify
 
 _EDGE_MATCH_TOL = 1e-12
@@ -327,9 +328,11 @@ def convergence_study(
     continued run repeats the same step solves, and project_reference sums
     each coarse value in the same order whatever block it reads.
 
-    A reference level whose time step is unusable, or a stored slab or
-    finest-level trajectory that would not fit in physical memory, is
-    rejected with ValueError before any mesh is built."""
+    A negative max_level, a reference level whose time step is unusable,
+    or a stored slab or finest-level trajectory that would not fit in
+    physical memory, is rejected with ValueError before any mesh is built."""
+    if max_level < 0:
+        raise ValueError(f"convergence_study: max_level must be at least 0, got {max_level!r}")
     if ref_level <= max_level:
         raise ValueError("convergence_study: ref_level must exceed max_level")
 

@@ -50,6 +50,11 @@ EXIT_COLLAPSE = 4
 _MODEL_KEYS = ("a", "b", "alpha0", "beta0", "alpha1", "beta1", "R", "L0")
 _EXP_KEYS = ("u_init_c1", "u_init_c2", "u_init_c3")
 _TABLE_KEYS = ("u_init_x", "u_init_values")
+# u_init_kind -> (the profile keys it requires, those it forbids, its name in errors)
+_PROFILE_KEYS = {
+    "exp": (_EXP_KEYS, _TABLE_KEYS, "an exponential profile"),
+    "table": (_TABLE_KEYS, _EXP_KEYS, "a tabulated profile"),
+}
 _RUN_KEYS = ("cells", "dt", "t_final")
 _SOLVER_KEYS = ("newton_tol", "max_newton_iters", "width_floor")
 _OPTIONAL_DEFAULTS = {"initial_mode": "average", "out": "out"}
@@ -163,37 +168,25 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
             raise ConfigError(f"line 1: missing required key {key!r}")
 
     kind = raw["u_init_kind"]
+    if not (isinstance(kind, str) and kind in _PROFILE_KEYS):
+        raise ConfigError(f"{where('u_init_kind')}: u_init_kind must be 'exp' or 'table'")
+    keys, foreign, profile_name = _PROFILE_KEYS[kind]
+    for key in keys:
+        if key not in raw:
+            raise ConfigError(f"line 1: missing required key {key!r}")
+    for key in foreign:
+        if key in given:
+            raise ConfigError(f"{where(key)}: {key} is not valid for {profile_name}")
     if kind == "exp":
-        for key in _EXP_KEYS:
-            if key not in raw:
-                raise ConfigError(f"line 1: missing required key {key!r}")
-        for key in _TABLE_KEYS:
-            if key in given:
-                raise ConfigError(f"{where(key)}: {key} is not valid for an exponential profile")
-        profile = ExponentialProfile(
-            c1=_expect_number(raw, "u_init_c1", where),
-            c2=_expect_number(raw, "u_init_c2", where),
-            c3=_expect_number(raw, "u_init_c3", where),
-        )
-    elif kind == "table":
-        for key in _TABLE_KEYS:
-            if key not in raw:
-                raise ConfigError(f"line 1: missing required key {key!r}")
-        for key in _EXP_KEYS:
-            if key in given:
-                raise ConfigError(f"{where(key)}: {key} is not valid for a tabulated profile")
-        for key in _TABLE_KEYS:
+        profile = ExponentialProfile(*(_expect_number(raw, key, where) for key in keys))
+    else:
+        for key in keys:
             if not (isinstance(raw[key], list) and all(map(_finite_number, raw[key]))):
                 raise ConfigError(f"{where(key)}: {key} must be a list of finite numbers")
         try:
-            profile = TabulatedProfile(
-                x=tuple(float(v) for v in raw["u_init_x"]),
-                values=tuple(float(v) for v in raw["u_init_values"]),
-            )
+            profile = TabulatedProfile(*(tuple(map(float, raw[key])) for key in keys))
         except ValueError as exc:
             raise ConfigError(f"{where('u_init_x')}: {exc}") from exc
-    else:
-        raise ConfigError(f"{where('u_init_kind')}: u_init_kind must be 'exp' or 'table'")
 
     model_values = {key: _expect_number(raw, key, where) for key in _MODEL_KEYS}
     try:
@@ -227,7 +220,6 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
     try:
         discretize_initial(params, Mesh.from_edges((0.0, 1.0)), mode)
     except ValueError as exc:
-        keys = _EXP_KEYS if kind == "exp" else _TABLE_KEYS
         raise ConfigError(f"{where(next((k for k in keys if k in given), keys[0]))}: {exc}") from exc
 
     # Only the keys present reach SolverOptions, so its defaults are the

@@ -14,6 +14,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -177,6 +178,24 @@ def uniform_mesh(cells: int) -> Mesh:
     return Mesh.from_edges(np.linspace(0.0, 1.0, int(cells) + 1))
 
 
+def _positive_finite(value) -> bool:
+    return not isinstance(value, bool) and 0.0 < value < math.inf
+
+
+def _check_dt(name: str, dt, *, reciprocal: bool = True) -> None:
+    """Reject with ValueError, led by name, a step size dt that is not
+    positive and finite (a bool included) or, unless reciprocal is False,
+    whose 1/dt overflows: the step matrix carries 1/dt."""
+    if not _positive_finite(dt):
+        raise ValueError(f"{name}: dt must be positive and finite, got {dt!r}")
+    if reciprocal and math.isinf(1.0 / float(dt)):
+        raise ValueError(f"{name}: dt {float(dt)!r} is too small: 1/dt overflows")
+
+
+def _positive_int(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, Integral) and value >= 1
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time discretization: n_steps steps of size dt.  The horizon
@@ -187,13 +206,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0 or not np.isfinite(self.dt):
-            raise ValueError("TimeGrid.dt must be positive")
-        # The step matrix carries 1/dt; a dt this small overflows it.
-        if not np.isfinite(1.0 / float(self.dt)):
-            raise ValueError(f"TimeGrid.dt {float(self.dt)!r} is too small: 1/dt overflows")
-        if self.n_steps < 1:
-            raise ValueError("TimeGrid.n_steps must be at least 1")
+        _check_dt("TimeGrid", self.dt)
+        if not _positive_int(self.n_steps):
+            raise ValueError(f"TimeGrid: n_steps must be a positive integer, got {self.n_steps!r}")
 
     @property
     def t_final(self) -> float:
@@ -205,14 +220,12 @@ class TimeGrid:
 
     @classmethod
     def from_horizon(cls, t_final: float, n_steps: int) -> "TimeGrid":
-        if n_steps < 1:
-            raise ValueError("TimeGrid.n_steps must be at least 1")
-        return cls(dt=t_final / n_steps, n_steps=n_steps)
+        # for an n_steps the constructor rejects, 1.0 stands in for dt
+        return cls(dt=t_final / n_steps if _positive_int(n_steps) else 1.0, n_steps=n_steps)
 
     @classmethod
     def from_step_and_horizon(cls, dt: float, t_final: float) -> "TimeGrid":
-        if dt <= 0.0:
-            raise ValueError("TimeGrid.dt must be positive")
+        _check_dt("TimeGrid", dt)
         ratio = float(t_final) / float(dt)
         if not np.isfinite(ratio):
             raise ValueError(f"the horizon {t_final!r} takes too many steps of {dt!r} to count")
@@ -260,6 +273,31 @@ class State:
     @property
     def num_cells(self) -> int:
         return self.u.size - 2
+
+
+def _frame_velocity(d0, d1, dL, mesh: Mesh, dt: float, R: float):
+    """(1 - R) d1/dt - xi_edge * dL/dt - d0/dt per edge, from a step's
+    displacements d0 of X0 and d1 of X1 and its change dL of the width.
+
+    Scalars give one row of edge velocities; column arrays of shape (k, 1)
+    give k rows, one per step.
+    """
+    dX0 = d0 / dt
+    dX1 = d1 / dt
+    dL = dL / dt
+    return (1.0 - R) * dX1 - mesh.edges * dL - dX0
+
+
+def _check_rates(name: str, prev: State, nxt: State, mesh: Mesh, dt, R: float) -> np.ndarray:
+    """The edge velocities of the step from prev to nxt over dt.  Raises
+    ValueError, led by name, for a dt that is not positive and finite or
+    that makes a velocity overflow, as every infinite rate of X0, X1 or L does."""
+    _check_dt(name, dt, reciprocal=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _frame_velocity(nxt.X0 - prev.X0, nxt.X1 - prev.X1, nxt.L - prev.L, mesh, dt, R)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name}: dt {float(dt)!r} is too small: the frame velocities overflow")
+    return v
 
 
 class InitialMode(str, Enum):

@@ -15,9 +15,17 @@ from typing import Callable
 import numpy as np
 
 from .bernoulli import bernoulli
-from .core import Mesh, ModelParams, State, Trajectory, row_integrals, step_blocks
+from .core import (
+    Mesh,
+    ModelParams,
+    State,
+    Trajectory,
+    _check_rates,
+    _frame_velocity,
+    row_integrals,
+    step_blocks,
+)
 from .formatting import write_csv
-from .scheme import _check_rates, _frame_velocity
 
 # Edge differences smaller than this fall back to the midpoint weight 1/2
 # in the mean-value construction.
@@ -169,9 +177,8 @@ def dissipation_split(
 ) -> tuple[float, float]:
     """Bulk and boundary dissipation of one accepted step, both nonnegative
     (see `_dissipation_rows`).  Raises ValueError for a dt that is not
-    positive and finite or that makes a rate (f - f_prev)/dt of X0, X1 or
-    L, or an edge velocity, overflow."""
-    _check_rates("dissipation_split", prev, nxt, dt, params.R)
+    positive and finite or that makes an edge velocity overflow."""
+    _check_rates("dissipation_split", prev, nxt, mesh, dt, params.R)
     U = np.stack((prev.u, nxt.u))
     _, P, Pi = _potentials(density, U[1:])
     d_bulk, d_bound = _dissipation_rows(
@@ -263,7 +270,7 @@ def build_ledger(
     weights = _exchange_weights(density, params)
     # phi never sees the boundary traces of the initial state, which no
     # column reads (xlogx is undefined at 0).
-    H[0] = H_tot[0] = row_integrals(density.phi(traj.U[:1, 1:-1]), traj.L[:1], mesh)[0]
+    H[0] = H_tot[0] = free_energy(traj.states[0], mesh, density)
     sums = np.zeros(3)
     for start, U, X0, X1, L in step_blocks(traj):
         # Row 0 of a block is the previous block's last row: its H and

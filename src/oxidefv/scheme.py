@@ -36,7 +36,6 @@ import ctypes
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -53,6 +52,11 @@ from .core import (
     TerminationKind,
     TimeGrid,
     Trajectory,
+    _check_dt,
+    _check_rates,
+    _frame_velocity,
+    _positive_finite,
+    _positive_int,
     discretize_initial,
 )
 
@@ -114,10 +118,6 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _positive_finite(value) -> bool:
-    return not isinstance(value, bool) and 0.0 < value < np.inf
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Newton controls and the width floor.
@@ -132,9 +132,7 @@ class SolverOptions:
     def __post_init__(self):
         if not _positive_finite(self.newton_tol):
             raise ValueError("newton_tol must be positive and finite")
-        if (isinstance(self.max_newton_iters, bool)
-                or not isinstance(self.max_newton_iters, Integral)
-                or self.max_newton_iters < 1):
+        if not _positive_int(self.max_newton_iters):
             raise ValueError("max_newton_iters must be an integer of at least 1")
         if self.width_floor is not None and not _positive_finite(self.width_floor):
             raise ValueError("width_floor must be positive and finite")
@@ -167,50 +165,15 @@ class StepResult:
     residual_inf: float
 
 
-def _frame_velocity(d0, d1, dL, mesh: Mesh, dt: float, R: float):
-    """(1 - R) d1/dt - xi_edge * dL/dt - d0/dt per edge, from a step's
-    displacements d0 of X0 and d1 of X1 and its change dL of the width.
-
-    Scalars give one row of edge velocities; column arrays of shape (k, 1)
-    give k rows, one per step.
-    """
-    dX0 = d0 / dt
-    dX1 = d1 / dt
-    dL = dL / dt
-    return (1.0 - R) * dX1 - mesh.edges * dL - dX0
-
-
-def _check_rates(name: str, prev: State, nxt: State, dt, R: float) -> None:
-    """Reject with ValueError a dt that is not positive and finite, or so
-    small that (f_next - f_prev)/dt overflows for f = X0, X1 or L, or that
-    the edge velocities of _frame_velocity overflow.  The velocity is affine
-    in the edge coordinate and rounding is monotone, so its values at 0 and
-    1 bound every edge's.  All is taken in Python floats, which do not warn
-    on overflow."""
-    if not _positive_finite(dt):
-        raise ValueError(f"{name}: dt must be positive and finite, got {dt!r}")
-    dt = float(dt)
-    dX0, dX1, dL = (
-        (float(f_next) - float(f_prev)) / dt
-        for f_next, f_prev in ((nxt.X0, prev.X0), (nxt.X1, prev.X1), (nxt.L, prev.L))
-    )
-    if not all(map(math.isfinite, (dX0, dX1, dL))):
-        raise ValueError(f"{name}: dt {dt!r} is too small: (f_next - f_prev)/dt overflows")
-    ends = ((1.0 - float(R)) * dX1 - xi * dL - dX0 for xi in (0.0, 1.0))
-    if not all(map(math.isfinite, ends)):
-        raise ValueError(f"{name}: dt {dt!r} is too small: the edge velocities overflow")
-
-
 def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.ndarray:
     """Edge velocities of the moving frame mapped onto [0, 1], one per edge:
     (1 - R) d[X1] - xi_edge * d[L] - d[X0], with d[f] = (f_next - f_prev)/dt.
 
     They are affine in the edge coordinate, so consecutive differences
     telescope to -d[L] * h_i exactly.  Raises ValueError for a dt that is
-    not positive and finite or that makes a d[f] or a velocity overflow.
+    not positive and finite or that makes a velocity overflow.
     """
-    _check_rates("velocities", prev, nxt, dt, R)
-    return _frame_velocity(nxt.X0 - prev.X0, nxt.X1 - prev.X1, nxt.L - prev.L, mesh, dt, R)
+    return _check_rates("velocities", prev, nxt, mesh, dt, R)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +433,8 @@ class _StepSystem:
 
 def _check_step(name: str, prev: State, mesh: Mesh, dt) -> None:
     """Reject with ValueError a step the step system cannot hold: a dt that
-    is not positive and finite or whose 1/dt overflows, or a prev whose cell
-    count is not the mesh's."""
-    if not _positive_finite(dt):
-        raise ValueError(f"{name}: dt must be positive and finite, got {dt!r}")
-    if math.isinf(1.0 / float(dt)):
-        raise ValueError(f"{name}: dt {float(dt)!r} is too small: 1/dt overflows")
+    _check_dt rejects, or a prev whose cell count is not the mesh's."""
+    _check_dt(name, dt)
     if prev.num_cells != mesh.num_cells:
         raise ValueError(
             f"{name}: prev has {prev.num_cells} cells, the mesh {mesh.num_cells}"

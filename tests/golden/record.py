@@ -6,9 +6,9 @@ Run from the repository root:
 
 Each run in RUNS writes its files, and its console output as stdout.txt,
 into the directory of its name next to this script.  manifest.json records
-each run's command line and exit code, each file's sha256, and the Python,
-numpy and scipy versions that wrote them.  A change that re-records says
-which files moved, by how much, and why.
+each run's command line and exit code, each file's sha256, and the Python
+and numpy versions that wrote them: the package imports no other library.
+A change that re-records says which files moved, by how much, and why.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from oxidefv.cli import main
 
@@ -42,7 +41,7 @@ RUNS = {
 
 
 def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def run_one(name: str, out: Path) -> int:

@@ -449,6 +449,16 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(tc1, max_level=2, ref_level=2)
 
+    def test_negative_max_level_rejected_before_any_mesh(self, tc1, monkeypatch):
+        # not an empty report: the study checks its own levels, whatever
+        # its caller checked
+        def no_mesh(cells):
+            raise AssertionError("a mesh was built for a negative max_level")
+
+        monkeypatch.setattr(analysis, "uniform_mesh", no_mesh)
+        with pytest.raises(ValueError, match="max_level must be at least 0"):
+            convergence_study(tc1, max_level=-1, ref_level=0)
+
     @pytest.mark.parametrize(
         "ref_level,message",
         [(20, "physical memory"), (600, "gives no usable time step")],

@@ -783,12 +783,17 @@ class TestRejectionPaths:
              "line 4: tabulated profile abscissae must be strictly increasing"),
             (_one_key_config("u_init_kind", '"gauss"'),
              "line 3: u_init_kind must be 'exp' or 'table'"),
+            (_one_key_config("u_init_kind", '["exp"]'),
+             "line 3: u_init_kind must be 'exp' or 'table'"),
+            (_one_key_config("u_init_kind", '{"exp": 1}'),
+             "line 3: u_init_kind must be 'exp' or 'table'"),
             (_one_key_config("newton_tol", "0"), "line 3: newton_tol must be positive and finite"),
             (_one_key_config("out", "5"), "line 3: out must be a string"),
             ('[{"preset": "testcase1"}]', "line 1: configuration must be a JSON object"),
         ],
         ids=["missing-exp-key", "missing-table-key", "table-not-increasing", "bad-kind",
-             "zero-newton-tol", "out-not-a-string", "json-array"],
+             "kind-a-list", "kind-an-object", "zero-newton-tol", "out-not-a-string",
+             "json-array"],
     )
     def test_document_rejected(self, text, message, tmp_path, monkeypatch, capsys):
         # no --out: the document's own out is read

@@ -106,6 +106,27 @@ class TestTimeGrid:
         with pytest.raises(TypeError):
             TimeGrid(dt=0.1, n_steps=3, t_final=0.3)
 
+    @pytest.mark.parametrize("n_steps", [2.5, True, 1e3, 0, -1])
+    def test_step_count_not_a_positive_integer_rejected(self, n_steps):
+        # rejected when the grid is built, not when a run reads it
+        with pytest.raises(ValueError, match="n_steps must be a positive integer"):
+            TimeGrid(0.1, n_steps)
+        with pytest.raises(ValueError, match="n_steps must be a positive integer"):
+            TimeGrid.from_horizon(1.0, n_steps)
+
+    def test_numpy_integer_step_count_accepted(self):
+        g = TimeGrid(0.1, np.int64(3))
+        assert g.n_steps == 3 and g.t_final == 3 * 0.1
+        assert TimeGrid.from_horizon(0.3, np.int64(3)).dt == 0.3 / 3
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.1, True])
+    def test_step_not_positive_and_finite_rejected_as_dt(self, dt):
+        # the step is checked before the horizon is divided by it
+        with pytest.raises(ValueError, match="TimeGrid: dt must be positive and finite"):
+            TimeGrid.from_step_and_horizon(dt, 1.0)
+        with pytest.raises(ValueError, match="TimeGrid: dt must be positive and finite"):
+            TimeGrid(dt, 10)
+
     def test_overflowing_reciprocal_rejected(self):
         # 1/dt enters the step matrix; no floating-point warning on the way
         for dt in (1e-320, np.float64(1e-320), 5e-324):

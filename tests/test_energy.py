@@ -29,7 +29,7 @@ from oxidefv import (
     write_ledger_csv,
 )
 from oxidefv import core
-from oxidefv.core import _BLOCK_ELEMS, step_blocks
+from oxidefv.core import _BLOCK_ELEMS, _frame_velocity, step_blocks
 from oxidefv.energy import (
     _THETA_EPS,
     _dissipation_rows,
@@ -38,7 +38,6 @@ from oxidefv.energy import (
     _potentials,
     shifted_plus_squared,
 )
-from oxidefv.scheme import _frame_velocity
 from conftest import make_tc1, make_tc2, trajectory_of
 
 

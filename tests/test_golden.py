@@ -73,7 +73,7 @@ def cpu_kernels() -> str:
 def describe(path: str, recorded: bytes, current: bytes) -> str:
     """A mismatch report: the file, its first differing line on both sides,
     the largest change per column of a CSV, the recorded and current
-    Python, numpy and scipy versions, and the CPU kernels running now."""
+    Python and numpy versions, and the CPU kernels running now."""
     old, new = recorded.decode().splitlines(), current.decode().splitlines()
     first = next(
         (i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new))
