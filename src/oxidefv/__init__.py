@@ -56,6 +56,7 @@ from .analysis import (
     velocity_bounds,
     verify_trajectory,
     wave_distance,
+    wave_distances,
     width_rate_bounds,
     write_convergence_csv,
 )

@@ -18,6 +18,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     _frame_velocity,
+    _positive_finite,
     check_storable,
     row_integrals,
     step_blocks,
@@ -25,7 +26,7 @@ from .core import (
 )
 from .formatting import write_csv
 from .scheme import SolverOptions, run
-from .waves import RegimeKind, TravellingWave, classify
+from .waves import RegimeKind, TravellingWave, classify, wave_profile_on_mesh
 
 _EDGE_MATCH_TOL = 1e-12
 # verify_trajectory's slack on the proved brackets (concentration, width,
@@ -44,18 +45,19 @@ def wave_distance(state: State, mesh: Mesh, wave: TravellingWave) -> float:
     The wave is rescaled by mapping its own domain [0, L_hat] onto [0, 1],
     so u_hat_i = u_left * exp(-decay * L_hat * xi_i).
     """
-    diff = state.u[1:-1] - _wave_target(wave, mesh)
-    return float(state.L * np.dot(mesh.cell_sizes, diff * diff))
+    diff = state.u[None, 1:-1] - wave_profile_on_mesh(wave, mesh)[1:-1]
+    return float(row_integrals(diff * diff, (state.L,), mesh)[0])
 
 
-@functools.lru_cache(maxsize=1)
-def _wave_target(wave: TravellingWave, mesh: Mesh) -> np.ndarray:
-    """The rescaled wave at the interior centers of the mesh, read-only.
-    The step CSV measures every row against one (wave, mesh) pair, so the
-    last pair's target is kept."""
-    target = wave.profile_rescaled(mesh.centers[1:-1])
-    target.setflags(write=False)
-    return target
+def wave_distances(traj: Trajectory, mesh: Mesh, wave: TravellingWave) -> np.ndarray:
+    """wave_distance of every stored row of traj, read in step_blocks'
+    blocks; each entry has the bits of its one-row wave_distance."""
+    target = wave_profile_on_mesh(wave, mesh)[1:-1]
+    d = np.empty(traj.L.shape)
+    for start, U, _, _, L in step_blocks(traj):
+        diff = U[:, 1:-1] - target
+        d[start : start + L.size] = row_integrals(diff * diff, L, mesh)
+    return d
 
 
 def _interior_field(traj: Trajectory) -> np.ndarray:
@@ -328,13 +330,15 @@ def convergence_study(
     continued run repeats the same step solves, and project_reference sums
     each coarse value in the same order whatever block it reads.
 
-    A negative max_level, a reference level whose time step is unusable,
-    or a stored slab or finest-level trajectory that would not fit in
-    physical memory, is rejected with ValueError before any mesh is built."""
+    A negative max_level, a ref_level not above it, a t_final not positive
+    and finite, a reference step that is unusable, or a stored slab or finest
+    level that would not fit in memory, is rejected with ValueError first."""
     if max_level < 0:
         raise ValueError(f"convergence_study: max_level must be at least 0, got {max_level!r}")
     if ref_level <= max_level:
         raise ValueError("convergence_study: ref_level must exceed max_level")
+    if not _positive_finite(t_final):
+        raise ValueError(f"convergence_study: t_final must be positive and finite, got {t_final!r}")
 
     def level_cells(k: int) -> int:
         return _BASE_CELLS * 2**k

@@ -21,7 +21,8 @@ import numpy as np
 
 from .analysis import (
     convergence_study,
-    wave_distance,
+    wave_distance,  # not called here: perfbench/worker.py wraps cli.wave_distance
+    wave_distances,
     write_convergence_csv,
 )
 from .core import (
@@ -306,25 +307,25 @@ def _write_profile_csv(state, mesh, path) -> None:
 def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
     regime = classify(params)
     wave = regime.wave if regime.kind is RegimeKind.UNIQUE_WAVE else None
-    nan = float("nan")
     # a squared distance that overflows is written as inf, without a warning
     with np.errstate(over="ignore"):
-        write_csv(
-            path,
-            ("n", "t", "X0", "X1", "L", "u0", "uI1", "d", "newton_iters", "residual_inf"),
-            (
-                range(len(traj.X0)),
-                traj.times,
-                traj.X0,
-                traj.X1,
-                traj.L,
-                traj.U[:, 0],
-                traj.U[:, -1],
-                (nan if wave is None else wave_distance(s, mesh, wave) for s in traj.states),
-                traj.newton_iters,
-                traj.residual_inf,
-            ),
-        )
+        d = np.full(traj.L.shape, np.nan) if wave is None else wave_distances(traj, mesh, wave)
+    write_csv(
+        path,
+        ("n", "t", "X0", "X1", "L", "u0", "uI1", "d", "newton_iters", "residual_inf"),
+        (
+            range(len(traj.X0)),
+            traj.times,
+            traj.X0,
+            traj.X1,
+            traj.L,
+            traj.U[:, 0],
+            traj.U[:, -1],
+            d,
+            traj.newton_iters,
+            traj.residual_inf,
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +459,6 @@ def _cmd_converge(args) -> int:
     levels = args.levels if args.levels is not None else 3
     ref_level = args.ref_level if args.ref_level is not None else levels + 1
     t_final = args.t_final if args.t_final is not None else 0.2
-    if levels < 0:
-        raise ConfigError(f"--levels must be at least 0, got {levels}")
-    if ref_level <= levels:
-        raise ConfigError(f"--ref-level must exceed --levels, got {ref_level} <= {levels}")
-    if not (np.isfinite(t_final) and t_final > 0.0):
-        raise ConfigError(f"--t-final must be positive and finite, got {t_final!r}")
     try:
         report = convergence_study(
             config.params,
@@ -474,8 +469,8 @@ def _cmd_converge(args) -> int:
             initial_mode=config.initial_mode,
         )
     except ValueError as exc:
-        # the study rejects inputs it cannot run with, such as a reference
-        # level it cannot step or store, before it builds any mesh
+        # the study rejects inputs it cannot run with, such as its levels or
+        # a horizon it cannot step or store, before it builds any mesh
         raise ConfigError(str(exc)) from exc
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

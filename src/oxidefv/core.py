@@ -172,10 +172,10 @@ class Mesh:
 
 
 def uniform_mesh(cells: int) -> Mesh:
-    """Uniform mesh of [0, 1] with the given number of cells (at least 1)."""
-    if int(cells) != cells or cells < 1:
+    """Uniform mesh of [0, 1] with the given number of cells (an integer, at least 1)."""
+    if not _positive_int(cells):
         raise ValueError(f"uniform_mesh: cell count must be a positive integer, got {cells!r}")
-    return Mesh.from_edges(np.linspace(0.0, 1.0, int(cells) + 1))
+    return Mesh.from_edges(np.linspace(0.0, 1.0, cells + 1))
 
 
 def _positive_finite(value) -> bool:
@@ -226,6 +226,8 @@ class TimeGrid:
     @classmethod
     def from_step_and_horizon(cls, dt: float, t_final: float) -> "TimeGrid":
         _check_dt("TimeGrid", dt)
+        if not _positive_finite(t_final):
+            raise ValueError(f"TimeGrid: t_final must be positive and finite, got {t_final!r}")
         ratio = float(t_final) / float(dt)
         if not np.isfinite(ratio):
             raise ValueError(f"the horizon {t_final!r} takes too many steps of {dt!r} to count")
@@ -462,10 +464,7 @@ def check_storable(cells: int, n_steps: int) -> None:
 # rows at I = 400, whose bound is U.nbytes / 4 = 515 KB, at 2048 / 4096 /
 # 8192: build_ledger 234 / 443 / 860 KB (it keeps about 13 block-sized
 # arrays alive), verify_trajectory 75 / 139 / 268 KB, project_reference
-# 257 KB at all three (one slab per block).  The benchmark's peak_rss_mb
-# medians on a 2-core Xeon VM with numpy 2.4.6, three runs each at 2048
-# and 4096: wave 61.08 and 61.08 MB, collapse 60.00 and 59.97 MB, refine
-# 83.72 and 83.88 MB, within the runs' spread.
+# 257 KB at all three (one slab per block).
 _BLOCK_ELEMS = 4096
 
 

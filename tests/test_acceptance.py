@@ -30,7 +30,7 @@ from oxidefv import (
     mass_balance_defects,
     run,
     uniform_mesh,
-    wave_distance,
+    wave_distances,
     wave_profile_on_mesh,
 )
 from oxidefv.scheme import _StepSystem
@@ -76,7 +76,7 @@ def tc1_long_run():
     wave = classify(params).wave
     traj = run(params, mesh, TimeGrid.from_step_and_horizon(1e-2, 130.0))
     assert traj.completed
-    d = np.array([wave_distance(s, mesh, wave) for s in traj.states])
+    d = wave_distances(traj, mesh, wave)
     return traj, d
 
 
@@ -283,7 +283,7 @@ def test_criterion_10a_long_time_attraction_slope(tc1_run):
     """log d^n decreases over t in [5, 15]; d^n eventually monotone."""
     params, mesh, traj = tc1_run
     wave = classify(params).wave
-    d = np.array([wave_distance(s, mesh, wave) for s in traj.states])
+    d = wave_distances(traj, mesh, wave)
     t = traj.times
     window = (t >= 5.0) & (t <= 15.0)
     slope = float(np.polyfit(t[window], np.log(d[window]), 1)[0])

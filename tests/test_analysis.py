@@ -28,11 +28,12 @@ from oxidefv import (
     velocity_bounds,
     verify_trajectory,
     wave_distance,
+    wave_distances,
     wave_profile_on_mesh,
     width_rate_bounds,
     write_convergence_csv,
 )
-from oxidefv import analysis
+from oxidefv import analysis, core
 from oxidefv.analysis import project_time_series
 from conftest import make_tc1, trajectory_of
 
@@ -63,8 +64,8 @@ class TestWaveDistance:
         assert abs(wave_distance(s, mesh, wave) - expected) <= 1e-12 * expected
 
     def test_target_follows_the_wave_and_the_mesh(self, tc1):
-        # the interior target is kept for the last (wave, mesh) pair only;
-        # alternating pairs of equal cell count keep the uncached bits
+        # alternating pairs of equal cell count: each distance is measured
+        # against its own wave and mesh, with the bits of the direct formula
         rng = np.random.default_rng(47)
         wave = classify(tc1).wave
         waves = (wave, dataclasses.replace(wave, L_hat=1.1 * wave.L_hat))
@@ -77,7 +78,47 @@ class TestWaveDistance:
                     diff = s.u[1:-1] - w.profile_rescaled(mesh.centers[1:-1])
                     want = float(s.L * np.dot(mesh.cell_sizes, diff * diff))
                     assert wave_distance(s, mesh, w) == want
-                    assert not analysis._wave_target(w, mesh).flags.writeable
+
+
+def per_row_distances(traj, mesh, wave) -> list[float]:
+    return [wave_distance(s, mesh, wave) for s in traj.states]
+
+
+class TestWaveDistances:
+    """wave_distances reads the stored rows in blocks; each entry has the
+    bits of the one-row wave_distance."""
+
+    def test_run_over_many_blocks(self, tc1, monkeypatch):
+        mesh = uniform_mesh(100)
+        wave = classify(tc1).wave
+        traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 300))
+        want = per_row_distances(traj, mesh, wave)
+        assert want[0] > want[-1] > 0.0
+        # eight blocks of 40 steps
+        assert wave_distances(traj, mesh, wave).tolist() == want
+        # one step a block: each block's last row is the next block's first
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", 1)
+        assert wave_distances(traj, mesh, wave).tolist() == want
+
+    def test_non_uniform_mesh_and_partial_last_block(self, tc1):
+        rng = np.random.default_rng(48)
+        edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 299)), [1.0]))
+        mesh = Mesh.from_edges(edges)
+        rows = 3 * (core._BLOCK_ELEMS // 302) + 2
+        fields = list(rng.uniform(0.1, 2.0, (rows, 300)))
+        traj = synthetic_trajectory(mesh, fields, 1e-3)
+        wave = classify(tc1).wave
+        assert wave_distances(traj, mesh, wave).tolist() == per_row_distances(traj, mesh, wave)
+
+    def test_one_row_trajectory(self, tc1):
+        mesh = uniform_mesh(16)
+        wave = classify(tc1).wave
+        s = State(u=wave_profile_on_mesh(wave, mesh) + 0.1, X0=0.0, X1=1.5, L=1.5)
+        traj = trajectory_of([s], TimeGrid.from_step(0.1, 1),
+                             Termination(TerminationKind.SOLVER_FAILED, step=1))
+        got = wave_distances(traj, mesh, wave)
+        assert got.shape == (1,)
+        assert got.tolist() == [wave_distance(s, mesh, wave)]
 
 
 class TestProjection:
@@ -140,6 +181,14 @@ class TestProjection:
         assert np.array_equal(project_reference(traj, mesh, mesh, coarse_time), np.ones((11, 2)))
         with pytest.raises(ValueError, match="time grids cover different horizons"):
             project_reference(traj, mesh, mesh, TimeGrid.from_horizon(0.1 + 1e-9, 11))
+
+    def test_rejects_an_incomplete_trajectory(self, tc2):
+        # testcase2's width collapses near t = 1.48, before the horizon 2
+        mesh = uniform_mesh(8)
+        traj = run(tc2, mesh, TimeGrid.from_horizon(2.0, 40))
+        assert not traj.completed
+        with pytest.raises(ValueError, match="projection requires a completed trajectory"):
+            project_reference(traj, mesh, mesh, TimeGrid.from_horizon(2.0, 40))
 
     def test_time_series_blocks(self):
         assert np.allclose(project_time_series([1.0, 3.0, 5.0, 7.0], 2), [2.0, 6.0])
@@ -257,6 +306,12 @@ class TestDiagnosticsMemory:
     def test_verify_trajectory(self, case):
         traj, mesh, params = case
         peak = traced_peak(lambda: verify_trajectory(traj, mesh, params))
+        assert peak < traj.U.nbytes / 4
+
+    def test_wave_distances(self, case):
+        traj, mesh, params = case
+        wave = classify(params).wave
+        peak = traced_peak(lambda: wave_distances(traj, mesh, wave))
         assert peak < traj.U.nbytes / 4
 
 

@@ -319,11 +319,11 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--levels", "3", "--ref-level", "2"], "--ref-level must exceed --levels"),
-            (["--levels", "2", "--ref-level", "2"], "--ref-level must exceed --levels"),
-            (["--levels", "-1"], "--levels must be at least 0"),
-            (["--levels", "0", "--t-final", "nan"], "--t-final must be positive and finite"),
-            (["--levels", "0", "--t-final", "0"], "--t-final must be positive and finite"),
+            (["--levels", "3", "--ref-level", "2"], "ref_level must exceed max_level"),
+            (["--levels", "2", "--ref-level", "2"], "ref_level must exceed max_level"),
+            (["--levels", "-1"], "max_level must be at least 0, got -1"),
+            (["--levels", "0", "--t-final", "nan"], "t_final must be positive and finite, got nan"),
+            (["--levels", "0", "--t-final", "0"], "t_final must be positive and finite, got 0.0"),
             (["--levels", "0", "--ref-level", "1", "--t-final", "1e-310"], "1/dt overflows"),
             (["--levels", "0", "--ref-level", "600"], "gives no usable time step"),
         ],
@@ -781,6 +781,9 @@ class TestRejectionPaths:
             ('{\n  "preset": "testcase1",\n  "u_init_kind": "table",\n'
              '  "u_init_x": [0, 1, 0.5],\n  "u_init_values": [1, 1, 1]\n}\n',
              "line 4: tabulated profile abscissae must be strictly increasing"),
+            ('{\n  "preset": "testcase1",\n  "u_init_kind": "table",\n'
+             '  "u_init_x": [0, 0.5],\n  "u_init_values": [1, 1]\n}\n',
+             "line 4: tabulated profile does not cover the requested interval"),
             (_one_key_config("u_init_kind", '"gauss"'),
              "line 3: u_init_kind must be 'exp' or 'table'"),
             (_one_key_config("u_init_kind", '["exp"]'),
@@ -791,7 +794,8 @@ class TestRejectionPaths:
             (_one_key_config("out", "5"), "line 3: out must be a string"),
             ('[{"preset": "testcase1"}]', "line 1: configuration must be a JSON object"),
         ],
-        ids=["missing-exp-key", "missing-table-key", "table-not-increasing", "bad-kind",
+        ids=["missing-exp-key", "missing-table-key", "table-not-increasing",
+             "table-short-of-L0", "bad-kind",
              "kind-a-list", "kind-an-object", "zero-newton-tol", "out-not-a-string",
              "json-array"],
     )

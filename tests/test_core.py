@@ -46,6 +46,15 @@ class TestMesh:
         with pytest.raises(ValueError):
             uniform_mesh(0)
 
+    @pytest.mark.parametrize("cells", [0, -1, True, 2.0, 2.5])
+    def test_cell_count_not_a_positive_integer_rejected(self, cells):
+        # the rule of TimeGrid.n_steps: a bool or a float is no cell count
+        with pytest.raises(ValueError, match="cell count must be a positive integer"):
+            uniform_mesh(cells)
+
+    def test_numpy_integer_cell_count_accepted(self):
+        assert uniform_mesh(np.int64(3)).num_cells == 3
+
     def test_cell_sizes_sum_to_one_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -61,6 +70,9 @@ class TestMesh:
             Mesh.from_edges([0.1, 0.5, 1.0])
         with pytest.raises(ValueError):
             Mesh.from_edges([0.0, 0.5, 0.9])
+        for few in ([], [0.0], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="mesh needs at least two edges"):
+                Mesh.from_edges(few)
         # np.diff(e) <= 0 is false for nan, so the order check lets nan through
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="mesh edges must be finite"):
@@ -96,6 +108,12 @@ class TestTimeGrid:
         for dt, t_final in ((1e-300, 1e308), (np.float64(1e-300), np.float64(1e308))):
             with pytest.raises(ValueError, match="too many steps"):
                 TimeGrid.from_step_and_horizon(dt, t_final)
+
+    @pytest.mark.parametrize("t_final", [np.nan, np.inf, 0.0, -1.0, True])
+    def test_horizon_not_positive_and_finite_rejected(self, t_final):
+        # checked before the horizon is divided by the step
+        with pytest.raises(ValueError, match="TimeGrid: t_final must be positive and finite"):
+            TimeGrid.from_step_and_horizon(0.1, t_final)
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):

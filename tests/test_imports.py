@@ -33,7 +33,6 @@ KEPT_FOR_TESTS = {
     "jacobian": "criterion 08 checks the analytic Jacobian against finite differences",
     "velocities": "the frame-velocity identities: uniform on the wave, telescoping to -d[L] h",
     "mean_value_theta": "the mean-value identity behind the bulk dissipation's edge weights",
-    "wave_profile_on_mesh": "the exact discrete travelling wave the wave-exactness tests start from",
     "residual": "the step residual the assembled Jacobian and the Newton solves are checked against",
 }
 
