@@ -28,6 +28,7 @@ from .analysis import (
 from .core import (
     ExponentialProfile,
     InitialMode,
+    InputError,
     Mesh,
     ModelParams,
     TabulatedProfile,
@@ -47,19 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_COLLAPSE = 4
-
-_MODEL_KEYS = ("a", "b", "alpha0", "beta0", "alpha1", "beta1", "R", "L0")
-_EXP_KEYS = ("u_init_c1", "u_init_c2", "u_init_c3")
-_TABLE_KEYS = ("u_init_x", "u_init_values")
-# u_init_kind -> (the profile keys it requires, those it forbids, its name in errors)
-_PROFILE_KEYS = {
-    "exp": (_EXP_KEYS, _TABLE_KEYS, "an exponential profile"),
-    "table": (_TABLE_KEYS, _EXP_KEYS, "a tabulated profile"),
-}
-_RUN_KEYS = ("cells", "dt", "t_final")
-_SOLVER_KEYS = ("newton_tol", "max_newton_iters", "width_floor")
-_OPTIONAL_DEFAULTS = {"initial_mode": "average", "out": "out"}
-
 
 class ConfigError(ValueError):
     """Configuration problem with a message that names its line or flag."""
@@ -109,142 +97,126 @@ PRESETS = {
 }
 
 
-def _key_line(text: str, key: str) -> int:
-    for i, line in enumerate(text.splitlines(), start=1):
-        if f'"{key}"' in line:
-            return i
-    return 1
-
-
 def _finite_number(value) -> bool:
     # the bound rejects nan, inf and an integer too large for a float
     return (not isinstance(value, bool) and isinstance(value, (int, float))
             and abs(value) <= sys.float_info.max)
 
 
-def _expect_number(raw: dict, key: str, where) -> float:
-    if not _finite_number(raw[key]):
-        raise ConfigError(f"{where(key)}: {key} must be a finite number")
-    return float(raw[key])
+# u_init_kind -> the profile's class and its name in errors
+_PROFILES = {"exp": (ExponentialProfile, "an exponential profile"),
+             "table": (TabulatedProfile, "a tabulated profile")}
+# (value test, parse, what a value must be)
+_NUMBER = (_finite_number, float, "a finite number")
+_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), int, "an integer")
+_STRING = (lambda v: isinstance(v, str), str, "a string")
+
+# Every key a document may set: key -> (group, value test, parse, what a
+# value must be).  The keys of the groups model, profile and run, and of the
+# profile group u_init_kind names, are required; the document may not set
+# the other profile group's.  A profile key is "u_init_" and the profile's
+# argument; any other key a constructor takes is its argument's name.
+_KEYS = {
+    "preset": ("", *_STRING),
+    **dict.fromkeys(("a", "b", "alpha0", "beta0", "alpha1", "beta1", "R", "L0"),
+                    ("model", *_NUMBER)),
+    "u_init_kind": ("profile", lambda v: isinstance(v, str) and v in _PROFILES, str,
+                    "'exp' or 'table'"),
+    **dict.fromkeys(("u_init_c1", "u_init_c2", "u_init_c3"), ("exp", *_NUMBER)),
+    **dict.fromkeys(("u_init_x", "u_init_values"), (
+        "table", lambda v: isinstance(v, list) and all(map(_finite_number, v)),
+        lambda v: tuple(map(float, v)), "a list of finite numbers")),
+    "cells": ("run", *_INTEGER),
+    "dt": ("run", *_NUMBER),
+    "t_final": ("run", *_NUMBER),
+    "newton_tol": ("solver", *_NUMBER),
+    "max_newton_iters": ("solver", *_INTEGER),
+    # null is SolverOptions' default
+    "width_floor": ("solver", lambda v: v is None or _finite_number(v),
+                    lambda v: None if v is None else float(v), "a finite number"),
+    "initial_mode": ("", lambda v: v in ("average", "sample"), InitialMode,
+                     "'average' or 'sample'"),
+    "out": ("", *_STRING),
+}
 
 
-def _expect_int(raw: dict, key: str, where) -> int:
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where(key)}: {key} must be an integer")
-    return value
+def _key_lines(text: str) -> dict:
+    """The line of each top-level key of the JSON object text.  A key set
+    twice gets the line of its last value, the one json.loads keeps."""
+    space = json.decoder.WHITESPACE.match
+    decode = json.JSONDecoder().raw_decode
+    lines = {}
+    pos = space(text, space(text).end() + 1).end()  # past the "{"
+    while text.startswith('"', pos):
+        key, end = json.decoder.scanstring(text, pos + 1)
+        lines[key] = text.count("\n", 0, pos) + 1
+        _, end = decode(text, space(text, space(text, end).end() + 1).end())  # past the ":"
+        pos = space(text, space(text, end).end() + 1).end()  # past the "," or "}"
+    return lines
 
 
 def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> RunConfig:
-    """Validate the merged key set.  A key in flags came from the command
-    line, and its errors name the flag; any other key's errors name its line
-    in text.  With with_horizon False, dt and t_final must be finite
-    numbers but need not make a time grid."""
+    """Check the merged key set raw against _KEYS and build the run.  An
+    error about some keys, most to blame first (a constructor's names its
+    arguments), names the first of them in flags, else the line of the first
+    one the document text sets, else line 1.  With with_horizon False, dt and
+    t_final must be finite numbers but need not make a time grid."""
 
-    def where(key: str) -> str:
-        if key in flags:
-            return "--" + key.replace("_", "-")
-        return f"line {_key_line(text, key)}"
+    def where(*keys: str) -> str:
+        lines = _key_lines(text)
+        flag = next(("--" + key.replace("_", "-") for key in keys if key in flags), None)
+        return flag or f"line {next((lines[key] for key in keys if key in lines), 1)}"
 
-    known = {*_MODEL_KEYS, *_RUN_KEYS, *_SOLVER_KEYS, *_OPTIONAL_DEFAULTS,
-             "u_init_kind", *_EXP_KEYS, *_TABLE_KEYS, "preset"}
-    for key in raw:
-        if key not in known:
+    for key, value in raw.items():
+        if key not in _KEYS:
             raise ConfigError(f"{where(key)}: unknown key {key!r}")
+        _, test, _, must = _KEYS[key]
+        if not test(value):
+            raise ConfigError(f"{where(key)}: {key} must be {must}")
 
-    given = set(raw)
+    given = raw
     if "preset" in raw:
-        name = raw["preset"]
-        if name not in PRESETS:
+        if raw["preset"] not in PRESETS:
             raise ConfigError(
-                f"{where('preset')}: unknown preset {name!r}; "
+                f"{where('preset')}: unknown preset {raw['preset']!r}; "
                 f"choose from {', '.join(sorted(PRESETS))}"
             )
-        merged = dict(PRESETS[name])
-        merged.update({k: v for k, v in raw.items() if k != "preset"})
-        raw = merged
-
-    for key in (*_MODEL_KEYS, *_RUN_KEYS, "u_init_kind"):
-        if key not in raw:
+        raw = {**PRESETS[raw["preset"]], **raw}
+    kind = raw.get("u_init_kind")
+    # u_init_kind precedes the profile keys in _KEYS: kind is known at theirs
+    for key, (group, *_) in _KEYS.items():
+        if group in _PROFILES and group != kind:
+            if key in given:
+                raise ConfigError(f"{where(key)}: {key} is not valid for {_PROFILES[kind][1]}")
+        elif group in ("model", "profile", "run", kind) and key not in raw:
             raise ConfigError(f"line 1: missing required key {key!r}")
 
-    kind = raw["u_init_kind"]
-    if not (isinstance(kind, str) and kind in _PROFILE_KEYS):
-        raise ConfigError(f"{where('u_init_kind')}: u_init_kind must be 'exp' or 'table'")
-    keys, foreign, profile_name = _PROFILE_KEYS[kind]
-    for key in keys:
-        if key not in raw:
-            raise ConfigError(f"line 1: missing required key {key!r}")
-    for key in foreign:
-        if key in given:
-            raise ConfigError(f"{where(key)}: {key} is not valid for {profile_name}")
-    if kind == "exp":
-        profile = ExponentialProfile(*(_expect_number(raw, key, where) for key in keys))
-    else:
-        for key in keys:
-            if not (isinstance(raw[key], list) and all(map(_finite_number, raw[key]))):
-                raise ConfigError(f"{where(key)}: {key} must be a list of finite numbers")
-        try:
-            profile = TabulatedProfile(*(tuple(map(float, raw[key])) for key in keys))
-        except ValueError as exc:
-            raise ConfigError(f"{where('u_init_x')}: {exc}") from exc
-
-    model_values = {key: _expect_number(raw, key, where) for key in _MODEL_KEYS}
-    try:
-        params = ModelParams(u_init=profile, **model_values)
-    except ValueError as exc:
-        bad = next((k for k in _MODEL_KEYS if model_values[k] <= 0), _MODEL_KEYS[0])
-        raise ConfigError(f"{where(bad)}: {exc}") from exc
-
-    cells = _expect_int(raw, "cells", where)
-    if cells < 1:
+    args = {}
+    for key, value in raw.items():
+        group, _, parse, _ = _KEYS[key]
+        args.setdefault(group, {})[key] = parse(value)
+    run_args, other = args["run"], args.get("", {})
+    if run_args["cells"] < 1:
         raise ConfigError(f"{where('cells')}: cells must be at least 1")
-    dt = _expect_number(raw, "dt", where)
-    t_final = _expect_number(raw, "t_final", where)
-    if with_horizon:
-        try:
-            TimeGrid.from_step_and_horizon(dt, t_final)
-        except ValueError as exc:
-            # a horizon given alone on the command line is what broke the grid
-            key = "t_final" if "t_final" in flags and "dt" not in flags else "dt"
-            raise ConfigError(f"{where(key)}: {exc}") from exc
-
+    mode = other.get("initial_mode", InitialMode.CELL_AVERAGE)
     try:
-        mode = InitialMode(raw.get("initial_mode", _OPTIONAL_DEFAULTS["initial_mode"]))
-    except ValueError as exc:
-        raise ConfigError(
-            f"{where('initial_mode')}: initial_mode must be 'average' or 'sample'"
-        ) from exc
-    # The initial state on one cell holds the profile's end values, which
-    # bound an exponential profile on [0, L0], and its mean there.  An error
-    # names the first profile key the document sets.
-    try:
+        profile = _PROFILES[kind][0](**{k.removeprefix("u_init_"): v for k, v in args[kind].items()})
+        params = ModelParams(u_init=profile, **args["model"])
+        if with_horizon:
+            TimeGrid.from_step_and_horizon(run_args["dt"], run_args["t_final"])
+        # The initial state on one cell holds the profile's end values,
+        # which bound an exponential profile on [0, L0], and its mean there.
         discretize_initial(params, Mesh.from_edges((0.0, 1.0)), mode)
-    except ValueError as exc:
-        raise ConfigError(f"{where(next((k for k in keys if k in given), keys[0]))}: {exc}") from exc
+        # an absent key takes SolverOptions' default
+        solver = SolverOptions(**args.get("solver", {}))
+        if solver.resolved_floor(params) >= params.L0:
+            raise InputError(f"width_floor {solver.width_floor!r} must be below the "
+                             f"initial width L0 = {params.L0!r}", "width_floor")
+    except InputError as exc:
+        keys = [name if name in _KEYS else "u_init_" + name for name in exc.names]
+        raise ConfigError(f"{where(*keys)}: {exc}") from exc
 
-    # Only the keys present reach SolverOptions, so its defaults are the
-    # only ones; a null width_floor is its default.
-    solver_values = {}
-    for key in _SOLVER_KEYS:
-        if key not in raw or (key == "width_floor" and raw[key] is None):
-            continue
-        expect = _expect_int if key == "max_newton_iters" else _expect_number
-        solver_values[key] = expect(raw, key, where)
-        try:
-            SolverOptions(**{key: solver_values[key]})
-        except ValueError as exc:
-            raise ConfigError(f"{where(key)}: {exc}") from exc
-    solver = SolverOptions(**solver_values)
-    if solver.resolved_floor(params) >= params.L0:
-        raise ConfigError(
-            f"{where('width_floor')}: width_floor {solver.width_floor!r} must be below "
-            f"the initial width L0 = {params.L0!r}"
-        )
-
-    out = raw.get("out", _OPTIONAL_DEFAULTS["out"])
-    if not isinstance(out, str):
-        raise ConfigError(f"{where('out')}: out must be a string")
+    out = other.get("out", "out")
     # the commands create out and its missing parents only after their runs,
     # so the nearest part of it that exists must be a directory, and a path
     # the system rejects, or a missing part longer than the names that
@@ -260,15 +232,7 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
     except OSError as exc:
         raise ConfigError(f"{where('out')}: cannot create {out}: {exc.strerror}") from exc
 
-    return RunConfig(
-        params=params,
-        cells=cells,
-        dt=dt,
-        t_final=t_final,
-        initial_mode=mode,
-        solver=solver,
-        out=out,
-    )
+    return RunConfig(params=params, initial_mode=mode, solver=solver, out=out, **run_args)
 
 
 def _read_object(text: str) -> dict:
@@ -456,15 +420,12 @@ def _cmd_energy(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = _load_config(args, with_horizon=False)
-    levels = args.levels if args.levels is not None else 3
-    ref_level = args.ref_level if args.ref_level is not None else levels + 1
-    t_final = args.t_final if args.t_final is not None else 0.2
     try:
         report = convergence_study(
             config.params,
-            max_level=levels,
-            ref_level=ref_level,
-            t_final=t_final,
+            max_level=args.levels,
+            ref_level=args.ref_level if args.ref_level is not None else args.levels + 1,
+            t_final=args.t_final,
             opts=config.solver,
             initial_mode=config.initial_mode,
         )
@@ -522,7 +483,8 @@ def main(argv=None) -> int:
 
     p_conv = sub.add_parser("converge", help="nested-mesh refinement study")
     _add_common_flags(p_conv)
-    p_conv.add_argument("--levels", type=int, help="finest study level K (default 3)")
+    p_conv.add_argument("--levels", type=int, default=3, help="finest study level K (default 3)")
+    p_conv.set_defaults(t_final=0.2)
     p_conv.add_argument("--ref-level", dest="ref_level", type=int, help="reference level (default K+1)")
 
     args = parser.parse_args(argv)

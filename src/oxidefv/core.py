@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from numbers import Integral
 from typing import Union
@@ -24,6 +24,14 @@ import numpy as np
 # that they sum to 1: an average of finite samples cannot overflow.
 _GAUSS3_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
 _GAUSS3_HALF_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+
+class InputError(ValueError):
+    """A ValueError about the arguments in names, most to blame first."""
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.names = names
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ class ExponentialProfile:
         for name in ("c1", "c2", "c3"):
             value = getattr(self, name)
             if not np.isfinite(value):
-                raise ValueError(f"ExponentialProfile.{name} must be finite, got {value!r}")
+                raise InputError(f"ExponentialProfile.{name} must be finite, got {value!r}", name)
 
     def __call__(self, x):
         return self.c1 * np.exp(self.c2 * np.asarray(x, dtype=float)) + self.c3
@@ -72,11 +80,12 @@ class TabulatedProfile:
 
     def __post_init__(self):
         if len(self.x) != len(self.values) or len(self.x) < 2:
-            raise ValueError("tabulated profile needs matching x/values, at least 2 samples")
+            raise InputError("tabulated profile needs matching x/values, at least 2 samples",
+                             "x", "values")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.values))):
-            raise ValueError("tabulated profile samples must be finite")
+            raise InputError("tabulated profile samples must be finite", "x", "values")
         if np.any(np.diff(self.x) <= 0.0):
-            raise ValueError("tabulated profile abscissae must be strictly increasing")
+            raise InputError("tabulated profile abscissae must be strictly increasing", "x")
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.x, self.values)
@@ -92,7 +101,7 @@ class TabulatedProfile:
     def bounds(self, x_lo: float, x_hi: float) -> tuple[float, float]:
         xs = np.asarray(self.x)
         if x_lo < xs[0] or x_hi > xs[-1]:
-            raise ValueError("tabulated profile does not cover the requested interval")
+            raise InputError("tabulated profile does not cover the requested interval", "x")
         inside = (xs > x_lo) & (xs < x_hi)
         cands = np.concatenate(([self(x_lo)], np.asarray(self.values)[inside], [self(x_hi)]))
         return (float(cands.min()), float(cands.max()))
@@ -124,7 +133,7 @@ class ModelParams:
         for name in ("a", "b", "alpha0", "beta0", "alpha1", "beta1", "R", "L0"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"ModelParams.{name} must be strictly positive, got {value!r}")
+                raise InputError(f"ModelParams.{name} must be strictly positive, got {value!r}", name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,13 +192,13 @@ def _positive_finite(value) -> bool:
 
 
 def _check_dt(name: str, dt, *, reciprocal: bool = True) -> None:
-    """Reject with ValueError, led by name, a step size dt that is not
+    """Reject with InputError, led by name, a step size dt that is not
     positive and finite (a bool included) or, unless reciprocal is False,
     whose 1/dt overflows: the step matrix carries 1/dt."""
     if not _positive_finite(dt):
-        raise ValueError(f"{name}: dt must be positive and finite, got {dt!r}")
+        raise InputError(f"{name}: dt must be positive and finite, got {dt!r}", "dt")
     if reciprocal and math.isinf(1.0 / float(dt)):
-        raise ValueError(f"{name}: dt {float(dt)!r} is too small: 1/dt overflows")
+        raise InputError(f"{name}: dt {float(dt)!r} is too small: 1/dt overflows", "dt")
 
 
 def _positive_int(value) -> bool:
@@ -227,13 +236,16 @@ class TimeGrid:
     def from_step_and_horizon(cls, dt: float, t_final: float) -> "TimeGrid":
         _check_dt("TimeGrid", dt)
         if not _positive_finite(t_final):
-            raise ValueError(f"TimeGrid: t_final must be positive and finite, got {t_final!r}")
+            raise InputError(f"TimeGrid: t_final must be positive and finite, got {t_final!r}",
+                             "t_final")
         ratio = float(t_final) / float(dt)
         if not np.isfinite(ratio):
-            raise ValueError(f"the horizon {t_final!r} takes too many steps of {dt!r} to count")
+            raise InputError(f"the horizon {t_final!r} takes too many steps of {dt!r} to count",
+                             "dt", "t_final")
         n = int(round(ratio))
         if n < 1 or abs(n * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
-            raise ValueError(f"time step {dt!r} does not divide the horizon {t_final!r}")
+            raise InputError(f"time step {dt!r} does not divide the horizon {t_final!r}",
+                             "dt", "t_final")
         return cls(dt=dt, n_steps=n)
 
 
@@ -319,8 +331,9 @@ def discretize_initial(
 
     Cell averages are exact for the exponential family and 3-point Gauss
     otherwise; boundary entries are the endpoint traces in both modes.
-    Raises ValueError, without a floating-point warning, for a profile that
-    overflows or turns negative on [0, L0].
+    Raises InputError, about the profile's fields and L0, without a
+    floating-point warning, for a profile that overflows or turns negative
+    on [0, L0].
     """
     profile = params.u_init
     L0 = params.L0
@@ -337,10 +350,11 @@ def discretize_initial(
                 u[i + 1] = profile.average(phys[i], phys[i + 1])
         else:
             u[1:-1] = profile(L0 * mesh.centers[1:-1])
+    names = (*(f.name for f in fields(profile)), "L0")
     if not np.isfinite(u).all():
-        raise ValueError("initial profile must be finite on [0, L0]")
+        raise InputError("initial profile must be finite on [0, L0]", *names)
     if lo < 0.0:
-        raise ValueError("initial profile must be nonnegative on [0, L0]")
+        raise InputError("initial profile must be nonnegative on [0, L0]", *names)
     return State(u=u, X0=0.0, X1=L0, L=L0)
 
 

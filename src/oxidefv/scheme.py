@@ -45,6 +45,7 @@ from numpy.linalg import _umath_linalg
 from .bernoulli import _bernoulli_pair, bernoulli, bernoulli_prime  # noqa: F401
 from .core import (
     InitialMode,
+    InputError,
     Mesh,
     ModelParams,
     State,
@@ -131,11 +132,12 @@ class SolverOptions:
 
     def __post_init__(self):
         if not _positive_finite(self.newton_tol):
-            raise ValueError("newton_tol must be positive and finite")
+            raise InputError("newton_tol must be positive and finite", "newton_tol")
         if not _positive_int(self.max_newton_iters):
-            raise ValueError("max_newton_iters must be an integer of at least 1")
+            raise InputError("max_newton_iters must be an integer of at least 1",
+                             "max_newton_iters")
         if self.width_floor is not None and not _positive_finite(self.width_floor):
-            raise ValueError("width_floor must be positive and finite")
+            raise InputError("width_floor must be positive and finite", "width_floor")
 
     def resolved_floor(self, params: ModelParams) -> float:
         return self.width_floor if self.width_floor is not None else 1e-8 * params.L0

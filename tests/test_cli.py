@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -128,7 +129,7 @@ class TestParseConfig:
             parse_config(text)
 
 
-_SOLVER_KEYS = ("newton_tol", "max_newton_iters", "width_floor")
+_SOLVER_KEYS = tuple(key for key, (group, *_) in cli._KEYS.items() if group == "solver")
 # JSON literals at the edge of the solver keys' types: 1e400 reads as inf
 _EDGE_VALUES = ("null", "true", "2.7", '"16"', "NaN", "1e400")
 # these are valid: a tolerance of 2.7, a floor below testcase1's L0 = 1 and a
@@ -315,6 +316,19 @@ class TestMain:
         table = (tmp_path / "cv" / "convergence.csv").read_text().splitlines()
         assert table[0].startswith("k,h,dt,err_w")
         assert len(table) == 2
+
+    @pytest.mark.parametrize("flags,levels", [([], (3, 4)), (["--levels", "1"], (1, 2))])
+    def test_converge_defaults(self, flags, levels, tmp_path, monkeypatch, capsys):
+        seen = {}
+
+        def study(params, **kwargs):
+            seen.update(kwargs)
+            raise RuntimeError("stopped")
+
+        monkeypatch.setattr(cli, "convergence_study", study)
+        code = main(["converge", "--preset", "testcase1", *flags, "--out", str(tmp_path / "cv")])
+        assert code == EXIT_SOLVER
+        assert (seen["max_level"], seen["ref_level"], seen["t_final"]) == (*levels, 0.2)
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -768,37 +782,102 @@ class TestProfileKeys:
         _assert_config_error(code, capsys.readouterr().err, f"line {line}: {message}")
 
 
+_DOCUMENT_REJECTIONS = [
+    pytest.param(json.dumps(_EXP_DOCUMENT), "line 1: missing required key 'u_init_c3'",
+                 id="missing-exp-key"),
+    pytest.param(json.dumps(_table_preset(u_init_x=[0, 1])),
+                 "line 1: missing required key 'u_init_values'", id="missing-table-key"),
+    pytest.param('{\n  "preset": "testcase1",\n  "u_init_kind": "table",\n'
+                 '  "u_init_x": [0, 1, 0.5],\n  "u_init_values": [1, 1, 1]\n}\n',
+                 "line 4: tabulated profile abscissae must be strictly increasing",
+                 id="table-not-increasing"),
+    pytest.param('{\n  "preset": "testcase1",\n  "u_init_kind": "table",\n'
+                 '  "u_init_x": [0, 0.5],\n  "u_init_values": [1, 1]\n}\n',
+                 "line 4: tabulated profile does not cover the requested interval",
+                 id="table-short-of-L0"),
+    pytest.param(_one_key_config("u_init_kind", '"gauss"'),
+                 "line 3: u_init_kind must be 'exp' or 'table'", id="bad-kind"),
+    pytest.param(_one_key_config("u_init_kind", '["exp"]'),
+                 "line 3: u_init_kind must be 'exp' or 'table'", id="kind-a-list"),
+    pytest.param(_one_key_config("u_init_kind", '{"exp": 1}'),
+                 "line 3: u_init_kind must be 'exp' or 'table'", id="kind-an-object"),
+    pytest.param(_one_key_config("newton_tol", "0"),
+                 "line 3: newton_tol must be positive and finite", id="zero-newton-tol"),
+    pytest.param(_one_key_config("out", "5"), "line 3: out must be a string",
+                 id="out-not-a-string"),
+    pytest.param('[{"preset": "testcase1"}]', "line 1: configuration must be a JSON object",
+                 id="json-array"),
+    pytest.param('{"preset": ["testcase1"]}', "line 1: preset must be a string",
+                 id="preset-a-list"),
+    pytest.param('{"preset": {"a": 1}}', "line 1: preset must be a string",
+                 id="preset-an-object"),
+    *(
+        pytest.param(_one_key_config(key, "0"),
+                     f"line 3: ModelParams.{key} must be strictly positive, got 0.0",
+                     id=f"zero-{key}")
+        for key, (group, *_) in cli._KEYS.items()
+        if group == "model"
+    ),
+    pytest.param(_one_key_config("u_init_c1", "-1"),
+                 "line 3: initial profile must be nonnegative on [0, L0]",
+                 id="negative-u_init_c1"),
+    pytest.param(_one_key_config("initial_mode", '"middle"'),
+                 "line 3: initial_mode must be 'average' or 'sample'", id="bad-initial-mode"),
+    # a time-grid error names the key of the file that broke the grid: the
+    # horizon, also when the step comes from the preset
+    pytest.param(_one_key_config("t_final", "0"),
+                 "line 3: TimeGrid: t_final must be positive and finite, got 0.0",
+                 id="zero-t_final"),
+    pytest.param('{"preset": "testcase1",\n"t_final": 0.015}\n',
+                 "line 2: time step 0.01 does not divide the horizon 0.015",
+                 id="t_final-not-a-multiple-of-the-preset-dt"),
+    # the line of a key, not of a string value that reads like it, the last
+    # line of a key set twice (json keeps its last value) and the line of
+    # an escaped key
+    pytest.param('{"preset": "testcase1",\n  "max_newton_iters": 5,\n  "out": "cells",\n'
+                 '  "cells": 0\n}\n', "line 4: cells must be at least 1",
+                 id="key-after-a-value-that-names-it"),
+    pytest.param('{"preset": "testcase1",\n  "max_newton_iters": 5,\n  "cells": 1,\n'
+                 '  "cells": 0\n}\n', "line 4: cells must be at least 1", id="key-set-twice"),
+    pytest.param('{"preset": "testcase1",\n  "max_newton_iters": 5,\n  "\\u0063ells": 0\n}\n',
+                 "line 3: cells must be at least 1", id="escaped-key"),
+]
+
+
+def test_key_lines_are_those_of_the_top_level_keys():
+    # nested values that hold braces, quotes and key names; odd spacing
+    text = '{"a": {"b": [1, "}", {"c": 2}]},\n\n "c" : "\\"d\\": 1",\r\n"d":\n[],"a":2 }  \n'
+    assert cli._key_lines(text) == {"a": 5, "c": 3, "d": 4}
+    assert cli._key_lines(" {\n} ") == {}
+
+
+def _keys_rejected(text, message):
+    """The table keys a rejecting case is about: the key of the flag its
+    message names, the one key an object document sets on the line it
+    names, and any key the message quotes."""
+    keys = set(re.findall(r"'(\w+)'", message))
+    place = message.partition(":")[0]
+    if place.startswith("--"):
+        keys.add(place[2:].replace("-", "_"))
+    elif place.startswith("line ") and isinstance(json.loads(text), dict):
+        row = text.splitlines()[int(place[5:]) - 1]
+        on_row = re.findall(r'"(\w+)":', row)
+        keys.update(on_row if len(on_row) == 1 else ())
+    return keys & set(cli._KEYS)
+
+
+def test_every_key_has_a_rejection_test():
+    cases = [(p.values[0], p.values[2]) for p in _BOUNDARY_CASES]
+    cases += [p.values for p in _DOCUMENT_REJECTIONS]
+    covered = set().union(*(_keys_rejected(text, message) for text, message in cases))
+    assert set(cli._KEYS) - covered == set()
+
+
 class TestRejectionPaths:
     """Each rejection of a document, and the study whose reference run
     fails, with its exit code and message; nothing is written."""
 
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            (json.dumps(_EXP_DOCUMENT), "line 1: missing required key 'u_init_c3'"),
-            (json.dumps(_table_preset(u_init_x=[0, 1])),
-             "line 1: missing required key 'u_init_values'"),
-            ('{\n  "preset": "testcase1",\n  "u_init_kind": "table",\n'
-             '  "u_init_x": [0, 1, 0.5],\n  "u_init_values": [1, 1, 1]\n}\n',
-             "line 4: tabulated profile abscissae must be strictly increasing"),
-            ('{\n  "preset": "testcase1",\n  "u_init_kind": "table",\n'
-             '  "u_init_x": [0, 0.5],\n  "u_init_values": [1, 1]\n}\n',
-             "line 4: tabulated profile does not cover the requested interval"),
-            (_one_key_config("u_init_kind", '"gauss"'),
-             "line 3: u_init_kind must be 'exp' or 'table'"),
-            (_one_key_config("u_init_kind", '["exp"]'),
-             "line 3: u_init_kind must be 'exp' or 'table'"),
-            (_one_key_config("u_init_kind", '{"exp": 1}'),
-             "line 3: u_init_kind must be 'exp' or 'table'"),
-            (_one_key_config("newton_tol", "0"), "line 3: newton_tol must be positive and finite"),
-            (_one_key_config("out", "5"), "line 3: out must be a string"),
-            ('[{"preset": "testcase1"}]', "line 1: configuration must be a JSON object"),
-        ],
-        ids=["missing-exp-key", "missing-table-key", "table-not-increasing",
-             "table-short-of-L0", "bad-kind",
-             "kind-a-list", "kind-an-object", "zero-newton-tol", "out-not-a-string",
-             "json-array"],
-    )
+    @pytest.mark.parametrize("text,message", _DOCUMENT_REJECTIONS)
     def test_document_rejected(self, text, message, tmp_path, monkeypatch, capsys):
         # no --out: the document's own out is read
         monkeypatch.chdir(tmp_path)
