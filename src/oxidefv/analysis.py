@@ -4,7 +4,6 @@ post-hoc verification of the scheme's a priori bounds."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +67,9 @@ def _interior_field(traj: Trajectory) -> np.ndarray:
     return traj.U[1:, 1:-1]
 
 
-@functools.lru_cache(maxsize=8)
 def _space_blocks(fine_mesh: Mesh, coarse_mesh: Mesh) -> np.ndarray:
-    """Indices of the fine edges that coincide with the coarse edges, read-
-    only; rejects non-nested meshes.  The refinement study projects each of
-    its ten reference slabs onto the same meshes, so the last pairs are
-    kept."""
+    """Indices of the fine edges that coincide with the coarse edges;
+    rejects non-nested meshes."""
     fine = fine_mesh.edges
     coarse = coarse_mesh.edges
     idx = np.clip(np.searchsorted(fine, coarse), 0, fine.size - 1)
@@ -82,7 +78,6 @@ def _space_blocks(fine_mesh: Mesh, coarse_mesh: Mesh) -> np.ndarray:
     idx = np.where(np.abs(fine[below] - coarse) < np.abs(fine[idx] - coarse), below, idx)
     if np.any(np.abs(fine[idx] - coarse) > _EDGE_MATCH_TOL):
         raise ValueError("meshes are not nested: coarse edges must be fine edges")
-    idx.setflags(write=False)
     return idx
 
 
@@ -322,17 +317,22 @@ def convergence_study(
     distances to the time-projected reference, with rates taken w.r.t. the
     time step.
 
-    The reference is run one level-0 slab (4^ref_level steps) at a time,
-    each slab continuing from the last state of the one before.  Each slab
-    is projected onto every level as soon as it is run and then dropped, so
-    the study holds one slab of the reference, never its whole trajectory.
-    The errors are bitwise those of one reference run projected whole: a
-    continued run repeats the same step solves, and project_reference sums
-    each coarse value in the same order whatever block it reads.
+    The reference and every level run one level-0 slab at a time (4^k steps
+    of level k), each slab continuing from a copy of the last state of the
+    one before.  In each slab the reference runs first; each level's slab
+    is then scored against the reference slab projected onto it, and
+    dropped.  So the study holds the reference's slab and one level's at a
+    time, and each level's squared error.  The errors are bitwise
+    those of whole runs: a continued run repeats the same step solves, and
+    project_reference sums each coarse value in the same order whatever
+    block it reads.
 
     A negative max_level, a ref_level not above it, a t_final not positive
     and finite, a reference step that is unusable, or a stored slab or finest
-    level that would not fit in memory, is rejected with ValueError first."""
+    level that would not fit in memory, is rejected with ValueError first.
+    A run that does not complete raises RuntimeError; the first slab that
+    fails names the run, the reference when it fails in the same slab as a
+    level."""
     if max_level < 0:
         raise ValueError(f"convergence_study: max_level must be at least 0, got {max_level!r}")
     if ref_level <= max_level:
@@ -347,8 +347,9 @@ def convergence_study(
         return TimeGrid.from_horizon(t_final, _BASE_STEPS * 4**k)
 
     # The reference level has the study's smallest step; the study stores
-    # one reference slab and each level's trajectory, of which the finest
-    # is the largest.  Check all three before any mesh is built.
+    # one reference slab and each level's squared error, of which the
+    # finest level's is the largest: it is bounded by that level's whole
+    # trajectory.  Check all three before any mesh is built.
     try:
         ref_grid = level_grid(ref_level)
     except (ValueError, OverflowError) as exc:
@@ -369,76 +370,71 @@ def convergence_study(
     levels = range(max_level + 1)
     meshes = [uniform_mesh(level_cells(k)) for k in levels]
     grids = [level_grid(k) for k in levels]
-    # Each level's projected reference, one row per time slab, and the
-    # reference interface positions, filled slab by slab.
-    projs = [np.empty((grid.n_steps, mesh.num_cells)) for mesh, grid in zip(meshes, grids)]
-    ref_x0 = np.empty(ref_grid.n_steps)
-    ref_x1 = np.empty(ref_grid.n_steps)
-
     ref_mesh = uniform_mesh(level_cells(ref_level))
-    slab_grid = TimeGrid.from_step(ref_grid.dt, slab_steps)
-    level_slabs = [TimeGrid.from_step(grid.dt, grid.n_steps // _BASE_STEPS) for grid in grids]
-    start = None
-    for s in range(_BASE_STEPS):
-        slab = run(params, ref_mesh, slab_grid, opts, initial_mode, initial_state=start)
-        if not slab.completed:
-            raise RuntimeError(f"convergence_study: reference level {ref_level} did not complete")
-        ref_x0[s * slab_steps : (s + 1) * slab_steps] = slab.X0[1:]
-        ref_x1[s * slab_steps : (s + 1) * slab_steps] = slab.X1[1:]
-        for proj, mesh, coarse in zip(projs, meshes, level_slabs):
-            n = coarse.n_steps
-            proj[s * n : (s + 1) * n] = project_reference(slab, ref_mesh, mesh, coarse)
-        # Continue from a copy of the last state, so that the slab's rows
-        # are freed before the next slab is run.
-        start = State(slab.U[-1], slab.X0[-1], slab.X1[-1], slab.L[-1])
-        del slab
+    ref_slab = TimeGrid.from_step(ref_grid.dt, slab_steps)
+    slabs = [TimeGrid.from_step(grid.dt, grid.n_steps // _BASE_STEPS) for grid in grids]
+    # Each level's squared error, one row per time slab, and its largest
+    # interface errors in each level-0 slab, filled slab by slab.
+    sq_errs = [np.empty((grid.n_steps, mesh.num_cells)) for mesh, grid in zip(meshes, grids)]
+    x_errs = np.empty((len(levels), _BASE_STEPS, 2))
+    # The state each run continues from, the reference's last: None for the
+    # initial discretization, then a copy of the last state of its slab, so
+    # that the slab's rows are freed before the next slab is run.
+    starts = [None] * (len(levels) + 1)
 
-    rows = []
-    prev_err = None
-    prev_h = None
-    prev_dt = None
-    for k, mesh, grid, proj in zip(levels, meshes, grids, projs):
-        traj = run(params, mesh, grid, opts, initial_mode)
+    def run_slab(i: int, mesh: Mesh, grid: TimeGrid, name: str) -> Trajectory:
+        traj = run(params, mesh, grid, opts, initial_mode, initial_state=starts[i])
         if not traj.completed:
-            raise RuntimeError(f"convergence_study: level {k} did not complete")
+            raise RuntimeError(f"convergence_study: {name} did not complete")
+        starts[i] = State(traj.U[-1], traj.X0[-1], traj.X1[-1], traj.L[-1])
+        return traj
 
-        # The squared error, in place of the projection.
-        np.subtract(_interior_field(traj), proj, out=proj)
-        np.multiply(proj, proj, out=proj)
-        err_w = float(np.sqrt(grid.dt * np.sum(proj @ mesh.cell_sizes)))
-        m = ref_grid.n_steps // grid.n_steps
-        x0, x1 = traj.X0[1:], traj.X1[1:]
-        err_x0 = float(np.abs(x0 - project_time_series(ref_x0, m)).max())
-        err_x1 = float(np.abs(x1 - project_time_series(ref_x1, m)).max())
-
-        h = float(mesh.cell_sizes.max())
-        if prev_err is None:
-            rates = (None, None, None)
-        else:
-            log_h = np.log(h) - np.log(prev_h)
-            log_dt = np.log(grid.dt) - np.log(prev_dt)
-            rates = (
-                float((np.log(err_w) - np.log(prev_err[0])) / log_h),
-                float((np.log(err_x0) - np.log(prev_err[1])) / log_dt),
-                float((np.log(err_x1) - np.log(prev_err[2])) / log_dt),
+    for s in range(_BASE_STEPS):
+        ref = run_slab(-1, ref_mesh, ref_slab, f"reference level {ref_level}")
+        for k, mesh, grid, sq in zip(levels, meshes, slabs, sq_errs):
+            n = grid.n_steps
+            sq_slab = sq[s * n : (s + 1) * n]
+            # The projection first, so that its temporaries are freed before
+            # the level's slab runs; the squared error then replaces it.
+            sq_slab[...] = project_reference(ref, ref_mesh, mesh, grid)
+            traj = run_slab(k, mesh, grid, f"level {k}")
+            np.subtract(_interior_field(traj), sq_slab, out=sq_slab)
+            np.multiply(sq_slab, sq_slab, out=sq_slab)
+            m = slab_steps // n
+            x_errs[k, s] = (
+                np.abs(traj.X0[1:] - project_time_series(ref.X0[1:], m)).max(),
+                np.abs(traj.X1[1:] - project_time_series(ref.X1[1:], m)).max(),
             )
+            del traj
+        del ref
+
+    h = [float(mesh.cell_sizes.max()) for mesh in meshes]
+    dt = [grid.dt for grid in grids]
+    err_w = [
+        np.sqrt(grid.dt * np.sum(sq @ mesh.cell_sizes))
+        for mesh, grid, sq in zip(meshes, grids, sq_errs)
+    ]
+    # One row per error (w, x0, x1), one column per level; each rate is
+    # taken between a level and the one before, w.r.t. h or dt.
+    errs = np.array([err_w, *x_errs.max(axis=1).T])
+    rates = np.diff(np.log(errs)) / np.diff(np.log([h, dt, dt]))
+    rows = []
+    for k in levels:
+        err = errs[:, k].tolist()
+        rate = rates[:, k - 1].tolist() if k else [None] * 3
         rows.append(
             LevelResult(
                 k=k,
-                h=h,
-                dt=grid.dt,
-                err_w=err_w,
-                rate_w=rates[0],
-                err_x0=err_x0,
-                rate_x0=rates[1],
-                err_x1=err_x1,
-                rate_x1=rates[2],
+                h=h[k],
+                dt=dt[k],
+                err_w=err[0],
+                rate_w=rate[0],
+                err_x0=err[1],
+                rate_x0=rate[1],
+                err_x1=err[2],
+                rate_x1=rate[2],
             )
         )
-        prev_err = (err_w, err_x0, err_x1)
-        prev_h = h
-        prev_dt = grid.dt
-
     return ConvergenceReport(levels=tuple(rows))
 
 

@@ -10,6 +10,7 @@ from oxidefv import (
     InitialMode,
     Mesh,
     ModelParams,
+    SolverOptions,
     State,
     Termination,
     TerminationKind,
@@ -35,7 +36,7 @@ from oxidefv import (
 )
 from oxidefv import analysis, core
 from oxidefv.analysis import project_time_series
-from conftest import make_tc1, trajectory_of
+from conftest import make_tc1, make_tc3, trajectory_of
 
 
 def synthetic_trajectory(mesh, fields, dt):
@@ -568,6 +569,46 @@ class TestConvergenceStudy:
         got = convergence_study(tc1, max_level=max_level, ref_level=ref_level, t_final=0.1,
                                 initial_mode=initial_mode)
         assert got.levels == want
+
+    @pytest.mark.parametrize(
+        "params,t_final,level_step,ref_step,named",
+        [
+            # level 0 fails its first step, and the reference completes
+            (make_tc3(), 0.1, 1, None, "level 0"),
+            # level 0 fails in level-0 slab 1, the reference's width
+            # collapses in slab 4 (step 14, at 4 steps a slab): the first
+            # slab that fails names its run
+            (make_tc3(), 1.0, 1, 14, "level 0"),
+            # both fail their first step, in slab 1, where the reference
+            # runs first
+            (make_tc1(), 0.1, 1, 1, "reference level 1"),
+        ],
+        ids=["level-only", "level-in-an-earlier-slab", "both-in-one-slab"],
+    )
+    def test_run_that_does_not_complete_is_named(
+        self, params, t_final, level_step, ref_step, named
+    ):
+        # three Newton iterations are too few for level 0's steps, and for
+        # testcase1's level-1 steps too
+        opts = SolverOptions(max_newton_iters=3)
+        for cells, steps, step in ((50, 10, level_step), (100, 40, ref_step)):
+            whole = run(params, uniform_mesh(cells), TimeGrid.from_horizon(t_final, steps), opts)
+            assert whole.termination.step == step
+        with pytest.raises(RuntimeError) as failure:
+            convergence_study(params, max_level=0, ref_level=1, t_final=t_final, opts=opts)
+        assert str(failure.value) == f"convergence_study: {named} did not complete"
+
+    def test_every_run_is_one_level_0_slab(self, tc1, monkeypatch):
+        # in each of the ten slabs the reference runs first, then each level
+        calls = []
+
+        def recorded(params, mesh, grid, *args, **kwargs):
+            calls.append((mesh.num_cells, grid.n_steps))
+            return run(params, mesh, grid, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "run", recorded)
+        convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1)
+        assert calls == [(200, 16), (50, 1), (100, 4)] * 10
 
     def test_reference_is_held_one_slab_at_a_time(self, tc1):
         # the whole reference U of level 3 over 640 steps of 400 cells

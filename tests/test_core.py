@@ -193,6 +193,16 @@ class TestProfiles:
         # linear data: 3-point Gauss is exact
         assert abs(f.average(0.0, 2.0) - 2.0) < 1e-14
 
+    @pytest.mark.parametrize(
+        "profile",
+        [ExponentialProfile(1.0, -0.5, 0.0), TabulatedProfile(x=(0.0, 1.0), values=(1.0, 3.0))],
+        ids=["exponential", "tabulated"],
+    )
+    def test_average_over_an_empty_interval_rejected(self, profile):
+        for lo, hi in ((0.5, 0.5), (0.75, 0.25)):
+            with pytest.raises(ValueError, match="interval must have positive width"):
+                profile.average(lo, hi)
+
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
             TabulatedProfile(x=(0.0, 0.0, 1.0), values=(1.0, 2.0, 3.0))

@@ -393,6 +393,18 @@ class TestLeanIteration:
             with pytest.raises(np.linalg.LinAlgError):
                 system.solve(r)
 
+    def test_non_finite_residual_in_resolve_raises(self, tc1):
+        mesh = uniform_mesh(10)
+        prev = discretize_initial(tc1, mesh)
+        system = _StepSystem(prev, mesh, 0.02, tc1)
+        r = system.assemble(prev.u, 0.0, 0.0)
+        system.solve(r)
+        for value in (np.inf, np.nan):
+            bad = r.copy()
+            bad[3] = value
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite residual"):
+                system.resolve(bad)
+
     def test_overflowing_step_fails_without_exception(self, tc1):
         # 1/dt is finite, but h * L / dt overflows in the band: both solvers
         # report a failed step
@@ -852,6 +864,27 @@ class TestNewton:
         assert result.residual_inf <= 1e-9
         s = result.state
         assert abs(s.L - (s.X1 - s.X0)) <= 1e-15
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_increment_fails_the_solve(self, tc1, value, monkeypatch):
+        # a finite system whose increment is not finite (an overflow, or a
+        # nan): the solve fails with no iteration counted and the residual
+        # of its start
+        solve = _StepSystem.solve
+
+        def overflowing(self, r):
+            delta = solve(self, r)
+            delta[1] = value
+            return delta
+
+        monkeypatch.setattr(_StepSystem, "solve", overflowing)
+        mesh = uniform_mesh(10)
+        prev = discretize_initial(tc1, mesh)
+        result = newton_step_solve(prev, mesh, 1e-2, tc1)
+        assert result.status is StepStatus.NO_CONVERGENCE and result.state is None
+        assert result.iterations == 0
+        r = _StepSystem(prev, mesh, 1e-2, tc1).assemble(prev.u, 0.0, 0.0)
+        assert result.residual_inf == np.abs(r).max()
 
 
 class TestHomotopy:

@@ -109,3 +109,8 @@ class TestWaveType:
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):
             TravellingWave(c_hat=0.1, L_hat=-1.0, u_left=1.0, decay=0.2)
+
+    @pytest.mark.parametrize("u_left", [0.0, -0.0, -1.0])
+    def test_non_positive_left_value_rejected(self, u_left):
+        with pytest.raises(ValueError, match="u_left must be strictly positive"):
+            TravellingWave(c_hat=0.1, L_hat=1.0, u_left=u_left, decay=0.2)
