@@ -92,10 +92,12 @@ def project_reference(
     over each coarse space-time cell.  Requires exact nesting in both
     space and time.
 
-    The fine field is read in blocks of whole coarse time slabs of at most
-    about _BLOCK_ELEMS entries (one slab when a slab is larger), so the
-    temporaries do not grow with the length of the run; each coarse value
-    is summed in the same order as over the whole field."""
+    The fine field is read in blocks of at most about _BLOCK_ELEMS entries,
+    runs of the m fine rows of one coarse time slab (the whole slab always
+    for a one-cell coarse mesh).  So the temporaries do not grow with the
+    length of the run or with m, and each coarse value is summed in the
+    same order as over the whole field: row by row, from the first fine row
+    of its slab."""
     fine_time = fine.time_grid
     if abs(fine_time.t_final - coarse_time.t_final) > 1e-12 * max(1.0, coarse_time.t_final):
         raise ValueError("time grids cover different horizons")
@@ -107,15 +109,40 @@ def project_reference(
     field = _interior_field(fine)
     n_c = coarse_time.n_steps
     cells = coarse_mesh.num_cells
-    slabs = max(1, _BLOCK_ELEMS // (m * field.shape[1]))
+    fine_cells = field.shape[1]
     proj = np.empty((n_c, cells))
-    for j in range(0, n_c, slabs):
-        k = min(slabs, n_c - j)
-        weighted = field[j * m : (j + k) * m] * fine_mesh.cell_sizes
-        space_avg = np.add.reduceat(weighted, starts, axis=1) / coarse_mesh.cell_sizes
-        # sum over the m fine slabs of each coarse slab; divided by m below,
-        # as np.mean would
-        np.add.reduce(space_avg.reshape(k, m, cells), axis=1, out=proj[j : j + k])
+
+    # Blocks of at most about _BLOCK_ELEMS entries, each within one coarse
+    # slab.  A one-cell coarse row sums its m fine values with numpy's
+    # pairwise summation, which blocks of rows would not repeat: it takes
+    # whole slabs.
+    rows = m if cells == 1 else max(1, _BLOCK_ELEMS // fine_cells)
+    block_rows = min(rows, m)
+    # Buffers reused from block to block, and the cell sizes tiled to a
+    # block's rows: numpy would copy the strided rows and the broadcast cell
+    # sizes into fresh buffers on every call, which costs more than the
+    # arithmetic on a few rows.
+    h = np.tile(fine_mesh.cell_sizes, (block_rows, 1))
+    h_c = np.tile(coarse_mesh.cell_sizes, (block_rows, 1))
+    weighted = np.empty_like(h)
+    space_avg = np.empty_like(h_c)
+    for j in range(n_c):
+        for r in range(0, m, rows):
+            first, stop = j * m + r, j * m + min(r + rows, m)
+            n = stop - first
+            # fine rows first .. stop - 1, averaged over each coarse cell
+            w, avg = weighted[:n], space_avg[:n]
+            np.copyto(w, field[first:stop])
+            w *= h[:n]
+            np.add.reduceat(w, starts, axis=1, out=avg)
+            avg /= h_c[:n]
+            if r:
+                # the running sum joins the block's first row, so that the
+                # rows are still added one by one in order
+                avg[0] += proj[j]
+            # the sum over the slab's m fine rows; divided by m below, as
+            # np.mean would
+            np.add.reduce(avg, axis=0, out=proj[j])
     proj /= m
     return proj
 
@@ -321,15 +348,17 @@ def convergence_study(
     of level k), each slab continuing from a copy of the last state of the
     one before.  In each slab the reference runs first; each level's slab
     is then scored against the reference slab projected onto it, and
-    dropped.  So the study holds the reference's slab and one level's at a
-    time, and each level's squared error.  The errors are bitwise
-    those of whole runs: a continued run repeats the same step solves, and
-    project_reference sums each coarse value in the same order whatever
-    block it reads.
+    dropped.  Of a level's squared error only the h-weighted sum of each
+    step is kept.  So the study holds the reference's slab, one
+    level's slab and its squared error at a time, and 10 * 4^k floats per
+    level.  The errors are bitwise those of whole runs: a continued run
+    repeats the same step solves, project_reference sums each coarse value
+    in the same order whatever block it reads, and each step's sum is one
+    per-row dot whatever slab it lies in.
 
     A negative max_level, a ref_level not above it, a t_final not positive
-    and finite, a reference step that is unusable, or a stored slab or finest
-    level that would not fit in memory, is rejected with ValueError first.
+    and finite, a reference step that is unusable, or a reference slab that
+    would not fit in memory, is rejected with ValueError first.
     A run that does not complete raises RuntimeError; the first slab that
     fails names the run, the reference when it fails in the same slab as a
     level."""
@@ -346,10 +375,9 @@ def convergence_study(
     def level_grid(k: int) -> TimeGrid:
         return TimeGrid.from_horizon(t_final, _BASE_STEPS * 4**k)
 
-    # The reference level has the study's smallest step; the study stores
-    # one reference slab and each level's squared error, of which the
-    # finest level's is the largest: it is bounded by that level's whole
-    # trajectory.  Check all three before any mesh is built.
+    # The reference level has the study's smallest step; the largest array
+    # the study holds is one reference slab, larger than any level's slab.
+    # Check both before any mesh is built.
     try:
         ref_grid = level_grid(ref_level)
     except (ValueError, OverflowError) as exc:
@@ -358,14 +386,10 @@ def convergence_study(
             f"gives no usable time step: {exc}"
         ) from exc
     slab_steps = ref_grid.n_steps // _BASE_STEPS
-    for name, k, n_steps in (
-        ("reference level", ref_level, slab_steps),
-        ("level", max_level, _BASE_STEPS * 4**max_level),
-    ):
-        try:
-            check_storable(level_cells(k), n_steps)
-        except ValueError as exc:
-            raise ValueError(f"convergence_study: {name} {k}: {exc}") from exc
+    try:
+        check_storable(level_cells(ref_level), slab_steps)
+    except ValueError as exc:
+        raise ValueError(f"convergence_study: reference level {ref_level}: {exc}") from exc
 
     levels = range(max_level + 1)
     meshes = [uniform_mesh(level_cells(k)) for k in levels]
@@ -373,9 +397,10 @@ def convergence_study(
     ref_mesh = uniform_mesh(level_cells(ref_level))
     ref_slab = TimeGrid.from_step(ref_grid.dt, slab_steps)
     slabs = [TimeGrid.from_step(grid.dt, grid.n_steps // _BASE_STEPS) for grid in grids]
-    # Each level's squared error, one row per time slab, and its largest
-    # interface errors in each level-0 slab, filled slab by slab.
-    sq_errs = [np.empty((grid.n_steps, mesh.num_cells)) for mesh, grid in zip(meshes, grids)]
+    # Each level's squared error summed over the cells of each step,
+    # h-weighted, and its largest interface errors in each level-0 slab,
+    # filled slab by slab.
+    row_errs = [np.empty(grid.n_steps) for grid in grids]
     x_errs = np.empty((len(levels), _BASE_STEPS, 2))
     # The state each run continues from, the reference's last: None for the
     # initial discretization, then a copy of the last state of its slab, so
@@ -391,29 +416,28 @@ def convergence_study(
 
     for s in range(_BASE_STEPS):
         ref = run_slab(-1, ref_mesh, ref_slab, f"reference level {ref_level}")
-        for k, mesh, grid, sq in zip(levels, meshes, slabs, sq_errs):
+        for k, mesh, grid, row_err in zip(levels, meshes, slabs, row_errs):
             n = grid.n_steps
-            sq_slab = sq[s * n : (s + 1) * n]
             # The projection first, so that its temporaries are freed before
             # the level's slab runs; the squared error then replaces it.
-            sq_slab[...] = project_reference(ref, ref_mesh, mesh, grid)
+            sq = project_reference(ref, ref_mesh, mesh, grid)
             traj = run_slab(k, mesh, grid, f"level {k}")
-            np.subtract(_interior_field(traj), sq_slab, out=sq_slab)
-            np.multiply(sq_slab, sq_slab, out=sq_slab)
+            np.subtract(_interior_field(traj), sq, out=sq)
+            np.multiply(sq, sq, out=sq)
+            # row_integrals' per-row dot: its bits do not depend on how the
+            # rows are grouped, where a matrix-vector product's do
+            row_err[s * n : (s + 1) * n] = row_integrals(sq, 1.0, mesh)
             m = slab_steps // n
             x_errs[k, s] = (
                 np.abs(traj.X0[1:] - project_time_series(ref.X0[1:], m)).max(),
                 np.abs(traj.X1[1:] - project_time_series(ref.X1[1:], m)).max(),
             )
-            del traj
+            del traj, sq
         del ref
 
     h = [float(mesh.cell_sizes.max()) for mesh in meshes]
     dt = [grid.dt for grid in grids]
-    err_w = [
-        np.sqrt(grid.dt * np.sum(sq @ mesh.cell_sizes))
-        for mesh, grid, sq in zip(meshes, grids, sq_errs)
-    ]
+    err_w = [np.sqrt(grid.dt * np.sum(row_err)) for grid, row_err in zip(grids, row_errs)]
     # One row per error (w, x0, x1), one column per level; each rate is
     # taken between a level and the one before, w.r.t. h or dt.
     errs = np.array([err_w, *x_errs.max(axis=1).T])

@@ -472,13 +472,14 @@ def check_storable(cells: int, n_steps: int) -> None:
 
 # Trajectory diagnostics read consecutive rows in 2-D blocks of at most
 # about this many entries, so their temporaries do not grow with the run
-# length (project_reference reads whole coarse time slabs, at least one per
-# block).  Larger blocks spend less Python overhead per step, but their
-# temporaries add to the peak.  Traced peaks of TestDiagnosticsMemory's 641
-# rows at I = 400, whose bound is U.nbytes / 4 = 515 KB, at 2048 / 4096 /
-# 8192: build_ledger 234 / 443 / 860 KB (it keeps about 13 block-sized
-# arrays alive), verify_trajectory 75 / 139 / 268 KB, project_reference
-# 257 KB at all three (one slab per block).
+# length (project_reference reads runs of the fine rows of one coarse time
+# slab).  Larger blocks spend less Python
+# overhead per step, but their temporaries add to the peak.  Traced peaks of
+# TestDiagnosticsMemory's 641 rows at I = 400, whose bound is U.nbytes / 4 =
+# 515 KB, at 2048 / 4096 / 8192: build_ledger 234 / 443 / 860 KB (it keeps
+# about 13 block-sized arrays alive), verify_trajectory 75 / 139 / 268 KB,
+# project_reference onto 100 cells and 40 steps 80 / 120 / 168 KB, and onto
+# 50 cells and 10 steps (64 fine rows a slab) 46 / 82 / 154 KB.
 _BLOCK_ELEMS = 4096
 
 

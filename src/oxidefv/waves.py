@@ -26,7 +26,10 @@ class TravellingWave:
     decay: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.L_hat) and self.L_hat > 0.0):
+        for name in ("c_hat", "L_hat", "u_left", "decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"TravellingWave.{name} must be finite")
+        if self.L_hat <= 0.0:
             raise ValueError("TravellingWave.L_hat must be strictly positive")
         if self.u_left <= 0.0:
             raise ValueError("TravellingWave.u_left must be strictly positive")

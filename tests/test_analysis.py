@@ -208,14 +208,16 @@ def full_stack_projection(fine, fine_mesh, coarse_mesh, coarse_time):
 
 
 class TestBlockedProjection:
-    """project_reference reads whole coarse time slabs a block at a time;
-    the result is that of the full-field formula, byte for byte."""
+    """project_reference reads runs of one coarse time slab's fine rows, a
+    block at a time; the result is that of the full-field formula, byte for
+    byte."""
 
     @pytest.mark.parametrize(
         "budget",
-        # one slab per block; 3 slabs per block, so that the last of
-        # the 14 blocks holds 1 of the 40 slabs; all 40 in one block
-        [1, 3 * 4 * 96, 1 << 30],
+        # one fine row per block; 2 and 3 of each slab's 4 rows per block,
+        # the last block of a slab holding 1 of its rows for 3; one slab per
+        # block, for a budget of one slab, of 3 slabs and of all 40
+        [1, 2 * 96, 3 * 96, 4 * 96, 3 * 4 * 96, 1 << 30],
     )
     def test_uniform_nested_pair(self, budget, monkeypatch):
         fine_mesh, coarse_mesh = uniform_mesh(96), uniform_mesh(24)
@@ -228,16 +230,27 @@ class TestBlockedProjection:
         want = full_stack_projection(traj, fine_mesh, coarse_mesh, coarse_time)
         assert got.tobytes() == want.tobytes()
 
+    def test_one_cell_coarse_mesh(self):
+        # a coarse slab of 64 rows of 100 cells does not fit in a block, but
+        # numpy sums one column's 64 values pairwise: it is read whole
+        fine_mesh, coarse_mesh = uniform_mesh(100), uniform_mesh(1)
+        coarse_time = TimeGrid.from_step(0.64, 2)
+        assert 64 * 100 > analysis._BLOCK_ELEMS
+        fields = list(np.random.default_rng(47).uniform(0.1, 2.0, (2 * 64 + 1, 100)))
+        traj = synthetic_trajectory(fine_mesh, fields, 0.01)
+        got = project_reference(traj, fine_mesh, coarse_mesh, coarse_time)
+        want = full_stack_projection(traj, fine_mesh, coarse_mesh, coarse_time)
+        assert got.tobytes() == want.tobytes()
+
     def test_non_uniform_nested_pair_with_partial_last_block(self):
         rng = np.random.default_rng(45)
         edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 119)), [1.0]))
         fine_mesh = Mesh.from_edges(edges)
         kept = np.sort(rng.choice(np.arange(1, 120), 29, replace=False))
         coarse_mesh = Mesh.from_edges(edges[np.r_[0, kept, 120]])
-        m = 8
-        slabs = analysis._BLOCK_ELEMS // (m * 120)
-        n_c = 2 * slabs + 1
-        assert slabs > 1
+        # each slab's 40 rows are read as a block of 34 and one of 6
+        m, n_c = 40, 3
+        assert m % (analysis._BLOCK_ELEMS // 120) == 6
         coarse_time = TimeGrid.from_step(m * 1e-3, n_c)
         fields = list(rng.uniform(0.1, 2.0, (m * n_c + 1, 120)))
         traj = synthetic_trajectory(fine_mesh, fields, 1e-3)
@@ -295,6 +308,14 @@ class TestDiagnosticsMemory:
         traj, mesh, _ = case
         coarse = uniform_mesh(100)
         grid = TimeGrid.from_step(16e-2, 40)
+        peak = traced_peak(lambda: project_reference(traj, mesh, coarse, grid))
+        assert peak < traj.U.nbytes / 4
+
+    def test_project_reference_within_a_coarse_slab(self, case):
+        # one coarse slab holds 64 of the 640 fine rows, as large as U / 10
+        traj, mesh, _ = case
+        coarse = uniform_mesh(50)
+        grid = TimeGrid.from_step(64e-2, 10)
         peak = traced_peak(lambda: project_reference(traj, mesh, coarse, grid))
         assert peak < traj.U.nbytes / 4
 
@@ -449,7 +470,9 @@ def whole_reference_study(params, max_level, ref_level, t_final, initial_mode):
         mesh, grid = uniform_mesh(50 * 2**k), TimeGrid.from_horizon(t_final, 10 * 4**k)
         traj = run(params, mesh, grid, initial_mode=initial_mode)
         diff = traj.U[1:, 1:-1] - project_reference(ref, ref_mesh, mesh, grid)
-        err_w = float(np.sqrt(grid.dt * np.sum((diff * diff) @ mesh.cell_sizes)))
+        # one dot per step, as convergence_study sums each step
+        sq = diff * diff
+        err_w = float(np.sqrt(grid.dt * np.sum([np.dot(mesh.cell_sizes, row) for row in sq])))
         m = ref_grid.n_steps // grid.n_steps
         err_x0 = float(np.abs(traj.X0[1:] - project_time_series(ref.X0[1:], m)).max())
         err_x1 = float(np.abs(traj.X1[1:] - project_time_series(ref.X1[1:], m)).max())
@@ -546,11 +569,15 @@ class TestConvergenceStudy:
         need = (4**2 + 1) * (50 * 4 + 2) * 8
         self.check_memory_boundary(tc1, monkeypatch, 2, need)
 
-    def test_finest_level_must_fit_in_physical_memory(self, tc1, monkeypatch):
-        # level 0 holds 10 + 1 rows of 50 + 2 doubles, more than the 4 + 1
-        # rows of 50 * 2 + 2 of one level-0 slab of reference level 1
-        need = (10 + 1) * (50 + 2) * 8
-        self.check_memory_boundary(tc1, monkeypatch, 1, need)
+    def test_no_level_is_held_whole(self, tc1, monkeypatch):
+        # one byte less than level 0's whole run, 10 + 1 rows of 50 + 2
+        # doubles; one level-0 slab of reference level 1, 4 + 1 rows of
+        # 50 * 2 + 2, still fits
+        memory = {"SC_PHYS_PAGES": (10 + 1) * (50 + 2) * 8 - 1, "SC_PAGE_SIZE": 1}
+        assert (4 + 1) * (50 * 2 + 2) * 8 < memory["SC_PHYS_PAGES"]
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        report = convergence_study(tc1, max_level=0, ref_level=1, t_final=0.1)
+        assert len(report.levels) == 1
 
     @pytest.mark.parametrize(
         "max_level,ref_level,initial_mode",
@@ -617,6 +644,17 @@ class TestConvergenceStudy:
             lambda: convergence_study(tc1, max_level=0, ref_level=3, t_final=0.1)
         )
         assert peak < whole_u / 2
+
+    def test_levels_keep_per_step_sums(self, tc1):
+        # level 2's squared error, 160 steps of 200 cells, is not kept
+        level_2_sq = 160 * 200 * 8
+        peaks = [
+            traced_peak(
+                lambda: convergence_study(tc1, max_level=k, ref_level=3, t_final=0.1)
+            )
+            for k in (1, 2)
+        ]
+        assert peaks[1] - peaks[0] < level_2_sq / 2
 
     def test_csv_output(self, tc1, tmp_path):
         report = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1)

@@ -110,6 +110,18 @@ class TestWaveType:
         with pytest.raises(ValueError):
             TravellingWave(c_hat=0.1, L_hat=-1.0, u_left=1.0, decay=0.2)
 
+    @pytest.mark.parametrize("field", ["c_hat", "L_hat", "u_left", "decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        fields = dict(c_hat=0.1, L_hat=1.0, u_left=1.0, decay=0.2)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TravellingWave(**fields)
+
+    def test_speed_and_decay_may_be_negative(self):
+        wave = TravellingWave(c_hat=-0.1, L_hat=1.0, u_left=1.0, decay=-0.2)
+        assert wave.profile(1.0) > wave.profile(0.0)
+
     @pytest.mark.parametrize("u_left", [0.0, -0.0, -1.0])
     def test_non_positive_left_value_rejected(self, u_left):
         with pytest.raises(ValueError, match="u_left must be strictly positive"):
