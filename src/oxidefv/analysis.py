@@ -17,7 +17,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     _frame_velocity,
-    _positive_finite,
+    _check_positive,
     check_storable,
     row_integrals,
     step_blocks,
@@ -227,6 +227,12 @@ class TrajectoryReport:
         return all(c.passed for c in checks if c is not None)
 
 
+def _excess(x: np.ndarray, lo: float, hi: float) -> float:
+    """How far the entries of x reach below lo or above hi: 0 when none
+    does or x is empty.  Rounding is monotone, so the extremes of x decide."""
+    return max(lo - float(x.min(initial=lo)), float(x.max(initial=hi)) - hi)
+
+
 def verify_trajectory(
     traj: Trajectory,
     mesh: Mesh,
@@ -256,37 +262,18 @@ def verify_trajectory(
         x1_hi = -params.alpha1 + params.beta1 * M
         dL_lo, dL_hi = width_rate_bounds(params, m, M)
         v_flat, v_sharp = velocity_bounds(params, m, M)
-        u_lo = np.inf
-        u_hi = -np.inf
-        worst_width = worst_x1 = worst_dl = worst_v = 0.0
+        worst_u = worst_width = worst_x1 = worst_dl = worst_v = 0.0
         for _, U, X0, X1, L in step_blocks(traj):
-            u_lo = min(u_lo, float(U.min()))
-            u_hi = max(u_hi, float(U.max()))
-
+            worst_u = max(worst_u, _excess(U, m, M))
             lower = np.minimum(m / M * L[:-1], L_hat)
             worst_width = max(worst_width, float(np.max(lower - L[1:], initial=0.0)))
-
-            dX1 = np.diff(X1) / dt
-            dL = np.diff(L) / dt
-            worst_x1 = max(
-                worst_x1,
-                float(np.max(x1_lo - dX1, initial=0.0)),
-                float(np.max(dX1 - x1_hi, initial=0.0)),
-            )
-            worst_dl = max(
-                worst_dl,
-                float(np.max(dL_lo - dL, initial=0.0)),
-                float(np.max(dL - dL_hi, initial=0.0)),
-            )
-
+            worst_x1 = max(worst_x1, _excess(np.diff(X1) / dt, x1_lo, x1_hi))
+            worst_dl = max(worst_dl, _excess(np.diff(L) / dt, dL_lo, dL_hi))
             v = _frame_velocity(
                 np.diff(X0)[:, None], np.diff(X1)[:, None], np.diff(L)[:, None], mesh, dt, params.R
             )
-            # Rounding is monotone, so the largest v_flat - v and v - v_sharp
-            # are those at the extremes of v.
-            worst_v = max(worst_v, v_flat - float(v.min()), float(v.max()) - v_sharp)
-        worst = max(m - u_lo, u_hi - M, 0.0)
-        max_principle = CheckResult(u_lo >= m - _BRACKET_TOL and u_hi <= M + _BRACKET_TOL, worst)
+            worst_v = max(worst_v, _excess(v, v_flat, v_sharp))
+        max_principle = CheckResult(worst_u <= _BRACKET_TOL, worst_u)
         width_bound = CheckResult(worst_width < _BRACKET_TOL, worst_width)
         interface_rate = CheckResult(worst_x1 <= _BRACKET_TOL, worst_x1)
         width_rate = CheckResult(worst_dl <= _BRACKET_TOL, worst_dl)
@@ -366,8 +353,7 @@ def convergence_study(
         raise ValueError(f"convergence_study: max_level must be at least 0, got {max_level!r}")
     if ref_level <= max_level:
         raise ValueError("convergence_study: ref_level must exceed max_level")
-    if not _positive_finite(t_final):
-        raise ValueError(f"convergence_study: t_final must be positive and finite, got {t_final!r}")
+    _check_positive("convergence_study", "t_final", t_final)
 
     def level_cells(k: int) -> int:
         return _BASE_CELLS * 2**k

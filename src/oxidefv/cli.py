@@ -35,6 +35,7 @@ from .core import (
     TerminationKind,
     TimeGrid,
     Trajectory,
+    _finite,
     check_storable,
     discretize_initial,
     uniform_mesh,
@@ -97,17 +98,11 @@ PRESETS = {
 }
 
 
-def _finite_number(value) -> bool:
-    # the bound rejects nan, inf and an integer too large for a float
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and abs(value) <= sys.float_info.max)
-
-
 # u_init_kind -> the profile's class and its name in errors
 _PROFILES = {"exp": (ExponentialProfile, "an exponential profile"),
              "table": (TabulatedProfile, "a tabulated profile")}
 # (value test, parse, what a value must be)
-_NUMBER = (_finite_number, float, "a finite number")
+_NUMBER = (_finite, float, "a finite number")
 _INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), int, "an integer")
 _STRING = (lambda v: isinstance(v, str), str, "a string")
 
@@ -124,7 +119,7 @@ _KEYS = {
                     "'exp' or 'table'"),
     **dict.fromkeys(("u_init_c1", "u_init_c2", "u_init_c3"), ("exp", *_NUMBER)),
     **dict.fromkeys(("u_init_x", "u_init_values"), (
-        "table", lambda v: isinstance(v, list) and all(map(_finite_number, v)),
+        "table", lambda v: isinstance(v, list) and all(map(_finite, v)),
         lambda v: tuple(map(float, v)), "a list of finite numbers")),
     "cells": ("run", *_INTEGER),
     "dt": ("run", *_NUMBER),
@@ -132,7 +127,7 @@ _KEYS = {
     "newton_tol": ("solver", *_NUMBER),
     "max_newton_iters": ("solver", *_INTEGER),
     # null is SolverOptions' default
-    "width_floor": ("solver", lambda v: v is None or _finite_number(v),
+    "width_floor": ("solver", lambda v: v is None or _finite(v),
                     lambda v: None if v is None else float(v), "a finite number"),
     "initial_mode": ("", lambda v: v in ("average", "sample"), InitialMode,
                      "'average' or 'sample'"),
@@ -264,7 +259,7 @@ def _write_profile_csv(state, mesh, path) -> None:
     write_csv(
         path,
         ("i", "xi_center", "x_physical", "u"),
-        (range(mesh.num_cells + 2), mesh.centers, state.X0 + state.L * mesh.centers, state.u),
+        (np.arange(mesh.num_cells + 2), mesh.centers, state.X0 + state.L * mesh.centers, state.u),
     )
 
 
@@ -278,7 +273,7 @@ def _write_steps_csv(traj: Trajectory, mesh, params, path) -> None:
         path,
         ("n", "t", "X0", "X1", "L", "u0", "uI1", "d", "newton_iters", "residual_inf"),
         (
-            range(len(traj.X0)),
+            np.arange(len(traj.X0)),
             traj.times,
             traj.X0,
             traj.X1,

@@ -9,12 +9,12 @@ concentrations on the reference mesh plus the interface positions.
 
 from __future__ import annotations
 
-import math
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Union
 
 import numpy as np
@@ -34,6 +34,53 @@ class InputError(ValueError):
         self.names = names
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(value) -> bool:
+    """Every constructor's rule for a number: a real, not a bool, that a float holds finitely."""
+    if not isinstance(value, float):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            return False
+        if isinstance(value, np.floating):
+            value = float(value)  # against a float32, the bound would overflow to inf
+    return abs(value) <= _FLOAT_MAX
+
+
+def _positive_finite(value) -> bool:
+    return _finite(value) and value > 0
+
+
+def _positive_int(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, Integral) and value >= 1
+
+
+def _finite_array(values) -> np.ndarray | None:
+    """A new float64 array of values, or None unless each entry is a number:
+    an array by its integer or floating dtype, any other input entry by entry."""
+    if not isinstance(values, np.ndarray):
+        entries = np.array(values, dtype=object)
+        return entries.astype(float) if all(map(_finite, entries.flat)) else None
+    if values.dtype.kind not in "iuf":
+        return None
+    arr = values.astype(float)
+    return arr if np.isfinite(arr).all() else None
+
+
+def _check_fields(obj, test, must: str, *names: str) -> None:
+    """Reject with InputError the first named field of obj that fails test."""
+    for name in names:
+        value = getattr(obj, name)
+        if not test(value):
+            raise InputError(f"{type(obj).__name__}.{name} must be {must}, got {value!r}", name)
+
+
+def _check_positive(where: str, name: str, value) -> None:
+    """Reject with InputError, led by where, an argument that is not a positive number."""
+    if not _positive_finite(value):
+        raise InputError(f"{where}: {name} must be positive and finite, got {value!r}", name)
+
+
 @dataclass(frozen=True)
 class ExponentialProfile:
     """Initial concentration profile c1 * exp(c2 * x) + c3."""
@@ -43,10 +90,7 @@ class ExponentialProfile:
     c3: float
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise InputError(f"ExponentialProfile.{name} must be finite, got {value!r}", name)
+        _check_fields(self, _finite, "finite", "c1", "c2", "c3")
 
     def __call__(self, x):
         return self.c1 * np.exp(self.c2 * np.asarray(x, dtype=float)) + self.c3
@@ -82,7 +126,7 @@ class TabulatedProfile:
         if len(self.x) != len(self.values) or len(self.x) < 2:
             raise InputError("tabulated profile needs matching x/values, at least 2 samples",
                              "x", "values")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.values))):
+        if _finite_array(self.x) is None or _finite_array(self.values) is None:
             raise InputError("tabulated profile samples must be finite", "x", "values")
         if np.any(np.diff(self.x) <= 0.0):
             raise InputError("tabulated profile abscissae must be strictly increasing", "x")
@@ -130,10 +174,8 @@ class ModelParams:
     u_init: InitialProfile
 
     def __post_init__(self):
-        for name in ("a", "b", "alpha0", "beta0", "alpha1", "beta1", "R", "L0"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise InputError(f"ModelParams.{name} must be strictly positive, got {value!r}", name)
+        _check_fields(self, _positive_finite, "strictly positive",
+                      "a", "b", "alpha0", "beta0", "alpha1", "beta1", "R", "L0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +200,11 @@ class Mesh:
 
     @classmethod
     def from_edges(cls, edges) -> "Mesh":
-        e = np.array(edges, dtype=float)
+        e = _finite_array(edges)
+        if e is None:
+            raise ValueError("mesh edges must be finite")
         if e.ndim != 1 or e.size < 2:
             raise ValueError("mesh needs at least two edges")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("mesh edges must be finite")
         if e[0] != 0.0 or e[-1] != 1.0:
             raise ValueError("mesh edges must start at 0 and end at 1")
         if np.any(np.diff(e) <= 0.0):
@@ -187,22 +229,12 @@ def uniform_mesh(cells: int) -> Mesh:
     return Mesh.from_edges(np.linspace(0.0, 1.0, cells + 1))
 
 
-def _positive_finite(value) -> bool:
-    return not isinstance(value, bool) and 0.0 < value < math.inf
-
-
-def _check_dt(name: str, dt, *, reciprocal: bool = True) -> None:
-    """Reject with InputError, led by name, a step size dt that is not
-    positive and finite (a bool included) or, unless reciprocal is False,
-    whose 1/dt overflows: the step matrix carries 1/dt."""
-    if not _positive_finite(dt):
-        raise InputError(f"{name}: dt must be positive and finite, got {dt!r}", "dt")
-    if reciprocal and math.isinf(1.0 / float(dt)):
+def _check_dt(name: str, dt) -> None:
+    """Reject with InputError, led by name, a step size dt that is not a
+    positive number or whose 1/dt overflows: the step matrix carries 1/dt."""
+    _check_positive(name, "dt", dt)
+    if not _finite(1.0 / float(dt)):
         raise InputError(f"{name}: dt {float(dt)!r} is too small: 1/dt overflows", "dt")
-
-
-def _positive_int(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -229,17 +261,16 @@ class TimeGrid:
 
     @classmethod
     def from_horizon(cls, t_final: float, n_steps: int) -> "TimeGrid":
+        _check_positive("TimeGrid", "t_final", t_final)
         # for an n_steps the constructor rejects, 1.0 stands in for dt
         return cls(dt=t_final / n_steps if _positive_int(n_steps) else 1.0, n_steps=n_steps)
 
     @classmethod
     def from_step_and_horizon(cls, dt: float, t_final: float) -> "TimeGrid":
         _check_dt("TimeGrid", dt)
-        if not _positive_finite(t_final):
-            raise InputError(f"TimeGrid: t_final must be positive and finite, got {t_final!r}",
-                             "t_final")
+        _check_positive("TimeGrid", "t_final", t_final)
         ratio = float(t_final) / float(dt)
-        if not np.isfinite(ratio):
+        if not _finite(ratio):
             raise InputError(f"the horizon {t_final!r} takes too many steps of {dt!r} to count",
                              "dt", "t_final")
         n = int(round(ratio))
@@ -260,19 +291,17 @@ class State:
     L: float
 
     def __post_init__(self):
-        arr = np.array(self.u, dtype=float)
+        arr = _finite_array(self.u)
+        if arr is None:
+            raise ValueError("State.u must be finite")
         if arr.ndim != 1 or arr.size < 3:
             raise ValueError("State.u must be a 1-d vector of length I+2 with I >= 1")
-        # a nan propagates into both extremes
-        low, high = np.minimum.reduce(arr), np.maximum.reduce(arr)
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise ValueError("State.u must be finite")
-        if low < 0.0:
+        if np.minimum.reduce(arr) < 0.0:
             raise ValueError("State.u must be nonnegative")
-        if not (math.isfinite(self.L) and self.L > 0.0):
+        if not _positive_finite(self.L):
             raise ValueError("State.L must be strictly positive")
-        if not (math.isfinite(self.X0) and math.isfinite(self.X1)):
-            raise ValueError("State interfaces must be finite")
+        if not (_finite(self.X0) and _finite(self.X1)):
+            raise ValueError(f"State interfaces must be finite: X0 = {self.X0!r}, X1 = {self.X1!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "u", arr)
 
@@ -306,7 +335,7 @@ def _check_rates(name: str, prev: State, nxt: State, mesh: Mesh, dt, R: float) -
     """The edge velocities of the step from prev to nxt over dt.  Raises
     ValueError, led by name, for a dt that is not positive and finite or
     that makes a velocity overflow, as every infinite rate of X0, X1 or L does."""
-    _check_dt(name, dt, reciprocal=False)
+    _check_positive(name, "dt", dt)
     with np.errstate(over="ignore", invalid="ignore"):
         v = _frame_velocity(nxt.X0 - prev.X0, nxt.X1 - prev.X1, nxt.L - prev.L, mesh, dt, R)
     if not np.isfinite(v).all():

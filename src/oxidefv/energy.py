@@ -306,7 +306,7 @@ def write_ledger_csv(ledger: EnergyLedger, path) -> None:
         path,
         ("n", "t", "H", "H_tot", "D_bulk", "D_bound"),
         (
-            range(rows),
+            np.arange(rows),
             np.arange(rows) * ledger.dt,
             ledger.H,
             ledger.H_tot,

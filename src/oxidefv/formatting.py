@@ -19,18 +19,13 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _field(v) -> str:
-    return "%.17g" % v if isinstance(v, float) else str(v)
-
-
 def _column_reader(column):
     """(read, slot) of one column: read() returns its next CHUNK_ROWS values
     at most, and slot is their placeholder in the row format.
 
     A 1-d float64 or integer array is sliced and read with tolist, so it
-    gives Python floats, for %.17g, or Python ints, for str(); a range
-    gives its ints as they are.  Any other column is iterated, and each
-    value is formatted on its own by _field."""
+    gives Python floats, for %.17g, or Python ints, for str().  Any other
+    column is iterated, and each value formatted on its own."""
     if type(column) is np.ndarray and column.ndim == 1 and (
         column.dtype == np.float64 or column.dtype.kind in "iu"
     ):
@@ -38,9 +33,8 @@ def _column_reader(column):
         slot = "%.17g" if column.dtype == np.float64 else "%s"
         return (lambda: next(chunks, [])), slot
     values = iter(column)
-    if isinstance(column, range):
-        return (lambda: list(islice(values, CHUNK_ROWS))), "%s"
-    return (lambda: [_field(v) for v in islice(values, CHUNK_ROWS)]), "%s"
+    return (lambda: [format_float(v) if isinstance(v, float) else str(v)
+                     for v in islice(values, CHUNK_ROWS)]), "%s"
 
 
 def write_csv(path, names, columns) -> None:

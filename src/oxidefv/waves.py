@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mesh, ModelParams
+from .core import Mesh, ModelParams, _check_fields, _finite, _positive_finite
 
 # Relative tolerance for the exact-equality regime and for the strict
 # inequalities of the existence condition.
@@ -26,13 +26,8 @@ class TravellingWave:
     decay: float
 
     def __post_init__(self):
-        for name in ("c_hat", "L_hat", "u_left", "decay"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"TravellingWave.{name} must be finite")
-        if self.L_hat <= 0.0:
-            raise ValueError("TravellingWave.L_hat must be strictly positive")
-        if self.u_left <= 0.0:
-            raise ValueError("TravellingWave.u_left must be strictly positive")
+        _check_fields(self, _finite, "finite", "c_hat", "L_hat", "u_left", "decay")
+        _check_fields(self, _positive_finite, "strictly positive", "L_hat", "u_left")
 
     def profile(self, y):
         """Concentration at distance y from the left interface."""

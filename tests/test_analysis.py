@@ -20,6 +20,7 @@ from oxidefv import (
     builtin_densities,
     classify,
     convergence_study,
+    discretize_initial,
     linf_bounds,
     mass_balance_defects,
     project_reference,
@@ -388,6 +389,16 @@ class TestVerification:
         assert report.all_passed
         assert report.max_principle is not None
         assert report.width_bound is not None
+
+    def test_one_row_trajectory(self, tc1):
+        # what run() returns when step 1 fails: the initial state alone, one
+        # block with no step, so every bracket meets no step to exceed it
+        traj = trajectory_of([discretize_initial(tc1, uniform_mesh(10))],
+                             TimeGrid.from_step(0.01, 5))
+        report = verify_trajectory(traj, uniform_mesh(10), tc1)
+        checks = [getattr(report, f.name) for f in dataclasses.fields(report)]
+        assert None not in checks
+        assert [(c.passed, c.worst) for c in checks] == [(True, 0.0)] * len(checks)
 
     def test_wave_checks_skipped_without_wave(self, tc2):
         mesh = uniform_mesh(50)
