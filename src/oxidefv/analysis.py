@@ -11,13 +11,20 @@ import numpy as np
 from .core import (
     _BLOCK_ELEMS,
     InitialMode,
+    InputError,
     Mesh,
     ModelParams,
     State,
     TimeGrid,
     Trajectory,
-    _frame_velocity,
+    _check_args,
     _check_positive,
+    _finite,
+    _float_values,
+    _frame_velocity,
+    _integer,
+    _nonnegative_int,
+    _positive_int,
     check_storable,
     row_integrals,
     step_blocks,
@@ -35,6 +42,9 @@ _MASS_TOL = 1e-8
 # convergence_study's level 0: its cell count and its number of time steps.
 _BASE_CELLS = 50
 _BASE_STEPS = 10
+# The finest level whose step count a float holds: 10 * 4^510 is 1.1e308,
+# 10 * 4^511 above the largest float.
+_MAX_LEVEL = 510
 
 
 def wave_distance(state: State, mesh: Mesh, wave: TravellingWave) -> float:
@@ -148,8 +158,14 @@ def project_reference(
 
 
 def project_time_series(series, m: int) -> np.ndarray:
-    """Average a per-slab time series over blocks of m fine slabs."""
-    arr = np.asarray(series, dtype=float)
+    """Average a per-slab time series over blocks of m fine slabs.  Raises
+    ValueError unless each entry of series is a number and m a positive
+    integer."""
+    arr = _float_values(series)
+    if arr is None:
+        raise InputError("project_time_series: series must be finite", "series")
+    if not _positive_int(m):
+        raise InputError(f"project_time_series: m must be a positive integer, got {m!r}", "m")
     if arr.size % m != 0:
         raise ValueError("series length is not a multiple of the block size")
     return arr.reshape(-1, m).mean(axis=1)
@@ -167,7 +183,8 @@ def linf_bounds(params: ModelParams) -> tuple[float, float]:
 
 def width_rate_bounds(params: ModelParams, m: float, M: float) -> tuple[float, float]:
     """Bracket for the discrete width rate d[L] implied by the bracket
-    [m, M] on the concentrations."""
+    [m, M] on the concentrations, two numbers (ValueError otherwise)."""
+    _check_args("width_rate_bounds", _finite, "finite", m=m, M=M)
     lo = -params.alpha0 - params.R * params.alpha1 + m * (params.beta0 + params.R * params.beta1)
     hi = -params.alpha0 - params.R * params.alpha1 + M * (params.beta0 + params.R * params.beta1)
     return lo, hi
@@ -177,6 +194,7 @@ def velocity_bounds(params: ModelParams, m: float, M: float) -> tuple[float, flo
     """Uniform bracket [v_flat, v_sharp] for all edge velocities, using the
     identity v = beta0 u_0 - alpha0 - xi * d[L] together with the d[L]
     bracket."""
+    _check_args("velocity_bounds", _finite, "finite", m=m, M=M)
     if m > M:
         raise ValueError("velocity_bounds: m must not exceed M")
     dL_lo, dL_hi = width_rate_bounds(params, m, M)
@@ -343,13 +361,18 @@ def convergence_study(
     in the same order whatever block it reads, and each step's sum is one
     per-row dot whatever slab it lies in.
 
-    A negative max_level, a ref_level not above it, a t_final not positive
-    and finite, a reference step that is unusable, or a reference slab that
-    would not fit in memory, is rejected with ValueError first.
+    A max_level that is not an integer of at least 0, a ref_level that is
+    not an integer above it, a t_final not positive and finite, a reference
+    step that is unusable (every level above _MAX_LEVEL), or a
+    reference slab that would not fit in memory, is rejected with
+    ValueError first.
     A run that does not complete raises RuntimeError; the first slab that
     fails names the run, the reference when it fails in the same slab as a
     level."""
-    if max_level < 0:
+    for name, level in (("max_level", max_level), ("ref_level", ref_level)):
+        if not _integer(level):
+            raise ValueError(f"convergence_study: {name} must be an integer, got {level!r}")
+    if not _nonnegative_int(max_level):
         raise ValueError(f"convergence_study: max_level must be at least 0, got {max_level!r}")
     if ref_level <= max_level:
         raise ValueError("convergence_study: ref_level must exceed max_level")
@@ -365,8 +388,11 @@ def convergence_study(
     # the study holds is one reference slab, larger than any level's slab.
     # Check both before any mesh is built.
     try:
+        if ref_level > _MAX_LEVEL:
+            # bounded before 4**ref_level, which grows with ref_level's digits
+            raise ValueError(f"ref_level above {_MAX_LEVEL} takes more steps than a float holds")
         ref_grid = level_grid(ref_level)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(
             f"convergence_study: t_final {t_final!r} at reference level {ref_level} "
             f"gives no usable time step: {exc}"

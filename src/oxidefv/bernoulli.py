@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import InputError, _float_values
+
 # Below this, evaluate the Taylor polynomial instead of the e^r - 1 ratio.
 _SERIES_CUTOFF = 1e-5
 # B' loses accuracy to cancellation in a wider band around 0.
@@ -18,9 +20,9 @@ _PRIME_LARGE_ARG = 300.0
 
 
 def _as_array(r, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: argument must be finite")
+    arr = _float_values(r)
+    if arr is None:
+        raise InputError(f"{name}: argument must be finite", "r")
     return np.atleast_1d(arr), arr.ndim == 0
 
 

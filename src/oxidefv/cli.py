@@ -36,6 +36,8 @@ from .core import (
     TimeGrid,
     Trajectory,
     _finite,
+    _integer,
+    _positive_int,
     check_storable,
     discretize_initial,
     uniform_mesh,
@@ -103,7 +105,7 @@ _PROFILES = {"exp": (ExponentialProfile, "an exponential profile"),
              "table": (TabulatedProfile, "a tabulated profile")}
 # (value test, parse, what a value must be)
 _NUMBER = (_finite, float, "a finite number")
-_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), int, "an integer")
+_INTEGER = (_integer, int, "an integer")
 _STRING = (lambda v: isinstance(v, str), str, "a string")
 
 # Every key a document may set: key -> (group, value test, parse, what a
@@ -191,7 +193,7 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
         group, _, parse, _ = _KEYS[key]
         args.setdefault(group, {})[key] = parse(value)
     run_args, other = args["run"], args.get("", {})
-    if run_args["cells"] < 1:
+    if not _positive_int(run_args["cells"]):
         raise ConfigError(f"{where('cells')}: cells must be at least 1")
     mode = other.get("initial_mode", InitialMode.CELL_AVERAGE)
     try:

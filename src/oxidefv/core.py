@@ -51,20 +51,37 @@ def _positive_finite(value) -> bool:
     return _finite(value) and value > 0
 
 
+def _integer(value) -> bool:
+    """The integer rule: an integral number that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, Integral)
+
+
 def _positive_int(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, Integral) and value >= 1
+    return _integer(value) and value >= 1
 
 
-def _finite_array(values) -> np.ndarray | None:
-    """A new float64 array of values, or None unless each entry is a number:
-    an array by its integer or floating dtype, any other input entry by entry."""
+def _nonnegative_int(value) -> bool:
+    return _integer(value) and value >= 0
+
+
+def _float_values(values) -> np.ndarray | None:
+    """values as a float64 array, or None unless each entry is a number: an
+    array by its integer or floating dtype, any other input entry by entry.
+    A float64 array is returned itself, not copied, for functions that only
+    read their argument."""
     if not isinstance(values, np.ndarray):
         entries = np.array(values, dtype=object)
         return entries.astype(float) if all(map(_finite, entries.flat)) else None
     if values.dtype.kind not in "iuf":
         return None
-    arr = values.astype(float)
+    arr = values.astype(float, copy=False)
     return arr if np.isfinite(arr).all() else None
+
+
+def _finite_array(values) -> np.ndarray | None:
+    """A new float64 array of values, or None unless _float_values takes it."""
+    arr = _float_values(values)
+    return arr.copy() if arr is values else arr
 
 
 def _check_fields(obj, test, must: str, *names: str) -> None:
@@ -75,10 +92,16 @@ def _check_fields(obj, test, must: str, *names: str) -> None:
             raise InputError(f"{type(obj).__name__}.{name} must be {must}, got {value!r}", name)
 
 
+def _check_args(where: str, test, must: str, **values) -> None:
+    """Reject with InputError, led by where, the first of the named values that fails test."""
+    for name, value in values.items():
+        if not test(value):
+            raise InputError(f"{where}: {name} must be {must}, got {value!r}", name)
+
+
 def _check_positive(where: str, name: str, value) -> None:
     """Reject with InputError, led by where, an argument that is not a positive number."""
-    if not _positive_finite(value):
-        raise InputError(f"{where}: {name} must be positive and finite, got {value!r}", name)
+    _check_args(where, _positive_finite, "positive and finite", **{name: value})
 
 
 @dataclass(frozen=True)
@@ -126,7 +149,7 @@ class TabulatedProfile:
         if len(self.x) != len(self.values) or len(self.x) < 2:
             raise InputError("tabulated profile needs matching x/values, at least 2 samples",
                              "x", "values")
-        if _finite_array(self.x) is None or _finite_array(self.values) is None:
+        if _float_values(self.x) is None or _float_values(self.values) is None:
             raise InputError("tabulated profile samples must be finite", "x", "values")
         if np.any(np.diff(self.x) <= 0.0):
             raise InputError("tabulated profile abscissae must be strictly increasing", "x")
@@ -225,7 +248,8 @@ class Mesh:
 def uniform_mesh(cells: int) -> Mesh:
     """Uniform mesh of [0, 1] with the given number of cells (an integer, at least 1)."""
     if not _positive_int(cells):
-        raise ValueError(f"uniform_mesh: cell count must be a positive integer, got {cells!r}")
+        raise InputError(f"uniform_mesh: cell count must be a positive integer, got {cells!r}",
+                         "cells")
     return Mesh.from_edges(np.linspace(0.0, 1.0, cells + 1))
 
 
@@ -240,8 +264,9 @@ def _check_dt(name: str, dt) -> None:
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time discretization: n_steps steps of size dt.  The horizon
-    t_final is n_steps * dt; `from_step_and_horizon` accepts a given horizon
-    only when a whole number of steps meets it within 1e-12 relative."""
+    t_final is n_steps * dt, which must be a finite float;
+    `from_step_and_horizon` accepts a given horizon only when a whole number
+    of steps meets it within 1e-12 relative."""
 
     dt: float
     n_steps: int
@@ -250,6 +275,10 @@ class TimeGrid:
         _check_dt("TimeGrid", self.dt)
         if not _positive_int(self.n_steps):
             raise ValueError(f"TimeGrid: n_steps must be a positive integer, got {self.n_steps!r}")
+        # an int above the largest float does not convert to one
+        if not (self.n_steps <= _FLOAT_MAX and _finite(float(self.n_steps) * float(self.dt))):
+            raise InputError(f"TimeGrid: {self.n_steps!r} steps of {self.dt!r} have no finite "
+                             "horizon", "n_steps", "dt")
 
     @property
     def t_final(self) -> float:
@@ -263,7 +292,8 @@ class TimeGrid:
     def from_horizon(cls, t_final: float, n_steps: int) -> "TimeGrid":
         _check_positive("TimeGrid", "t_final", t_final)
         # for an n_steps the constructor rejects, 1.0 stands in for dt
-        return cls(dt=t_final / n_steps if _positive_int(n_steps) else 1.0, n_steps=n_steps)
+        countable = _positive_int(n_steps) and n_steps <= _FLOAT_MAX
+        return cls(dt=t_final / n_steps if countable else 1.0, n_steps=n_steps)
 
     @classmethod
     def from_step_and_horizon(cls, dt: float, t_final: float) -> "TimeGrid":
@@ -333,9 +363,11 @@ def _frame_velocity(d0, d1, dL, mesh: Mesh, dt: float, R: float):
 
 def _check_rates(name: str, prev: State, nxt: State, mesh: Mesh, dt, R: float) -> np.ndarray:
     """The edge velocities of the step from prev to nxt over dt.  Raises
-    ValueError, led by name, for a dt that is not positive and finite or
-    that makes a velocity overflow, as every infinite rate of X0, X1 or L does."""
+    ValueError, led by name, for a dt or an R that is not positive and
+    finite, or a dt that makes a velocity overflow, as every infinite rate
+    of X0, X1 or L does."""
     _check_positive(name, "dt", dt)
+    _check_positive(name, "R", R)
     with np.errstate(over="ignore", invalid="ignore"):
         v = _frame_velocity(nxt.X0 - prev.X0, nxt.X1 - prev.X1, nxt.L - prev.L, mesh, dt, R)
     if not np.isfinite(v).all():

@@ -16,11 +16,16 @@ import numpy as np
 
 from .bernoulli import bernoulli
 from .core import (
+    InputError,
     Mesh,
     ModelParams,
     State,
     Trajectory,
+    _check_args,
+    _check_positive,
     _check_rates,
+    _finite,
+    _float_values,
     _frame_velocity,
     row_integrals,
     step_blocks,
@@ -57,7 +62,10 @@ def _quartic() -> ConvexDensity:
 
 def shifted_plus_squared(center: float = 1.0, blend: float = 0.5) -> ConvexDensity:
     """C^2 smoothing of (r - center)_+^2: zero left of center, a cubic blend
-    of width `blend`, then the exact quadratic continuation."""
+    of width `blend`, then the exact quadratic continuation.  center must be
+    a number and blend a positive number (ValueError)."""
+    _check_args("shifted_plus_squared", _finite, "finite", center=center)
+    _check_positive("shifted_plus_squared", "blend", blend)
 
     def phi(r):
         t = np.asarray(r, dtype=float) - center
@@ -76,7 +84,7 @@ def shifted_plus_squared(center: float = 1.0, blend: float = 0.5) -> ConvexDensi
         t = np.asarray(r, dtype=float) - center
         return np.where(t <= 0.0, 0.0, np.where(t >= blend, 2.0 * t - blend, t * t / blend))
 
-    return ConvexDensity(f"plus_sq_{center:g}", phi, phi_prime)
+    return ConvexDensity(f"plus_sq_{float(center):g}", phi, phi_prime)
 
 
 def _boltzmann() -> ConvexDensity:
@@ -105,8 +113,11 @@ def mean_value_theta(u: np.ndarray, density: ConvexDensity) -> np.ndarray:
     """Edge weights theta in [0, 1] from the mean-value identity
     pi(u_{i+1}) - pi(u_i) = (theta u_i + (1-theta) u_{i+1}) (phi'(u_{i+1}) - phi'(u_i)),
     with a 1/2 fallback on degenerate edges.  Rows of a (..., I+2) array
-    are treated independently."""
-    u = np.asarray(u, dtype=float)
+    are treated independently.  Raises ValueError unless each entry of u is
+    a number."""
+    u = _float_values(u)
+    if u is None:
+        raise InputError("mean_value_theta: u must be finite", "u")
     _, P, Pi = _potentials(density, u)
     return _theta(u, P[..., 1:] - P[..., :-1], Pi)
 

@@ -105,8 +105,8 @@ dgtsv = _lapack_dgtsv()
 
 def __getattr__(name):
     # The benchmark's tracer wraps scheme.solve_banded, which nothing here
-    # calls, so scipy is imported on that access alone.  ROADMAP item 1's
-    # benchmark change deletes this.
+    # calls, so scipy is imported on that access alone.  ROADMAP item 14,
+    # counters inside run() in place of the tracer's wraps, deletes this.
     if name == "solve_banded":
         from scipy.linalg import solve_banded
 

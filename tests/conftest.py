@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -65,3 +71,22 @@ def trajectory_of(states, time_grid, termination=Termination(TerminationKind.COM
         newton_iters=newton_iters,
         residual_inf=residual_inf,
     )
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# An address-space limit for a child process: a run that would grow
+# without bound fails with MemoryError instead of filling the machine.
+CHILD_MEMORY = 1 << 30
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def limited_python(*args: str) -> subprocess.CompletedProcess:
+    """python *args in a child process that loads oxidefv from src/, with
+    at most CHILD_MEMORY bytes of address space and a 60 s timeout."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, path)) if path else SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=_limit_memory)

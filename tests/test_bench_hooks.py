@@ -8,6 +8,7 @@ exists."""
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,40 @@ def small_run():
     from conftest import make_tc1
 
     return run(make_tc1(), uniform_mesh(16), TimeGrid.from_step(1e-2, 3))
+
+
+def test_diagnostics_call_traced_names_through_the_module(small_run, monkeypatch):
+    # The benchmark times refine's diagnostics by replacing
+    # analysis.project_reference, and traces analysis.mass_balance_defects,
+    # energy.free_energy and energy.bernoulli by wrapping these module
+    # attributes: the diagnostics must look them up there.
+    from oxidefv import analysis, energy, uniform_mesh
+    from conftest import make_tc1
+
+    counts = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((analysis, "project_reference"), (analysis, "mass_balance_defects"),
+                         (energy, "free_energy"), (energy, "bernoulli")):
+        count(module, name)
+    params, mesh = make_tc1(), uniform_mesh(16)
+    # one projection of the reference onto level 0 in each of its 10 slabs
+    analysis.convergence_study(params, max_level=0, ref_level=1, t_final=0.02)
+    assert counts == {"project_reference": 10}
+    analysis.verify_trajectory(small_run, mesh, params)
+    assert counts["mass_balance_defects"] == 1
+    # the ledger's three steps are one block: B(w) and B(-w) once each
+    energy.build_ledger(small_run, mesh, params, energy.builtin_densities()[0])
+    assert counts == {"project_reference": 10, "mass_balance_defects": 1, "free_energy": 1,
+                      "bernoulli": 2}
 
 
 @pytest.mark.parametrize("attr", trajectory_reads())

@@ -37,6 +37,7 @@ from oxidefv.cli import (
     parse_config,
 )
 from oxidefv.formatting import format_float, write_csv
+from conftest import limited_python
 
 
 class TestParseConfig:
@@ -348,6 +349,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--levels", "0", "--ref-level", "10000000000"],
+                                       ["--levels", "10000000000"]])
+    def test_converge_huge_level_is_config_error(self, flags, tmp_path):
+        # no power of 4 of such a level is computed: the child has 1 GB of
+        # address space, in which 4**10000000000 fails with MemoryError
+        result = limited_python("-m", "oxidefv", "converge", "--preset", "testcase1", *flags,
+                                "--out", str(tmp_path / "cv"))
+        assert result.returncode == EXIT_CONFIG, result.stderr
+        assert re.match(r"config error: .*gives no usable time step", result.stderr)
+        assert not (tmp_path / "cv").exists()
 
     def test_converge_unstorable_reference_level_is_config_error(
         self, tmp_path, monkeypatch, capsys
