@@ -11,7 +11,6 @@ import numpy as np
 from .core import (
     _BLOCK_ELEMS,
     InitialMode,
-    InputError,
     Mesh,
     ModelParams,
     State,
@@ -19,11 +18,10 @@ from .core import (
     Trajectory,
     _check_args,
     _check_positive,
+    _check_values,
     _finite,
-    _float_values,
     _frame_velocity,
     _integer,
-    _nonnegative_int,
     _positive_int,
     check_storable,
     row_integrals,
@@ -161,11 +159,8 @@ def project_time_series(series, m: int) -> np.ndarray:
     """Average a per-slab time series over blocks of m fine slabs.  Raises
     ValueError unless each entry of series is a number and m a positive
     integer."""
-    arr = _float_values(series)
-    if arr is None:
-        raise InputError("project_time_series: series must be finite", "series")
-    if not _positive_int(m):
-        raise InputError(f"project_time_series: m must be a positive integer, got {m!r}", "m")
+    arr = _check_values("project_time_series", "series", series)
+    _check_args("project_time_series", _positive_int, "a positive integer", m=m)
     if arr.size % m != 0:
         raise ValueError("series length is not a multiple of the block size")
     return arr.reshape(-1, m).mean(axis=1)
@@ -372,7 +367,7 @@ def convergence_study(
     for name, level in (("max_level", max_level), ("ref_level", ref_level)):
         if not _integer(level):
             raise ValueError(f"convergence_study: {name} must be an integer, got {level!r}")
-    if not _nonnegative_int(max_level):
+    if max_level < 0:
         raise ValueError(f"convergence_study: max_level must be at least 0, got {max_level!r}")
     if ref_level <= max_level:
         raise ValueError("convergence_study: ref_level must exceed max_level")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InputError, _float_values
+from .core import _check_values
 
 # Below this, evaluate the Taylor polynomial instead of the e^r - 1 ratio.
 _SERIES_CUTOFF = 1e-5
@@ -20,9 +20,7 @@ _PRIME_LARGE_ARG = 300.0
 
 
 def _as_array(r, name: str) -> tuple[np.ndarray, bool]:
-    arr = _float_values(r)
-    if arr is None:
-        raise InputError(f"{name}: argument must be finite", "r")
+    arr = _check_values(name, "r", r)
     return np.atleast_1d(arr), arr.ndim == 0
 
 

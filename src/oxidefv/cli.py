@@ -203,7 +203,7 @@ def _build_config(raw: dict, text: str, flags=(), with_horizon: bool = True) -> 
             TimeGrid.from_step_and_horizon(run_args["dt"], run_args["t_final"])
         # The initial state on one cell holds the profile's end values,
         # which bound an exponential profile on [0, L0], and its mean there.
-        discretize_initial(params, Mesh.from_edges((0.0, 1.0)), mode)
+        discretize_initial(params, Mesh((0.0, 1.0)), mode)
         # an absent key takes SolverOptions' default
         solver = SolverOptions(**args.get("solver", {}))
         if solver.resolved_floor(params) >= params.L0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from numbers import Integral, Real
 from typing import Union
@@ -60,10 +60,6 @@ def _positive_int(value) -> bool:
     return _integer(value) and value >= 1
 
 
-def _nonnegative_int(value) -> bool:
-    return _integer(value) and value >= 0
-
-
 def _float_values(values) -> np.ndarray | None:
     """values as a float64 array, or None unless each entry is a number: an
     array by its integer or floating dtype, any other input entry by entry.
@@ -76,6 +72,14 @@ def _float_values(values) -> np.ndarray | None:
         return None
     arr = values.astype(float, copy=False)
     return arr if np.isfinite(arr).all() else None
+
+
+def _check_values(where: str, name: str, values) -> np.ndarray:
+    """_float_values(values), or InputError, led by where, naming name."""
+    arr = _float_values(values)
+    if arr is None:
+        raise InputError(f"{where}: {name} must be finite", name)
+    return arr
 
 
 def _finite_array(values) -> np.ndarray | None:
@@ -203,27 +207,22 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Partition of the reference interval [0, 1] into cells.
+    """Partition of the reference interval [0, 1] into cells, built from its edges.
 
     edges has length I+1 with edges[0] = 0 and edges[-1] = 1.  centers has
     length I+2: the two boundary points 0 and 1 plus the I cell midpoints.
     cell_sizes are the I cell widths; gaps are the I+1 distances between
     consecutive centers (boundary points included), pairing each edge with
-    the concentrations it connects.
+    the concentrations it connects.  All four are read-only.
     """
 
     edges: np.ndarray
-    centers: np.ndarray
-    cell_sizes: np.ndarray
-    gaps: np.ndarray
+    centers: np.ndarray = field(init=False)
+    cell_sizes: np.ndarray = field(init=False)
+    gaps: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for arr in (self.edges, self.centers, self.cell_sizes, self.gaps):
-            arr.setflags(write=False)
-
-    @classmethod
-    def from_edges(cls, edges) -> "Mesh":
-        e = _finite_array(edges)
+        e = _finite_array(self.edges)
         if e is None:
             raise ValueError("mesh edges must be finite")
         if e.ndim != 1 or e.size < 2:
@@ -233,16 +232,18 @@ class Mesh:
         if np.any(np.diff(e) <= 0.0):
             raise ValueError("mesh edges must be strictly increasing")
         centers = np.concatenate(([0.0], 0.5 * (e[:-1] + e[1:]), [1.0]))
-        return cls(
-            edges=e,
-            centers=centers,
-            cell_sizes=np.diff(e),
-            gaps=np.diff(centers),
-        )
+        derived = dict(edges=e, centers=centers, cell_sizes=np.diff(e), gaps=np.diff(centers))
+        for name, arr in derived.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_cells(self) -> int:
         return self.edges.size - 1
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def uniform_mesh(cells: int) -> Mesh:
@@ -250,7 +251,11 @@ def uniform_mesh(cells: int) -> Mesh:
     if not _positive_int(cells):
         raise InputError(f"uniform_mesh: cell count must be a positive integer, got {cells!r}",
                          "cells")
-    return Mesh.from_edges(np.linspace(0.0, 1.0, cells + 1))
+    memory = _physical_memory()
+    if (cells + 1) * 8 > memory:
+        raise InputError(f"uniform_mesh: the edges of {cells} cells need more than the "
+                         f"{memory} bytes of physical memory", "cells")
+    return Mesh(np.linspace(0.0, 1.0, cells + 1))
 
 
 def _check_dt(name: str, dt) -> None:
@@ -523,7 +528,7 @@ def check_storable(cells: int, n_steps: int) -> None:
     doubles.  Callers check this before they build the mesh."""
     rows, row_len = n_steps + 1, cells + 2
     stored = rows * row_len * 8
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = _physical_memory()
     if stored > memory:
         raise ValueError(
             f"{rows} rows of {row_len} concentrations would store {stored} bytes, "

@@ -16,7 +16,6 @@ import numpy as np
 
 from .bernoulli import bernoulli
 from .core import (
-    InputError,
     Mesh,
     ModelParams,
     State,
@@ -24,8 +23,8 @@ from .core import (
     _check_args,
     _check_positive,
     _check_rates,
+    _check_values,
     _finite,
-    _float_values,
     _frame_velocity,
     row_integrals,
     step_blocks,
@@ -48,7 +47,7 @@ class ConvexDensity:
 
     def pi(self, r):
         """The pressure pi(r) = r phi'(r) - phi(r)."""
-        r = np.asarray(r, dtype=float)
+        r = _check_values("ConvexDensity.pi", "r", r)
         return r * self.phi_prime(r) - self.phi(r)
 
 
@@ -115,9 +114,7 @@ def mean_value_theta(u: np.ndarray, density: ConvexDensity) -> np.ndarray:
     with a 1/2 fallback on degenerate edges.  Rows of a (..., I+2) array
     are treated independently.  Raises ValueError unless each entry of u is
     a number."""
-    u = _float_values(u)
-    if u is None:
-        raise InputError("mean_value_theta: u must be finite", "u")
+    u = _check_values("mean_value_theta", "u", u)
     _, P, Pi = _potentials(density, u)
     return _theta(u, P[..., 1:] - P[..., :-1], Pi)
 

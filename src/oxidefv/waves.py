@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mesh, ModelParams, _check_fields, _finite, _positive_finite
+from .core import Mesh, ModelParams, _check_fields, _check_values, _finite, _positive_finite
 
 # Relative tolerance for the exact-equality regime and for the strict
 # inequalities of the existence condition.
@@ -31,11 +31,13 @@ class TravellingWave:
 
     def profile(self, y):
         """Concentration at distance y from the left interface."""
-        return self.u_left * np.exp(-self.decay * np.asarray(y, dtype=float))
+        y = _check_values("TravellingWave.profile", "y", y)
+        return self.u_left * np.exp(-self.decay * y)
 
     def profile_rescaled(self, xi):
         """Profile with the wave's own domain mapped onto [0, 1]."""
-        return self.profile(self.L_hat * np.asarray(xi, dtype=float))
+        xi = _check_values("TravellingWave.profile_rescaled", "xi", xi)
+        return self.u_left * np.exp(-self.decay * (self.L_hat * xi))
 
 
 class RegimeKind(Enum):

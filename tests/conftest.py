@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 from oxidefv import ExponentialProfile, ModelParams, Termination, TerminationKind, Trajectory
+from oxidefv.cli import PRESETS
 
 # Property tests draw the same examples on every run, keep no example
 # database, and set no per-example deadline that a loaded machine could miss.
@@ -16,26 +18,25 @@ settings.register_profile("derandomized", derandomize=True, deadline=None, datab
 settings.load_profile("derandomized")
 
 
+def _preset_params(name: str, offset: float) -> ModelParams:
+    """The model of the named cli.PRESETS entry, its exponential profile
+    (a/b) exp(-R c x) shifted by offset."""
+    preset = PRESETS[name]
+    model = {f.name: preset[f.name] for f in fields(ModelParams) if f.name != "u_init"}
+    profile = ExponentialProfile(c1=preset["u_init_c1"], c2=preset["u_init_c2"], c3=offset)
+    return ModelParams(**model, u_init=profile)
+
+
 def make_tc1(offset: float = 0.0) -> ModelParams:
-    # reference profile (a/b) exp(-R c x) + offset with c = (alpha0 - beta0 a/b)/R
-    return ModelParams(
-        a=1.0, b=1.0, alpha0=1.5, beta0=1.0, alpha1=0.5, beta1=4.0, R=2.0, L0=1.0,
-        u_init=ExponentialProfile(c1=1.0, c2=-0.5, c3=offset),
-    )
+    return _preset_params("testcase1", offset)
 
 
 def make_tc2(offset: float = 0.0) -> ModelParams:
-    return ModelParams(
-        a=1.75, b=1.0, alpha0=5.0, beta0=2.0, alpha1=5.0, beta1=2.0, R=2.0, L0=1.0,
-        u_init=ExponentialProfile(c1=1.75, c2=-1.5, c3=offset),
-    )
+    return _preset_params("testcase2", offset)
 
 
 def make_tc3(offset: float = 0.0) -> ModelParams:
-    return ModelParams(
-        a=1.0, b=1.0, alpha0=4.0, beta0=1.0, alpha1=3.0, beta1=1.5, R=2.0, L0=1.0,
-        u_init=ExponentialProfile(c1=1.0, c2=-3.0, c3=offset),
-    )
+    return _preset_params("testcase3", offset)
 
 
 @pytest.fixture(scope="session")

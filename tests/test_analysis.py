@@ -72,7 +72,7 @@ class TestWaveDistance:
         wave = classify(tc1).wave
         waves = (wave, dataclasses.replace(wave, L_hat=1.1 * wave.L_hat))
         edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 31)), [1.0]))
-        meshes = (uniform_mesh(32), Mesh.from_edges(edges))
+        meshes = (uniform_mesh(32), Mesh(edges))
         s = State(u=rng.uniform(0.5, 1.5, 34), X0=0.0, X1=1.3, L=1.3)
         for _ in range(2):
             for w in waves:
@@ -105,7 +105,7 @@ class TestWaveDistances:
     def test_non_uniform_mesh_and_partial_last_block(self, tc1):
         rng = np.random.default_rng(48)
         edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 299)), [1.0]))
-        mesh = Mesh.from_edges(edges)
+        mesh = Mesh(edges)
         rows = 3 * (core._BLOCK_ELEMS // 302) + 2
         fields = list(rng.uniform(0.1, 2.0, (rows, 300)))
         traj = synthetic_trajectory(mesh, fields, 1e-3)
@@ -246,9 +246,9 @@ class TestBlockedProjection:
     def test_non_uniform_nested_pair_with_partial_last_block(self):
         rng = np.random.default_rng(45)
         edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 119)), [1.0]))
-        fine_mesh = Mesh.from_edges(edges)
+        fine_mesh = Mesh(edges)
         kept = np.sort(rng.choice(np.arange(1, 120), 29, replace=False))
-        coarse_mesh = Mesh.from_edges(edges[np.r_[0, kept, 120]])
+        coarse_mesh = Mesh(edges[np.r_[0, kept, 120]])
         # each slab's 40 rows are read as a block of 34 and one of 6
         m, n_c = 40, 3
         assert m % (analysis._BLOCK_ELEMS // 120) == 6

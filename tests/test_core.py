@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from oxidefv import (
     uniform_mesh,
 )
 from oxidefv.core import row_integrals
-from conftest import make_tc1, make_tc2
+from conftest import limited_python, make_tc1, make_tc2
 
 
 class TestMesh:
@@ -59,29 +60,83 @@ class TestMesh:
         rng = np.random.default_rng(1)
         for _ in range(50):
             interior = np.unique(rng.uniform(0.01, 0.99, rng.integers(1, 40)))
-            m = Mesh.from_edges(np.concatenate([[0.0], interior, [1.0]]))
+            m = Mesh(np.concatenate([[0.0], interior, [1.0]]))
             assert abs(m.cell_sizes.sum() - 1.0) <= 10 * np.finfo(float).eps
             assert np.all(m.gaps > 0.0)
 
     def test_bad_edges_rejected(self):
-        with pytest.raises(ValueError):
-            Mesh.from_edges([0.0, 0.5, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            Mesh.from_edges([0.1, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            Mesh.from_edges([0.0, 0.5, 0.9])
+        with pytest.raises(ValueError, match="mesh edges must be strictly increasing"):
+            Mesh([0.0, 0.5, 0.5, 1.0])
+        with pytest.raises(ValueError, match="mesh edges must start at 0 and end at 1"):
+            Mesh([0.1, 0.5, 1.0])
+        with pytest.raises(ValueError, match="mesh edges must start at 0 and end at 1"):
+            Mesh([0.0, 0.5, 0.9])
         for few in ([], [0.0], [[0.0, 1.0]]):
             with pytest.raises(ValueError, match="mesh needs at least two edges"):
-                Mesh.from_edges(few)
+                Mesh(few)
         # np.diff(e) <= 0 is false for nan, so the order check lets nan through
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="mesh edges must be finite"):
-                Mesh.from_edges([0.0, bad, 1.0])
+                Mesh([0.0, bad, 1.0])
 
     def test_arrays_read_only(self):
         m = uniform_mesh(4)
-        with pytest.raises(ValueError):
-            m.edges[0] = 5.0
+        for arr in (m.edges, m.centers, m.cell_sizes, m.gaps):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+
+    def test_edges_are_the_only_argument(self):
+        m = Mesh([0, 0.5, 1])
+        assert np.array_equal(m.cell_sizes, [0.5, 0.5])
+        assert [f.name for f in fields(Mesh) if f.init] == ["edges"]
+        with pytest.raises(TypeError):
+            Mesh(1, 2, 3, 4)
+
+    def test_cell_sizes_cannot_disagree_with_the_edges(self):
+        # doubled cell sizes would move testcase1's width and hide it from
+        # verify_trajectory's mass balance, which reads the same sizes
+        m = uniform_mesh(4)
+        with pytest.raises(TypeError):
+            Mesh(edges=m.edges, centers=m.centers, cell_sizes=2 * m.cell_sizes, gaps=m.gaps)
+        with pytest.raises(FrozenInstanceError):
+            m.cell_sizes = 2 * m.cell_sizes
+
+    @pytest.mark.parametrize("cells", [1, 50, 400, 800, None])
+    def test_derived_arrays(self, cells):
+        if cells is None:
+            rng = np.random.default_rng(7)
+            edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 30)), [1.0]])
+        else:
+            edges = np.linspace(0.0, 1.0, cells + 1)
+        m = Mesh(edges)
+        centers = np.concatenate(([0.0], 0.5 * (edges[:-1] + edges[1:]), [1.0]))
+        assert m.edges is not edges and np.array_equal(m.edges, edges)
+        assert np.array_equal(m.centers, centers)
+        assert np.array_equal(m.cell_sizes, np.diff(edges))
+        assert np.array_equal(m.gaps, np.diff(centers))
+        if cells is not None:
+            assert np.array_equal(uniform_mesh(cells).centers, centers)
+
+    @pytest.mark.parametrize("cells", ["10**400", "10**12"])
+    def test_cell_count_beyond_memory_rejected_at_once(self, cells):
+        # in a child with 1 GB of address space: numpy would fail with an
+        # unnamed ValueError or a MemoryError, after trying to allocate
+        code = (
+            "import time\n"
+            "from oxidefv import uniform_mesh\n"
+            "from oxidefv.core import InputError\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            f"    uniform_mesh({cells})\n"
+            "except InputError as exc:\n"
+            "    print(time.perf_counter() - start, exc.names, str(exc)[:80])\n"
+        )
+        result = limited_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        seconds, names, message = result.stdout.split(" ", 2)
+        assert float(seconds) < 1.0
+        assert names == "('cells',)"
+        assert message.startswith("uniform_mesh: the edges of 1000")
 
 
 class TestTimeGrid:
@@ -272,7 +327,7 @@ class TestDiscretizeInitial:
             params = ModelParams(a=1, b=1, alpha0=1, beta0=1, alpha1=1, beta1=1, R=1,
                                  L0=L0, u_init=ExponentialProfile(c1, c2, c3))
             interior = np.unique(rng.uniform(0.05, 0.95, 12))
-            mesh = Mesh.from_edges(np.concatenate([[0.0], interior, [1.0]]))
+            mesh = Mesh(np.concatenate([[0.0], interior, [1.0]]))
             s = discretize_initial(params, mesh, InitialMode.CELL_AVERAGE)
             mass = L0 * np.dot(mesh.cell_sizes, s.u[1:-1])
             exact = params.u_init.average(0.0, L0) * L0
@@ -442,7 +497,7 @@ class TestRowIntegrals:
     def test_bitwise_per_row_dot(self, cells):
         rng = np.random.default_rng(cells)
         edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, cells - 1)), [1.0]))
-        mesh = Mesh.from_edges(edges)
+        mesh = Mesh(edges)
         for rows in (1, 37):
             U = rng.uniform(0.0, 2.0, (rows, cells + 2))
             widths = rng.uniform(0.5, 2.0, rows)

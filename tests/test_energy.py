@@ -462,7 +462,7 @@ class TestSharedDensityEvaluation:
     def test_non_uniform_mesh_and_collapse(self):
         rng = np.random.default_rng(37)
         edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 29)), [1.0]))
-        mesh = Mesh.from_edges(edges)
+        mesh = Mesh(edges)
         params = make_tc2()
         traj = run(params, mesh, TimeGrid.from_step_and_horizon(1e-2, 3.5))
         assert not traj.completed
@@ -528,7 +528,7 @@ class TestBlockedLedger:
     def test_non_uniform_mesh(self, tc1):
         rng = np.random.default_rng(35)
         edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 39)), [1.0]))
-        mesh = Mesh.from_edges(edges)
+        mesh = Mesh(edges)
         traj = run(tc1, mesh, TimeGrid.from_step(1e-2, 30))
         assert traj.completed
         self.check(traj, mesh, tc1)
@@ -543,7 +543,7 @@ class TestBlockedLedger:
     def test_collapse_on_non_uniform_mesh(self):
         rng = np.random.default_rng(38)
         edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 29)), [1.0]))
-        mesh = Mesh.from_edges(edges)
+        mesh = Mesh(edges)
         params = make_tc2()
         traj = run(params, mesh, TimeGrid.from_step_and_horizon(1e-2, 3.5))
         assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED

@@ -794,7 +794,7 @@ def step_problems(draw):
     edges = np.concatenate(([0.0], np.cumsum(sizes[:-1]) / sizes.sum(), [1.0]))
     dt = 10.0 ** draw(st.floats(-4.0, 0.0))
     offset = draw(st.floats(-1e6, 1e6))
-    return make(), Mesh.from_edges(edges), dt, offset
+    return make(), Mesh(edges), dt, offset
 
 
 @settings(max_examples=200)
@@ -1043,7 +1043,7 @@ class TestRun:
             mesh = uniform_mesh(40)
         else:
             rng = np.random.default_rng(47)
-            mesh = Mesh.from_edges(
+            mesh = Mesh(
                 np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 39)), [1.0]))
             )
         n, dt = 25, 1e-2
@@ -1164,7 +1164,7 @@ def dissolution_draw(rng):
         mesh = uniform_mesh(cells)
     else:
         inner = sorted(rng.random() for _ in range(cells - 1))
-        mesh = Mesh.from_edges([0.0, *inner, 1.0])
+        mesh = Mesh([0.0, *inner, 1.0])
     # dL/dt = R dX1/dt - (alpha0 - beta0 u_0) at the initial traces
     u_right = float(params.u_init(params.L0))
     rate = abs(R * (beta1 * u_right - alpha1) - (alpha0 - beta0 * q))

@@ -1,9 +1,10 @@
 """The one value rule of the package: a number is a real, not a bool, that
 a float holds finitely, and an integer is an integral number, not a bool.
 Every scalar field of the public constructors, every numeric parameter of
-every function oxidefv exports and every array input is rejected with a
-ValueError that names it, at the call: never a TypeError, an OverflowError,
-a ZeroDivisionError or a MemoryError, and never accepted."""
+every function oxidefv exports, the argument of each exported method that
+takes values and every array input is rejected with a ValueError that
+names it, at the call: never a TypeError, an OverflowError, a
+ZeroDivisionError or a MemoryError, and never accepted."""
 
 import inspect
 import math
@@ -41,7 +42,7 @@ from oxidefv import (
     width_rate_bounds,
 )
 from oxidefv.analysis import project_time_series
-from oxidefv.core import InputError, _float_values
+from oxidefv.core import InputError, _check_values, _float_values
 from oxidefv.energy import shifted_plus_squared
 from conftest import limited_python, make_tc1
 
@@ -116,11 +117,21 @@ NOT_A_NUMBER = {"params", "mesh", "traj", "state", "prev", "nxt", "cand", "densi
                 "initial_mode", "initial_state", "mode", "time_grid", "fine", "fine_mesh",
                 "coarse_mesh", "coarse_time", "wave", "report", "ledger", "path"}
 
+WAVE = TravellingWave(**VALID[TravellingWave])
+# The exported methods that take values: an array or a number.  The density
+# callables phi and phi_prime are the user's own and take what they take.
+METHODS = {
+    ("ConvexDensity.pi", "r"): lambda _, v: QUADRATIC.pi(v),
+    ("TravellingWave.profile", "y"): lambda _, v: WAVE.profile(v),
+    ("TravellingWave.profile_rescaled", "xi"): lambda _, v: WAVE.profile_rescaled(v),
+}
+
 # the constructors, functions and arguments that raise InputError, whose
 # names the CLI maps to keys; the others raise a plain ValueError
 INPUT_ERRORS = {ExponentialProfile, ModelParams, SolverOptions, TabulatedProfile,
                 (TimeGrid, "dt"), (TimeGrid, "t_final"), ("from_horizon", "t_final"),
-                *(set(PARAMETERS) - {convergence_study}), (convergence_study, "t_final")}
+                *(set(PARAMETERS) - {convergence_study}), (convergence_study, "t_final"),
+                *METHODS}
 
 NOT_NUMBERS = (True, False, "1", None)
 # array inputs: an integer or floating dtype, or entries that are numbers
@@ -170,8 +181,11 @@ def _rows():
     for (owner, name), call in calls.items():
         for value in BAD[POSITIVE]:
             yield owner, name, call, value
+    for (owner, name), call in METHODS.items():
+        for value in BAD[VALUES]:
+            yield owner, name, call, value
     for value in ARRAYS:
-        yield Mesh, "edges", lambda _, v: Mesh.from_edges(v), value
+        yield Mesh, "edges", lambda _, v: Mesh(v), value
         yield State, "u", _field_call(State), value
         for name in ("x", "values"):
             good = (0.0, 0.5, 1.0)
@@ -217,6 +231,16 @@ def test_valid_call_accepted(cls):
 @pytest.mark.parametrize("fn", list(FUNCTION_ARGS), ids=lambda fn: fn.__name__)
 def test_valid_function_call_accepted(fn):
     fn(**FUNCTION_ARGS[fn])
+
+
+@pytest.mark.parametrize("method", list(METHODS), ids=lambda key: key[0])
+def test_valid_method_call_accepted(method):
+    # a number, a list or an array of any real dtype: the same float64 values
+    call = METHODS[method]
+    expected = call(None, np.array([0.0, 0.5, 1.0]))
+    for value in ([0, 0.5, 1], np.array([0.0, 0.5, 1.0], dtype=np.float32)):
+        assert np.array_equal(call(None, value), expected)
+    assert call(None, np.int64(1)) == call(None, 1.0) == expected[2]
 
 
 @pytest.mark.parametrize("owner, name, call, value", [pytest.param(*r, id=_id(r)) for r in ROWS])
@@ -297,7 +321,7 @@ def test_other_real_numbers_accepted(value):
 
 
 def test_integer_arrays_accepted():
-    edges = Mesh.from_edges(np.array([0, 1], dtype=np.int32)).edges
+    edges = Mesh(np.array([0, 1], dtype=np.int32)).edges
     assert edges.dtype == np.float64 and edges.tolist() == [0.0, 1.0]
     assert State(np.array([1, 0, 2], dtype=np.uint8), 0.0, 1.0, 1.0).u.tolist() == [1.0, 0.0, 2.0]
 
@@ -307,5 +331,6 @@ def test_read_only_functions_do_not_copy_a_float_array():
     # keeps a copy of its own
     u = np.ones(3)
     assert _float_values(u) is u
+    assert _check_values("ConvexDensity.pi", "r", u) is u
     assert State(u, 0.0, 1.0, 1.0).u is not u
-    assert Mesh.from_edges(np.array([0.0, 1.0])).edges.flags.owndata
+    assert Mesh(np.array([0.0, 1.0])).edges.flags.owndata
