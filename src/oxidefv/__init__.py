@@ -33,6 +33,7 @@ from .scheme import (
     newton_step_solve,
     residual,
     run,
+    run_blocks,
     velocities,
 )
 from .energy import (

@@ -14,8 +14,11 @@ from .core import (
     Mesh,
     ModelParams,
     State,
+    Termination,
+    TerminationKind,
     TimeGrid,
     Trajectory,
+    _block_steps,
     _check_args,
     _check_positive,
     _check_values,
@@ -29,7 +32,8 @@ from .core import (
     uniform_mesh,
 )
 from .formatting import write_csv
-from .scheme import SolverOptions, run
+# run is uncalled here; the benchmark's tracer wraps analysis.run.
+from .scheme import SolverOptions, run, run_blocks  # noqa: F401
 from .waves import RegimeKind, TravellingWave, classify, wave_profile_on_mesh
 
 _EDGE_MATCH_TOL = 1e-12
@@ -59,10 +63,13 @@ def wave_distance(state: State, mesh: Mesh, wave: TravellingWave) -> float:
 def wave_distances(traj: Trajectory, mesh: Mesh, wave: TravellingWave) -> np.ndarray:
     """wave_distance of every stored row of traj, read in step_blocks'
     blocks; each entry has the bits of its one-row wave_distance."""
-    target = wave_profile_on_mesh(wave, mesh)[1:-1]
+    # the target tiled to a block's rows: subtracting a broadcast row costs
+    # more than the arithmetic on a few rows
+    rows = min(_block_steps(traj.U.shape[1]) + 1, traj.U.shape[0])
+    target = np.tile(wave_profile_on_mesh(wave, mesh)[1:-1], (rows, 1))
     d = np.empty(traj.L.shape)
     for start, U, _, _, L in step_blocks(traj):
-        diff = U[:, 1:-1] - target
+        diff = U[:, 1:-1] - target[: L.size]
         d[start : start + L.size] = row_integrals(diff * diff, L, mesh)
     return d
 
@@ -89,70 +96,130 @@ def _space_blocks(fine_mesh: Mesh, coarse_mesh: Mesh) -> np.ndarray:
     return idx
 
 
+class _CoarseSums:
+    """The running sums of a projection onto one coarse mesh, over n_c
+    coarse time steps of m fine rows each, with their set-up: the fine
+    edges of the coarse cells, and the coarse cell sizes tiled to a block
+    of up to rows fine rows with the block's averages.  Fine rows are added
+    in time order, from the first fine row of the first coarse step;
+    mean() ends the sums and starts them over."""
+
+    def __init__(self, fine_mesh: Mesh, coarse_mesh: Mesh, n_c: int, m: int, rows: int):
+        self.starts = _space_blocks(fine_mesh, coarse_mesh)[:-1]
+        self.m = m
+        cells = coarse_mesh.num_cells
+        self.sums = np.empty((n_c, cells))
+        self.added = 0
+        self.h_c = np.tile(coarse_mesh.cell_sizes, (rows, 1))
+        self.space_avg = np.empty_like(self.h_c)
+        # A one-cell coarse mesh sums each coarse step's m averages at once,
+        # with numpy's pairwise summation, which sums of runs of rows would
+        # not repeat: it keeps the m averages until the step is full.
+        self.step_avg = np.empty((m, 1)) if cells == 1 else None
+
+    def add(self, weighted: np.ndarray) -> None:
+        """Add the next fine rows, weighted by the fine cell sizes: each
+        coarse value is summed row by row from the first fine row of its
+        coarse step, whatever blocks its rows come in."""
+        n = weighted.shape[0]
+        # the block's rows averaged over each coarse cell
+        avg = self.space_avg[:n]
+        np.add.reduceat(weighted, self.starts, axis=1, out=avg)
+        avg /= self.h_c[:n]
+        m, sums = self.m, self.sums
+        done = 0
+        while done < n:
+            # the block's rows done .. done + k - 1 are rows r .. r + k - 1
+            # of coarse step j
+            j, r = divmod(self.added, m)
+            k = min(n - done, m - r)
+            run = avg[done : done + k]
+            if self.step_avg is not None:
+                self.step_avg[r : r + k] = run
+                if r + k == m:
+                    np.add.reduce(self.step_avg, axis=0, out=sums[j])
+            else:
+                if r:
+                    # the running sum joins the run's first row, so that the
+                    # rows are still added one by one in order
+                    run[0] += sums[j]
+                np.add.reduce(run, axis=0, out=sums[j])
+            done += k
+            self.added += k
+
+    def mean(self) -> np.ndarray:
+        """The sums over each coarse step's m fine rows divided by m, as
+        np.mean would, in place; the next row added starts them over."""
+        self.sums /= self.m
+        self.added = 0
+        return self.sums
+
+
+class _Projection:
+    """project_reference's running sums of one fine field of at most
+    fine_rows rows onto each coarse target (coarse_mesh, n_c, m), in
+    `coarse`, built once.  Each block of at most about _BLOCK_ELEMS fine
+    entries is weighted by the fine cell sizes once, for every target, in a
+    buffer reused from block to block with the cell sizes tiled to its
+    rows: numpy would copy the strided rows and the broadcast cell sizes
+    into fresh buffers on every call, which costs more than the arithmetic
+    on a few rows."""
+
+    def __init__(self, fine_mesh: Mesh, targets, fine_rows: int):
+        self.rows = rows = min(max(1, _BLOCK_ELEMS // fine_mesh.num_cells), fine_rows)
+        self.h = np.tile(fine_mesh.cell_sizes, (rows, 1))
+        self.weighted = np.empty_like(self.h)
+        self.coarse = [_CoarseSums(fine_mesh, mesh, n_c, m, rows) for mesh, n_c, m in targets]
+
+    def add(self, field: np.ndarray) -> None:
+        """Add the rows of field, the interior values of the next fine rows."""
+        for first in range(0, field.shape[0], self.rows):
+            w = self.weighted[: min(self.rows, field.shape[0] - first)]
+            np.copyto(w, field[first : first + w.shape[0]])
+            w *= self.h[: w.shape[0]]
+            for coarse in self.coarse:
+                coarse.add(w)
+
+
 def project_reference(
-    fine: Trajectory,
-    fine_mesh: Mesh,
-    coarse_mesh: Mesh,
-    coarse_time: TimeGrid,
-) -> np.ndarray:
+    fine,
+    fine_mesh: Mesh | None = None,
+    coarse_mesh: Mesh | None = None,
+    coarse_time: TimeGrid | None = None,
+    *,
+    into: _Projection | None = None,
+) -> np.ndarray | None:
     """Orthogonal projection of the fine space-time field onto the coarse
     piecewise-constant space: measure-weighted averages of the fine values
     over each coarse space-time cell.  Requires exact nesting in both
     space and time.
 
-    The fine field is read in blocks of at most about _BLOCK_ELEMS entries,
-    runs of the m fine rows of one coarse time slab (the whole slab always
-    for a one-cell coarse mesh).  So the temporaries do not grow with the
-    length of the run or with m, and each coarse value is summed in the
-    same order as over the whole field: row by row, from the first fine row
-    of its slab."""
+    fine is a completed trajectory on fine_mesh, and the result has one row
+    per step of coarse_time.  It is read in blocks of at most about
+    _BLOCK_ELEMS entries, each split where a coarse time step ends.  So the
+    temporaries do not grow with the length of the run or with m, the fine
+    steps per coarse step, and each coarse value is summed in the same
+    order as over the whole field: row by row, from the first fine row of
+    its step (a one-cell coarse mesh keeps a step's m averages and sums
+    them at once, as numpy sums one column of m rows).
+
+    The block form, project_reference(field, into=projection), adds field,
+    the interior values of the next fine rows, to the running sums of a
+    _Projection, in the same order; convergence_study projects each block
+    of the reference onto every level so, as its run hands the block out.
+    """
+    if into is not None:
+        into.add(fine)
+        return None
     fine_time = fine.time_grid
     if abs(fine_time.t_final - coarse_time.t_final) > 1e-12 * max(1.0, coarse_time.t_final):
         raise ValueError("time grids cover different horizons")
     if fine_time.n_steps % coarse_time.n_steps != 0:
         raise ValueError("time grids are not nested")
     m = fine_time.n_steps // coarse_time.n_steps
-
-    starts = _space_blocks(fine_mesh, coarse_mesh)[:-1]
-    field = _interior_field(fine)
-    n_c = coarse_time.n_steps
-    cells = coarse_mesh.num_cells
-    fine_cells = field.shape[1]
-    proj = np.empty((n_c, cells))
-
-    # Blocks of at most about _BLOCK_ELEMS entries, each within one coarse
-    # slab.  A one-cell coarse row sums its m fine values with numpy's
-    # pairwise summation, which blocks of rows would not repeat: it takes
-    # whole slabs.
-    rows = m if cells == 1 else max(1, _BLOCK_ELEMS // fine_cells)
-    block_rows = min(rows, m)
-    # Buffers reused from block to block, and the cell sizes tiled to a
-    # block's rows: numpy would copy the strided rows and the broadcast cell
-    # sizes into fresh buffers on every call, which costs more than the
-    # arithmetic on a few rows.
-    h = np.tile(fine_mesh.cell_sizes, (block_rows, 1))
-    h_c = np.tile(coarse_mesh.cell_sizes, (block_rows, 1))
-    weighted = np.empty_like(h)
-    space_avg = np.empty_like(h_c)
-    for j in range(n_c):
-        for r in range(0, m, rows):
-            first, stop = j * m + r, j * m + min(r + rows, m)
-            n = stop - first
-            # fine rows first .. stop - 1, averaged over each coarse cell
-            w, avg = weighted[:n], space_avg[:n]
-            np.copyto(w, field[first:stop])
-            w *= h[:n]
-            np.add.reduceat(w, starts, axis=1, out=avg)
-            avg /= h_c[:n]
-            if r:
-                # the running sum joins the block's first row, so that the
-                # rows are still added one by one in order
-                avg[0] += proj[j]
-            # the sum over the slab's m fine rows; divided by m below, as
-            # np.mean would
-            np.add.reduce(avg, axis=0, out=proj[j])
-    proj /= m
-    return proj
+    projection = _Projection(fine_mesh, [(coarse_mesh, coarse_time.n_steps, m)], fine_time.n_steps)
+    projection.add(_interior_field(fine))
+    return projection.coarse[0].mean()
 
 
 def project_time_series(series, m: int) -> np.ndarray:
@@ -329,6 +396,47 @@ class ConvergenceReport:
     levels: tuple[LevelResult, ...]
 
 
+class _SlabSteps:
+    """The blocks of one of convergence_study's runs, handed out one
+    level-0 slab at a time: it holds the block not yet used up."""
+
+    def __init__(self, blocks, name: str):
+        self._blocks, self._name = blocks, name
+        self._held = None
+        self._done = 0  # the steps handed out
+
+    def _failed(self) -> RuntimeError:
+        return RuntimeError(f"convergence_study: {self._name} did not complete")
+
+    def until(self, stop: int):
+        """Yield (i, U, X0, X1) of the steps after those handed out, up to
+        step stop: views of the rows of each block, whose first is step
+        i + 1.  Raises RuntimeError, naming the run, when it ended before
+        step stop."""
+        while self._done < stop:
+            if self._held is None:
+                self._held = next(self._blocks)
+            if isinstance(self._held, Termination):
+                raise self._failed()
+            start, U, X0, X1 = self._held[:4]
+            last = start + U.shape[0] - 1
+            i, lo, hi = self._done, self._done - start + 1, min(last, stop) - start + 1
+            self._done = min(last, stop)
+            if last <= stop:
+                self._held = None
+            if lo < hi:
+                yield i, U[lo:hi], X0[lo:hi], X1[lo:hi]
+            # a used-up block is freed before the next one is stepped
+            del U, X0, X1
+
+    def finish(self) -> None:
+        """Raise RuntimeError, naming the run, unless it completed; called
+        once every step has been handed out."""
+        end = self._held if self._held is not None else next(self._blocks)
+        if not (isinstance(end, Termination) and end.kind is TerminationKind.COMPLETED):
+            raise self._failed()
+
+
 def convergence_study(
     params: ModelParams,
     max_level: int = 3,
@@ -344,26 +452,30 @@ def convergence_study(
     distances to the time-projected reference, with rates taken w.r.t. the
     time step.
 
-    The reference and every level run one level-0 slab at a time (4^k steps
-    of level k), each slab continuing from a copy of the last state of the
-    one before.  In each slab the reference runs first; each level's slab
-    is then scored against the reference slab projected onto it, and
-    dropped.  Of a level's squared error only the h-weighted sum of each
-    step is kept.  So the study holds the reference's slab, one
-    level's slab and its squared error at a time, and 10 * 4^k floats per
-    level.  The errors are bitwise those of whole runs: a continued run
-    repeats the same step solves, project_reference sums each coarse value
-    in the same order whatever block it reads, and each step's sum is one
-    per-row dot whatever slab it lies in.
+    The reference and every level are each one run_blocks generator, and
+    the study advances them one level-0 slab (4^k steps of level k) at a
+    time.  In each slab the reference goes first: each of its blocks is
+    projected onto every level's slab as it arrives, into running sums.
+    Then each level goes through its slab, and of its squared error only
+    the h-weighted sum of each step is kept.  So the study holds each
+    level's projected slab, the reference's interface positions in the
+    slab, one block of each run and 10 * 4^k floats per level; no slab of
+    any run is stored.  The errors are bitwise those of whole runs: the
+    runs step as run() does, project_reference sums each coarse value in
+    the same order whatever blocks its rows come in, and each step's sum is
+    one per-row dot whatever block it lies in.
 
     A max_level that is not an integer of at least 0, a ref_level that is
     not an integer above it, a t_final not positive and finite, a reference
-    step that is unusable (every level above _MAX_LEVEL), or a
-    reference slab that would not fit in memory, is rejected with
-    ValueError first.
-    A run that does not complete raises RuntimeError; the first slab that
-    fails names the run, the reference when it fails in the same slab as a
-    level."""
+    step that is unusable (every level above _MAX_LEVEL), or a reference
+    level whose slab of rows would not fit in memory, is rejected with
+    ValueError first.  The study no longer stores that slab, but a level
+    so fine could not be run in any useful time: the check makes it an
+    error at once.
+    A run that does not complete raises RuntimeError, naming the first run
+    found to fail: in each slab the reference is advanced first, then each
+    level in turn, and once every slab is done each run's end is checked in
+    the same order."""
     for name, level in (("max_level", max_level), ("ref_level", ref_level)):
         if not _integer(level):
             raise ValueError(f"convergence_study: {name} must be an integer, got {level!r}")
@@ -379,9 +491,8 @@ def convergence_study(
     def level_grid(k: int) -> TimeGrid:
         return TimeGrid.from_horizon(t_final, _BASE_STEPS * 4**k)
 
-    # The reference level has the study's smallest step; the largest array
-    # the study holds is one reference slab, larger than any level's slab.
-    # Check both before any mesh is built.
+    # The reference level has the study's smallest step and its largest
+    # slab.  Check both before any mesh is built.
     try:
         if ref_level > _MAX_LEVEL:
             # bounded before 4**ref_level, which grows with ref_level's digits
@@ -402,45 +513,51 @@ def convergence_study(
     meshes = [uniform_mesh(level_cells(k)) for k in levels]
     grids = [level_grid(k) for k in levels]
     ref_mesh = uniform_mesh(level_cells(ref_level))
-    ref_slab = TimeGrid.from_step(ref_grid.dt, slab_steps)
-    slabs = [TimeGrid.from_step(grid.dt, grid.n_steps // _BASE_STEPS) for grid in grids]
+    ref = _SlabSteps(
+        run_blocks(params, ref_mesh, ref_grid, opts, initial_mode), f"reference level {ref_level}"
+    )
+    runs = [
+        _SlabSteps(run_blocks(params, mesh, grid, opts, initial_mode), f"level {k}")
+        for k, mesh, grid in zip(levels, meshes, grids)
+    ]
+    # Each level's slab of the projected reference, summed block by block.
+    projection = _Projection(
+        ref_mesh,
+        [(mesh, grid.n_steps // _BASE_STEPS, ref_grid.n_steps // grid.n_steps)
+         for mesh, grid in zip(meshes, grids)],
+        ref_grid.n_steps,
+    )
+    # The reference's X0 and X1 in the slab.
+    ref_x = np.empty((2, slab_steps))
     # Each level's squared error summed over the cells of each step,
     # h-weighted, and its largest interface errors in each level-0 slab,
     # filled slab by slab.
     row_errs = [np.empty(grid.n_steps) for grid in grids]
-    x_errs = np.empty((len(levels), _BASE_STEPS, 2))
-    # The state each run continues from, the reference's last: None for the
-    # initial discretization, then a copy of the last state of its slab, so
-    # that the slab's rows are freed before the next slab is run.
-    starts = [None] * (len(levels) + 1)
-
-    def run_slab(i: int, mesh: Mesh, grid: TimeGrid, name: str) -> Trajectory:
-        traj = run(params, mesh, grid, opts, initial_mode, initial_state=starts[i])
-        if not traj.completed:
-            raise RuntimeError(f"convergence_study: {name} did not complete")
-        starts[i] = State(traj.U[-1], traj.X0[-1], traj.X1[-1], traj.L[-1])
-        return traj
+    x_errs = np.zeros((len(levels), _BASE_STEPS, 2))
 
     for s in range(_BASE_STEPS):
-        ref = run_slab(-1, ref_mesh, ref_slab, f"reference level {ref_level}")
-        for k, mesh, grid, row_err in zip(levels, meshes, slabs, row_errs):
-            n = grid.n_steps
-            # The projection first, so that its temporaries are freed before
-            # the level's slab runs; the squared error then replaces it.
-            sq = project_reference(ref, ref_mesh, mesh, grid)
-            traj = run_slab(k, mesh, grid, f"level {k}")
-            np.subtract(_interior_field(traj), sq, out=sq)
-            np.multiply(sq, sq, out=sq)
-            # row_integrals' per-row dot: its bits do not depend on how the
-            # rows are grouped, where a matrix-vector product's do
-            row_err[s * n : (s + 1) * n] = row_integrals(sq, 1.0, mesh)
-            m = slab_steps // n
-            x_errs[k, s] = (
-                np.abs(traj.X0[1:] - project_time_series(ref.X0[1:], m)).max(),
-                np.abs(traj.X1[1:] - project_time_series(ref.X1[1:], m)).max(),
-            )
-            del traj, sq
-        del ref
+        for i, U, X0, X1 in ref.until((s + 1) * slab_steps):
+            project_reference(U[:, 1:-1], into=projection)
+            i -= s * slab_steps
+            ref_x[:, i : i + len(X0)] = X0, X1
+            # the block is freed before the next one is stepped
+            del U, X0, X1
+        for k, steps, mesh, sums, row_err in zip(levels, runs, meshes, projection.coarse, row_errs):
+            proj = sums.mean()
+            n = len(proj)
+            x_ref = np.array([project_time_series(x, slab_steps // n) for x in ref_x])
+            for i, U, X0, X1 in steps.until((s + 1) * n):
+                rows = slice(i - s * n, i - s * n + len(X0))
+                sq = U[:, 1:-1] - proj[rows]
+                np.multiply(sq, sq, out=sq)
+                # row_integrals' per-row dot: its bits do not depend on how
+                # the rows are grouped, where a matrix-vector product's do
+                row_err[i : i + len(X0)] = row_integrals(sq, 1.0, mesh)
+                x_err = np.abs(np.array((X0, X1)) - x_ref[:, rows]).max(axis=1)
+                np.maximum(x_errs[k, s], x_err, out=x_errs[k, s])
+                del U, X0, X1, sq
+    for steps in (ref, *runs):
+        steps.finish()
 
     h = [float(mesh.cell_sizes.max()) for mesh in meshes]
     dt = [grid.dt for grid in grids]

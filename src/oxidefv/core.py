@@ -120,10 +120,13 @@ class ExponentialProfile:
         _check_fields(self, _finite, "finite", "c1", "c2", "c3")
 
     def __call__(self, x):
-        return self.c1 * np.exp(self.c2 * np.asarray(x, dtype=float)) + self.c3
+        x = _check_values("ExponentialProfile", "x", x)
+        return self.c1 * np.exp(self.c2 * x) + self.c3
 
     def average(self, x_lo: float, x_hi: float) -> float:
         """Exact mean value over [x_lo, x_hi] via the antiderivative."""
+        _check_args("ExponentialProfile.average", _finite, "finite", x_lo=x_lo, x_hi=x_hi)
+        x_lo, x_hi = float(x_lo), float(x_hi)
         width = x_hi - x_lo
         if width <= 0.0:
             raise ValueError("average: interval must have positive width")
@@ -137,6 +140,8 @@ class ExponentialProfile:
 
     def bounds(self, x_lo: float, x_hi: float) -> tuple[float, float]:
         """(inf, sup) over [x_lo, x_hi]; the profile is monotone."""
+        _check_args("ExponentialProfile.bounds", _finite, "finite", x_lo=x_lo, x_hi=x_hi)
+        x_lo, x_hi = float(x_lo), float(x_hi)
         lo = float(self(x_lo))
         hi = float(self(x_hi))
         return (min(lo, hi), max(lo, hi))
@@ -159,9 +164,11 @@ class TabulatedProfile:
             raise InputError("tabulated profile abscissae must be strictly increasing", "x")
 
     def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.x, self.values)
+        return np.interp(_check_values("TabulatedProfile", "x", x), self.x, self.values)
 
     def average(self, x_lo: float, x_hi: float) -> float:
+        _check_args("TabulatedProfile.average", _finite, "finite", x_lo=x_lo, x_hi=x_hi)
+        x_lo, x_hi = float(x_lo), float(x_hi)
         width = x_hi - x_lo
         if width <= 0.0:
             raise ValueError("average: interval must have positive width")
@@ -170,6 +177,8 @@ class TabulatedProfile:
         return float(np.dot(_GAUSS3_HALF_WEIGHTS, self(pts)))
 
     def bounds(self, x_lo: float, x_hi: float) -> tuple[float, float]:
+        _check_args("TabulatedProfile.bounds", _finite, "finite", x_lo=x_lo, x_hi=x_hi)
+        x_lo, x_hi = float(x_lo), float(x_hi)
         xs = np.asarray(self.x)
         if x_lo < xs[0] or x_hi > xs[-1]:
             raise InputError("tabulated profile does not cover the requested interval", "x")
@@ -536,17 +545,23 @@ def check_storable(cells: int, n_steps: int) -> None:
         )
 
 
-# Trajectory diagnostics read consecutive rows in 2-D blocks of at most
-# about this many entries, so their temporaries do not grow with the run
-# length (project_reference reads runs of the fine rows of one coarse time
-# slab).  Larger blocks spend less Python
-# overhead per step, but their temporaries add to the peak.  Traced peaks of
-# TestDiagnosticsMemory's 641 rows at I = 400, whose bound is U.nbytes / 4 =
-# 515 KB, at 2048 / 4096 / 8192: build_ledger 234 / 443 / 860 KB (it keeps
-# about 13 block-sized arrays alive), verify_trajectory 75 / 139 / 268 KB,
-# project_reference onto 100 cells and 40 steps 80 / 120 / 168 KB, and onto
-# 50 cells and 10 steps (64 fine rows a slab) 46 / 82 / 154 KB.
+# Runs hand out their steps, and trajectory diagnostics read consecutive
+# rows, in 2-D blocks of at most about this many entries, so that neither
+# the blocks nor the diagnostics' temporaries grow with the run length
+# (project_reference reads runs of the fine rows of one coarse time step).
+# Larger blocks spend less Python overhead per step, but their temporaries
+# add to the peak.  Traced peaks of TestDiagnosticsMemory's 641 rows at I =
+# 400, whose bound is U.nbytes / 4 = 515 KB, at 2048 / 4096 / 8192:
+# build_ledger 234 / 443 / 860 KB (it keeps about 13 block-sized arrays
+# alive), verify_trajectory 75 / 139 / 268 KB, project_reference onto 100
+# cells and 40 steps 80 / 120 / 193 KB, and onto 50 cells and 10 steps (64
+# fine rows a coarse step) 46 / 82 / 154 KB.
 _BLOCK_ELEMS = 4096
+
+
+def _block_steps(row_len: int) -> int:
+    """The number of steps in a block of rows of row_len entries."""
+    return max(1, _BLOCK_ELEMS // row_len)
 
 
 def step_blocks(traj: Trajectory):
@@ -555,10 +570,11 @@ def step_blocks(traj: Trajectory):
     traj.U (shape (k+1, I+2)), so the block covers the k steps that end in
     its rows 1..k; X0, X1 and L are the matching length-(k+1) views.  A
     block holds at most about _BLOCK_ELEMS entries.  A single stored state
-    is yielded as one block with k = 0.
+    is yielded as one block with k = 0.  scheme.run_blocks yields the same
+    blocks while the run is stepped.
     """
     U = traj.U
-    rows = max(1, _BLOCK_ELEMS // U.shape[1])
+    rows = _block_steps(U.shape[1])
     for start in range(0, max(U.shape[0] - 1, 1), rows):
         stop = start + rows + 1
         yield start, U[start:stop], traj.X0[start:stop], traj.X1[start:stop], traj.L[start:stop]

@@ -53,6 +53,7 @@ from .core import (
     TerminationKind,
     TimeGrid,
     Trajectory,
+    _block_steps,
     _check_dt,
     _check_rates,
     _frame_velocity,
@@ -665,6 +666,113 @@ def _bracket_collapse(prev: State, mesh: Mesh, dt: float, params: ModelParams, o
     return lo, hi
 
 
+def _first_state(params, mesh, opts, initial_mode, initial_state) -> State:
+    """The run's initial state, checked against the mesh and the width floor."""
+    first = (
+        initial_state
+        if initial_state is not None
+        else discretize_initial(params, mesh, initial_mode)
+    )
+    if first.num_cells != mesh.num_cells:
+        raise ValueError("run: initial state does not match the mesh")
+    floor = opts.resolved_floor(params)
+    if first.L <= floor:
+        raise ValueError(
+            f"run: initial width {float(first.L)!r} is at or below the width floor {float(floor)!r}"
+        )
+    return first
+
+
+def _columns(rows: int, row_len: int) -> tuple:
+    """Empty columns U, X0, X1, L, newton_iters and residual_inf of rows rows."""
+    return (np.empty((rows, row_len)), np.empty(rows), np.empty(rows), np.empty(rows),
+            np.empty(rows, dtype=int), np.empty(rows))
+
+
+def run_blocks(
+    params: ModelParams,
+    mesh: Mesh,
+    time_grid: TimeGrid,
+    opts: SolverOptions = SolverOptions(),
+    initial_mode: InitialMode = InitialMode.CELL_AVERAGE,
+    initial_state: State | None = None,
+):
+    """Iterate the implicit step over the time grid as run() does, and hand
+    out the steps in blocks while the run goes on: no block outlives its
+    reader.
+
+    Yields the blocks that core.step_blocks yields of run()'s trajectory,
+    as (start, U, X0, X1, L, newton_iters, residual_inf): rows start ..
+    start + k of those columns, the k steps of the block and the row before
+    them, at most about _BLOCK_ELEMS entries.  Each block's arrays are its
+    own and read-only.  The run's Termination comes last.  The initial
+    state is checked when run_blocks is called, not at the first block:
+    ValueError as for run().
+    """
+    first = _first_state(params, mesh, opts, initial_mode, initial_state)
+    return _blocks(params, mesh, time_grid, opts, first)
+
+
+def _blocks(params, mesh, time_grid, opts, first):
+    """run_blocks' generator, from the checked initial state first."""
+    floor = opts.resolved_floor(params)
+    dt, n_steps = time_grid.dt, time_grid.n_steps
+    steps = _block_steps(first.u.size)
+    termination = Termination(TerminationKind.COMPLETED)
+    # the row before each block's steps: the state and the work of its solve
+    prev, work = first, (0, np.nan)
+    start = 0
+    while True:
+        # Row j holds the state after step start + j and the work of the
+        # solve that produced it.  Rows a collapse never reaches are cut off.
+        rows = min(steps, n_steps - start) + 1
+        columns = U, X0, X1, L, iters, resid = _columns(rows, first.u.size)
+        U[0], X0[0], X1[0], L[0] = prev.u, prev.X0, prev.X1, prev.L
+        iters[0], resid[0] = work
+        kept = 1
+        for n in range(start + 1, start + rows):
+            result = newton_step_solve(prev, mesh, dt, params, opts)
+            # A width collapse ends the run: the continuation has never
+            # rescued a step Newton reports as WIDTH_COLLAPSED, on the presets
+            # or on random dissolution-regime parameters, meshes and time
+            # steps.
+            if result.status is StepStatus.NO_CONVERGENCE:
+                result = homotopy_solve(prev, mesh, dt, params, opts)
+            if result.status is not StepStatus.CONVERGED:
+                if result.status is StepStatus.WIDTH_COLLAPSED:
+                    lo, hi = _bracket_collapse(prev, mesh, dt, params, opts)
+                    t_prev = (n - 1) * dt
+                    termination = Termination(
+                        TerminationKind.WIDTH_COLLAPSED, step=n, bracket=(t_prev + lo, t_prev + hi)
+                    )
+                else:
+                    termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
+                break
+            prev = state = result.state
+            work = result.iterations, result.residual_inf
+            j = n - start
+            U[j], X0[j], X1[j], L[j] = state.u, state.X0, state.X1, state.L
+            iters[j], resid[j] = work
+            kept = j + 1
+            if state.L <= 2.0 * floor:
+                termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n)
+                break
+        block = tuple(column[:kept] for column in columns)
+        del columns, U, X0, X1, L, iters, resid
+        # a run that ends at a block's first step adds no block, unless the
+        # initial state is all it stored
+        if kept > 1 or start == 0:
+            for column in block:
+                column.setflags(write=False)
+            yield (start, *block)
+        # the block is its reader's alone while the next one is stepped
+        del block
+        start += kept - 1
+        if termination.kind is not TerminationKind.COMPLETED or start == n_steps:
+            break
+    yield termination
+
+
 def run(
     params: ModelParams,
     mesh: Mesh,
@@ -679,68 +787,21 @@ def run(
     taken is located by _bracket_collapse and reported in the termination.
     Raises ValueError for an initial state off the mesh or whose width is
     at or below the width floor.
+
+    The steps come from run_blocks, whose blocks are collected into columns
+    allocated for the whole grid.
     """
-    floor = opts.resolved_floor(params)
-    first = (
-        initial_state
-        if initial_state is not None
-        else discretize_initial(params, mesh, initial_mode)
-    )
-    if first.num_cells != mesh.num_cells:
-        raise ValueError("run: initial state does not match the mesh")
-    if first.L <= floor:
-        raise ValueError(
-            f"run: initial width {float(first.L)!r} is at or below the width floor {float(floor)!r}"
-        )
-
-    # Row n holds the state after step n and the work of the solve that
-    # produced it.  Rows a collapse never reaches are never touched.
-    rows = time_grid.n_steps + 1
-    U = np.empty((rows, first.u.size))
-    X0 = np.empty(rows)
-    X1 = np.empty(rows)
-    L = np.empty(rows)
-    iters = np.empty(rows, dtype=int)
-    resid = np.empty(rows)
-    U[0], X0[0], X1[0], L[0] = first.u, first.X0, first.X1, first.L
-    iters[0], resid[0] = 0, np.nan
-    kept = 1
-    termination = Termination(TerminationKind.COMPLETED)
-    prev = first
-
-    dt = time_grid.dt
-    for n in range(1, time_grid.n_steps + 1):
-        result = newton_step_solve(prev, mesh, dt, params, opts)
-        # A width collapse ends the run: the continuation has never rescued
-        # a step Newton reports as WIDTH_COLLAPSED, on the presets or on
-        # random dissolution-regime parameters, meshes and time steps.
-        if result.status is StepStatus.NO_CONVERGENCE:
-            result = homotopy_solve(prev, mesh, dt, params, opts)
-        if result.status is not StepStatus.CONVERGED:
-            if result.status is StepStatus.WIDTH_COLLAPSED:
-                lo, hi = _bracket_collapse(prev, mesh, dt, params, opts)
-                t_prev = (n - 1) * dt
-                termination = Termination(
-                    TerminationKind.WIDTH_COLLAPSED, step=n, bracket=(t_prev + lo, t_prev + hi)
-                )
-            else:
-                termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
+    blocks = run_blocks(params, mesh, time_grid, opts, initial_mode, initial_state)
+    columns = _columns(time_grid.n_steps + 1, mesh.num_cells + 2)
+    kept = 0
+    for block in blocks:
+        if isinstance(block, Termination):
             break
-        prev = state = result.state
-        U[n], X0[n], X1[n], L[n] = state.u, state.X0, state.X1, state.L
-        iters[n], resid[n] = result.iterations, result.residual_inf
-        kept = n + 1
-        if state.L <= 2.0 * floor:
-            termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n)
-            break
-
-    return Trajectory(
-        U=U[:kept],
-        X0=X0[:kept],
-        X1=X1[:kept],
-        L=L[:kept],
-        time_grid=time_grid,
-        termination=termination,
-        newton_iters=iters[:kept],
-        residual_inf=resid[:kept],
-    )
+        start, *parts = block
+        kept = start + len(parts[0])
+        for column, part in zip(columns, parts):
+            column[start:kept] = part
+    U, X0, X1, L, iters, resid = (column[:kept] for column in columns)
+    # the loop ends at the run's Termination, which comes last
+    return Trajectory(U=U, X0=X0, X1=X1, L=L, time_grid=time_grid, termination=block,
+                      newton_iters=iters, residual_inf=resid)

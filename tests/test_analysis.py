@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oxidefv import (
     mass_balance_defects,
     project_reference,
     run,
+    run_blocks,
     uniform_mesh,
     velocities,
     velocity_bounds,
@@ -636,25 +638,58 @@ class TestConvergenceStudy:
             convergence_study(params, max_level=0, ref_level=1, t_final=t_final, opts=opts)
         assert str(failure.value) == f"convergence_study: {named} did not complete"
 
-    def test_every_run_is_one_level_0_slab(self, tc1, monkeypatch):
-        # in each of the ten slabs the reference runs first, then each level
-        calls = []
+    def test_reference_slab_goes_first_then_each_level(self, tc1, monkeypatch):
+        # In each of the ten level-0 slabs the reference's generator advances
+        # through its 16 steps first, then level 0's through 1 step and level
+        # 1's through 4; once every slab is done each run's end is read, in
+        # the same order.  One step a block, so each block pulled is a step.
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", 1)
+        pulled = []
 
-        def recorded(params, mesh, grid, *args, **kwargs):
-            calls.append((mesh.num_cells, grid.n_steps))
-            return run(params, mesh, grid, *args, **kwargs)
+        def recorded(params, mesh, grid, *args):
+            for block in run_blocks(params, mesh, grid, *args):
+                end = "end" if isinstance(block, Termination) else block[0] + len(block[4]) - 1
+                pulled.append((mesh.num_cells, end))
+                yield block
 
-        monkeypatch.setattr(analysis, "run", recorded)
+        monkeypatch.setattr(analysis, "run_blocks", recorded)
         convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1)
-        assert calls == [(200, 16), (50, 1), (100, 4)] * 10
+        want = []
+        for s in range(10):
+            for cells, steps in ((200, 16), (50, 1), (100, 4)):
+                want += [(cells, s * steps + i) for i in range(1, steps + 1)]
+        want += [(200, "end"), (50, "end"), (100, "end")]
+        assert pulled == want
 
-    def test_reference_is_held_one_slab_at_a_time(self, tc1):
-        # the whole reference U of level 3 over 640 steps of 400 cells
-        whole_u = (640 + 1) * (400 + 2) * 8
+    def test_reference_is_held_one_slab_at_a_time(self, tc1, monkeypatch):
+        # At a quarter of the block budget, the study holds less than a
+        # quarter of one level-0 slab of reference level 3, 64 + 1 rows of
+        # 400 + 2 doubles, beyond what stepping that reference alone takes
+        # (its blocks dropped as they come): no slab of it is stored.  The
+        # stepping alone peaks near a whole slab (175 of 209 KB at the full
+        # budget), so the study's own peak is not compared with the slab.
+        for module in (core, analysis):
+            monkeypatch.setattr(module, "_BLOCK_ELEMS", 1024)
+        slab = (4**3 + 1) * (50 * 2**3 + 2) * 8
+        mesh, grid = uniform_mesh(400), TimeGrid.from_horizon(0.1, 640)
+        alone = traced_peak(lambda: deque(run_blocks(tc1, mesh, grid), maxlen=0))
         peak = traced_peak(
             lambda: convergence_study(tc1, max_level=0, ref_level=3, t_final=0.1)
         )
-        assert peak < whole_u / 2
+        assert peak - alone < slab / 4
+
+    @pytest.mark.parametrize(
+        "budget",
+        # one step a block; 3 reference steps a block, so blocks straddle
+        # the ends of its 16-step slabs; each run in one block
+        [1, 3 * 202, 1 << 30],
+    )
+    def test_study_at_any_block_budget_matches_the_whole_run(self, tc1, budget, monkeypatch):
+        want = whole_reference_study(tc1, 1, 2, 0.1, InitialMode.CELL_AVERAGE)
+        for module in (core, analysis):
+            monkeypatch.setattr(module, "_BLOCK_ELEMS", budget)
+        got = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1)
+        assert got.levels == want
 
     def test_levels_keep_per_step_sums(self, tc1):
         # level 2's squared error, 160 steps of 200 cells, is not kept

@@ -115,15 +115,29 @@ PARAMETERS = {
 # The parameters of exported functions that take no number.
 NOT_A_NUMBER = {"params", "mesh", "traj", "state", "prev", "nxt", "cand", "density", "opts",
                 "initial_mode", "initial_state", "mode", "time_grid", "fine", "fine_mesh",
-                "coarse_mesh", "coarse_time", "wave", "report", "ledger", "path"}
+                "coarse_mesh", "coarse_time", "into", "wave", "report", "ledger", "path"}
 
 WAVE = TravellingWave(**VALID[TravellingWave])
+EXPONENTIAL = ExponentialProfile(**VALID[ExponentialProfile])
+TABULATED = TabulatedProfile((0.0, 1.0), (1.0, 2.0))
 # The exported methods that take values: an array or a number.  The density
 # callables phi and phi_prime are the user's own and take what they take.
 METHODS = {
     ("ConvexDensity.pi", "r"): lambda _, v: QUADRATIC.pi(v),
     ("TravellingWave.profile", "y"): lambda _, v: WAVE.profile(v),
     ("TravellingWave.profile_rescaled", "xi"): lambda _, v: WAVE.profile_rescaled(v),
+    ("ExponentialProfile.__call__", "x"): lambda _, v: EXPONENTIAL(v),
+    ("TabulatedProfile.__call__", "x"): lambda _, v: TABULATED(v),
+}
+# The exported methods that take numbers: the profiles' averages and
+# bounds over [x_lo, x_hi], called by keyword with the one named replaced.
+INTERVAL = dict(x_lo=0.0, x_hi=1.0)
+NUMBER_METHODS = {
+    (f"{type(profile).__name__}.{method}", name):
+        lambda n, v, f=getattr(profile, method): f(**{**INTERVAL, n: v})
+    for profile in (EXPONENTIAL, TABULATED)
+    for method in ("average", "bounds")
+    for name in INTERVAL
 }
 
 # the constructors, functions and arguments that raise InputError, whose
@@ -131,7 +145,7 @@ METHODS = {
 INPUT_ERRORS = {ExponentialProfile, ModelParams, SolverOptions, TabulatedProfile,
                 (TimeGrid, "dt"), (TimeGrid, "t_final"), ("from_horizon", "t_final"),
                 *(set(PARAMETERS) - {convergence_study}), (convergence_study, "t_final"),
-                *METHODS}
+                *METHODS, *NUMBER_METHODS}
 
 NOT_NUMBERS = (True, False, "1", None)
 # array inputs: an integer or floating dtype, or entries that are numbers
@@ -183,6 +197,9 @@ def _rows():
             yield owner, name, call, value
     for (owner, name), call in METHODS.items():
         for value in BAD[VALUES]:
+            yield owner, name, call, value
+    for (owner, name), call in NUMBER_METHODS.items():
+        for value in BAD[FINITE]:
             yield owner, name, call, value
     for value in ARRAYS:
         yield Mesh, "edges", lambda _, v: Mesh(v), value
@@ -241,6 +258,16 @@ def test_valid_method_call_accepted(method):
     for value in ([0, 0.5, 1], np.array([0.0, 0.5, 1.0], dtype=np.float32)):
         assert np.array_equal(call(None, value), expected)
     assert call(None, np.int64(1)) == call(None, 1.0) == expected[2]
+
+
+@pytest.mark.parametrize("method", list(NUMBER_METHODS), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_valid_number_method_call_accepted(method):
+    # any real number: the result of its float
+    call, name = NUMBER_METHODS[method], method[1]
+    value = INTERVAL[name]
+    expected = call(name, value)
+    for other in (np.float32(value), np.int64(value), int(value), Fraction(value)):
+        assert call(name, other) == expected
 
 
 @pytest.mark.parametrize("owner, name, call, value", [pytest.param(*r, id=_id(r)) for r in ROWS])
