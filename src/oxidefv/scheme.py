@@ -7,13 +7,16 @@ so it closes by construction, and the stored positions are X0_prev + d0
 and X1_prev + d1.  The rows are I interior balances with exponential-fitting
 two-point fluxes, the two boundary flux conditions and the two interface
 motion laws.  No row or Jacobian entry reads an absolute position, so a
-step's u, L and work do not depend on where the layer lies.  Each solve
-builds one _StepSystem: the step's constants and the buffers that each
-iterate's assembly and block solve overwrite.  Its one assembly of the
+step's u, L and work do not depend on where the layer lies.  A _StepSystem
+holds the constants of steps over dt on one mesh and the buffers that each
+iterate's assembly and block solve overwrite; rebase() poses it from a
+previous state.  The time loop builds one per block of steps and rebases
+it on each step's previous state; newton_step_solve and each of the
+continuation's sub-steps build their own.  Its one assembly of the
 residual and the bordered-banded Jacobian, and its one block solve, are
 shared by Newton, the continuation and jacobian(): all three work on the
 scheme itself.  The solvers check dt and the previous state's cell count
-once, on entry.
+once, on entry; the time loop checks them once per run.
 
 Damped Newton iteration with the analytic Jacobian does the work.  Once a
 full undamped iteration of the scheme moves the iterate by at most
@@ -56,6 +59,7 @@ from .core import (
     _block_steps,
     _check_dt,
     _check_rates,
+    _checked_state,
     _frame_velocity,
     _positive_finite,
     _positive_int,
@@ -185,47 +189,89 @@ def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.n
 
 
 class _StepSystem:
-    """The step system of one nonlinear solve from prev over dt, built once
-    per solve and assembled at each iterate (u, d0, d1).
+    """The step system over dt on one mesh, posed from a previous state
+    prev and assembled at each iterate (u, d0, d1).
 
-    Built per solve: the step's constants (prev.L * prev.u[1:-1], edges/dt,
-    1 - R and the motion laws' coefficients), the edge velocities at rest,
-    and the buffers that each iterate overwrites: the Peclet arguments, the
-    edge fluxes' derivatives in (d0, d1), and the block solve's column-major
-    buffer with the addresses dgtsv takes into it.
+    Built once per (mesh, dt, params): the step's constants (edges/dt, 1 -
+    R and the motion laws' coefficients), the edge velocities at rest, the
+    buffers that each iterate overwrites and the views into them that the
+    iteration reads.  rebase(prev) poses the step from prev: it refreshes
+    prev.L, prev.L * prev.u[1:-1] and prev's positions, and drops the
+    factors kept for resolve().  The constructor rebases on its prev; the
+    time loop builds one system per block of steps and rebases it on each
+    step's previous state.
 
-    The I+2 concentration rows are permuted (left flux condition, interior
-    balances, right flux condition).  One column-major buffer holds their
-    tridiagonal u-block in the (1, 1) banded layout (band: superdiagonal,
-    diagonal, subdiagonal rows, LAPACK's DU, D and DL with DU shifted one
-    entry right), three right-hand sides (rhs): the residual column, then
-    the border, their (d0, d1) columns, and three scratch columns that a
-    copy of the band takes before each dgtsv, which overwrites it.  The
-    last two rows are the motion laws: c0 is the X0 law's coefficient on
-    u_0, c1 the X1 law's on u_{I+1}, and block the 2x2 block of both in
-    (d0, d1), row by row.
+    The buffers hold the edge fields (L*h, the velocities, the stacked
+    Peclet arguments (w, -w), the fluxes and their derivatives in (d0,
+    d1)), the increment, and the block solve's column-major buffer with the
+    addresses dgtsv takes into it.  The I+2 concentration rows are permuted
+    (left flux condition, interior balances, right flux condition).  That
+    buffer holds their tridiagonal u-block in the (1, 1) banded layout
+    (band: superdiagonal, diagonal, subdiagonal rows, LAPACK's DU, D and DL
+    with DU shifted one entry right), three right-hand sides (rhs): the
+    residual column, then the border, their (d0, d1) columns, and three
+    scratch columns that a copy of the band takes before each dgtsv, which
+    overwrites it.  The last two rows are the motion laws: c0 is the X0
+    law's coefficient on u_0, c1 the X1 law's on u_{I+1}, and block the 2x2
+    block of both in (d0, d1), row by row.
     """
 
     def __init__(self, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-        self.prev, self.mesh, self.dt, self.params = prev, mesh, dt, params
+        self.mesh, self.dt, self.params = mesh, dt, params
         self.cells = cells = mesh.num_cells
         m = cells + 2
-        self._L_prev = float(prev.L)
-        self._prev_mass = prev.L * prev.u[1:-1]
+        edges = m - 1
         self._edges_dt = mesh.edges / dt
         self._one_minus_R = 1.0 - params.R
         self.c0, self.c1 = params.beta0, -params.beta1
         self.block = (1.0 / dt, -self._one_minus_R / dt, 0.0, 1.0 / dt)
         self._rest_v = _frame_velocity(0.0, 0.0, 0.0, mesh, dt, params.R)
-        # the stacked Peclet arguments (w, -w) and, per edge, the flux's
-        # derivatives in (d0, d1)
-        self._w = np.empty(2 * (m - 1))
-        self._dF = np.empty((m - 1, 2), order="F")
+        # (-1, 1 - R): dF's columns before the division by dt, times Nw
+        self._dF_signs = np.array((-1.0, self._one_minus_R))
+        # (h, -h) per cell: the balances' L * u term in the border, both
+        # signs.  It and hu_dt are column-major, as the border is, so that
+        # each operation on them runs down the columns.
+        self._h_pm = h_pm = np.empty((cells, 2), order="F")
+        h_pm[:, 0] = mesh.cell_sizes
+        np.negative(mesh.cell_sizes, out=h_pm[:, 1])
+        self._prev_mass = np.empty(cells)
+
+        # the edge fields of the last iterate; scratch of a concentration
+        # row, and its first I+1 entries for an edge row
+        self._Lh, self._v, self._F, self._Nw, self._dF_L = np.empty((5, edges))
+        self._tmp_u = np.empty(m)
+        self._tmp = self._tmp_u[:edges]
+        self._F_right, self._F_left = self._F[1:], self._F[:-1]
+        self._Nw_col = self._Nw[:, None]
+        self._w = np.empty(2 * edges)
+        self._w_pos, self._w_neg = self._w[:edges], self._w[edges:]
+        self._dF = dF = np.empty((edges, 2), order="F")
+        self._dF0, self._dF1 = dF.T
+        self._dF_next, self._dF_prev, self._dF_ends = dF[1:], dF[:-1], dF[::cells]
+        self._hu_dt = np.empty((cells, 2), order="F")
+        # the increment, and its concentration part
+        self._delta = np.empty(m + 2)
+        self._du = self._delta[:m]
+
         self._buf = buf = np.zeros((m, 9), order="F")
-        self.band = buf[:, :3].T
-        self.rhs = buf[:, 3:6]
-        self.border = buf[:, 4:6]
+        self.band = band = buf[:, :3].T
+        self.rhs = rhs = buf[:, 3:6]
+        self.border = border = buf[:, 4:6]
         self._band_copy = buf[:, 6:].T
+        self._system_cols = buf[:, :6]
+        self._diag = band[1, 1 : cells + 1]
+        # band rows 0 and 2 as one (2, I+1) view, -B/(L h) on each edge:
+        # the superdiagonal's entries 1..I+1 and the subdiagonal's 0..I
+        row, step = band.strides
+        self._off = off = np.lib.stride_tricks.as_strided(
+            band[0, 1:], shape=(2, edges), strides=(2 * row - step, step)
+        )
+        self._off_inner = (off[1, 1:], off[0, :-1])
+        self._inner = border[1 : cells + 1]
+        self._border_ends = border[:: cells + 1]
+        self._y, self._y_inner = rhs[:, 0], rhs[1 : cells + 1, 0]
+        self._Y0, self._Y1 = border.T
+        self._Y_ends = border[:: m - 1]
         # dgtsv's integers N (also LDB), NRHS and INFO, and its arguments:
         # DL, D and DU in the scratch copy of the band, B in rhs
         self._ints = ints = np.array((m, 3, 0), dtype=np.int64)
@@ -233,12 +279,26 @@ class _StepSystem:
         self._dgtsv_args = (
             q, q + 8, p + 8 * col, p + 7 * col, p + 6 * col + 8, p + 3 * col, q, q + 16
         )
-        # (solved border, Schur matrix) of the last solve(), for resolve()
+        self.rebase(prev)
+
+    def rebase(self, prev: State) -> None:
+        """Pose the step from prev: its width, masses and positions, and no
+        factors for resolve() until the next solve()."""
+        self.prev = prev
+        self._L_prev = float(prev.L)
+        np.multiply(prev.L, prev.u[1:-1], out=self._prev_mass)
+        self._X0_prev, self._X1_prev = float(prev.X0), float(prev.X1)
+        # the Schur matrix of the last solve(), for resolve()
         self._kept = None
 
     def width(self, d0, d1) -> float:
         """The width prev.L + (d1 - d0) at the displacements (d0, d1)."""
         return self._L_prev + (d1 - d0)
+
+    def positions(self, d0, d1) -> tuple:
+        """(X0, X1, L) at the displacements (d0, d1): prev's positions moved
+        by them, and the width."""
+        return self._X0_prev + d0, self._X1_prev + d1, self.width(d0, d1)
 
     def result(self, end, status: StepStatus, iterations: int, residual_inf: float) -> StepResult:
         """The StepResult of a solve that ended at end = (u, d0, d1), or at
@@ -246,43 +306,52 @@ class _StepSystem:
         state = None
         if end is not None:
             u, d0, d1 = end
-            prev = self.prev
-            state = State(u=u, X0=float(prev.X0) + d0, X1=float(prev.X1) + d1, L=self.width(d0, d1))
+            X0, X1, L = self.positions(d0, d1)
+            state = State(u=u, X0=X0, X1=X1, L=L)
         return StepResult(state, status, iterations, residual_inf)
 
     def _fields(self, u, d0, d1, L, prime: bool):
-        """Velocities, L*h, Bernoulli weights, their derivatives (None
-        unless prime) and fluxes per edge, with Peclet arguments w = L*h*v.
-        The weights come as rows (B(w), B(-w)), the derivatives likewise.
-        One kernel call evaluates the stacked (w, -w); none at rest."""
-        mesh = self.mesh
-        Lh = L * mesh.gaps
+        """Write L*h, the velocities and the fluxes of the iterate to their
+        buffers, with Peclet arguments w = L*h*v, and return the velocities,
+        the Bernoulli weights and their derivatives (None unless prime), as
+        rows (B(w), B(-w)) and likewise.  One kernel call evaluates the
+        stacked (w, -w); none at rest."""
+        Lh = self._Lh
+        np.multiply(L, self.mesh.gaps, out=Lh)
         if d0 == 0.0 and d1 == 0.0:
             v, B, dB = self._rest_v, _REST_B, _REST_DB
         else:
-            v = _frame_velocity(d0, d1, d1 - d0, mesh, self.dt, self.params.R)
-            w = self._w
-            edges = Lh.size
-            np.multiply(Lh, v, out=w[:edges])
-            np.negative(w[:edges], out=w[edges:])
-            B, dB = _bernoulli_pair(w, prime)
-            B = B.reshape(2, edges)
+            # core._frame_velocity's operations, into the buffer
+            dt, v = self.dt, self._v
+            np.multiply(self.mesh.edges, (d1 - d0) / dt, out=v)
+            np.subtract(self._one_minus_R * (d1 / dt), v, out=v)
+            np.subtract(v, d0 / dt, out=v)
+            np.multiply(Lh, v, out=self._w_pos)
+            np.negative(self._w_pos, out=self._w_neg)
+            B, dB = _bernoulli_pair(self._w, prime)
+            B = B.reshape(2, -1)
             if prime:
-                dB = dB.reshape(2, edges)
-        F = (B[1] * u[:-1] - B[0] * u[1:]) / Lh
-        return v, Lh, B, dB, F
+                dB = dB.reshape(2, -1)
+        F, tmp = self._F, self._tmp
+        np.multiply(B[1], u[:-1], out=F)
+        np.multiply(B[0], u[1:], out=tmp)
+        np.subtract(F, tmp, out=F)
+        np.divide(F, Lh, out=F)
+        return v, B, dB
 
-    def _residual_rows(self, u, d0, d1, L, F):
+    def _residual_rows(self, u, d0, d1, L):
+        """The residual at (u, d0, d1) from the fluxes in their buffer."""
         params, dt = self.params, self.dt
         cells = self.cells
+        F = self._F
         r = np.empty(cells + 4)
         balance = r[:cells]
         np.multiply(L, u[1:-1], out=balance)
         np.subtract(balance, self._prev_mass, out=balance)
         np.multiply(self.mesh.cell_sizes, balance, out=balance)
         np.divide(balance, dt, out=balance)
-        np.add(balance, F[1:], out=balance)
-        np.subtract(balance, F[:-1], out=balance)
+        np.add(balance, self._F_right, out=balance)
+        np.subtract(balance, self._F_left, out=balance)
         u_first, u_last = u.item(0), u.item(-1)
         r[cells] = F.item(0) - params.a + params.b * u_first
         r[cells + 1] = F.item(-1)
@@ -296,58 +365,66 @@ class _StepSystem:
         """Residual of the scheme at (u, d0, d1), without the Jacobian: the
         kernel evaluates B alone."""
         L = self.width(d0, d1)
-        F = self._fields(u, d0, d1, L, prime=False)[-1]
-        return self._residual_rows(u, d0, d1, L, F)
+        self._fields(u, d0, d1, L, prime=False)
+        return self._residual_rows(u, d0, d1, L)
 
     def assemble(self, u, d0, d1) -> np.ndarray:
         """Residual r of the scheme at (u, d0, d1), with its Jacobian
         written to band and border from one evaluation of the edge
-        fields."""
-        mesh, params, dt = self.mesh, self.params, self.dt
-        cells = self.cells
+        fields.
+
+        Each rewrite of a term holds exactly in IEEE arithmetic, the sign
+        of a zero included: a product or quotient with one factor negated
+        is the negated product, and x - (-y) is x + y."""
+        dt = self.dt
         L = self.width(d0, d1)
-        v, Lh, B, dB, F = self._fields(u, d0, d1, L, prime=True)
-        r = self._residual_rows(u, d0, d1, L, F)
+        v, B, dB = self._fields(u, d0, d1, L, prime=True)
+        r = self._residual_rows(u, d0, d1, L)
 
-        # Partial derivatives of each edge flux w.r.t. its neighbors and the
-        # interface unknowns.  BL holds (-dF/du_right, dF/du_left); Nw is
-        # dF/dw times L*h; dF_L is dF/dL.  L moves with d1 - d0, so dF holds
-        # dF/dd0 = -Nw/dt - dF_L and dF/dd1 = (1 - R) Nw/dt + dF_L.
-        BL = B / Lh
-        Nw = -dB[1] * u[:-1] - dB[0] * u[1:]
-        dF_L = Nw * (v / L - self._edges_dt) - F / L
-        dF = self._dF
-        dF0, dF1 = dF.T
-        np.negative(Nw, out=dF0)
-        np.multiply(Nw, self._one_minus_R, out=dF1)
-        np.divide(dF, dt, out=dF)
-        np.subtract(dF0, dF_L, out=dF0)
-        np.add(dF1, dF_L, out=dF1)
-        h = mesh.cell_sizes
-
-        band = self.band
-        band[1, 0] = BL.item(1, 0) + params.b
-        np.negative(BL[0], out=band[0, 1:])
-        diag = band[1, 1 : cells + 1]
-        np.multiply(h, L, out=diag)
+        # The u-block.  Each edge flux has dF/du_left = B(-w)/L*h and
+        # dF/du_right = -B(w)/L*h; off holds -B/L*h for both rows of B, the
+        # superdiagonal's -B(w)/L*h and the subdiagonal's -B(-w)/L*h.
+        off, band = self._off, self.band
+        np.divide(B, self._Lh, out=off)
+        np.negative(off, out=off)
+        band[1, 0] = self.params.b - off.item(1, 0)
+        diag = self._diag
+        np.multiply(self.mesh.cell_sizes, L, out=diag)
         np.divide(diag, dt, out=diag)
-        np.add(diag, BL[1, 1:], out=diag)
-        # adding B(w)/L*h subtracts dF/du_right exactly
-        np.add(diag, BL[0, :-1], out=diag)
-        band[1, cells + 1] = -BL.item(0, -1)
-        np.negative(BL[1, :cells], out=band[2, :cells])
-        band[2, cells] = BL.item(1, -1)
+        for term in self._off_inner:
+            # adds dF/du_left of the cell's right edge, then subtracts
+            # dF/du_right of its left edge
+            np.subtract(diag, term, out=diag)
+        band[1, self.cells + 1] = off.item(0, -1)
+        # the right flux condition's entry is dF/du_left itself
+        band[2, self.cells] = -off.item(1, -1)
 
-        # the balances' L * u term moves with d1 - d0 as well
-        border = self.border
-        border[0] = dF[0]
-        inner = border[1 : cells + 1]
-        np.subtract(dF[1:], dF[:-1], out=inner)
-        hu_dt = h * u[1:-1]
+        # The border.  Nw is dF/dw times L*h and dF_L is dF/dL.  L moves
+        # with d1 - d0, so dF holds dF/dd0 = -Nw/dt - dF_L and dF/dd1 =
+        # (1 - R) Nw/dt + dF_L.
+        Nw, dF_L, tmp = self._Nw, self._dF_L, self._tmp
+        np.multiply(dB[1], u[:-1], out=Nw)
+        np.negative(Nw, out=Nw)
+        np.multiply(dB[0], u[1:], out=tmp)
+        np.subtract(Nw, tmp, out=Nw)
+        np.divide(v, L, out=dF_L)
+        np.subtract(dF_L, self._edges_dt, out=dF_L)
+        np.multiply(Nw, dF_L, out=dF_L)
+        np.divide(self._F, L, out=tmp)
+        np.subtract(dF_L, tmp, out=dF_L)
+        dF = self._dF
+        np.multiply(self._Nw_col, self._dF_signs, out=dF)
+        np.divide(dF, dt, out=dF)
+        np.subtract(self._dF0, dF_L, out=self._dF0)
+        np.add(self._dF1, dF_L, out=self._dF1)
+        # the balances' L * u term moves with d1 - d0 as well: hu_dt holds
+        # (h u/dt, -h u/dt) per cell
+        np.copyto(self._border_ends, self._dF_ends)
+        inner, hu_dt = self._inner, self._hu_dt
+        np.subtract(self._dF_next, self._dF_prev, out=inner)
+        np.multiply(self._h_pm, u[1:-1, None], out=hu_dt)
         np.divide(hu_dt, dt, out=hu_dt)
-        np.subtract(inner[:, 0], hu_dt, out=inner[:, 0])
-        np.add(inner[:, 1], hu_dt, out=inner[:, 1])
-        border[cells + 1] = dF[-1]
+        np.subtract(inner, hu_dt, out=inner)
         return r
 
     def solve(self, r) -> np.ndarray:
@@ -356,37 +433,42 @@ class _StepSystem:
         concentration block for the residual and the border, then the 2x2
         Schur complement in (d0, d1) in closed form.  Raises LinAlgError
         when the system is singular or not finite; an increment that
-        overflows is returned as it is, for the caller to check."""
-        sol = self.rhs
-        self._load(r, sol[:, 0])
-        if not np.isfinite(self._buf[:, :6]).all():
+        overflows is returned as it is, for the caller to check.  The
+        increment is the system's buffer, which the next solve() or
+        resolve() overwrites."""
+        self._kept = None
+        self._load(r)
+        if not np.isfinite(self._system_cols).all():
             raise np.linalg.LinAlgError("non-finite bordered system")
         self._band_solve(3)
-        Y = sol[:, 1:]
-        (y00, y01), (y10, y11) = Y[0].tolist(), Y[-1].tolist()
+        (y00, y01), (y10, y11) = self._Y_ends.tolist()
         a, b, c, d = self.block
         S = (a - self.c0 * y00, b - self.c0 * y01, c - self.c1 * y10, d - self.c1 * y11)
-        delta = self._schur_step(r, sol[:, 0], Y, S)
-        self._kept = (Y, S)
+        delta = self._schur_step(r, self._y, S)
+        self._kept = S
         return delta
 
     def resolve(self, r) -> np.ndarray:
         """Simplified Newton increment -J^{-1} r, with J the Jacobian of the
-        last successful solve(): one dgtsv of its band on the residual alone,
-        its solved border and its Schur matrix."""
-        y = self.rhs[:, 0]
-        self._load(r, y)
+        last successful solve() since the last rebase(): one dgtsv of its
+        band on the residual alone, its solved border and its Schur matrix.
+        Raises RuntimeError when there is no such solve()."""
+        if self._kept is None:
+            raise RuntimeError("resolve() needs a successful solve() of this step first")
+        y = self._y
+        self._load(r)
         if not np.isfinite(y).all():
             raise np.linalg.LinAlgError("non-finite residual")
         self._band_solve(1)
-        return self._schur_step(r, y, *self._kept)
+        return self._schur_step(r, y, self._kept)
 
-    def _load(self, r, b_u):
-        """-r's concentration rows into b_u, in the band's row order."""
-        cells = self.cells
-        b_u[0] = -r[cells]
-        np.negative(r[:cells], out=b_u[1 : cells + 1])
-        b_u[cells + 1] = -r[cells + 1]
+    def _load(self, r):
+        """-r's concentration rows into rhs' residual column, in the band's
+        row order."""
+        cells, y = self.cells, self._y
+        y[0] = -r[cells]
+        np.negative(r[:cells], out=self._y_inner)
+        y[cells + 1] = -r[cells + 1]
 
     def _band_solve(self, nrhs: int):
         """dgtsv on a copy of the band, in place on the first nrhs columns
@@ -403,12 +485,13 @@ class _StepSystem:
         # an overflow in the solution reaches the increment, which the
         # caller checks
 
-    def _schur_step(self, r, y, Y, S):
-        """The increment from the band solutions y (residual) and Y (border)
-        and the Schur matrix S = (s00, s01, s10, s11), row by row.  Cramer's
-        rule solves it, which for two unknowns is forward stable (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2002, sec. 1.10.1).
-        Raises LinAlgError when S's determinant is zero or not finite."""
+    def _schur_step(self, r, y, S):
+        """The increment, written to the system's buffer, from the band
+        solution y of the residual, the solved border and the Schur matrix
+        S = (s00, s01, s10, s11), row by row.  Cramer's rule solves it,
+        which for two unknowns is forward stable (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, sec. 1.10.1).  Raises
+        LinAlgError when S's determinant is zero or not finite."""
         s00, s01, s10, s11 = S
         det = s00 * s11 - s01 * s10
         if not (det != 0.0 and math.isfinite(det)):
@@ -417,7 +500,15 @@ class _StepSystem:
         b1 = -r.item(-1) - self.c1 * y.item(-1)
         z0 = (b0 * s11 - s01 * b1) / det
         z1 = (s00 * b1 - s10 * b0) / det
-        return np.concatenate((y - Y[:, 0] * z0 - Y[:, 1] * z1, (z0, z1)))
+        # y - Y0 z0 - Y1 z1 for the concentrations, then (z0, z1)
+        delta, du, tmp = self._delta, self._du, self._tmp_u
+        np.multiply(self._Y0, z0, out=du)
+        np.subtract(y, du, out=du)
+        np.multiply(self._Y1, z1, out=tmp)
+        np.subtract(du, tmp, out=du)
+        delta[-2] = z0
+        delta[-1] = z1
+        return delta
 
     def dense_jacobian(self) -> np.ndarray:
         """The assembled matrix solve() inverts, with its rows in residual
@@ -488,8 +579,10 @@ def _damped_substep(u, L, du, dL, floor):
     # min(u / -du) as -max(u / du), negation being exact; inf when no du < 0.
     # A du below u / 1.8e308, as tiny sub-steps give, overflows the quotient
     # to -inf (silently, under _newton's errstate), which leaves that entry
-    # unconstrained as it should.
-    t_pos = -float(np.maximum.reduce(u[neg] / du[neg], initial=-np.inf))
+    # unconstrained as it should.  Only the entries with du < 0 are divided
+    # and reduced; the others of the new array are left unset.
+    quotient = np.divide(u, du, out=None, where=neg)
+    t_pos = -float(np.maximum.reduce(quotient, where=neg, initial=-np.inf))
     t = min(1.0, 0.995 * t_width, 0.995 * t_pos)
     width_blocked = t < 1.0 and t_width <= t_pos
     if t <= 2.0**-_MAX_HALVINGS:
@@ -571,6 +664,13 @@ def _newton(system: _StepSystem, start, opts, floor):
     return (u, d0, d1), StepStatus.CONVERGED, iters, resid_inf
 
 
+def _newton_step(system: _StepSystem, opts: SolverOptions, floor: float):
+    """Damped Newton over the system's step from its previous state, the
+    solve of newton_step_solve and of each step of the time loop: _newton's
+    (end, status, iterations, residual_inf)."""
+    return _newton(system, (system.prev.u, 0.0, 0.0), opts, floor)
+
+
 def newton_step_solve(
     prev: State,
     mesh: Mesh,
@@ -589,7 +689,7 @@ def newton_step_solve(
     """
     _check_step("newton_step_solve", prev, mesh, dt)
     system = _StepSystem(prev, mesh, dt, params)
-    return system.result(*_newton(system, (prev.u, 0.0, 0.0), opts, opts.resolved_floor(params)))
+    return system.result(*_newton_step(system, opts, opts.resolved_floor(params)))
 
 
 def homotopy_solve(
@@ -714,7 +814,14 @@ def run_blocks(
 
 
 def _blocks(params, mesh, time_grid, opts, first):
-    """run_blocks' generator, from the checked initial state first."""
+    """run_blocks' generator, from the checked initial state first.
+
+    Each block's steps share one _StepSystem, rebased on each step's
+    previous state, and dropped before the block is handed out.  An
+    accepted step is written straight to its row; State's checks run on it
+    once, and the next step starts from a State over the step's own u,
+    without a copy.  That u is no block's row, so no block outlives its
+    reader through prev."""
     floor = opts.resolved_floor(params)
     dt, n_steps = time_grid.dt, time_grid.n_steps
     steps = _block_steps(first.u.size)
@@ -729,17 +836,26 @@ def _blocks(params, mesh, time_grid, opts, first):
         columns = U, X0, X1, L, iters, resid = _columns(rows, first.u.size)
         U[0], X0[0], X1[0], L[0] = prev.u, prev.X0, prev.X1, prev.L
         iters[0], resid[0] = work
+        system = _StepSystem(prev, mesh, dt, params)
         kept = 1
         for n in range(start + 1, start + rows):
-            result = newton_step_solve(prev, mesh, dt, params, opts)
+            system.rebase(prev)
+            end, status, *work = _newton_step(system, opts, floor)
+            if status is StepStatus.CONVERGED:
+                u, d0, d1 = end
+                level = (u, *system.positions(d0, d1))
             # A width collapse ends the run: the continuation has never
             # rescued a step Newton reports as WIDTH_COLLAPSED, on the presets
             # or on random dissolution-regime parameters, meshes and time
             # steps.
-            if result.status is StepStatus.NO_CONVERGENCE:
+            elif status is StepStatus.NO_CONVERGENCE:
                 result = homotopy_solve(prev, mesh, dt, params, opts)
-            if result.status is not StepStatus.CONVERGED:
-                if result.status is StepStatus.WIDTH_COLLAPSED:
+                status, work = result.status, (result.iterations, result.residual_inf)
+                if result.state is not None:
+                    state = result.state
+                    level = (state.u, state.X0, state.X1, state.L)
+            if status is not StepStatus.CONVERGED:
+                if status is StepStatus.WIDTH_COLLAPSED:
                     lo, hi = _bracket_collapse(prev, mesh, dt, params, opts)
                     t_prev = (n - 1) * dt
                     termination = Termination(
@@ -748,17 +864,17 @@ def _blocks(params, mesh, time_grid, opts, first):
                 else:
                     termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
                 break
-            prev = state = result.state
-            work = result.iterations, result.residual_inf
             j = n - start
-            U[j], X0[j], X1[j], L[j] = state.u, state.X0, state.X1, state.L
+            U[j], X0[j], X1[j], L[j] = level
             iters[j], resid[j] = work
+            prev = _checked_state(*level)
             kept = j + 1
-            if state.L <= 2.0 * floor:
+            if prev.L <= 2.0 * floor:
                 termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n)
                 break
         block = tuple(column[:kept] for column in columns)
-        del columns, U, X0, X1, L, iters, resid
+        # a suspended generator holds no step system
+        del columns, U, X0, X1, L, iters, resid, system
         # a run that ends at a block's first step adds no block, unless the
         # initial state is all it stored
         if kept > 1 or start == 0:

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -451,20 +450,22 @@ class TestMain:
         # written when the continuation is tried on that step first
         argv = ["simulate", "--preset", "testcase2", "--cells", "40"]
         assert main(argv + ["--out", str(tmp_path / "event")]) == EXIT_COLLAPSE
-        solve, continuation = scheme.newton_step_solve, scheme.homotopy_solve
+        # every Newton solve, the steps' and the bracket's, goes through
+        # scheme._newton_step
+        solve, continuation = scheme._newton_step, scheme.homotopy_solve
         tried = []
 
         def collapse_as_no_convergence(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            if result.status is StepStatus.WIDTH_COLLAPSED:
-                result = replace(result, status=StepStatus.NO_CONVERGENCE)
-            return result
+            end, status, *work = solve(*args, **kwargs)
+            if status is StepStatus.WIDTH_COLLAPSED:
+                status = StepStatus.NO_CONVERGENCE
+            return (end, status, *work)
 
         def counted(*args, **kwargs):
             tried.append(args)
             return continuation(*args, **kwargs)
 
-        monkeypatch.setattr(scheme, "newton_step_solve", collapse_as_no_convergence)
+        monkeypatch.setattr(scheme, "_newton_step", collapse_as_no_convergence)
         monkeypatch.setattr(scheme, "homotopy_solve", counted)
         main(argv + ["--out", str(tmp_path / "continued")])
         assert len(tried) == 1

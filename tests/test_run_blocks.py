@@ -1,7 +1,9 @@
 """scheme.run_blocks hands out the steps of a run in the blocks that
 core.step_blocks reads from run()'s trajectory, bit for bit, while the run
-goes on; run() collects the same blocks."""
+goes on; run() collects the same blocks.  Its one step system per block
+gives the states of a fresh system per step."""
 
+import gc
 from collections import deque
 from dataclasses import replace
 
@@ -21,7 +23,7 @@ from oxidefv import (
     uniform_mesh,
 )
 from oxidefv import core
-from oxidefv.core import step_blocks
+from oxidefv.core import discretize_initial, step_blocks
 from conftest import make_tc1, make_tc2, make_tc3
 
 
@@ -85,21 +87,21 @@ def test_initial_state_alone():
 def test_step_rescued_by_the_continuation(monkeypatch):
     # Newton fails every step from the initial position, so the
     # continuation takes the first step
-    solve = scheme.newton_step_solve
+    solve = scheme._newton_step
     calls = []
 
-    def first_fails(prev, *args, **kwargs):
-        result = solve(prev, *args, **kwargs)
-        if prev.X0 == 0.0:
-            result = replace(result, state=None, status=StepStatus.NO_CONVERGENCE)
-        return result
+    def first_fails(system, *args, **kwargs):
+        end, status, *work = solve(system, *args, **kwargs)
+        if system.prev.X0 == 0.0:
+            end, status = None, StepStatus.NO_CONVERGENCE
+        return (end, status, *work)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return homotopy(*args, **kwargs)
 
     homotopy = scheme.homotopy_solve
-    monkeypatch.setattr(scheme, "newton_step_solve", first_fails)
+    monkeypatch.setattr(scheme, "_newton_step", first_fails)
     monkeypatch.setattr(scheme, "homotopy_solve", counted)
     monkeypatch.setattr(core, "_BLOCK_ELEMS", 3 * 22)
     end = assert_blocks_of_run(make_tc1(), uniform_mesh(20), TimeGrid(1e-2, 8))
@@ -132,6 +134,98 @@ def test_bad_arguments_raise_at_the_call(kwargs, message, monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("a step was solved")
 
-    monkeypatch.setattr(scheme, "newton_step_solve", no_step)
+    monkeypatch.setattr(scheme, "_newton_step", no_step)
     with pytest.raises(ValueError, match=message):
         run_blocks(make_tc1(), uniform_mesh(10), TimeGrid(1e-2, 5), **kwargs)
+
+
+def reference_run(params, mesh, grid, fails=(), opts=SolverOptions()):
+    """run()'s loop with a fresh step system for each solve: each step is
+    newton_step_solve's, or the continuation's when Newton does not
+    converge or its step number is in fails.  Returns the columns U, X0,
+    X1, L, newton_iters and residual_inf and the Termination."""
+    dt, floor = grid.dt, opts.resolved_floor(params)
+    prev = discretize_initial(params, mesh)
+    rows = [(prev.u, prev.X0, prev.X1, prev.L, 0, np.nan)]
+    termination = Termination(TerminationKind.COMPLETED)
+    for n in range(1, grid.n_steps + 1):
+        result = scheme.newton_step_solve(prev, mesh, dt, params, opts)
+        if n in fails:
+            result = replace(result, state=None, status=StepStatus.NO_CONVERGENCE)
+        if result.status is StepStatus.NO_CONVERGENCE:
+            result = scheme.homotopy_solve(prev, mesh, dt, params, opts)
+        if result.status is StepStatus.WIDTH_COLLAPSED:
+            lo, hi = scheme._bracket_collapse(prev, mesh, dt, params, opts)
+            bracket = ((n - 1) * dt + lo, (n - 1) * dt + hi)
+            termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n, bracket=bracket)
+            break
+        if result.status is not StepStatus.CONVERGED:
+            termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
+            break
+        prev = result.state
+        rows.append((prev.u, prev.X0, prev.X1, prev.L, result.iterations, result.residual_inf))
+        if prev.L <= 2.0 * floor:
+            termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n)
+            break
+    U, X0, X1, L, iters, resid = zip(*rows)
+    columns = (np.stack(U), np.array(X0), np.array(X1), np.array(L), np.array(iters),
+               np.array(resid))
+    return columns, termination
+
+
+@pytest.mark.parametrize(
+    "make, steps, fails, kind",
+    [
+        # rescues at the first steps of the first and second blocks and in
+        # the middle of the second
+        (make_tc1, 30, (1, 11, 15), TerminationKind.COMPLETED),
+        # Newton's collapse at step 149, the ninth of its block
+        (make_tc2, 350, (), TerminationKind.WIDTH_COLLAPSED),
+    ],
+    ids=["rescues", "collapse"],
+)
+def test_run_repeats_a_fresh_system_per_step(make, steps, fails, kind, monkeypatch):
+    params, mesh, grid = make(), uniform_mesh(400), TimeGrid(1e-2, steps)
+    assert core._block_steps(402) == 10
+    want, termination = reference_run(params, mesh, grid, fails)
+    # the time loop's n-th Newton solve is step n's
+    solve, solved, rescued = scheme._newton_step, [], []
+
+    def failing(system, *args):
+        end, status, *work = solve(system, *args)
+        solved.append(1)
+        if len(solved) in fails:
+            end, status = None, StepStatus.NO_CONVERGENCE
+        return (end, status, *work)
+
+    def counted(*args, **kwargs):
+        rescued.append(len(solved))
+        return homotopy(*args, **kwargs)
+
+    homotopy = scheme.homotopy_solve
+    monkeypatch.setattr(scheme, "_newton_step", failing)
+    monkeypatch.setattr(scheme, "homotopy_solve", counted)
+    traj = run(params, mesh, grid)
+    assert rescued == list(fails)
+    assert traj.termination == termination and termination.kind is kind
+    if kind is TerminationKind.WIDTH_COLLAPSED:
+        assert termination.step == 149 and termination.bracket is not None
+    got = (traj.U, traj.X0, traj.X1, traj.L, traj.newton_iters, traj.residual_inf)
+    for name, g, w in zip(("U", "X0", "X1", "L", "newton_iters", "residual_inf"), got, want):
+        assert np.array_equal(g, w, equal_nan=True), name
+
+
+def live_step_systems() -> int:
+    gc.collect()
+    return sum(isinstance(obj, scheme._StepSystem) for obj in gc.get_objects())
+
+
+def test_suspended_generator_holds_no_step_system():
+    # a reader that keeps the generator waiting keeps no workspace alive
+    before = live_step_systems()
+    blocks = run_blocks(make_tc1(), uniform_mesh(100), TimeGrid(1e-2, 100))
+    handed = 0
+    for block in blocks:
+        assert live_step_systems() == before
+        handed += 1
+    assert handed == 4 and isinstance(block, Termination)

@@ -427,10 +427,11 @@ class TestLeanIteration:
         systems = []
         schur_step = _StepSystem._schur_step
 
-        def recorded(self, r, y, Y, S):
-            delta = schur_step(self, r, y, Y, S)
+        def recorded(self, r, y, S):
+            delta = schur_step(self, r, y, S)
             b = (-r[self.cells + 2] - self.c0 * y[0], -r[self.cells + 3] - self.c1 * y[-1])
-            systems.append((np.reshape(S, (2, 2)), np.array(b), delta[-2:]))
+            # the increment is the system's buffer: keep a copy
+            systems.append((np.reshape(S, (2, 2)), np.array(b), delta[-2:].copy()))
             return delta
 
         monkeypatch.setattr(_StepSystem, "_schur_step", recorded)
@@ -440,12 +441,13 @@ class TestLeanIteration:
         assert len(systems) == result.iterations
         # a one-cell system whose band solutions vanish solves S z = b alone
         system = _StepSystem(discretize_initial(tc1, uniform_mesh(1)), uniform_mesh(1), 0.02, tc1)
+        system.border[:] = 0.0
         rng = np.random.default_rng(36)
         for _ in range(200):
             S = rng.normal(size=(2, 2)) + np.diag(rng.uniform(-50.0, 50.0, 2))
             b = rng.normal(size=2)
             r = np.concatenate((np.zeros(3), -b))
-            system._schur_step(r, np.zeros(3), np.zeros((3, 2)), tuple(S.ravel().tolist()))
+            system._schur_step(r, np.zeros(3), tuple(S.ravel().tolist()))
         assert len(systems) == result.iterations + 200
         eps = np.finfo(float).eps
         for S, b, z in systems:
@@ -573,6 +575,80 @@ class TestBandBinding:
             assert b is not None and b.completed
             for name in ("U", "X0", "X1", "L", "newton_iters", "residual_inf"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+class TestRebase:
+    """rebase(prev) poses a built system's step from prev: it then answers
+    as a system built on prev, bit for bit, whatever it solved before."""
+
+    @staticmethod
+    def outputs(system, point, r_next):
+        """What the system computes at point, then for the residual r_next:
+        each output copied as it is returned."""
+        r = system.assemble(*point)
+        band, border = system.band.copy(), system.border.copy()
+        delta = system.solve(r).copy()
+        rhs = system.rhs.copy()
+        again = system.resolve(r_next).copy()
+        return r, band, border, delta, rhs, again, system.residual(*point)
+
+    def assert_fresh(self, system, prev, mesh, dt, params, rng):
+        system.rebase(prev)
+        fresh = _StepSystem(prev, mesh, dt, params)
+        m = prev.u.size
+        # at rest and at a moving iterate
+        for point in ((prev.u, 0.0, 0.0), (rng.uniform(0.1, 3.0, m), 0.02, -0.03)):
+            r_next = rng.normal(size=m + 2)
+            got = self.outputs(system, point, r_next)
+            want = self.outputs(fresh, point, r_next)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("before", ["solved", "singular band", "non-finite system",
+                                        "no convergence"])
+    def test_rebased_system_answers_as_a_fresh_one(self, tc1, before):
+        rng = np.random.default_rng(2302)
+        mesh, dt = uniform_mesh(40), 0.02
+        a, point = random_step(rng, 40)
+        b, _ = random_step(rng, 40)
+        system = _StepSystem(a, mesh, dt, tc1)
+        r = system.assemble(*point)
+        if before == "solved":
+            system.solve(r)
+            system.resolve(rng.normal(size=r.size))
+        elif before == "singular band":
+            system.band[:] = 0.0
+            with pytest.raises(np.linalg.LinAlgError, match="singular band"):
+                system.solve(r)
+        elif before == "non-finite system":
+            r[3] = np.inf
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                system.solve(r)
+        else:
+            opts = SolverOptions(max_newton_iters=1)
+            _, status, _, _ = scheme._newton(system, (a.u, 0.0, 0.0), opts, 1e-8)
+            assert status is StepStatus.NO_CONVERGENCE
+        self.assert_fresh(system, b, mesh, dt, tc1, rng)
+
+    def test_rebase_drops_the_kept_factors(self, tc1):
+        rng = np.random.default_rng(2303)
+        mesh = uniform_mesh(20)
+        a, point = random_step(rng, 20)
+        b, _ = random_step(rng, 20)
+        system = _StepSystem(a, mesh, 0.02, tc1)
+        r = system.assemble(*point)
+        system.solve(r)
+        system.resolve(r)
+        system.rebase(b)
+        with pytest.raises(RuntimeError, match="resolve"):
+            system.resolve(r)
+        # nor does a solve that fails leave the factors of an earlier one
+        system.solve(system.assemble(*point))
+        system.band[:] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            system.solve(r)
+        with pytest.raises(RuntimeError, match="resolve"):
+            system.resolve(r)
 
 
 def full_newton(prev, mesh, dt, params, opts=SolverOptions()):
@@ -992,9 +1068,11 @@ class TestRun:
         with pytest.raises(ValueError, match="run: initial state does not match the mesh"):
             run(tc1, uniform_mesh(10), TimeGrid.from_step(1e-2, 2), initial_state=first)
 
-    def test_run_calls_traced_names_through_the_module(self, tc1, monkeypatch):
-        # The benchmark's tracer counts scheme.newton and core.state_new by
-        # wrapping these module attributes; run() must look them up there.
+    def test_run_calls_its_solvers_through_the_module(self, tc1, monkeypatch):
+        # run() looks up each step's Newton solve and the continuation in
+        # the module, where the tests and the benchmark's tracer replace
+        # them.  A Newton step is written to its row without a State; the
+        # continuation builds one, from its last sub-step.
         counts = Counter()
 
         def count(name, wrapped=None):
@@ -1006,25 +1084,25 @@ class TestRun:
 
             monkeypatch.setattr(scheme, name, counted)
 
-        solve = scheme.newton_step_solve
+        solve = scheme._newton_step
 
-        def first_fails(prev, *args, **kwargs):
-            result = solve(prev, *args, **kwargs)
-            if prev.X0 == 0.0:
-                result = replace(result, state=None, status=StepStatus.NO_CONVERGENCE)
-            return result
+        def first_fails(system, *args, **kwargs):
+            end, status, *work = solve(system, *args, **kwargs)
+            if system.prev.X0 == 0.0:
+                end, status = None, StepStatus.NO_CONVERGENCE
+            return (end, status, *work)
 
-        count("newton_step_solve", first_fails)
+        count("_newton_step", first_fails)
         count("homotopy_solve")
         count("State")
         traj = run(tc1, uniform_mesh(20), TimeGrid.from_step(1e-2, 3))
         assert traj.completed
-        # three Newton solves, the first handed to the continuation; each
-        # solve builds one state, the three Newton steps' and the
-        # continuation's last sub-step's: its 16 sub-steps pass on their
-        # raw iterates
-        assert counts == {"newton_step_solve": 3, "homotopy_solve": 1, "State": 4}
-        for name in ("solve_banded", "bernoulli", "bernoulli_prime"):
+        # three Newton solves, the first handed to the continuation, whose
+        # 16 sub-steps pass on their raw iterates
+        assert counts == {"_newton_step": 3, "homotopy_solve": 1, "State": 1}
+        # the names the benchmark wraps in this module
+        for name in ("newton_step_solve", "State", "solve_banded", "bernoulli",
+                     "bernoulli_prime"):
             assert callable(getattr(scheme, name))
 
     def test_initial_state_override(self, tc1):
@@ -1271,19 +1349,19 @@ class TestCollapseEvent:
     def test_continuation_still_follows_no_convergence(self, tc1, monkeypatch):
         # a Newton solve that does not converge is handed to the continuation
         calls = []
-        solve, continuation = scheme.newton_step_solve, scheme.homotopy_solve
+        solve, continuation = scheme._newton_step, scheme.homotopy_solve
 
-        def first_fails(prev, *args, **kwargs):
-            result = solve(prev, *args, **kwargs)
-            if prev.X0 == 0.0:
-                result = replace(result, state=None, status=StepStatus.NO_CONVERGENCE)
-            return result
+        def first_fails(system, *args, **kwargs):
+            end, status, *work = solve(system, *args, **kwargs)
+            if system.prev.X0 == 0.0:
+                end, status = None, StepStatus.NO_CONVERGENCE
+            return (end, status, *work)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return continuation(*args, **kwargs)
 
-        monkeypatch.setattr(scheme, "newton_step_solve", first_fails)
+        monkeypatch.setattr(scheme, "_newton_step", first_fails)
         monkeypatch.setattr(scheme, "homotopy_solve", counted)
         traj = run(tc1, uniform_mesh(20), TimeGrid.from_step(1e-2, 3))
         assert traj.completed and len(calls) == 1
