@@ -8,15 +8,18 @@ and X1_prev + d1.  The rows are I interior balances with exponential-fitting
 two-point fluxes, the two boundary flux conditions and the two interface
 motion laws.  No row or Jacobian entry reads an absolute position, so a
 step's u, L and work do not depend on where the layer lies.  A _StepSystem
-holds the constants of steps over dt on one mesh and the buffers that each
+holds the constants of steps on one mesh and the buffers that each
 iterate's assembly and block solve overwrite; rebase() poses it from a
-previous state.  The time loop builds one per block of steps and rebases
-it on each step's previous state; newton_step_solve and each of the
-continuation's sub-steps build their own.  Its one assembly of the
-residual and the bordered-banded Jacobian, and its one block solve, are
-shared by Newton, the continuation and jacobian(): all three work on the
-scheme itself.  The solvers check dt and the previous state's cell count
-once, on entry; the time loop checks them once per run.
+previous state and a step size.  The time loop builds one per block of
+steps, and that system serves every solve of the block: each step's
+Newton solve, the continuation's sub-steps and the collapse bisection's
+probes, each rebased on its previous state and its step size.  The
+public solvers build one per call.  Its one assembly of the residual and
+the bordered-banded Jacobian, and its one block solve, are shared by
+Newton, the continuation and jacobian(): all three work on the scheme
+itself.  Every solve returns one record, an _Outcome.  The solvers check
+dt and the previous state's cell count once, on entry; the time loop
+checks them once per run.
 
 Damped Newton iteration with the analytic Jacobian does the work.  Once a
 full undamped iteration of the scheme moves the iterate by at most
@@ -164,9 +167,27 @@ class StepResult:
     iterations counts every Newton iteration: the full ones and the
     residual-only confirmations (at most one per full iteration).  A
     continuation's iterations count every correction of every sub-step,
-    the failed ones included."""
+    the failed ones included.  A state is given exactly when the status is
+    CONVERGED; ValueError otherwise."""
 
     state: State | None
+    status: StepStatus
+    iterations: int
+    residual_inf: float
+
+    def __post_init__(self):
+        if (self.state is not None) != (self.status is StepStatus.CONVERGED):
+            raise ValueError(f"StepResult: a {self.status.value} solve with state {self.state!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class _Outcome:
+    """Outcome of one solve of a step system, Newton's or the
+    continuation's: the accepted end point end = (u, d0, d1), or None, and
+    the rest of the solve's StepResult.  The public solvers make it a
+    StepResult; the time loop writes its end point to the step's row."""
+
+    end: tuple | None
     status: StepStatus
     iterations: int
     residual_inf: float
@@ -189,17 +210,19 @@ def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.n
 
 
 class _StepSystem:
-    """The step system over dt on one mesh, posed from a previous state
-    prev and assembled at each iterate (u, d0, d1).
+    """The step system over a step size dt on one mesh, posed from a
+    previous state prev and assembled at each iterate (u, d0, d1).
 
-    Built once per (mesh, dt, params): the step's constants (edges/dt, 1 -
-    R and the motion laws' coefficients), the edge velocities at rest, the
-    buffers that each iterate overwrites and the views into them that the
-    iteration reads.  rebase(prev) poses the step from prev: it refreshes
-    prev.L, prev.L * prev.u[1:-1] and prev's positions, and drops the
-    factors kept for resolve().  The constructor rebases on its prev; the
-    time loop builds one system per block of steps and rebases it on each
-    step's previous state.
+    Built once per (mesh, params): 1 - R and the motion laws'
+    coefficients, the buffers that each iterate overwrites and the views
+    into them that the iteration reads.  rebase(prev, dt) poses the step
+    from prev over dt: it refreshes prev.L, prev.L * prev.u[1:-1] and
+    prev's positions, drops the factors kept for resolve(), and refreshes
+    the constants of dt (edges/dt, the motion laws' 2x2 block and the edge
+    velocities at rest) only when dt changes.  The constructor rebases on
+    its prev and dt.  The time loop builds one system per block of steps,
+    and it serves every solve of the block: each step's Newton solve, the
+    continuation's sub-steps and the collapse bisection's probes.
 
     The buffers hold the edge fields (L*h, the velocities, the stacked
     Peclet arguments (w, -w), the fluxes and their derivatives in (d0,
@@ -217,15 +240,12 @@ class _StepSystem:
     """
 
     def __init__(self, prev: State, mesh: Mesh, dt: float, params: ModelParams):
-        self.mesh, self.dt, self.params = mesh, dt, params
+        self.mesh, self.params = mesh, params
         self.cells = cells = mesh.num_cells
         m = cells + 2
         edges = m - 1
-        self._edges_dt = mesh.edges / dt
         self._one_minus_R = 1.0 - params.R
         self.c0, self.c1 = params.beta0, -params.beta1
-        self.block = (1.0 / dt, -self._one_minus_R / dt, 0.0, 1.0 / dt)
-        self._rest_v = _frame_velocity(0.0, 0.0, 0.0, mesh, dt, params.R)
         # (-1, 1 - R): dF's columns before the division by dt, times Nw
         self._dF_signs = np.array((-1.0, self._one_minus_R))
         # (h, -h) per cell: the balances' L * u term in the border, both
@@ -236,8 +256,9 @@ class _StepSystem:
         np.negative(mesh.cell_sizes, out=h_pm[:, 1])
         self._prev_mass = np.empty(cells)
 
-        # the edge fields of the last iterate; scratch of a concentration
-        # row, and its first I+1 entries for an edge row
+        # the edges over dt; the edge fields of the last iterate; scratch of
+        # a concentration row, and its first I+1 entries for an edge row
+        self._edges_dt = np.empty(edges)
         self._Lh, self._v, self._F, self._Nw, self._dF_L = np.empty((5, edges))
         self._tmp_u = np.empty(m)
         self._tmp = self._tmp_u[:edges]
@@ -279,11 +300,18 @@ class _StepSystem:
         self._dgtsv_args = (
             q, q + 8, p + 8 * col, p + 7 * col, p + 6 * col + 8, p + 3 * col, q, q + 16
         )
-        self.rebase(prev)
+        self.dt = None
+        self.rebase(prev, dt)
 
-    def rebase(self, prev: State) -> None:
-        """Pose the step from prev: its width, masses and positions, and no
-        factors for resolve() until the next solve()."""
+    def rebase(self, prev: State, dt: float) -> None:
+        """Pose the step from prev over dt: prev's width, masses and
+        positions, the constants of dt when dt changes, and no factors for
+        resolve() until the next solve()."""
+        if dt != self.dt:
+            self.dt = dt
+            np.divide(self.mesh.edges, dt, out=self._edges_dt)
+            self.block = (1.0 / dt, -self._one_minus_R / dt, 0.0, 1.0 / dt)
+            self._rest_v = _frame_velocity(0.0, 0.0, 0.0, self.mesh, dt, self.params.R)
         self.prev = prev
         self._L_prev = float(prev.L)
         np.multiply(prev.L, prev.u[1:-1], out=self._prev_mass)
@@ -300,15 +328,15 @@ class _StepSystem:
         by them, and the width."""
         return self._X0_prev + d0, self._X1_prev + d1, self.width(d0, d1)
 
-    def result(self, end, status: StepStatus, iterations: int, residual_inf: float) -> StepResult:
-        """The StepResult of a solve that ended at end = (u, d0, d1), or at
-        None: its State holds prev's positions moved by the displacements."""
+    def result(self, outcome: _Outcome) -> StepResult:
+        """The StepResult of a solve from prev: the State of its end point
+        holds prev's positions moved by the displacements."""
         state = None
-        if end is not None:
-            u, d0, d1 = end
+        if outcome.end is not None:
+            u, d0, d1 = outcome.end
             X0, X1, L = self.positions(d0, d1)
             state = State(u=u, X0=X0, X1=X1, L=L)
-        return StepResult(state, status, iterations, residual_inf)
+        return StepResult(state, outcome.status, outcome.iterations, outcome.residual_inf)
 
     def _fields(self, u, d0, d1, L, prime: bool):
         """Write L*h, the velocities and the fluxes of the iterate to their
@@ -596,11 +624,9 @@ def _sup_norm(r) -> float:
     return norm if norm < np.inf else np.inf
 
 
-def _newton(system: _StepSystem, start, opts, floor):
+def _newton(system: _StepSystem, start, opts, floor) -> _Outcome:
     """Damped Newton on the step system from start = (u, d0, d1), and the
-    one acceptance rule of every solve.  Returns (end, status, iterations,
-    residual_inf): the accepted end point (u, d0, d1) or None, and the rest
-    of the solve's StepResult.
+    one acceptance rule of every solve: the solve's _Outcome.
 
     The end point is accepted only when the iteration converged, the
     scheme's residual there is at most _STALL_RESIDUAL and the width is
@@ -637,13 +663,13 @@ def _newton(system: _StepSystem, start, opts, floor):
                 if norm == np.inf:
                     raise np.linalg.LinAlgError("Newton increment is not finite")
             except np.linalg.LinAlgError:
-                return None, StepStatus.NO_CONVERGENCE, iters - 1, _sup_norm(r)
+                return _Outcome(None, StepStatus.NO_CONVERGENCE, iters - 1, _sup_norm(r))
             du = delta[:m]
             dd0, dd1 = delta[m:].tolist()
             t, width_blocked = _damped_substep(u, system.width(d0, d1), du, dd1 - dd0, floor)
             if t is None:
                 status = StepStatus.WIDTH_COLLAPSED if width_blocked else StepStatus.NO_CONVERGENCE
-                return None, status, iters, _sup_norm(r)
+                return _Outcome(None, status, iters, _sup_norm(r))
             u = u + du if t == 1.0 else u + t * du
             d0 += t * dd0
             d1 += t * dd1
@@ -655,19 +681,19 @@ def _newton(system: _StepSystem, start, opts, floor):
         resid_inf = _sup_norm(system.residual(u, d0, d1))
     L = system.width(d0, d1)
     if not converged:
-        return None, StepStatus.NO_CONVERGENCE, iters, resid_inf
+        return _Outcome(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
     if resid_inf > _STALL_RESIDUAL:
         status = StepStatus.WIDTH_COLLAPSED if L <= 10.0 * floor else StepStatus.NO_CONVERGENCE
-        return None, status, iters, resid_inf
+        return _Outcome(None, status, iters, resid_inf)
     if L <= floor:
-        return None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf
-    return (u, d0, d1), StepStatus.CONVERGED, iters, resid_inf
+        return _Outcome(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
+    return _Outcome((u, d0, d1), StepStatus.CONVERGED, iters, resid_inf)
 
 
-def _newton_step(system: _StepSystem, opts: SolverOptions, floor: float):
-    """Damped Newton over the system's step from its previous state, the
-    solve of newton_step_solve and of each step of the time loop: _newton's
-    (end, status, iterations, residual_inf)."""
+def _newton_step(system: _StepSystem, opts: SolverOptions, floor: float) -> _Outcome:
+    """Damped Newton over the system's step from its previous state: the
+    solve of newton_step_solve, of each step of the time loop and of each
+    probe of the collapse bisection."""
     return _newton(system, (system.prev.u, 0.0, 0.0), opts, floor)
 
 
@@ -689,7 +715,40 @@ def newton_step_solve(
     """
     _check_step("newton_step_solve", prev, mesh, dt)
     system = _StepSystem(prev, mesh, dt, params)
-    return system.result(*_newton_step(system, opts, opts.resolved_floor(params)))
+    return system.result(_newton_step(system, opts, opts.resolved_floor(params)))
+
+
+def _continuation(system: _StepSystem, prev: State, dt: float, opts: SolverOptions,
+                  floor: float) -> _Outcome:
+    """homotopy_solve's walk on the system, rebased on prev and each
+    sub-step in turn; it is left posed from prev over the last sub-step
+    tried, which is dt itself when the walk succeeds."""
+    iterate = (prev.u, 0.0, 0.0)
+    steps, done = HOMOTOPY_FIRST_STEPS, 0
+    spent = 0
+    width_collapse_seen = False
+    resid_inf = np.inf
+
+    while done < steps <= HOMOTOPY_MAX_STEPS:
+        # (done + 1) / steps is exact, and 1.0 at the last sub-step
+        tau = dt * ((done + 1) / steps)
+        if not math.isinf(1.0 / tau):
+            system.rebase(prev, tau)
+            solved = _newton(system, iterate, opts, floor)
+            spent += solved.iterations
+            resid_inf = solved.residual_inf
+            if solved.status is StepStatus.CONVERGED:
+                iterate, done = solved.end, done + 1
+                continue
+            width_collapse_seen |= solved.status is StepStatus.WIDTH_COLLAPSED
+        steps, done = 2 * steps, 2 * done
+
+    if done == steps:
+        return _Outcome(iterate, StepStatus.CONVERGED, spent, resid_inf)
+    status = (
+        StepStatus.WIDTH_COLLAPSED if width_collapse_seen else StepStatus.NO_CONVERGENCE
+    )
+    return _Outcome(None, status, spent, resid_inf)
 
 
 def homotopy_solve(
@@ -707,40 +766,16 @@ def homotopy_solve(
     1/tau overflows, doubles steps and the walk resumes from the last
     accepted sub-step, so that the failed one is retried at half its size;
     the walk gives up beyond HOMOTOPY_MAX_STEPS.  The last sub-step's end
-    point is the step's, and the only one made a State.
+    point is the step's, and the only one made a State.  One step system
+    serves every sub-step.
 
     iterations counts every correction.  A failed continuation reports
     WIDTH_COLLAPSED if any sub-step was blocked at the width floor, else
     NO_CONVERGENCE, with the last residual sup-norm seen.  Raises ValueError
     for the inputs that newton_step_solve rejects."""
     _check_step("homotopy_solve", prev, mesh, dt)
-    floor = opts.resolved_floor(params)
-    iterate = (prev.u, 0.0, 0.0)
-    steps, done = HOMOTOPY_FIRST_STEPS, 0
-    spent = 0
-    width_collapse_seen = False
-    resid_inf = np.inf
-
-    while done < steps <= HOMOTOPY_MAX_STEPS:
-        # (done + 1) / steps is exact, and 1.0 at the last sub-step
-        tau = dt * ((done + 1) / steps)
-        if not math.isinf(1.0 / tau):
-            system = _StepSystem(prev, mesh, tau, params)
-            end, status, iters, resid_inf = _newton(system, iterate, opts, floor)
-            spent += iters
-            if status is StepStatus.CONVERGED:
-                iterate, done = end, done + 1
-                continue
-            width_collapse_seen |= status is StepStatus.WIDTH_COLLAPSED
-        steps, done = 2 * steps, 2 * done
-
-    if done == steps:
-        # the last sub-step's system; every sub-step's starts from prev
-        return system.result(iterate, StepStatus.CONVERGED, spent, resid_inf)
-    status = (
-        StepStatus.WIDTH_COLLAPSED if width_collapse_seen else StepStatus.NO_CONVERGENCE
-    )
-    return StepResult(None, status, spent, resid_inf)
+    system = _StepSystem(prev, mesh, dt, params)
+    return system.result(_continuation(system, prev, dt, opts, opts.resolved_floor(params)))
 
 
 # ---------------------------------------------------------------------------
@@ -748,10 +783,13 @@ def homotopy_solve(
 # ---------------------------------------------------------------------------
 
 
-def _bracket_collapse(prev: State, mesh: Mesh, dt: float, params: ModelParams, opts: SolverOptions):
+def _bracket_collapse(system: _StepSystem, prev: State, dt: float, opts: SolverOptions,
+                      floor: float):
     """Sub-steps (lo, hi) of a step of size dt that cannot be taken from
     prev: Newton converges over lo (or lo = 0) and fails over hi, with
-    hi - lo <= _COLLAPSE_BRACKET_RTOL * dt.  Found by bisecting (0, dt].
+    hi - lo <= _COLLAPSE_BRACKET_RTOL * dt.  Found by bisecting (0, dt],
+    each probe a Newton step on the system rebased on prev and the probe's
+    sub-step.
 
     Where the converged width lands near the floor, the outcome can
     alternate between sub-steps closer than 1e-6 * dt, so (lo, hi) is a
@@ -759,7 +797,8 @@ def _bracket_collapse(prev: State, mesh: Mesh, dt: float, params: ModelParams, o
     lo, hi = 0.0, dt
     while hi - lo > _COLLAPSE_BRACKET_RTOL * dt:
         mid = 0.5 * (lo + hi)
-        if newton_step_solve(prev, mesh, mid, params, opts).status is StepStatus.CONVERGED:
+        system.rebase(prev, mid)
+        if _newton_step(system, opts, floor).status is StepStatus.CONVERGED:
             lo = mid
         else:
             hi = mid
@@ -816,12 +855,14 @@ def run_blocks(
 def _blocks(params, mesh, time_grid, opts, first):
     """run_blocks' generator, from the checked initial state first.
 
-    Each block's steps share one _StepSystem, rebased on each step's
-    previous state, and dropped before the block is handed out.  An
-    accepted step is written straight to its row; State's checks run on it
-    once, and the next step starts from a State over the step's own u,
-    without a copy.  That u is no block's row, so no block outlives its
-    reader through prev."""
+    Each block's steps share one _StepSystem, which serves every solve of
+    the block: each step's Newton solve, rebased on the step's previous
+    state, and the continuation's sub-steps and the collapse bisection's
+    probes.  It is dropped before the block is handed out.  An accepted
+    step, Newton's or the continuation's, is written straight to its row
+    through system.positions; State's checks run on it once, and the next
+    step starts from a State over the step's own u, without a copy.  That
+    u is no block's row, so no block outlives its reader through prev."""
     floor = opts.resolved_floor(params)
     dt, n_steps = time_grid.dt, time_grid.n_steps
     steps = _block_steps(first.u.size)
@@ -839,24 +880,17 @@ def _blocks(params, mesh, time_grid, opts, first):
         system = _StepSystem(prev, mesh, dt, params)
         kept = 1
         for n in range(start + 1, start + rows):
-            system.rebase(prev)
-            end, status, *work = _newton_step(system, opts, floor)
-            if status is StepStatus.CONVERGED:
-                u, d0, d1 = end
-                level = (u, *system.positions(d0, d1))
+            system.rebase(prev, dt)
+            solved = _newton_step(system, opts, floor)
             # A width collapse ends the run: the continuation has never
             # rescued a step Newton reports as WIDTH_COLLAPSED, on the presets
             # or on random dissolution-regime parameters, meshes and time
             # steps.
-            elif status is StepStatus.NO_CONVERGENCE:
-                result = homotopy_solve(prev, mesh, dt, params, opts)
-                status, work = result.status, (result.iterations, result.residual_inf)
-                if result.state is not None:
-                    state = result.state
-                    level = (state.u, state.X0, state.X1, state.L)
-            if status is not StepStatus.CONVERGED:
-                if status is StepStatus.WIDTH_COLLAPSED:
-                    lo, hi = _bracket_collapse(prev, mesh, dt, params, opts)
+            if solved.status is StepStatus.NO_CONVERGENCE:
+                solved = _continuation(system, prev, dt, opts, floor)
+            if solved.status is not StepStatus.CONVERGED:
+                if solved.status is StepStatus.WIDTH_COLLAPSED:
+                    lo, hi = _bracket_collapse(system, prev, dt, opts, floor)
                     t_prev = (n - 1) * dt
                     termination = Termination(
                         TerminationKind.WIDTH_COLLAPSED, step=n, bracket=(t_prev + lo, t_prev + hi)
@@ -864,6 +898,9 @@ def _blocks(params, mesh, time_grid, opts, first):
                 else:
                     termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
                 break
+            u, d0, d1 = solved.end
+            level = (u, *system.positions(d0, d1))
+            work = (solved.iterations, solved.residual_inf)
             j = n - start
             U[j], X0[j], X1[j], L[j] = level
             iters[j], resid[j] = work

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -452,21 +453,21 @@ class TestMain:
         assert main(argv + ["--out", str(tmp_path / "event")]) == EXIT_COLLAPSE
         # every Newton solve, the steps' and the bracket's, goes through
         # scheme._newton_step
-        solve, continuation = scheme._newton_step, scheme.homotopy_solve
+        solve, continuation = scheme._newton_step, scheme._continuation
         tried = []
 
         def collapse_as_no_convergence(*args, **kwargs):
-            end, status, *work = solve(*args, **kwargs)
-            if status is StepStatus.WIDTH_COLLAPSED:
-                status = StepStatus.NO_CONVERGENCE
-            return (end, status, *work)
+            solved = solve(*args, **kwargs)
+            if solved.status is StepStatus.WIDTH_COLLAPSED:
+                solved = replace(solved, status=StepStatus.NO_CONVERGENCE)
+            return solved
 
         def counted(*args, **kwargs):
             tried.append(args)
             return continuation(*args, **kwargs)
 
         monkeypatch.setattr(scheme, "_newton_step", collapse_as_no_convergence)
-        monkeypatch.setattr(scheme, "homotopy_solve", counted)
+        monkeypatch.setattr(scheme, "_continuation", counted)
         main(argv + ["--out", str(tmp_path / "continued")])
         assert len(tried) == 1
         for name in ("steps.csv", "profile_final.csv"):

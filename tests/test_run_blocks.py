@@ -1,9 +1,11 @@
 """scheme.run_blocks hands out the steps of a run in the blocks that
 core.step_blocks reads from run()'s trajectory, bit for bit, while the run
-goes on; run() collects the same blocks.  Its one step system per block
-gives the states of a fresh system per step."""
+goes on; run() collects the same blocks.  Its one step system per block,
+which serves every solve of the block, gives the states and the collapse
+bracket of a fresh system per solve."""
 
 import gc
+import math
 from collections import deque
 from dataclasses import replace
 
@@ -91,18 +93,18 @@ def test_step_rescued_by_the_continuation(monkeypatch):
     calls = []
 
     def first_fails(system, *args, **kwargs):
-        end, status, *work = solve(system, *args, **kwargs)
+        solved = solve(system, *args, **kwargs)
         if system.prev.X0 == 0.0:
-            end, status = None, StepStatus.NO_CONVERGENCE
-        return (end, status, *work)
+            solved = replace(solved, end=None, status=StepStatus.NO_CONVERGENCE)
+        return solved
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return homotopy(*args, **kwargs)
+        return continuation(*args, **kwargs)
 
-    homotopy = scheme.homotopy_solve
+    continuation = scheme._continuation
     monkeypatch.setattr(scheme, "_newton_step", first_fails)
-    monkeypatch.setattr(scheme, "homotopy_solve", counted)
+    monkeypatch.setattr(scheme, "_continuation", counted)
     monkeypatch.setattr(core, "_BLOCK_ELEMS", 3 * 22)
     end = assert_blocks_of_run(make_tc1(), uniform_mesh(20), TimeGrid(1e-2, 8))
     assert end.kind is TerminationKind.COMPLETED
@@ -139,11 +141,26 @@ def test_bad_arguments_raise_at_the_call(kwargs, message, monkeypatch):
         run_blocks(make_tc1(), uniform_mesh(10), TimeGrid(1e-2, 5), **kwargs)
 
 
+def reference_bracket(prev, mesh, dt, params, opts):
+    """The collapse time's bracket (lo, hi) within a step of size dt from
+    prev: bisection of (0, dt] down to 1e-10 * dt, each probe
+    newton_step_solve's, on a fresh step system."""
+    lo, hi = 0.0, dt
+    while hi - lo > 1e-10 * dt:
+        mid = 0.5 * (lo + hi)
+        if scheme.newton_step_solve(prev, mesh, mid, params, opts).status is StepStatus.CONVERGED:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def reference_run(params, mesh, grid, fails=(), opts=SolverOptions()):
     """run()'s loop with a fresh step system for each solve: each step is
     newton_step_solve's, or the continuation's when Newton does not
-    converge or its step number is in fails.  Returns the columns U, X0,
-    X1, L, newton_iters and residual_inf and the Termination."""
+    converge or its step number is in fails, and a collapse is bracketed by
+    reference_bracket.  Returns the columns U, X0, X1, L, newton_iters and
+    residual_inf and the Termination."""
     dt, floor = grid.dt, opts.resolved_floor(params)
     prev = discretize_initial(params, mesh)
     rows = [(prev.u, prev.X0, prev.X1, prev.L, 0, np.nan)]
@@ -155,7 +172,7 @@ def reference_run(params, mesh, grid, fails=(), opts=SolverOptions()):
         if result.status is StepStatus.NO_CONVERGENCE:
             result = scheme.homotopy_solve(prev, mesh, dt, params, opts)
         if result.status is StepStatus.WIDTH_COLLAPSED:
-            lo, hi = scheme._bracket_collapse(prev, mesh, dt, params, opts)
+            lo, hi = reference_bracket(prev, mesh, dt, params, opts)
             bracket = ((n - 1) * dt + lo, (n - 1) * dt + hi)
             termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n, bracket=bracket)
             break
@@ -192,19 +209,19 @@ def test_run_repeats_a_fresh_system_per_step(make, steps, fails, kind, monkeypat
     solve, solved, rescued = scheme._newton_step, [], []
 
     def failing(system, *args):
-        end, status, *work = solve(system, *args)
+        outcome = solve(system, *args)
         solved.append(1)
         if len(solved) in fails:
-            end, status = None, StepStatus.NO_CONVERGENCE
-        return (end, status, *work)
+            outcome = replace(outcome, end=None, status=StepStatus.NO_CONVERGENCE)
+        return outcome
 
     def counted(*args, **kwargs):
         rescued.append(len(solved))
-        return homotopy(*args, **kwargs)
+        return continuation(*args, **kwargs)
 
-    homotopy = scheme.homotopy_solve
+    continuation = scheme._continuation
     monkeypatch.setattr(scheme, "_newton_step", failing)
-    monkeypatch.setattr(scheme, "homotopy_solve", counted)
+    monkeypatch.setattr(scheme, "_continuation", counted)
     traj = run(params, mesh, grid)
     assert rescued == list(fails)
     assert traj.termination == termination and termination.kind is kind
@@ -229,3 +246,33 @@ def test_suspended_generator_holds_no_step_system():
         assert live_step_systems() == before
         handed += 1
     assert handed == 4 and isinstance(block, Termination)
+
+
+@pytest.mark.parametrize(
+    "cells, dt, step, blocks",
+    [
+        # the collapse workload: Newton's collapse at step 149, in the 15th
+        # block, then the bisection's probes
+        (400, 1e-2, 149, 15),
+        # the continuation walks step 6 into the collapse, then the
+        # bisection's probes, all in the run's one block
+        (50, 0.25, 6, 1),
+    ],
+    ids=["newton-collapse", "continuation-collapse"],
+)
+def test_one_step_system_per_block(cells, dt, step, blocks, monkeypatch):
+    built = []
+    init = scheme._StepSystem.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(scheme._StepSystem, "__init__", counted)
+    traj = run(make_tc2(), uniform_mesh(cells), TimeGrid.from_step_and_horizon(dt, 5.0))
+    term = traj.termination
+    assert term.kind is TerminationKind.WIDTH_COLLAPSED and term.step == step
+    assert term.bracket is not None
+    # the blocks stepped up to the collapse
+    assert math.ceil(step / core._block_steps(cells + 2)) == blocks
+    assert len(built) == blocks

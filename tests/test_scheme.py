@@ -578,8 +578,9 @@ class TestBandBinding:
 
 
 class TestRebase:
-    """rebase(prev) poses a built system's step from prev: it then answers
-    as a system built on prev, bit for bit, whatever it solved before."""
+    """rebase(prev, dt) poses a built system's step from prev over dt: it
+    then answers as a system built on prev and dt, bit for bit, whatever it
+    solved before and whatever step size it was posed over."""
 
     @staticmethod
     def outputs(system, point, r_next):
@@ -593,7 +594,7 @@ class TestRebase:
         return r, band, border, delta, rhs, again, system.residual(*point)
 
     def assert_fresh(self, system, prev, mesh, dt, params, rng):
-        system.rebase(prev)
+        system.rebase(prev, dt)
         fresh = _StepSystem(prev, mesh, dt, params)
         m = prev.u.size
         # at rest and at a moving iterate
@@ -604,10 +605,10 @@ class TestRebase:
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("before", ["solved", "singular band", "non-finite system",
-                                        "no convergence"])
-    def test_rebased_system_answers_as_a_fresh_one(self, tc1, before):
-        rng = np.random.default_rng(2302)
+    @staticmethod
+    def posed(before, tc1, rng):
+        """A system over dt = 0.02 on 40 cells that has just done before,
+        the mesh, and a second previous state to rebase it on."""
         mesh, dt = uniform_mesh(40), 0.02
         a, point = random_step(rng, 40)
         b, _ = random_step(rng, 40)
@@ -626,9 +627,43 @@ class TestRebase:
                 system.solve(r)
         else:
             opts = SolverOptions(max_newton_iters=1)
-            _, status, _, _ = scheme._newton(system, (a.u, 0.0, 0.0), opts, 1e-8)
-            assert status is StepStatus.NO_CONVERGENCE
+            solved = scheme._newton(system, (a.u, 0.0, 0.0), opts, 1e-8)
+            assert solved.status is StepStatus.NO_CONVERGENCE
+        return system, mesh, b
+
+    BEFORE = ["solved", "singular band", "non-finite system", "no convergence"]
+
+    @pytest.mark.parametrize("before", BEFORE)
+    def test_rebased_system_answers_as_a_fresh_one(self, tc1, before):
+        rng = np.random.default_rng(2302)
+        system, mesh, b = self.posed(before, tc1, rng)
+        self.assert_fresh(system, b, mesh, 0.02, tc1, rng)
+
+    @pytest.mark.parametrize("before", BEFORE)
+    @pytest.mark.parametrize("dt", [0.005, 0.02 * 3 / 32], ids=["dt/4", "a sub-step"])
+    def test_rebased_to_another_dt_and_back_answers_as_a_fresh_one(self, tc1, before, dt):
+        # as the continuation's sub-steps and the bisection's probes rebase
+        # the block's system, and the next step rebases it back
+        rng = np.random.default_rng(2302)
+        system, mesh, b = self.posed(before, tc1, rng)
         self.assert_fresh(system, b, mesh, dt, tc1, rng)
+        self.assert_fresh(system, b, mesh, 0.02, tc1, rng)
+
+    def test_constants_of_dt_are_refreshed_only_when_dt_changes(self, tc1):
+        rng = np.random.default_rng(2304)
+        mesh = uniform_mesh(20)
+        a, _ = random_step(rng, 20)
+        b, _ = random_step(rng, 20)
+        system = _StepSystem(a, mesh, 0.02, tc1)
+        block, rest_v = system.block, system._rest_v
+        system.rebase(b, 0.02)
+        assert system.block is block and system._rest_v is rest_v
+        system.rebase(b, 0.01)
+        assert system.dt == 0.01 and system.block is not block
+        fresh = _StepSystem(b, mesh, 0.01, tc1)
+        assert system.block == fresh.block
+        for name in ("_edges_dt", "_rest_v"):
+            assert getattr(system, name).tobytes() == getattr(fresh, name).tobytes()
 
     def test_rebase_drops_the_kept_factors(self, tc1):
         rng = np.random.default_rng(2303)
@@ -639,7 +674,7 @@ class TestRebase:
         r = system.assemble(*point)
         system.solve(r)
         system.resolve(r)
-        system.rebase(b)
+        system.rebase(b, 0.02)
         with pytest.raises(RuntimeError, match="resolve"):
             system.resolve(r)
         # nor does a solve that fails leave the factors of an earlier one
@@ -731,9 +766,9 @@ class TestConfirmation:
         iterate = (s0.u, 0.0, 0.0)
         for tau in taus:
             system = _StepSystem(s0, mesh, tau, tc1)
-            iterate, status, _, resid = scheme._newton(
-                system, iterate, opts, opts.resolved_floor(tc1))
-            assert status is StepStatus.CONVERGED
+            solved = scheme._newton(system, iterate, opts, opts.resolved_floor(tc1))
+            assert solved.status is StepStatus.CONVERGED
+            iterate, resid = solved.end, solved.residual_inf
         assert events == walked
         state = moved(s0, iterate)
         assert result.state.u.tobytes() == state.u.tobytes()
@@ -963,6 +998,17 @@ class TestNewton:
         assert result.residual_inf == np.abs(r).max()
 
 
+def test_step_result_holds_a_state_exactly_when_converged(tc1):
+    mesh = uniform_mesh(10)
+    result = newton_step_solve(discretize_initial(tc1, mesh), mesh, 1e-2, tc1)
+    assert result.status is StepStatus.CONVERGED and result.state is not None
+    with pytest.raises(ValueError, match="converged solve with state None"):
+        replace(result, state=None)
+    with pytest.raises(ValueError, match="no_convergence solve with state State"):
+        replace(result, status=StepStatus.NO_CONVERGENCE)
+    assert replace(result, state=None, status=StepStatus.WIDTH_COLLAPSED).state is None
+
+
 class TestHomotopy:
     def test_agrees_with_newton_on_regular_step(self, tc1):
         for cells in (30, 100):
@@ -990,7 +1036,8 @@ class TestHomotopy:
         def third_fails_once(system, start, *args):
             out = newton(system, start, *args)
             if len(calls) == 2:
-                out = (None, StepStatus.NO_CONVERGENCE, out[2], np.inf)
+                out = replace(out, end=None, status=StepStatus.NO_CONVERGENCE,
+                              residual_inf=np.inf)
             calls.append((system.dt, start, out))
             return out
 
@@ -999,10 +1046,10 @@ class TestHomotopy:
         assert result.status is StepStatus.CONVERGED
         taus = [dt * k / 16 for k in (1, 2, 3)] + [dt * k / 32 for k in range(5, 33)]
         assert [tau for tau, _, _ in calls] == taus
-        second_end = calls[1][2][0]
+        second_end = calls[1][2].end
         assert calls[2][1] is second_end and calls[3][1] is second_end
-        assert result.iterations == sum(out[2] for _, _, out in calls)
-        assert state_gap(result.state, moved(s0, calls[-1][2][0])) == 0.0
+        assert result.iterations == sum(out.iterations for _, _, out in calls)
+        assert state_gap(result.state, moved(s0, calls[-1][2].end)) == 0.0
         direct = newton_step_solve(s0, mesh, dt, tc1)
         assert state_gap(direct.state, result.state) <= 1e-9
 
@@ -1070,9 +1117,9 @@ class TestRun:
 
     def test_run_calls_its_solvers_through_the_module(self, tc1, monkeypatch):
         # run() looks up each step's Newton solve and the continuation in
-        # the module, where the tests and the benchmark's tracer replace
-        # them.  A Newton step is written to its row without a State; the
-        # continuation builds one, from its last sub-step.
+        # the module, where the tests replace them.  Every accepted step,
+        # Newton's or the continuation's, is written to its row without a
+        # State.
         counts = Counter()
 
         def count(name, wrapped=None):
@@ -1087,19 +1134,19 @@ class TestRun:
         solve = scheme._newton_step
 
         def first_fails(system, *args, **kwargs):
-            end, status, *work = solve(system, *args, **kwargs)
+            solved = solve(system, *args, **kwargs)
             if system.prev.X0 == 0.0:
-                end, status = None, StepStatus.NO_CONVERGENCE
-            return (end, status, *work)
+                solved = replace(solved, end=None, status=StepStatus.NO_CONVERGENCE)
+            return solved
 
         count("_newton_step", first_fails)
-        count("homotopy_solve")
+        count("_continuation")
         count("State")
         traj = run(tc1, uniform_mesh(20), TimeGrid.from_step(1e-2, 3))
         assert traj.completed
         # three Newton solves, the first handed to the continuation, whose
-        # 16 sub-steps pass on their raw iterates
-        assert counts == {"_newton_step": 3, "homotopy_solve": 1, "State": 1}
+        # 16 sub-steps pass on their raw iterates; no State is built
+        assert counts == {"_newton_step": 3, "_continuation": 1}
         # the names the benchmark wraps in this module
         for name in ("newton_step_solve", "State", "solve_banded", "bernoulli",
                      "bernoulli_prime"):
@@ -1204,13 +1251,13 @@ class TestTranslationInvariance:
         # Newton misses this collapse and the continuation walks its
         # sub-steps into the width floor, in every run alike
         calls = []
-        continuation = scheme.homotopy_solve
+        continuation = scheme._continuation
 
         def counted(*args, **kwargs):
             calls.append(args)
             return continuation(*args, **kwargs)
 
-        monkeypatch.setattr(scheme, "homotopy_solve", counted)
+        monkeypatch.setattr(scheme, "_continuation", counted)
         base = self.check(make_tc2, 50, 0.25, 20, (1e6, -1e6))
         assert base.termination.kind is TerminationKind.WIDTH_COLLAPSED
         assert len(calls) == 3
@@ -1299,8 +1346,10 @@ class TestCollapseEvent:
             brackets.append(bracket_collapse(*args))
             return brackets[-1]
 
-        # each end point a solve accepts, with the system of its sub-step,
-        # and each one that a later solve starts from: the walk's waypoints
+        # each end point a solve accepts, with the previous state and the
+        # sub-step its system was posed from when it ran (the block's system
+        # is rebased later), and each one that a later solve starts from:
+        # the walk's waypoints
         produced, waypoints = {}, []
         newton = scheme._newton
 
@@ -1308,8 +1357,8 @@ class TestCollapseEvent:
             if id(start) in produced:
                 waypoints.append(produced[id(start)])
             outcome = newton(system, start, *args)
-            if outcome[0] is not None:
-                produced[id(outcome[0])] = (system, outcome[0])
+            if outcome.end is not None:
+                produced[id(outcome.end)] = (system.prev, system.dt, outcome.end)
             return outcome
 
         monkeypatch.setattr(scheme, "_bracket_collapse", recorded)
@@ -1319,9 +1368,9 @@ class TestCollapseEvent:
         # the walk continues only from solutions of its sub-steps' scheme
         floor = SolverOptions().resolved_floor(params)
         assert waypoints
-        for system, iterate in waypoints:
-            state = moved(system.prev, iterate)
-            r = residual(system.prev, state, mesh, system.dt, params)
+        for prev, tau, iterate in waypoints:
+            state = moved(prev, iterate)
+            r = residual(prev, state, mesh, tau, params)
             assert np.abs(r).max() <= scheme._STALL_RESIDUAL and state.L > floor
         term = traj.termination
         assert term.kind is TerminationKind.WIDTH_COLLAPSED and term.step == step
@@ -1335,13 +1384,13 @@ class TestCollapseEvent:
 
     def test_no_continuation_after_newton_collapse(self, tc2, monkeypatch):
         calls = []
-        continuation = scheme.homotopy_solve
+        continuation = scheme._continuation
 
         def counted(*args, **kwargs):
             calls.append(args)
             return continuation(*args, **kwargs)
 
-        monkeypatch.setattr(scheme, "homotopy_solve", counted)
+        monkeypatch.setattr(scheme, "_continuation", counted)
         traj = run(tc2, uniform_mesh(100), TimeGrid.from_step_and_horizon(1e-2, 3.5))
         assert traj.termination.kind is TerminationKind.WIDTH_COLLAPSED
         assert calls == []
@@ -1349,20 +1398,20 @@ class TestCollapseEvent:
     def test_continuation_still_follows_no_convergence(self, tc1, monkeypatch):
         # a Newton solve that does not converge is handed to the continuation
         calls = []
-        solve, continuation = scheme._newton_step, scheme.homotopy_solve
+        solve, continuation = scheme._newton_step, scheme._continuation
 
         def first_fails(system, *args, **kwargs):
-            end, status, *work = solve(system, *args, **kwargs)
+            solved = solve(system, *args, **kwargs)
             if system.prev.X0 == 0.0:
-                end, status = None, StepStatus.NO_CONVERGENCE
-            return (end, status, *work)
+                solved = replace(solved, end=None, status=StepStatus.NO_CONVERGENCE)
+            return solved
 
         def counted(*args, **kwargs):
             calls.append(args)
             return continuation(*args, **kwargs)
 
         monkeypatch.setattr(scheme, "_newton_step", first_fails)
-        monkeypatch.setattr(scheme, "homotopy_solve", counted)
+        monkeypatch.setattr(scheme, "_continuation", counted)
         traj = run(tc1, uniform_mesh(20), TimeGrid.from_step(1e-2, 3))
         assert traj.completed and len(calls) == 1
 
