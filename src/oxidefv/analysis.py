@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _BLOCK_ELEMS,
     InitialMode,
     Mesh,
     ModelParams,
@@ -158,15 +157,15 @@ class _CoarseSums:
 class _Projection:
     """project_reference's running sums of one fine field of at most
     fine_rows rows onto each coarse target (coarse_mesh, n_c, m), in
-    `coarse`, built once.  Each block of at most about _BLOCK_ELEMS fine
-    entries is weighted by the fine cell sizes once, for every target, in a
-    buffer reused from block to block with the cell sizes tiled to its
+    `coarse`, built once.  Each block of at most about core._BLOCK_ELEMS
+    fine entries is weighted by the fine cell sizes once, for every target,
+    in a buffer reused from block to block with the cell sizes tiled to its
     rows: numpy would copy the strided rows and the broadcast cell sizes
     into fresh buffers on every call, which costs more than the arithmetic
     on a few rows."""
 
     def __init__(self, fine_mesh: Mesh, targets, fine_rows: int):
-        self.rows = rows = min(max(1, _BLOCK_ELEMS // fine_mesh.num_cells), fine_rows)
+        self.rows = rows = min(_block_steps(fine_mesh.num_cells), fine_rows)
         self.h = np.tile(fine_mesh.cell_sizes, (rows, 1))
         self.weighted = np.empty_like(self.h)
         self.coarse = [_CoarseSums(fine_mesh, mesh, n_c, m, rows) for mesh, n_c, m in targets]
@@ -196,8 +195,8 @@ def project_reference(
 
     fine is a completed trajectory on fine_mesh, and the result has one row
     per step of coarse_time.  It is read in blocks of at most about
-    _BLOCK_ELEMS entries, each split where a coarse time step ends.  So the
-    temporaries do not grow with the length of the run or with m, the fine
+    core._BLOCK_ELEMS entries, each split where a coarse time step ends.  So
+    the temporaries do not grow with the length of the run or with m, the fine
     steps per coarse step, and each coarse value is summed in the same
     order as over the whole field: row by row, from the first fine row of
     its step (a one-cell coarse mesh keeps a step's m averages and sums

@@ -324,17 +324,6 @@ class TimeGrid:
         return cls(dt=dt, n_steps=n)
 
 
-def _check_level(u: np.ndarray, X0, X1, L) -> None:
-    """State's checks of a finite vector u and its numbers: u nonnegative, L
-    positive and finite, X0 and X1 finite.  Raises ValueError."""
-    if np.minimum.reduce(u) < 0.0:
-        raise ValueError("State.u must be nonnegative")
-    if not _positive_finite(L):
-        raise ValueError("State.L must be strictly positive")
-    if not (_finite(X0) and _finite(X1)):
-        raise ValueError(f"State interfaces must be finite: X0 = {X0!r}, X1 = {X1!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """One time level: concentrations u (length I+2, entries 0 and I+1 are
@@ -351,7 +340,12 @@ class State:
             raise ValueError("State.u must be finite")
         if arr.ndim != 1 or arr.size < 3:
             raise ValueError("State.u must be a 1-d vector of length I+2 with I >= 1")
-        _check_level(arr, self.X0, self.X1, self.L)
+        if np.minimum.reduce(arr) < 0.0:
+            raise ValueError("State.u must be nonnegative")
+        if not _positive_finite(self.L):
+            raise ValueError("State.L must be strictly positive")
+        if not (_finite(self.X0) and _finite(self.X1)):
+            raise ValueError(f"State interfaces must be finite: X0 = {self.X0!r}, X1 = {self.X1!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "u", arr)
 
@@ -368,20 +362,9 @@ class State:
         return self.u.size - 2
 
 
-def _checked_state(u: np.ndarray, X0, X1, L) -> State:
-    """A State over u, a float64 vector of length I+2 that no one writes
-    again, after State's checks and without its copy: the time loop's
-    state of each accepted step.  Raises ValueError as State does."""
-    if not np.isfinite(u).all():
-        raise ValueError("State.u must be finite")
-    _check_level(u, X0, X1, L)
-    u.setflags(write=False)
-    return State._view(u, X0, X1, L)
-
-
-def _frame_velocity(d0, d1, dL, mesh: Mesh, dt: float, R: float):
-    """(1 - R) d1/dt - xi_edge * dL/dt - d0/dt per edge, from a step's
-    displacements d0 of X0 and d1 of X1 and its change dL of the width.
+def _frame_velocity(d0, d1, dL, mesh: Mesh, dt: float, R: float, out=None):
+    """(1 - R) d1/dt - xi_edge * dL/dt - d0/dt per edge, into out if given,
+    from a step's displacements d0 of X0 and d1 of X1 and its change dL of L.
 
     Scalars give one row of edge velocities; column arrays of shape (k, 1)
     give k rows, one per step.
@@ -389,7 +372,9 @@ def _frame_velocity(d0, d1, dL, mesh: Mesh, dt: float, R: float):
     dX0 = d0 / dt
     dX1 = d1 / dt
     dL = dL / dt
-    return (1.0 - R) * dX1 - mesh.edges * dL - dX0
+    v = np.multiply(mesh.edges, dL, out=out)
+    np.subtract((1.0 - R) * dX1, v, out=v)
+    return np.subtract(v, dX0, out=v)
 
 
 def _check_rates(name: str, prev: State, nxt: State, mesh: Mesh, dt, R: float) -> np.ndarray:

@@ -32,14 +32,17 @@ previous sub-step's solution, and halves a sub-step that fails.
 
 One rule decides every solve's outcome, a step's, a sub-step's or a
 bisection probe's: _newton accepts its end point only when the scheme's
-residual there is at most _STALL_RESIDUAL and the width is above the
-floor.  So the continuation walks through solutions of the scheme only.
+residual there is at most _STALL_RESIDUAL, the width is above the floor
+and the moved positions are finite.  So the continuation walks through
+solutions of the scheme only, and the time loop stores the end points
+unchecked: the rule implies State's checks.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,18 +65,16 @@ from .core import (
     _block_steps,
     _check_dt,
     _check_rates,
-    _checked_state,
     _frame_velocity,
     _positive_finite,
     _positive_int,
     discretize_initial,
 )
 
-# At rest (d0 = d1 = 0, so L = prev.L) w = 0 on every edge, where the
-# kernel's series gives B = 1 and B' = -1/2 exactly: the rows (B(w), B(-w))
-# and their derivatives, broadcast over the edges.
-_REST_B = np.ones((2, 1))
-_REST_DB = np.full((2, 1), -0.5)
+# At rest (d0 = d1 = 0, so L = prev.L) w = 0 on every edge: the kernel's
+# rows (B(w), B(-w)) and their derivatives there, 1 and -1/2 exactly,
+# broadcast over the edges.
+_REST_B, _REST_DB = _bernoulli_pair(np.zeros((2, 1)))
 _REST_B.flags.writeable = _REST_DB.flags.writeable = False
 
 # The continuation first splits the step into this many sub-steps; each
@@ -193,6 +194,11 @@ class _Outcome:
     residual_inf: float
 
 
+# A State's fields without its checks: the time loop's levels, each the
+# initial state or an end point _newton accepted (see _newton).
+_Level = namedtuple("_Level", "u X0 X1 L")
+
+
 def velocities(prev: State, nxt: State, mesh: Mesh, dt: float, R: float) -> np.ndarray:
     """Edge velocities of the moving frame mapped onto [0, 1], one per edge:
     (1 - R) d[X1] - xi_edge * d[L] - d[X0], with d[f] = (f_next - f_prev)/dt.
@@ -303,7 +309,7 @@ class _StepSystem:
         self.dt = None
         self.rebase(prev, dt)
 
-    def rebase(self, prev: State, dt: float) -> None:
+    def rebase(self, prev: State | _Level, dt: float) -> None:
         """Pose the step from prev over dt: prev's width, masses and
         positions, the constants of dt when dt changes, and no factors for
         resolve() until the next solve()."""
@@ -349,11 +355,7 @@ class _StepSystem:
         if d0 == 0.0 and d1 == 0.0:
             v, B, dB = self._rest_v, _REST_B, _REST_DB
         else:
-            # core._frame_velocity's operations, into the buffer
-            dt, v = self.dt, self._v
-            np.multiply(self.mesh.edges, (d1 - d0) / dt, out=v)
-            np.subtract(self._one_minus_R * (d1 / dt), v, out=v)
-            np.subtract(v, d0 / dt, out=v)
+            v = _frame_velocity(d0, d1, d1 - d0, self.mesh, self.dt, self.params.R, out=self._v)
             np.multiply(Lh, v, out=self._w_pos)
             np.negative(self._w_pos, out=self._w_neg)
             B, dB = _bernoulli_pair(self._w, prime)
@@ -629,11 +631,18 @@ def _newton(system: _StepSystem, start, opts, floor) -> _Outcome:
     one acceptance rule of every solve: the solve's _Outcome.
 
     The end point is accepted only when the iteration converged, the
-    scheme's residual there is at most _STALL_RESIDUAL and the width is
-    above the floor.  Otherwise the outcome is WIDTH_COLLAPSED when damping
-    stalled at the width floor, or when a converged end point misses the
-    residual within 10 floors or lies at or below the floor; it is
-    NO_CONVERGENCE in every other case.
+    scheme's residual there is at most _STALL_RESIDUAL, the width is above
+    the floor and the moved positions are finite.  Otherwise the outcome is
+    WIDTH_COLLAPSED when damping stalled at the width floor, or when a
+    converged end point misses the residual within 10 floors or lies at or
+    below the floor; it is NO_CONVERGENCE in every other case.
+
+    An accepted end point passes State's checks, so the time loop stores it
+    unchecked.  Damping keeps u nonnegative (_damped_substep).  With L >
+    floor > 0, a finite residual makes u finite (each u_i sits in a balance
+    or a flux condition), d0 and d1 finite (the motion laws hold d0/dt and
+    d1/dt) and L finite (an infinite L makes L u_i, u_i >= 0, inf or nan).
+    Only the moved positions can still overflow, so they are checked.
 
     A full undamped iteration whose increment is at most sqrt(newton_tol)
     is followed by a confirmation: a simplified Newton iteration that
@@ -687,6 +696,8 @@ def _newton(system: _StepSystem, start, opts, floor) -> _Outcome:
         return _Outcome(None, status, iters, resid_inf)
     if L <= floor:
         return _Outcome(None, StepStatus.WIDTH_COLLAPSED, iters, resid_inf)
+    if not all(map(math.isfinite, system.positions(d0, d1))):
+        return _Outcome(None, StepStatus.NO_CONVERGENCE, iters, resid_inf)
     return _Outcome((u, d0, d1), StepStatus.CONVERGED, iters, resid_inf)
 
 
@@ -718,7 +729,7 @@ def newton_step_solve(
     return system.result(_newton_step(system, opts, opts.resolved_floor(params)))
 
 
-def _continuation(system: _StepSystem, prev: State, dt: float, opts: SolverOptions,
+def _continuation(system: _StepSystem, prev: State | _Level, dt: float, opts: SolverOptions,
                   floor: float) -> _Outcome:
     """homotopy_solve's walk on the system, rebased on prev and each
     sub-step in turn; it is left posed from prev over the last sub-step
@@ -783,7 +794,7 @@ def homotopy_solve(
 # ---------------------------------------------------------------------------
 
 
-def _bracket_collapse(system: _StepSystem, prev: State, dt: float, opts: SolverOptions,
+def _bracket_collapse(system: _StepSystem, prev: State | _Level, dt: float, opts: SolverOptions,
                       floor: float):
     """Sub-steps (lo, hi) of a step of size dt that cannot be taken from
     prev: Newton converges over lo (or lo = 0) and fails over hi, with
@@ -860,22 +871,23 @@ def _blocks(params, mesh, time_grid, opts, first):
     state, and the continuation's sub-steps and the collapse bisection's
     probes.  It is dropped before the block is handed out.  An accepted
     step, Newton's or the continuation's, is written straight to its row
-    through system.positions; State's checks run on it once, and the next
-    step starts from a State over the step's own u, without a copy.  That
-    u is no block's row, so no block outlives its reader through prev."""
+    through system.positions, unchecked: _newton's acceptance rule makes it
+    a valid State.  The next step starts from a _Level over the step's own
+    u, without a copy.  That u is no block's row, so no block outlives its
+    reader through prev."""
     floor = opts.resolved_floor(params)
     dt, n_steps = time_grid.dt, time_grid.n_steps
     steps = _block_steps(first.u.size)
     termination = Termination(TerminationKind.COMPLETED)
-    # the row before each block's steps: the state and the work of its solve
-    prev, work = first, (0, np.nan)
+    # the row before each block's steps: the level and the work of its solve
+    prev, work = _Level(first.u, first.X0, first.X1, first.L), (0, np.nan)
     start = 0
     while True:
         # Row j holds the state after step start + j and the work of the
         # solve that produced it.  Rows a collapse never reaches are cut off.
         rows = min(steps, n_steps - start) + 1
         columns = U, X0, X1, L, iters, resid = _columns(rows, first.u.size)
-        U[0], X0[0], X1[0], L[0] = prev.u, prev.X0, prev.X1, prev.L
+        U[0], X0[0], X1[0], L[0] = prev
         iters[0], resid[0] = work
         system = _StepSystem(prev, mesh, dt, params)
         kept = 1
@@ -899,12 +911,11 @@ def _blocks(params, mesh, time_grid, opts, first):
                     termination = Termination(TerminationKind.SOLVER_FAILED, step=n)
                 break
             u, d0, d1 = solved.end
-            level = (u, *system.positions(d0, d1))
+            prev = _Level(u, *system.positions(d0, d1))
             work = (solved.iterations, solved.residual_inf)
             j = n - start
-            U[j], X0[j], X1[j], L[j] = level
+            U[j], X0[j], X1[j], L[j] = prev
             iters[j], resid[j] = work
-            prev = _checked_state(*level)
             kept = j + 1
             if prev.L <= 2.0 * floor:
                 termination = Termination(TerminationKind.WIDTH_COLLAPSED, step=n)

@@ -228,7 +228,7 @@ class TestBlockedProjection:
         rng = np.random.default_rng(44)
         fields = list(rng.uniform(0.1, 2.0, (4 * 40 + 1, 96)))
         traj = synthetic_trajectory(fine_mesh, fields, 0.01)
-        monkeypatch.setattr(analysis, "_BLOCK_ELEMS", budget)
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", budget)
         got = project_reference(traj, fine_mesh, coarse_mesh, coarse_time)
         want = full_stack_projection(traj, fine_mesh, coarse_mesh, coarse_time)
         assert got.tobytes() == want.tobytes()
@@ -238,7 +238,7 @@ class TestBlockedProjection:
         # numpy sums one column's 64 values pairwise: it is read whole
         fine_mesh, coarse_mesh = uniform_mesh(100), uniform_mesh(1)
         coarse_time = TimeGrid.from_step(0.64, 2)
-        assert 64 * 100 > analysis._BLOCK_ELEMS
+        assert 64 * 100 > core._BLOCK_ELEMS
         fields = list(np.random.default_rng(47).uniform(0.1, 2.0, (2 * 64 + 1, 100)))
         traj = synthetic_trajectory(fine_mesh, fields, 0.01)
         got = project_reference(traj, fine_mesh, coarse_mesh, coarse_time)
@@ -253,7 +253,7 @@ class TestBlockedProjection:
         coarse_mesh = Mesh(edges[np.r_[0, kept, 120]])
         # each slab's 40 rows are read as a block of 34 and one of 6
         m, n_c = 40, 3
-        assert m % (analysis._BLOCK_ELEMS // 120) == 6
+        assert m % (core._BLOCK_ELEMS // 120) == 6
         coarse_time = TimeGrid.from_step(m * 1e-3, n_c)
         fields = list(rng.uniform(0.1, 2.0, (m * n_c + 1, 120)))
         traj = synthetic_trajectory(fine_mesh, fields, 1e-3)
@@ -668,8 +668,7 @@ class TestConvergenceStudy:
         # (its blocks dropped as they come): no slab of it is stored.  The
         # stepping alone peaks near a whole slab (175 of 209 KB at the full
         # budget), so the study's own peak is not compared with the slab.
-        for module in (core, analysis):
-            monkeypatch.setattr(module, "_BLOCK_ELEMS", 1024)
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", 1024)
         slab = (4**3 + 1) * (50 * 2**3 + 2) * 8
         mesh, grid = uniform_mesh(400), TimeGrid.from_horizon(0.1, 640)
         alone = traced_peak(lambda: deque(run_blocks(tc1, mesh, grid), maxlen=0))
@@ -686,8 +685,7 @@ class TestConvergenceStudy:
     )
     def test_study_at_any_block_budget_matches_the_whole_run(self, tc1, budget, monkeypatch):
         want = whole_reference_study(tc1, 1, 2, 0.1, InitialMode.CELL_AVERAGE)
-        for module in (core, analysis):
-            monkeypatch.setattr(module, "_BLOCK_ELEMS", budget)
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", budget)
         got = convergence_study(tc1, max_level=1, ref_level=2, t_final=0.1)
         assert got.levels == want
 

@@ -3,7 +3,7 @@
 attributes of the trajectories `run()` returns and of the configs
 `parse_config` returns; a refactor that drops one of those names would
 break the benchmark without any test failing.  Check each name still
-exists."""
+exists, and that the time loop runs the same under the benchmark's wraps."""
 
 import ast
 import importlib
@@ -150,3 +150,37 @@ def test_config_read_exists(attr):
 
     config = parse_config('{"preset": "testcase1"}')
     assert hasattr(config, attr), f"the benchmark reads cfg.{attr}, which parse_config does not return"
+
+
+def test_run_under_the_benchmark_wraps(monkeypatch):
+    # The traced benchmark replaces the names declare_wraps lists, among
+    # them scheme.State, with wrappers; the time loop, its continuation,
+    # the collapse and its bisection must run the same under them.
+    # declare_wraps wraps scheme.solve_banded, whose access imports scipy.
+    pytest.importorskip("scipy.linalg")
+    if not WORKER.is_file():
+        pytest.skip("perfbench/worker.py is absent")
+    from types import SimpleNamespace
+
+    from oxidefv import TerminationKind, TimeGrid, analysis, cli, energy, scheme, uniform_mesh
+    from conftest import make_tc2
+
+    monkeypatch.syspath_prepend(str(WORKER.parent))
+    worker = importlib.import_module("worker")
+    params, mesh, grid = make_tc2(), uniform_mesh(50), TimeGrid.from_step_and_horizon(0.25, 5.0)
+    want = scheme.run(params, mesh, grid)
+    tracer = worker.Tracer()
+    worker.declare_wraps(
+        tracer, SimpleNamespace(scheme=scheme, energy=energy, analysis=analysis, cli=cli)
+    )
+    tracer.install()
+    try:
+        got = scheme.run(params, mesh, grid)
+    finally:
+        tracer.uninstall()
+    assert got.termination == want.termination
+    assert got.termination.kind is TerminationKind.WIDTH_COLLAPSED
+    assert got.termination.step == 6 and got.termination.bracket is not None
+    for name in ("U", "X0", "X1", "L", "newton_iters", "residual_inf"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert [span[0] for span in tracer.take()] == ["scheme.run"]

@@ -29,7 +29,7 @@ from oxidefv import (
     write_ledger_csv,
 )
 from oxidefv import core
-from oxidefv.core import _BLOCK_ELEMS, _frame_velocity, step_blocks
+from oxidefv.core import _frame_velocity, step_blocks
 from oxidefv.energy import (
     _THETA_EPS,
     _dissipation_rows,
@@ -517,7 +517,7 @@ class TestBlockedLedger:
 
     def test_several_blocks_with_partial_last(self, tc1):
         cells = 100
-        rows = max(1, _BLOCK_ELEMS // (cells + 2))
+        rows = core._block_steps(cells + 2)
         n_steps = 3 * rows + rows // 4
         assert n_steps % rows != 0
         mesh = uniform_mesh(cells)

@@ -188,6 +188,34 @@ def test_guard_does_not_take_a_method_read_for_a_function():
     assert unread_methods(sources) == []
 
 
+def reads_block_budget(source: str) -> bool:
+    """Whether the module's code imports the name _BLOCK_ELEMS or loads it,
+    as a bare name or as an attribute."""
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return "_BLOCK_ELEMS" in imported | name_reads(source)
+
+
+def test_only_core_reads_the_block_budget():
+    # the block budget has one home: the other modules take their rows from
+    # core._block_steps, so patching core's budget reaches every block
+    readers = [p.stem for p in MODULES if p.stem != "core" and reads_block_budget(p.read_text())]
+    assert not readers, f"oxidefv.{readers} read core's _BLOCK_ELEMS"
+
+
+def test_guard_catches_a_block_budget_read():
+    assert reads_block_budget("from .core import _BLOCK_ELEMS, _block_steps\n")
+    assert reads_block_budget("from . import core\n\nrows = core._BLOCK_ELEMS // 3\n")
+    # a docstring that names the budget does not read it
+    assert not reads_block_budget(
+        '"""At most about _BLOCK_ELEMS entries."""\nfrom .core import _block_steps\n'
+    )
+
+
 def unread_fields(sources: dict, reads=frozenset()) -> list[str]:
     """"module.Class.name" of each public annotated field of a top-level
     class in sources (module name -> source) that no source loads as an

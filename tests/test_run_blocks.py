@@ -2,7 +2,8 @@
 core.step_blocks reads from run()'s trajectory, bit for bit, while the run
 goes on; run() collects the same blocks.  Its one step system per block,
 which serves every solve of the block, gives the states and the collapse
-bracket of a fresh system per solve."""
+bracket of a fresh system per solve.  The loop stores Newton's accepted end
+points unchecked, and each stored row is a valid State."""
 
 import gc
 import math
@@ -190,6 +191,23 @@ def reference_run(params, mesh, grid, fails=(), opts=SolverOptions()):
     return columns, termination
 
 
+def forced_rescues(monkeypatch, fails) -> list:
+    """Make the time loop's n-th Newton solve, for each n in fails, report
+    NO_CONVERGENCE, so that the continuation takes its step.  Returns the
+    list that counts the solves."""
+    solve, solved = scheme._newton_step, []
+
+    def failing(system, *args):
+        outcome = solve(system, *args)
+        solved.append(1)
+        if len(solved) in fails:
+            outcome = replace(outcome, end=None, status=StepStatus.NO_CONVERGENCE)
+        return outcome
+
+    monkeypatch.setattr(scheme, "_newton_step", failing)
+    return solved
+
+
 @pytest.mark.parametrize(
     "make, steps, fails, kind",
     [
@@ -206,21 +224,13 @@ def test_run_repeats_a_fresh_system_per_step(make, steps, fails, kind, monkeypat
     assert core._block_steps(402) == 10
     want, termination = reference_run(params, mesh, grid, fails)
     # the time loop's n-th Newton solve is step n's
-    solve, solved, rescued = scheme._newton_step, [], []
-
-    def failing(system, *args):
-        outcome = solve(system, *args)
-        solved.append(1)
-        if len(solved) in fails:
-            outcome = replace(outcome, end=None, status=StepStatus.NO_CONVERGENCE)
-        return outcome
+    solved, rescued = forced_rescues(monkeypatch, fails), []
 
     def counted(*args, **kwargs):
         rescued.append(len(solved))
         return continuation(*args, **kwargs)
 
     continuation = scheme._continuation
-    monkeypatch.setattr(scheme, "_newton_step", failing)
     monkeypatch.setattr(scheme, "_continuation", counted)
     traj = run(params, mesh, grid)
     assert rescued == list(fails)
@@ -276,3 +286,51 @@ def test_one_step_system_per_block(cells, dt, step, blocks, monkeypatch):
     # the blocks stepped up to the collapse
     assert math.ceil(step / core._block_steps(cells + 2)) == blocks
     assert len(built) == blocks
+
+
+def near_zero_tc3():
+    """testcase3 with its profile scaled to 1e-6: the damping's positivity
+    cut falls below a full step in 21 Newton iterations of a run to T = 2."""
+    params = make_tc3()
+    return replace(params, u_init=replace(params.u_init, c1=1e-6))
+
+
+@pytest.mark.parametrize(
+    "make, cells, dt, steps, fails, step",
+    [
+        # the continuation walks step 6 into the collapse
+        (make_tc2, 50, 0.25, 20, (), 6),
+        (make_tc1, 400, 1e-2, 30, (1, 11, 15), None),
+        (near_zero_tc3, 50, 0.1, 20, (), 2),
+    ],
+    ids=["continuation-collapse", "rescues", "positivity-cut"],
+)
+def test_stored_rows_are_valid_states(make, cells, dt, steps, fails, step, monkeypatch):
+    # the time loop stores _newton's accepted end points unchecked: each
+    # row must pass State's checks
+    forced_rescues(monkeypatch, fails)
+    traj = run(make(), uniform_mesh(cells), TimeGrid(dt, steps))
+    assert traj.termination.step == step
+    for u, X0, X1, L in zip(traj.U, traj.X0, traj.X1, traj.L):
+        State(u=u, X0=X0, X1=X1, L=L)
+
+
+def test_newton_accepts_no_end_point_at_infinite_positions(monkeypatch):
+    # the one State check that the residual and the width floor do not
+    # imply: Newton, and so the continuation, rejects an end point whose
+    # moved positions overflow, and the run stores no row for its step
+    params, mesh, opts = make_tc1(), uniform_mesh(20), SolverOptions()
+    floor = opts.resolved_floor(params)
+    system = scheme._StepSystem(discretize_initial(params, mesh), mesh, 1e-2, params)
+    assert scheme._newton_step(system, opts, floor).status is StepStatus.CONVERGED
+    positions = scheme._StepSystem.positions
+
+    def overflowing(self, d0, d1):
+        return (math.inf, *positions(self, d0, d1)[1:])
+
+    monkeypatch.setattr(scheme._StepSystem, "positions", overflowing)
+    outcome = scheme._newton_step(system, opts, floor)
+    assert outcome.end is None and outcome.status is StepStatus.NO_CONVERGENCE
+    traj = run(params, mesh, TimeGrid(1e-2, 5))
+    assert traj.termination == Termination(TerminationKind.SOLVER_FAILED, step=1)
+    assert traj.U.shape[0] == 1

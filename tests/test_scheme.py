@@ -1358,7 +1358,11 @@ class TestCollapseEvent:
                 waypoints.append(produced[id(start)])
             outcome = newton(system, start, *args)
             if outcome.end is not None:
-                produced[id(outcome.end)] = (system.prev, system.dt, outcome.end)
+                # the time loop poses its system from a plain (u, X0, X1, L)
+                # level; residual() takes a State
+                p = system.prev
+                prev = State(u=p.u, X0=p.X0, X1=p.X1, L=p.L)
+                produced[id(outcome.end)] = (prev, system.dt, outcome.end)
             return outcome
 
         monkeypatch.setattr(scheme, "_bracket_collapse", recorded)
